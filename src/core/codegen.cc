@@ -58,9 +58,21 @@ segPtrName(RowDomain d, TypeBy by)
     return "etype_ptr";
 }
 
-/** Renders one traversal-statement as CUDA C. */
+/** Register accumulator of a hoist-level-2 statement's output. */
 std::string
-stmtToCuda(const Program &p, const Stmt &s, const std::string &ent)
+accName(const Stmt &s)
+{
+    return s.out.name + "_acc";
+}
+
+/**
+ * Renders one traversal-statement as CUDA C. With @p into_register
+ * (hoist level 2), an accumulation adds into its register
+ * accumulator instead of the output row.
+ */
+std::string
+stmtToCuda(const Program &p, const Stmt &s, const std::string &ent,
+           bool into_register = false)
 {
     auto ref = [&](const VarRef &v) -> std::string {
         const auto &vi = p.varInfo(v.name);
@@ -92,6 +104,10 @@ stmtToCuda(const Program &p, const Stmt &s, const std::string &ent)
 
     std::ostringstream os;
     auto assign = [&](const std::string &expr) {
+        if (into_register) {
+            os << accName(s) << " += " << expr << ";";
+            return;
+        }
         const std::string out = ref(s.out);
         if (s.accumulateOut || s.kind == OpKind::AccumulateSum ||
             s.kind == OpKind::AccumulateScaled) {
@@ -166,6 +182,16 @@ stmtToCuda(const Program &p, const Stmt &s, const std::string &ent)
         break;
     }
     return os.str();
+}
+
+/** Output row of @p s at destination node n, as CUDA C. */
+std::string
+nodeRowRef(const Program &p, const Stmt &s)
+{
+    const std::int64_t cols = p.varInfo(s.out.name).cols;
+    if (cols == 1)
+        return s.out.name + "[n]";
+    return s.out.name + "[n * " + std::to_string(cols) + " + f]";
 }
 
 } // namespace
@@ -331,30 +357,40 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
            << ">: one destination node per block.\n"
            << "    for (int n = blockIdx.x; n < args.num_nodes;\n"
            << "         n += gridDim.x) {\n";
+        os << "        int f = threadIdx.x;\n";
+        bool stores = false;
         for (const auto &ss : ti.stmts) {
-            if (ss.hoistLevel != 1)
-                continue;
-            os << "        // hoisted before edge loop\n";
-            os << "        " << stmtToCuda(p, ss.stmt, "e") << "\n";
+            if (ss.hoistLevel == 1) {
+                os << "        // hoisted before edge loop\n";
+                os << "        " << stmtToCuda(p, ss.stmt, "e") << "\n";
+            } else if (ss.hoistLevel == 2) {
+                os << "        float " << accName(ss.stmt)
+                   << " = 0.f;  // register accumulator\n";
+                stores = true;
+            }
         }
         os << "        for (int i = args.in_ptr[n] + threadIdx.y;\n"
            << "             i < args.in_ptr[n + 1]; i += blockDim.y) {\n"
            << "            int e = args.in_edge_ids[i];\n"
-           << "            int etype = GetEType<" << ti.kid << ">(e);\n"
-           << "            int f = threadIdx.x;\n";
+           << "            int etype = GetEType<" << ti.kid << ">(e);\n";
         for (const auto &ss : ti.stmts) {
-            if (ss.hoistLevel != 0)
+            if (ss.hoistLevel == 1)
                 continue;
-            os << "            " << stmtToCuda(p, ss.stmt, "e") << "\n";
+            os << "            "
+               << stmtToCuda(p, ss.stmt, "e", ss.hoistLevel == 2) << "\n";
         }
         if (ti.partialAggregation)
             os << "            // partial per-thread/warp aggregation\n"
                << "            warp_reduce_partial(args);\n";
         os << "        }\n";
-        for (const auto &ss : ti.stmts) {
-            if (ss.hoistLevel != 2)
-                continue;
-            os << "        " << stmtToCuda(p, ss.stmt, "e") << "\n";
+        if (stores) {
+            os << "        // one store per node with an incoming edge\n"
+               << "        if (args.in_ptr[n] < args.in_ptr[n + 1]) {\n";
+            for (const auto &ss : ti.stmts)
+                if (ss.hoistLevel == 2)
+                    os << "            " << nodeRowRef(p, ss.stmt) << " = "
+                       << accName(ss.stmt) << ";\n";
+            os << "        }\n";
         }
         os << "    }\n";
     } else {

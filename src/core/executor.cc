@@ -850,7 +850,10 @@ struct PreparedStmt
 {
     const Stmt *s = nullptr;
     int hoistLevel = 0;
+    /** Evaluation target; a level-2 statement's is its scratch
+     *  accumulator row, stored to `store` after the edge loop. */
     PreparedOperand out;
+    PreparedOperand store;
     PreparedOperand ins[3];
     /** Seed evalStmt's outCols() (0 when out is not a variable). */
     std::int64_t outCols = 0;
@@ -1020,6 +1023,13 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
             p.vars.count(s.out.name) ? p.varInfo(s.out.name).cols : 0;
         if (s.kind != OpKind::WeightVecGrad)
             ps.out = prepareOperand(s.out);
+        if (ss.hoistLevel == 2) {
+            ps.store = ps.out;
+            ps.out.mode = RowMode::Scratch;
+            ps.out.scratch =
+                static_cast<std::int32_t>(prep.scratchCols.size());
+            prep.scratchCols.push_back(ps.outCols);
+        }
         for (std::size_t i = 0; i < s.ins.size() && i < 3; ++i) {
             ps.ins[i] = prepareOperand(s.ins[i]);
             if (i == 0)
@@ -1326,14 +1336,13 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                      i < in_ptr[static_cast<std::size_t>(v) + 1]; ++i) {
                     pt.e = in_eid[static_cast<std::size_t>(i)];
                     pt.etype = etype[static_cast<std::size_t>(pt.e)];
+                    // Level 2 sums in place here: the oracle of the
+                    // fast path's register accumulator.
                     for (const auto &ss : ti.stmts)
-                        if (ss.hoistLevel == 0)
+                        if (ss.hoistLevel != 1)
                             evalStmt(p, ss.stmt, pt, RowDomain::Edges, res,
                                      ctx);
                 }
-                for (const auto &ss : ti.stmts)
-                    if (ss.hoistLevel == 2)
-                        evalStmt(p, ss.stmt, pt, RowDomain::Edges, res, ctx);
             }
             return;
         }
@@ -1404,22 +1413,36 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                     EvalPoint pt;
                     pt.v = v;
                     pt.ntype = ntype[static_cast<std::size_t>(v)];
-                    for (const auto &ps : prep.stmts)
+                    const std::int64_t i0 =
+                        in_ptr[static_cast<std::size_t>(v)];
+                    const std::int64_t i1 =
+                        in_ptr[static_cast<std::size_t>(v) + 1];
+                    for (const auto &ps : prep.stmts) {
                         if (ps.hoistLevel == 1)
                             evalPrepared(ps, pt, ix, scratch);
-                    for (std::int64_t i =
-                             in_ptr[static_cast<std::size_t>(v)];
-                         i < in_ptr[static_cast<std::size_t>(v) + 1];
-                         ++i) {
+                        else if (ps.hoistLevel == 2) {
+                            auto &acc = scratch[static_cast<std::size_t>(
+                                ps.out.scratch)];
+                            std::fill(acc.begin(), acc.end(), 0.0f);
+                        }
+                    }
+                    for (std::int64_t i = i0; i < i1; ++i) {
                         pt.e = in_eid[static_cast<std::size_t>(i)];
                         pt.etype = etype[static_cast<std::size_t>(pt.e)];
                         for (const auto &ps : prep.stmts)
-                            if (ps.hoistLevel == 0)
+                            if (ps.hoistLevel != 1)
                                 evalPrepared(ps, pt, ix, scratch);
                     }
-                    for (const auto &ps : prep.stmts)
-                        if (ps.hoistLevel == 2)
-                            evalPrepared(ps, pt, ix, scratch);
+                    // One store per node with an incoming edge; a
+                    // zero-in-degree node keeps its zeroed row.
+                    if (i0 < i1)
+                        for (const auto &ps : prep.stmts)
+                            if (ps.hoistLevel == 2) {
+                                const auto &acc = scratch[
+                                    static_cast<std::size_t>(ps.out.scratch)];
+                                std::copy(acc.begin(), acc.end(),
+                                          opPtr(ps.store, pt, ix, scratch));
+                            }
                 }
             };
             if (prep.rowParallel)
@@ -1515,14 +1538,18 @@ execTraversal(const Program &p, const TraversalInstance &ti,
         static_cast<double>(ti.nodeCentric ? g.numEdges()
                                            : ctx.rowsOf(ti.domain));
     const double node_iters = static_cast<double>(g.numNodes());
+    // A register-accumulated (level-2) row is stored once per node
+    // with an incoming edge, not once per edge.
+    const double stored_rows = static_cast<double>(g.numNodesWithInEdges());
     double max_cols = 1.0;
     for (const auto &ss : ti.stmts) {
         const StmtCost c =
             stmtCost(p, ss.stmt, ti.domain, ti.nodeCentric, ctx);
-        const double n = ss.hoistLevel == 0 ? iters : node_iters;
+        const double n = ss.hoistLevel == 1 ? node_iters : iters;
         desc.flops += c.flops * n;
         desc.bytesRead += c.bytesRead * n;
-        desc.bytesWritten += c.bytesWritten * n;
+        desc.bytesWritten +=
+            c.bytesWritten * (ss.hoistLevel == 2 ? stored_rows : n);
         desc.atomics += c.atomics * n;
         desc.atomicConflict =
             std::max(desc.atomicConflict, c.atomicConflict);

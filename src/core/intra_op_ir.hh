@@ -141,9 +141,23 @@ struct ScheduledStmt
 {
     Stmt stmt;
     /**
-     * Hoist level: 0 = innermost (per edge), 1 = per destination
-     * node before the edge loop, 2 = per destination node after the
-     * edge loop. Only meaningful for node-centric instances.
+     * Hoist level; only meaningful for node-centric instances.
+     *
+     *  - 0: innermost, evaluated per edge in place.
+     *  - 1: per destination node, before the edge loop.
+     *  - 2: register accumulator. The statement is still evaluated per
+     *    edge, but into a per-node register row zeroed before the
+     *    edge loop; the row is stored to the node's output row once
+     *    after the loop, and only when the node has an incoming edge.
+     *
+     * Lowering sets level 2 on an AccumulateSum / AccumulateScaled
+     * that is not accumulateOut and whose output is a Direct NodeData
+     * variable with no other writer in the program and no reader in
+     * the instance. Its arena slot is then freshly zeroed when the
+     * instance runs, so storing 0 + a1 + a2 + ... is bit-identical to
+     * the in-place per-edge sum, and a zero-in-degree node keeps its
+     * zero row without a store. The seed interpreter evaluates level 2
+     * like level 0 (in place, per edge) and stays the oracle.
      */
     int hoistLevel = 0;
 };

@@ -187,7 +187,7 @@ class Lowerer
                     c->ins.size() != 2 || c->ins[1].name != s.out.name)
                     continue;
                 const auto &sc = p_.varInfo(c->ins[0].name);
-                if (sc.requiresGrad || hasProducer(c->ins[0].name))
+                if (sc.requiresGrad || writerCount(c->ins[0].name) > 0)
                     continue;
                 fusedProducer_[&s] = c;
                 fusedConsumer_.insert(c);
@@ -195,20 +195,21 @@ class Lowerer
         }
     }
 
-    bool
-    hasProducer(const std::string &var) const
+    /** Statements of the program's loops writing @p var. */
+    int
+    writerCount(const std::string &var) const
     {
-        bool found = false;
+        int n = 0;
         auto visit = [&](const Loop &l, auto &&self) -> void {
             for (const auto &s : l.body)
                 if (s.out.name == var)
-                    found = true;
+                    ++n;
             for (const auto &in : l.inner)
                 self(in, self);
         };
         for (const auto &l : p_.loops)
             visit(l, visit);
-        return found;
+        return n;
     }
 
     void
@@ -267,6 +268,9 @@ class Lowerer
         }
         if (stmts.empty())
             return;
+        for (auto &ss : stmts)
+            if (ss.hoistLevel == 0 && accumulatesInRegister(ss.stmt, stmts))
+                ss.hoistLevel = 2;
         TraversalInstance ti;
         ti.kid = nextKid_++;
         ti.name = "traversal_" + std::to_string(ti.kid);
@@ -279,6 +283,28 @@ class Lowerer
         fn_.order.push_back(
             {LoweredFunction::Step::Kind::Traversal, fn_.traversals.size()});
         fn_.traversals.push_back(std::move(ti));
+    }
+
+    /**
+     * True when the aggregation @p s of node-centric instance @p inst
+     * may run at hoist level 2 (see ScheduledStmt): a plain sum into a
+     * Direct NodeData variable that @p inst never reads and that no
+     * other statement of the program writes.
+     */
+    bool
+    accumulatesInRegister(const Stmt &s,
+                          const std::vector<ScheduledStmt> &inst) const
+    {
+        if ((s.kind != OpKind::AccumulateSum &&
+             s.kind != OpKind::AccumulateScaled) ||
+            s.accumulateOut || s.out.access != Access::Direct ||
+            p_.varInfo(s.out.name).space != VarSpace::NodeData)
+            return false;
+        for (const auto &ss : inst)
+            for (const auto &in : ss.stmt.ins)
+                if (in.name == s.out.name)
+                    return false;
+        return writerCount(s.out.name) == 1;
     }
 
     bool

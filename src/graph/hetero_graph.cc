@@ -84,9 +84,12 @@ HeteroGraph::HeteroGraph(std::vector<std::int32_t> node_type, int num_ntypes,
     inPtr_.assign(static_cast<std::size_t>(numNodes_) + 1, 0);
     for (std::size_t e = 0; e < src_.size(); ++e)
         ++inPtr_[static_cast<std::size_t>(dst_[e]) + 1];
-    for (std::int64_t v = 0; v < numNodes_; ++v)
+    for (std::int64_t v = 0; v < numNodes_; ++v) {
+        if (inPtr_[static_cast<std::size_t>(v) + 1] > 0)
+            ++numNodesWithInEdges_;
         inPtr_[static_cast<std::size_t>(v) + 1] +=
             inPtr_[static_cast<std::size_t>(v)];
+    }
     inEdgeIds_.resize(static_cast<std::size_t>(numEdges_));
     {
         std::vector<std::int64_t> cursor(inPtr_.begin(), inPtr_.end() - 1);
@@ -107,16 +110,6 @@ HeteroGraph::HeteroGraph(std::vector<std::int32_t> node_type, int num_ntypes,
             rgcnNorm_[e] =
                 1.0f / static_cast<float>(count[{dst_[e], etype_[e]}]);
     }
-}
-
-double
-HeteroGraph::avgNonzeroInDegree() const
-{
-    std::int64_t nonzero = 0;
-    for (std::int64_t v = 0; v < numNodes_; ++v)
-        if (inDegree(v) > 0)
-            ++nonzero;
-    return nonzero ? static_cast<double>(numEdges_) / nonzero : 0.0;
 }
 
 std::size_t

@@ -112,8 +112,17 @@ class HeteroGraph
     /** Per-edge RGCN normalization 1 / |N_r(dst)|. */
     std::span<const float> rgcnNorm() const { return rgcnNorm_; }
 
+    /** Nodes with at least one in-edge (counted once, at CSR build). */
+    std::int64_t numNodesWithInEdges() const { return numNodesWithInEdges_; }
+
     /** Average in-degree over nodes with at least one in-edge. */
-    double avgNonzeroInDegree() const;
+    double
+    avgNonzeroInDegree() const
+    {
+        return numNodesWithInEdges_
+                   ? static_cast<double>(numEdges_) / numNodesWithInEdges_
+                   : 0.0;
+    }
 
     /** Bytes of adjacency structure (for footprint accounting). */
     std::size_t structureBytes() const;
@@ -156,6 +165,7 @@ class HeteroGraph
 
     std::vector<std::int64_t> inPtr_;
     std::vector<std::int64_t> inEdgeIds_;
+    std::int64_t numNodesWithInEdges_ = 0;
 
     std::vector<float> rgcnNorm_;
 };

@@ -83,6 +83,40 @@ TEST(Codegen, ScheduleAppearsInEmittedCode)
     EXPECT_NE(cuda.find("x_shmem[32][32]"), std::string::npos);
 }
 
+TEST(Codegen, AggregationAccumulatesInRegisterAndStoresOnce)
+{
+    const auto m = compileModel(models::ModelKind::Rgat, true, true);
+    std::string name;
+    for (const auto &ti : m.forwardFn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ss.hoistLevel == 2 && ss.stmt.out.name == "h_out")
+                name = ti.name;
+    ASSERT_FALSE(name.empty());
+    const std::string &cuda = m.code.cudaSource;
+    const std::size_t begin = cuda.find("__global__ void " + name + "(");
+    ASSERT_NE(begin, std::string::npos);
+    const std::string kernel =
+        cuda.substr(begin, cuda.find("\n}\n", begin) - begin);
+
+    const std::size_t decl = kernel.find("float h_out_acc = 0.f;");
+    const std::size_t loop = kernel.find("for (int i = args.in_ptr[n]");
+    const std::size_t loop_end = kernel.find("\n        }\n", loop);
+    ASSERT_NE(decl, std::string::npos);
+    ASSERT_NE(loop, std::string::npos);
+    ASSERT_NE(loop_end, std::string::npos);
+    EXPECT_LT(decl, loop);
+    const std::size_t acc = kernel.find("h_out_acc += ", loop);
+    EXPECT_LT(acc, loop_end);
+
+    // Exactly one global access to h_out: the store after the loop.
+    const std::size_t store = kernel.find("h_out[");
+    ASSERT_NE(store, std::string::npos);
+    EXPECT_EQ(kernel.find("h_out[", store + 1), std::string::npos);
+    EXPECT_GT(store, loop_end);
+    EXPECT_NE(kernel.find("h_out[n * 8 + f] = h_out_acc;"),
+              std::string::npos);
+}
+
 TEST(Codegen, TraversalKernelUsesAdjacencySpecialization)
 {
     const auto m = compileModel(models::ModelKind::Rgat, false, false);

@@ -58,6 +58,11 @@ TEST_P(DatasetInvariants, CsrMatchesCoo)
     }
     for (int c : seen)
         EXPECT_EQ(c, 1);
+    // The count of nodes with an in-edge is cached at CSR build.
+    std::int64_t with_in_edges = 0;
+    for (std::int64_t v = 0; v < g.numNodes(); ++v)
+        with_in_edges += g.inDegree(v) > 0;
+    EXPECT_EQ(g.numNodesWithInEdges(), with_in_edges);
 }
 
 TEST_P(DatasetInvariants, RgcnNormSumsToOnePerDstRelation)

@@ -2,11 +2,20 @@
  * @file
  * Tests for the analytical device model and runtime: monotonicity of
  * the cost model (DESIGN.md invariant 7), occupancy ramp, atomic
- * serialization, counter bookkeeping, and derived Fig. 12 metrics.
+ * serialization, counter bookkeeping, derived Fig. 12 metrics, and
+ * the store pricing of register-accumulated aggregations.
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
+
+#include "core/compiler.hh"
+#include "core/frontend.hh"
+#include "graph/compaction.hh"
+#include "graph/datasets.hh"
+#include "graph/sampler.hh"
+#include "models/model_sources.hh"
 #include "sim/counters.hh"
 #include "sim/device.hh"
 #include "sim/runtime.hh"
@@ -241,6 +250,66 @@ TEST(ArchMetrics, GemmBeatsTraversalThroughput)
     bt.timeSec = m.kernelTime(trav);
     EXPECT_GT(Counters::deriveMetrics(bg, spec).achievedGflops,
               Counters::deriveMetrics(bt, spec).achievedGflops);
+}
+
+TEST(TraversalPricing, RegisterAccumulatorStoresOncePerNodeWithInEdges)
+{
+    namespace core = hector::core;
+    namespace graph = hector::graph;
+    // A sampled serving block of `am`: more nodes than edges, so a
+    // store charged per node would cost more than the per-edge
+    // read-modify-write it replaces.
+    const graph::HeteroGraph full = graph::generate(
+        graph::datasetSpec("am"), 1.0 / 256.0);
+    std::mt19937_64 rng(7);
+    graph::SampleSpec spec;
+    spec.numSeeds = 16;
+    spec.fanout = 4;
+    const graph::HeteroGraph g =
+        graph::sampleNeighbors(full, spec, rng).subgraph;
+    ASSERT_GT(g.numNodes(), g.numEdges());
+    std::int64_t stored = 0;
+    for (std::int64_t v = 0; v < g.numNodes(); ++v)
+        stored += g.inDegree(v) > 0;
+    EXPECT_EQ(g.numNodesWithInEdges(), stored);
+
+    core::CompileOptions opts;
+    opts.compactMaterialization = true;
+    opts.linearReorder = true;
+    const core::CompiledModel m = core::compile(
+        core::parseModel(hector::models::kRgatSource, 16, 16), opts);
+    const core::TraversalInstance *agg = nullptr;
+    for (const auto &ti : m.forwardFn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ss.hoistLevel == 2 && ss.stmt.out.name == "h_out")
+                agg = &ti;
+    ASSERT_NE(agg, nullptr);
+    core::TraversalInstance per_edge = *agg;
+    for (auto &ss : per_edge.stmts)
+        if (ss.hoistLevel == 2)
+            ss.hoistLevel = 0;
+
+    const graph::CompactionMap cmap(g);
+    auto price = [&](const core::TraversalInstance &ti) {
+        Runtime rt;
+        std::map<std::string, hector::tensor::Tensor> weights, grads;
+        core::ExecutionContext ctx;
+        ctx.reset(&g, &cmap, &rt, &weights, &grads);
+        core::execTraversal(m.forwardProgram, ti, ctx);
+        return rt.counters().bucket(KernelCategory::Traversal,
+                                    Phase::Forward);
+    };
+    const CounterBucket reg = price(*agg);
+    const CounterBucket edge = price(per_edge);
+    // The per-edge path writes the row once per edge; the register
+    // path once per node with an in-edge. Nothing else moves.
+    const double row_bytes = 4.0 * 16.0;
+    EXPECT_EQ(edge.bytesWritten - reg.bytesWritten,
+              row_bytes * static_cast<double>(g.numEdges() - stored));
+    EXPECT_LE(reg.bytesWritten, edge.bytesWritten);
+    EXPECT_EQ(reg.bytesRead, edge.bytesRead);
+    EXPECT_EQ(reg.flops, edge.flops);
+    EXPECT_LE(reg.timeSec, edge.timeSec);
 }
 
 } // namespace
