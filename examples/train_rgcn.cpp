@@ -6,7 +6,7 @@
  *
  * The decreasing loss demonstrates that the autodiff pipeline —
  * backward program emission, dead-gradient elimination, lowering to
- * outer-product GEMMs and atomic traversals — produces gradients a
+ * outer-product GEMMs and edge traversals — produces gradients a
  * first-order optimizer can actually use.
  */
 
@@ -95,6 +95,6 @@ main()
                         rt.totalTimeMs());
     }
     std::printf("\nloss decreased via Hector-generated backward "
-                "kernels (outer-product GEMMs + atomic traversals).\n");
+                "kernels (outer-product GEMMs + edge traversals).\n");
     return 0;
 }

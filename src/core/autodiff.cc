@@ -342,9 +342,11 @@ buildBackward(const Program &fwd, bool feature_grad)
             break;
           }
           case LoopDomain::DstNodes: {
-            // Backward of a dst-nodes aggregation nest runs as a flat
-            // edge loop; node data is reached via the destination
-            // endpoint (atomics after lowering).
+            // Backward of a dst-nodes aggregation nest is a flat edge
+            // loop; node data is reached via the destination endpoint.
+            // Lowering groups the loop by whichever row it scatters
+            // into most (destination node or compact pair), so those
+            // sums need no atomics; the other scatters keep them.
             Loop bl{LoopDomain::Edges, {}, {}};
             for (auto iit = fl.inner.rbegin(); iit != fl.inner.rend();
                  ++iit) {

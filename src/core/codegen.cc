@@ -1,5 +1,6 @@
 #include "core/codegen.hh"
 
+#include <algorithm>
 #include <sstream>
 
 namespace hector::core
@@ -184,14 +185,14 @@ stmtToCuda(const Program &p, const Stmt &s, const std::string &ent,
     return os.str();
 }
 
-/** Output row of @p s at destination node n, as CUDA C. */
+/** Output row of @p s at group @p grp (node n or pair u), as CUDA C. */
 std::string
-nodeRowRef(const Program &p, const Stmt &s)
+groupRowRef(const Program &p, const Stmt &s, const std::string &grp)
 {
     const std::int64_t cols = p.varInfo(s.out.name).cols;
     if (cols == 1)
-        return s.out.name + "[n]";
-    return s.out.name + "[n * " + std::to_string(cols) + " + f]";
+        return s.out.name + "[" + grp + "]";
+    return s.out.name + "[" + grp + " * " + std::to_string(cols) + " + f]";
 }
 
 } // namespace
@@ -338,9 +339,14 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
 {
     std::ostringstream os;
     os << "// ---- traversal template instance kid=" << ti.kid << " ----\n";
-    os << "// adjacency: " << (ti.adj == AdjEncoding::Csr ? "CSR" : "COO")
+    const bool by_pair = ti.group == GroupKey::UniquePair;
+    os << "// adjacency: "
+       << (by_pair ? "per-pair edge lists"
+                   : (ti.grouped() ? "CSR" : "COO"))
        << ", domain: " << toString(ti.domain)
-       << (ti.nodeCentric ? ", node-centric" : ", edge-centric") << "\n";
+       << (by_pair ? ", grouped by (src, etype)"
+                   : (ti.grouped() ? ", node-centric" : ", edge-centric"))
+       << "\n";
     if (!ti.virtualVars.empty()) {
         os << "// fused temporaries kept in registers:";
         for (const auto &v : ti.virtualVars)
@@ -352,11 +358,20 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
        << "{\n";
     for (const auto &v : ti.virtualVars)
         os << "    float " << v << "_reg;\n";
-    if (ti.nodeCentric) {
-        os << "    // GetRange<" << ti.kid
-           << ">: one destination node per block.\n"
-           << "    for (int n = blockIdx.x; n < args.num_nodes;\n"
-           << "         n += gridDim.x) {\n";
+    if (ti.grouped()) {
+        // One group per block: a destination node n over the CSR, or
+        // a compact (src, etype) pair u over its edge list.
+        const std::string grp = by_pair ? "u" : "n";
+        const std::string ptr = by_pair ? "args.unique_ptr" : "args.in_ptr";
+        const std::string range =
+            ptr + "[" + grp + "] < " + ptr + "[" + grp + " + 1]";
+        os << "    // GetRange<" << ti.kid << ">: one "
+           << (by_pair ? "(src, etype) pair" : "destination node")
+           << " per block.\n"
+           << "    for (int " << grp << " = blockIdx.x; " << grp
+           << " < " << (by_pair ? "args.num_unique" : "args.num_nodes")
+           << ";\n"
+           << "         " << grp << " += gridDim.x) {\n";
         os << "        int f = threadIdx.x;\n";
         bool stores = false;
         for (const auto &ss : ti.stmts) {
@@ -369,9 +384,13 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
                 stores = true;
             }
         }
-        os << "        for (int i = args.in_ptr[n] + threadIdx.y;\n"
-           << "             i < args.in_ptr[n + 1]; i += blockDim.y) {\n"
-           << "            int e = args.in_edge_ids[i];\n"
+        os << "        for (int i = " << ptr << "[" << grp
+           << "] + threadIdx.y;\n"
+           << "             i < " << ptr << "[" << grp
+           << " + 1]; i += blockDim.y) {\n"
+           << "            int e = "
+           << (by_pair ? "args.unique_eids" : "args.in_edge_ids")
+           << "[i];\n"
            << "            int etype = GetEType<" << ti.kid << ">(e);\n";
         for (const auto &ss : ti.stmts) {
             if (ss.hoistLevel == 1)
@@ -384,12 +403,14 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
                << "            warp_reduce_partial(args);\n";
         os << "        }\n";
         if (stores) {
-            os << "        // one store per node with an incoming edge\n"
-               << "        if (args.in_ptr[n] < args.in_ptr[n + 1]) {\n";
+            os << "        // one store per "
+               << (by_pair ? "pair" : "node with an incoming edge")
+               << "\n"
+               << "        if (" << range << ") {\n";
             for (const auto &ss : ti.stmts)
                 if (ss.hoistLevel == 2)
-                    os << "            " << nodeRowRef(p, ss.stmt) << " = "
-                       << accName(ss.stmt) << ";\n";
+                    os << "            " << groupRowRef(p, ss.stmt, grp)
+                       << " = " << accName(ss.stmt) << ";\n";
             os << "        }\n";
         }
         os << "    }\n";
@@ -406,11 +427,7 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
            << "         " << ent << " += gridDim.x * blockDim.y) {\n";
         if (ti.domain != RowDomain::Nodes) {
             os << "        int etype = GetEType<" << ti.kid << ">(" << ent
-               << ");  // "
-               << (ti.adj == AdjEncoding::Csr
-                       ? "binary search in row pointer"
-                       : "segment lookup via etype_ptr")
-               << "\n"
+               << ");  // segment lookup via etype_ptr\n"
                << "        int src = GetSrcId<" << ti.kid << ">(" << ent
                << ");\n"
                << "        int dst = GetDstId<" << ti.kid << ">(" << ent
@@ -555,6 +572,12 @@ generateCode(const Program &fwd, const LoweredFunction &ffn,
     if (uses_compact)
         host << "//   - build unique (src, etype) map "
                 "(unique_row_idx / unique_etype_ptr / edge_to_unique)\n";
+    if (bfn && std::any_of(bfn->traversals.begin(), bfn->traversals.end(),
+                           [](const TraversalInstance &ti) {
+                               return ti.group == GroupKey::UniquePair;
+                           }))
+        host << "//   - list each unique pair's edges "
+                "(unique_ptr / unique_eids)\n";
 
     py << "# Generated autograd bindings for model '" << fwd.name
        << "'.\n"

@@ -66,7 +66,11 @@ compile(Program program, const CompileOptions &options)
             // kernel count; virtualization is never applied backward.
             fuseLoops(m.backwardProgram, false);
         }
-        m.backwardFn = lower(m.backwardProgram, lopts, sim::Phase::Backward);
+        // Backward kernel ids continue after the forward's, so every
+        // generated kernel name is unique within the plan.
+        m.backwardFn =
+            lower(m.backwardProgram, lopts, sim::Phase::Backward,
+                  static_cast<int>(m.forwardFn.kernelCount()) + 1);
     }
 
     m.forwardProgram = std::move(program);

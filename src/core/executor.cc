@@ -560,11 +560,59 @@ namespace
 /** Per-iteration entity indices for statement evaluation. */
 struct EvalPoint
 {
-    std::int64_t e = -1;  ///< edge id (Edges domain / node-centric)
-    std::int64_t u = -1;  ///< unique-pair id (UniquePairs domain)
-    std::int64_t v = -1;  ///< node id (Nodes domain / node-centric)
+    std::int64_t e = -1;  ///< edge id (Edges domain / grouped)
+    std::int64_t u = -1;  ///< unique-pair id (UniquePairs / pair group)
+    std::int64_t v = -1;  ///< node id (Nodes domain / node group)
     std::int32_t etype = 0;
     std::int32_t ntype = 0;
+};
+
+/**
+ * The edge lists a grouped instance walks, in the same order on the
+ * seed and fast paths: group k's edges are ids[ptr[k] .. ptr[k + 1]).
+ */
+struct GroupWalk
+{
+    bool byNode = true;
+    std::span<const std::int64_t> ptr;
+    std::span<const std::int64_t> ids;
+    std::span<const std::int32_t> ntype;
+
+    GroupWalk(const TraversalInstance &ti, const ExecutionContext &ctx)
+        : byNode(ti.group == GroupKey::DstNode)
+    {
+        if (byNode) {
+            ptr = ctx.g->inPtr();
+            ids = ctx.g->inEdgeIds();
+            ntype = ctx.g->nodeType();
+        } else {
+            if (!ctx.cmap)
+                throw std::runtime_error(
+                    "pair-grouped traversal requires a CompactionMap");
+            ptr = ctx.cmap->uniquePtr();
+            ids = ctx.cmap->uniqueEdgeIds();
+        }
+    }
+
+    std::int64_t
+    groups() const
+    {
+        return static_cast<std::int64_t>(ptr.size()) - 1;
+    }
+
+    /** Evaluation point of group @p k, before its edge loop. */
+    EvalPoint
+    enter(std::int64_t k) const
+    {
+        EvalPoint pt;
+        if (byNode) {
+            pt.v = k;
+            pt.ntype = ntype[static_cast<std::size_t>(k)];
+        } else {
+            pt.u = k;
+        }
+        return pt;
+    }
 };
 
 /** Resolves operand storage for traversal statements (seed path). */
@@ -934,8 +982,7 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
             }
             o.base = operandTensor(ref).data();
             o.mode = vi.mat == Materialization::Compact
-                         ? (ti.domain == RowDomain::UniquePairs &&
-                                    !ti.nodeCentric
+                         ? (ti.domain == RowDomain::UniquePairs
                                 ? RowMode::Unique
                                 : RowMode::CompactFromEdge)
                          : RowMode::Edge;
@@ -944,7 +991,7 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
         o.base = operandTensor(ref).data();
         switch (ref.access) {
           case Access::ViaSrc:
-            o.mode = ti.domain == RowDomain::UniquePairs && !ti.nodeCentric
+            o.mode = ti.domain == RowDomain::UniquePairs
                          ? RowMode::SrcNodeFromUnique
                          : RowMode::SrcNode;
             break;
@@ -981,25 +1028,28 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
             continue; // per-thread scratch
         if (vi.space == VarSpace::NodeInput ||
             vi.space == VarSpace::NodeData) {
-            if (ti.nodeCentric) {
-                // Incoming edges of v: ViaDst is v itself; ViaSrc rows
-                // belong to other nodes' owners.
-                if (s.out.access == Access::ViaSrc)
-                    parallel = false;
-            } else if (!(ti.domain == RowDomain::Nodes &&
-                         s.out.access == Access::Direct)) {
+            // A node group owns its node (Direct or ViaDst); ViaSrc
+            // rows belong to other groups. Flat loops own a node row
+            // only in the Nodes domain.
+            const bool owned =
+                ti.group == GroupKey::DstNode
+                    ? s.out.access != Access::ViaSrc
+                    : !ti.grouped() && ti.domain == RowDomain::Nodes &&
+                          s.out.access == Access::Direct;
+            if (!owned)
                 parallel = false;
-            }
             written_node_vars.push_back(s.out.name);
         } else if (vi.mat == Materialization::Compact) {
             // One compact row is shared by all edges of its (src,
-            // etype) pair; only the UniquePairs domain owns it.
-            if (ti.nodeCentric || ti.domain != RowDomain::UniquePairs)
+            // etype) pair; only a pair group or the UniquePairs
+            // domain owns it.
+            if (ti.group != GroupKey::UniquePair &&
+                (ti.grouped() || ti.domain != RowDomain::UniquePairs))
                 parallel = false;
         } else {
-            // Vanilla edge data: row pt.e, owned in node-centric (an
-            // edge has one destination) and flat edge loops.
-            if (!ti.nodeCentric && ti.domain != RowDomain::Edges)
+            // Vanilla edge data: row pt.e, owned in grouped (an edge
+            // has one group) and flat edge loops.
+            if (!ti.grouped() && ti.domain != RowDomain::Edges)
                 parallel = false;
         }
     }
@@ -1024,7 +1074,10 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
         if (s.kind != OpKind::WeightVecGrad)
             ps.out = prepareOperand(s.out);
         if (ss.hoistLevel == 2) {
+            // Stored to the group's own row: node v or compact row u.
             ps.store = ps.out;
+            ps.store.mode = ti.group == GroupKey::DstNode ? RowMode::Node
+                                                          : RowMode::Unique;
             ps.out.mode = RowMode::Scratch;
             ps.out.scratch =
                 static_cast<std::int32_t>(prep.scratchCols.size());
@@ -1232,7 +1285,7 @@ struct StmtCost
 };
 
 StmtCost
-stmtCost(const Program &p, const Stmt &s, RowDomain domain, bool node_centric,
+stmtCost(const Program &p, const Stmt &s, RowDomain domain, GroupKey group,
          const ExecutionContext &ctx)
 {
     StmtCost c;
@@ -1260,12 +1313,7 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, bool node_centric,
 
     // Atomic detection: accumulating writes whose target row is shared
     // across iterations of an edge-parallel loop.
-    const bool accumulating =
-        s.accumulateOut || s.kind == OpKind::AccumulateSum ||
-        s.kind == OpKind::AccumulateScaled ||
-        s.kind == OpKind::WeightVecGrad || s.kind == OpKind::LeakyReluBwd ||
-        s.kind == OpKind::ReluBwd || s.kind == OpKind::DivGradDenom;
-    if (accumulating && domain != RowDomain::Nodes) {
+    if (isAccumulation(s) && domain != RowDomain::Nodes) {
         bool shared = false;
         AccessScheme scheme = AccessScheme::Identity;
         if (s.kind == OpKind::WeightVecGrad) {
@@ -1283,20 +1331,20 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, bool node_centric,
             const auto &oi = p.varInfo(s.out.name);
             const bool node_out = oi.space == VarSpace::NodeData ||
                                   oi.space == VarSpace::NodeInput;
+            // A group's own row (its node, or its compact pair row)
+            // is written atomic-free (Sec. 3.4.1).
             if (node_out && s.out.access != Access::Direct) {
-                shared = !node_centric ||
+                shared = group != GroupKey::DstNode ||
                          s.out.access == Access::ViaSrc;
                 scheme = s.out.access == Access::ViaSrc
                              ? AccessScheme::ScatterSrcAtomic
                              : AccessScheme::ScatterDstAtomic;
-            } else if (node_out && node_centric) {
-                // Node-centric aggregation with partial results:
-                // atomic-free (Sec. 3.4.1).
+            } else if (node_out && group == GroupKey::DstNode) {
                 shared = false;
             } else if (oi.space == VarSpace::EdgeData &&
                        oi.mat == Materialization::Compact &&
                        domain == RowDomain::Edges) {
-                shared = true;
+                shared = group != GroupKey::UniquePair;
                 scheme = AccessScheme::ScatterUniqueAtomic;
             }
         }
@@ -1320,21 +1368,23 @@ execTraversal(const Program &p, const TraversalInstance &ti,
     /** The seed interpreter body: per-point map-keyed resolution. */
     auto seedBody = [&]() {
         OperandResolver res(p, ctx);
-        if (ti.nodeCentric) {
-            const auto in_ptr = g.inPtr();
-            const auto in_eid = g.inEdgeIds();
+        // A weight-vector gradient exists after the launch even when no
+        // edge reaches it, as on the fast path (prepareTraversal).
+        for (const auto &ss : ti.stmts)
+            if (ss.stmt.kind == OpKind::WeightVecGrad)
+                untrackedParam(*ctx.weightGrads, ss.stmt.weight,
+                               ctx.weights->at(ss.stmt.weight).shape());
+        if (ti.grouped()) {
+            const GroupWalk walk(ti, ctx);
             const auto etype = g.etype();
-            const auto ntype = g.nodeType();
-            for (std::int64_t v = 0; v < g.numNodes(); ++v) {
-                EvalPoint pt;
-                pt.v = v;
-                pt.ntype = ntype[static_cast<std::size_t>(v)];
+            for (std::int64_t k = 0; k < walk.groups(); ++k) {
+                EvalPoint pt = walk.enter(k);
                 for (const auto &ss : ti.stmts)
                     if (ss.hoistLevel == 1)
                         evalStmt(p, ss.stmt, pt, RowDomain::Edges, res, ctx);
-                for (std::int64_t i = in_ptr[static_cast<std::size_t>(v)];
-                     i < in_ptr[static_cast<std::size_t>(v) + 1]; ++i) {
-                    pt.e = in_eid[static_cast<std::size_t>(i)];
+                for (std::int64_t i = walk.ptr[static_cast<std::size_t>(k)];
+                     i < walk.ptr[static_cast<std::size_t>(k) + 1]; ++i) {
+                    pt.e = walk.ids[static_cast<std::size_t>(i)];
                     pt.etype = etype[static_cast<std::size_t>(pt.e)];
                     // Level 2 sums in place here: the oracle of the
                     // fast path's register accumulator.
@@ -1402,21 +1452,17 @@ execTraversal(const Program &p, const TraversalInstance &ti,
             return scratch;
         };
 
-        if (ti.nodeCentric) {
-            const auto in_ptr = g.inPtr();
-            const auto in_eid = g.inEdgeIds();
+        if (ti.grouped()) {
+            const GroupWalk walk(ti, ctx);
             const auto etype = g.etype();
-            const auto ntype = g.nodeType();
-            auto run = [&](std::int64_t v0, std::int64_t v1) {
+            auto run = [&](std::int64_t k0, std::int64_t k1) {
                 ScratchTable scratch = makeScratch();
-                for (std::int64_t v = v0; v < v1; ++v) {
-                    EvalPoint pt;
-                    pt.v = v;
-                    pt.ntype = ntype[static_cast<std::size_t>(v)];
+                for (std::int64_t k = k0; k < k1; ++k) {
+                    EvalPoint pt = walk.enter(k);
                     const std::int64_t i0 =
-                        in_ptr[static_cast<std::size_t>(v)];
+                        walk.ptr[static_cast<std::size_t>(k)];
                     const std::int64_t i1 =
-                        in_ptr[static_cast<std::size_t>(v) + 1];
+                        walk.ptr[static_cast<std::size_t>(k) + 1];
                     for (const auto &ps : prep.stmts) {
                         if (ps.hoistLevel == 1)
                             evalPrepared(ps, pt, ix, scratch);
@@ -1427,14 +1473,14 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                         }
                     }
                     for (std::int64_t i = i0; i < i1; ++i) {
-                        pt.e = in_eid[static_cast<std::size_t>(i)];
+                        pt.e = walk.ids[static_cast<std::size_t>(i)];
                         pt.etype = etype[static_cast<std::size_t>(pt.e)];
                         for (const auto &ps : prep.stmts)
                             if (ps.hoistLevel != 1)
                                 evalPrepared(ps, pt, ix, scratch);
                     }
-                    // One store per node with an incoming edge; a
-                    // zero-in-degree node keeps its zeroed row.
+                    // One store per group with an edge; a node without
+                    // an in-edge keeps its zeroed row.
                     if (i0 < i1)
                         for (const auto &ps : prep.stmts)
                             if (ps.hoistLevel == 2) {
@@ -1446,9 +1492,9 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                 }
             };
             if (prep.rowParallel)
-                util::globalPool().parallelFor(0, g.numNodes(), run, 64);
+                util::globalPool().parallelFor(0, walk.groups(), run, 64);
             else
-                run(0, g.numNodes());
+                run(0, walk.groups());
             return;
         }
         switch (ti.domain) {
@@ -1534,18 +1580,22 @@ execTraversal(const Program &p, const TraversalInstance &ti,
     desc.name = ti.name;
     desc.category = sim::KernelCategory::Traversal;
     desc.phase = ti.phase;
+    const bool by_pair = ti.group == GroupKey::UniquePair;
     const double iters =
-        static_cast<double>(ti.nodeCentric ? g.numEdges()
-                                           : ctx.rowsOf(ti.domain));
-    const double node_iters = static_cast<double>(g.numNodes());
-    // A register-accumulated (level-2) row is stored once per node
-    // with an incoming edge, not once per edge.
-    const double stored_rows = static_cast<double>(g.numNodesWithInEdges());
+        static_cast<double>(ti.grouped() ? g.numEdges()
+                                         : ctx.rowsOf(ti.domain));
+    const double group_iters = static_cast<double>(
+        by_pair ? ctx.rowsOf(RowDomain::UniquePairs) : g.numNodes());
+    // A register-accumulated (level-2) row is stored once per group
+    // with an edge (every pair, or each node with an in-edge), not
+    // once per edge.
+    const double stored_rows = static_cast<double>(
+        by_pair ? ctx.rowsOf(RowDomain::UniquePairs)
+                : g.numNodesWithInEdges());
     double max_cols = 1.0;
     for (const auto &ss : ti.stmts) {
-        const StmtCost c =
-            stmtCost(p, ss.stmt, ti.domain, ti.nodeCentric, ctx);
-        const double n = ss.hoistLevel == 1 ? node_iters : iters;
+        const StmtCost c = stmtCost(p, ss.stmt, ti.domain, ti.group, ctx);
+        const double n = ss.hoistLevel == 1 ? group_iters : iters;
         desc.flops += c.flops * n;
         desc.bytesRead += c.bytesRead * n;
         desc.bytesWritten +=
@@ -1611,20 +1661,30 @@ execFallback(const Program &p, const FallbackInstance &fi,
                 Tensor &wc = untrackedParam(*ctx.weights, s.out.name,
                                             {rr, di, dj});
                 wc.fill(0.0f);
+                // Each block of output columns is summed over k in
+                // locals and stored once: the same adds in the same
+                // order as summing into the row in place, but with no
+                // store in the k loop, whose speed then depended on
+                // where the allocator placed wc relative to w2.
+                constexpr std::int64_t kBlock = 16;
                 for (std::int64_t r = 0; r < rr; ++r) {
                     const std::int64_t nt =
                         g.etypeSrcNtype(static_cast<int>(r));
                     for (std::int64_t i = 0; i < di; ++i) {
                         const float *arow = w1.data() + (nt * di + i) * dk;
                         float *crow = wc.data() + (r * di + i) * dj;
-                        for (std::int64_t j = 0; j < dj; ++j)
-                            crow[j] = 0.0f;
-                        for (std::int64_t k = 0; k < dk; ++k) {
-                            const float av = arow[k];
-                            const float *brow =
-                                w2.data() + (r * dk + k) * dj;
-                            for (std::int64_t j = 0; j < dj; ++j)
-                                crow[j] += av * brow[j];
+                        for (std::int64_t j0 = 0; j0 < dj; j0 += kBlock) {
+                            const std::int64_t jn =
+                                std::min(kBlock, dj - j0);
+                            float acc[kBlock] = {};
+                            for (std::int64_t k = 0; k < dk; ++k) {
+                                const float av = arow[k];
+                                const float *brow =
+                                    w2.data() + (r * dk + k) * dj + j0;
+                                for (std::int64_t j = 0; j < jn; ++j)
+                                    acc[j] += av * brow[j];
+                            }
+                            std::copy(acc, acc + jn, crow + j0);
                         }
                     }
                 }

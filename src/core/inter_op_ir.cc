@@ -111,6 +111,23 @@ Program::declareWeight(const std::string &name, WeightInfo info)
         throw std::runtime_error("weight redeclared: " + name);
 }
 
+bool
+isAccumulation(const Stmt &s)
+{
+    switch (s.kind) {
+      case OpKind::AccumulateSum:
+      case OpKind::AccumulateScaled:
+      case OpKind::OuterAccumulate:
+      case OpKind::WeightVecGrad:
+      case OpKind::LeakyReluBwd:
+      case OpKind::ReluBwd:
+      case OpKind::DivGradDenom:
+        return true;
+      default:
+        return s.accumulateOut;
+    }
+}
+
 std::vector<std::string>
 stmtInputs(const Stmt &s)
 {

@@ -216,6 +216,10 @@ struct Program
  */
 std::vector<std::string> stmtInputs(const Stmt &s);
 
+/** True when @p s adds into its output (out += ...) rather than
+ *  overwriting it. */
+bool isAccumulation(const Stmt &s);
+
 /**
  * True when a statement's inputs are all derivable from
  * (source node, edge type) only — the applicability condition for

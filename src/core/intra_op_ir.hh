@@ -10,10 +10,10 @@
  *    schemes applied on the fly, an optional per-row scalar, and a
  *    schedule (tile size, coarsening factor, launch bounds);
  *
- *  - the traversal template (Algorithm 2): a generic node- or
- *    edge-centric loop nest executing pointwise statements, with
- *    statement hoisting, adjacency-encoding-specific index retrieval,
- *    and partial-result aggregation before atomics.
+ *  - the traversal template (Algorithm 2): a generic edge-centric or
+ *    grouped loop nest executing pointwise statements, with statement
+ *    hoisting, adjacency-encoding-specific index retrieval, and
+ *    partial-result aggregation before atomics.
  *
  * Instances carry exactly the information the code generator needs to
  * emit a CUDA kernel and the interpreter needs to execute + price it.
@@ -129,11 +129,22 @@ struct GemmInstance
     std::int32_t y2Slot = -1;
 };
 
-/** Adjacency encoding a traversal instance is specialized for. */
-enum class AdjEncoding
+/**
+ * Group key of a traversal instance over edges: the entity whose edges
+ * one block walks together, and whose rows it therefore owns.
+ */
+enum class GroupKey
 {
-    Coo, ///< GetSrcId = row_idx[e]; GetEType = segment lookup
-    Csr, ///< node-centric: in_ptr / in_edge_ids
+    /** Edge-centric: edges split flat over blocks (COO: GetSrcId =
+     *  row_idx[e], GetEType = segment lookup). */
+    None,
+    /** One destination node per group, walked through the CSR
+     *  (in_ptr / in_edge_ids). Owns that node's rows. */
+    DstNode,
+    /** One compact (src, etype) pair per group, walked through the
+     *  CompactionMap's per-pair edge lists (unique_ptr / unique_eids,
+     *  edge ids ascending). Owns that pair's compact rows. */
+    UniquePair,
 };
 
 /** One statement scheduled inside a traversal instance. */
@@ -141,23 +152,26 @@ struct ScheduledStmt
 {
     Stmt stmt;
     /**
-     * Hoist level; only meaningful for node-centric instances.
+     * Hoist level; only meaningful for grouped instances.
      *
      *  - 0: innermost, evaluated per edge in place.
-     *  - 1: per destination node, before the edge loop.
+     *  - 1: per group, before the edge loop.
      *  - 2: register accumulator. The statement is still evaluated per
-     *    edge, but into a per-node register row zeroed before the
-     *    edge loop; the row is stored to the node's output row once
-     *    after the loop, and only when the node has an incoming edge.
+     *    edge, but into a per-group register row zeroed before the
+     *    edge loop; the row is stored to the group's output row once
+     *    after the loop, and only when the group has an edge.
      *
-     * Lowering sets level 2 on an AccumulateSum / AccumulateScaled
-     * that is not accumulateOut and whose output is a Direct NodeData
-     * variable with no other writer in the program and no reader in
-     * the instance. Its arena slot is then freshly zeroed when the
-     * instance runs, so storing 0 + a1 + a2 + ... is bit-identical to
-     * the in-place per-edge sum, and a zero-in-degree node keeps its
-     * zero row without a store. The seed interpreter evaluates level 2
-     * like level 0 (in place, per edge) and stays the oracle.
+     * Lowering sets level 2 on an accumulation (`out += ...`, not a
+     * WeightVecGrad) into the group's own row: a NodeData variable
+     * reached Direct or through e.dst under DstNode, a compact
+     * variable under UniquePair. The instance must be the variable's
+     * first writer in lowered order, hold its only writer in the
+     * instance, and never read it. The variable's arena slot is then
+     * zero on entry, so storing 0 + a1 + a2 + ... is bit-identical to
+     * the in-place per-edge sum in group order, and a node without an
+     * in-edge keeps its zero row without a store. The seed interpreter
+     * evaluates level 2 like level 0 (in place, per edge, in the same
+     * group order) and stays the oracle.
      */
     int hoistLevel = 0;
 };
@@ -165,10 +179,11 @@ struct ScheduledStmt
 /**
  * One instance derived from the node/edge traversal template.
  *
- * Edge-centric instances assign edges to blocks; node-centric
- * instances assign destination nodes to blocks and loop over each
- * node's incoming edges, enabling atomic-free aggregation and
- * partial-result accumulation (Sec. 3.4.1).
+ * Edge-centric instances assign edges to blocks; grouped instances
+ * assign a group (a destination node or a compact (src, etype) pair)
+ * to a block and loop over the group's edges, enabling atomic-free
+ * aggregation into the group's rows and partial-result accumulation
+ * (Sec. 3.4.1).
  */
 struct TraversalInstance
 {
@@ -176,13 +191,18 @@ struct TraversalInstance
     std::string name;
     sim::Phase phase = sim::Phase::Forward;
 
-    bool nodeCentric = false;
-    AdjEncoding adj = AdjEncoding::Coo;
     /**
-     * Iteration domain. Edges for vanilla edgewise work (and all
-     * backward accumulation), UniquePairs for forward statements that
-     * depend only on (src, etype) under compact materialization,
-     * Nodes for nodewise loops.
+     * Grouping of the edge walk. Lowering groups a dst-nodes
+     * aggregation nest by DstNode, and an edge loop that scatters
+     * into a destination node or a compact row by whichever of the
+     * two its accumulations write more columns of (DstNode on a tie).
+     */
+    GroupKey group = GroupKey::None;
+    /**
+     * Iteration domain. Edges for edgewise work (every grouped
+     * instance), UniquePairs for statements that depend only on
+     * (src, etype) under compact materialization, Nodes for nodewise
+     * loops.
      */
     RowDomain domain = RowDomain::Edges;
     std::vector<ScheduledStmt> stmts;
@@ -192,6 +212,8 @@ struct TraversalInstance
 
     /** Variables fused away into registers (never materialized). */
     std::vector<std::string> virtualVars;
+
+    bool grouped() const { return group != GroupKey::None; }
 };
 
 /** Operations left to the framework (paper: PyTorch fallback). */

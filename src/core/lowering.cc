@@ -87,8 +87,9 @@ namespace
 class Lowerer
 {
   public:
-    Lowerer(const Program &p, const LowerOptions &opts, sim::Phase phase)
-        : p_(p), opts_(opts), phase_(phase), ca_(p)
+    Lowerer(const Program &p, const LowerOptions &opts, sim::Phase phase,
+            int first_kid)
+        : p_(p), opts_(opts), phase_(phase), ca_(p), nextKid_(first_kid)
     {}
 
     LoweredFunction
@@ -227,7 +228,10 @@ class Lowerer
         auto flush = [&]() {
             if (run.empty())
                 return;
-            emitTraversal(std::move(run), run_domain, false);
+            const GroupKey key = run_domain == RowDomain::Edges
+                                     ? groupKeyOf(run)
+                                     : GroupKey::None;
+            emitTraversal(std::move(run), run_domain, key);
             run.clear();
         };
         for (const auto &s : loop.body) {
@@ -268,43 +272,75 @@ class Lowerer
         }
         if (stmts.empty())
             return;
-        for (auto &ss : stmts)
-            if (ss.hoistLevel == 0 && accumulatesInRegister(ss.stmt, stmts))
-                ss.hoistLevel = 2;
-        TraversalInstance ti;
-        ti.kid = nextKid_++;
-        ti.name = "traversal_" + std::to_string(ti.kid);
-        ti.phase = phase_;
-        ti.nodeCentric = true;
-        ti.adj = AdjEncoding::Csr;
-        ti.domain = RowDomain::Edges;
-        ti.stmts = std::move(stmts);
-        collectVirtualVars(ti);
-        fn_.order.push_back(
-            {LoweredFunction::Step::Kind::Traversal, fn_.traversals.size()});
-        fn_.traversals.push_back(std::move(ti));
+        emitTraversal(std::move(stmts), RowDomain::Edges, GroupKey::DstNode);
+    }
+
+    /** True when @p s writes a row that group @p key owns. */
+    bool
+    writesGroupRow(const Stmt &s, GroupKey key) const
+    {
+        if (!p_.vars.count(s.out.name))
+            return false;
+        const auto &vi = p_.varInfo(s.out.name);
+        switch (key) {
+          case GroupKey::None:
+            return false;
+          case GroupKey::DstNode:
+            return vi.space == VarSpace::NodeData &&
+                   s.out.access != Access::ViaSrc;
+          case GroupKey::UniquePair:
+            return vi.space == VarSpace::EdgeData &&
+                   vi.mat == Materialization::Compact;
+        }
+        return false;
     }
 
     /**
-     * True when the aggregation @p s of node-centric instance @p inst
-     * may run at hoist level 2 (see ScheduledStmt): a plain sum into a
-     * Direct NodeData variable that @p inst never reads and that no
-     * other statement of the program writes.
+     * Group key of an edge-loop run: the key whose rows its
+     * accumulations write the most columns of, the destination node
+     * winning a tie; None when it scatters into neither.
+     */
+    GroupKey
+    groupKeyOf(const std::vector<ScheduledStmt> &run) const
+    {
+        std::int64_t dst_cols = 0;
+        std::int64_t pair_cols = 0;
+        for (const auto &ss : run) {
+            if (!isAccumulation(ss.stmt))
+                continue;
+            if (writesGroupRow(ss.stmt, GroupKey::DstNode))
+                dst_cols += p_.varInfo(ss.stmt.out.name).cols;
+            else if (writesGroupRow(ss.stmt, GroupKey::UniquePair))
+                pair_cols += p_.varInfo(ss.stmt.out.name).cols;
+        }
+        if (dst_cols == 0 && pair_cols == 0)
+            return GroupKey::None;
+        return dst_cols >= pair_cols ? GroupKey::DstNode
+                                     : GroupKey::UniquePair;
+    }
+
+    /**
+     * True when statement @p s of an instance grouped by @p key may
+     * run at hoist level 2 (see ScheduledStmt): an accumulation into
+     * the group's own row of a variable that no earlier instance
+     * writes, that no other statement of @p inst writes, and that
+     * @p inst never reads.
      */
     bool
-    accumulatesInRegister(const Stmt &s,
-                          const std::vector<ScheduledStmt> &inst) const
+    accumulatesInRegister(const Stmt &s, const std::vector<ScheduledStmt> &inst,
+                          GroupKey key) const
     {
-        if ((s.kind != OpKind::AccumulateSum &&
-             s.kind != OpKind::AccumulateScaled) ||
-            s.accumulateOut || s.out.access != Access::Direct ||
-            p_.varInfo(s.out.name).space != VarSpace::NodeData)
+        if (!isAccumulation(s) || s.kind == OpKind::WeightVecGrad ||
+            !writesGroupRow(s, key) || written_.count(s.out.name))
             return false;
-        for (const auto &ss : inst)
+        int writers = 0;
+        for (const auto &ss : inst) {
+            writers += ss.stmt.out.name == s.out.name;
             for (const auto &in : ss.stmt.ins)
                 if (in.name == s.out.name)
                     return false;
-        return writerCount(s.out.name) == 1;
+        }
+        return writers == 1;
     }
 
     bool
@@ -365,6 +401,7 @@ class Lowerer
                     gi.yAccess != AccessScheme::Identity;
             }
         }
+        written_.insert(gi.yVar);
         fn_.order.push_back(
             {LoweredFunction::Step::Kind::Gemm, fn_.gemms.size()});
         fn_.gemms.push_back(std::move(gi));
@@ -372,14 +409,19 @@ class Lowerer
 
     void
     emitTraversal(std::vector<ScheduledStmt> stmts, RowDomain domain,
-                  bool node_centric)
+                  GroupKey key)
     {
+        for (auto &ss : stmts)
+            if (ss.hoistLevel == 0 &&
+                accumulatesInRegister(ss.stmt, stmts, key))
+                ss.hoistLevel = 2;
+        for (const auto &ss : stmts)
+            written_.insert(ss.stmt.out.name);
         TraversalInstance ti;
         ti.kid = nextKid_++;
         ti.name = "traversal_" + std::to_string(ti.kid);
         ti.phase = phase_;
-        ti.nodeCentric = node_centric;
-        ti.adj = node_centric ? AdjEncoding::Csr : AdjEncoding::Coo;
+        ti.group = key;
         ti.domain = domain;
         ti.stmts = std::move(stmts);
         collectVirtualVars(ti);
@@ -409,6 +451,7 @@ class Lowerer
                   std::to_string(fi.kid);
         fi.phase = phase;
         fi.stmt = s;
+        written_.insert(s.out.name);
         fn_.order.push_back(
             {LoweredFunction::Step::Kind::Fallback, fn_.fallbacks.size()});
         fn_.fallbacks.push_back(std::move(fi));
@@ -419,17 +462,20 @@ class Lowerer
     sim::Phase phase_;
     ConsumerAnalysis ca_;
     LoweredFunction fn_;
-    int nextKid_ = 1;
+    int nextKid_;
     std::map<const Stmt *, const Stmt *> fusedProducer_;
     std::set<const Stmt *> fusedConsumer_;
+    /** Variables written by the instances emitted so far. */
+    std::set<std::string> written_;
 };
 
 } // namespace
 
 LoweredFunction
-lower(const Program &p, const LowerOptions &opts, sim::Phase phase)
+lower(const Program &p, const LowerOptions &opts, sim::Phase phase,
+      int first_kid)
 {
-    Lowerer l(p, opts, phase);
+    Lowerer l(p, opts, phase, first_kid);
     LoweredFunction fn = l.run();
     fn.phase = phase;
     return fn;

@@ -40,9 +40,12 @@ struct LowerOptions
  */
 RowDomain stmtDomain(const Program &p, const Stmt &s, LoopDomain loop);
 
-/** Lower one program (forward or backward) to kernel instances. */
+/**
+ * Lower one program (forward or backward) to kernel instances, whose
+ * kernel ids (and so names) count up from @p first_kid.
+ */
 LoweredFunction lower(const Program &p, const LowerOptions &opts,
-                      sim::Phase phase);
+                      sim::Phase phase, int first_kid = 1);
 
 } // namespace hector::core
 

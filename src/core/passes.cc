@@ -192,6 +192,60 @@ reorderProjectionChains(Program &p, PassStats &stats)
     return removed;
 }
 
+/**
+ * True when @p ref, used in an edge loop, addresses a row that other
+ * edges share: a node variable through an edge endpoint, or a compact
+ * (src, etype) row.
+ */
+bool
+sharedRow(const Program &p, const VarRef &ref)
+{
+    const auto &vi = p.varInfo(ref.name);
+    if (vi.space == VarSpace::EdgeData)
+        return vi.mat == Materialization::Compact;
+    return ref.access != Access::Direct;
+}
+
+/** Variables @p body scatters into (accumulates into a shared row). */
+std::set<std::string>
+scatteredVars(const Program &p, const std::vector<Stmt> &body)
+{
+    std::set<std::string> out;
+    for (const auto &s : body)
+        if (isAccumulation(s) && p.vars.count(s.out.name) &&
+            sharedRow(p, s.out))
+            out.insert(s.out.name);
+    return out;
+}
+
+/**
+ * True when @p body reads, through a shared row, a variable in
+ * @p vars.
+ */
+bool
+readsShared(const Program &p, const std::vector<Stmt> &body,
+            const std::set<std::string> &vars)
+{
+    for (const auto &s : body)
+        for (const auto &in : s.ins)
+            if (vars.count(in.name) && sharedRow(p, in))
+                return true;
+    return false;
+}
+
+/**
+ * True when merging edge loop @p b after edge loop @p a would change
+ * what some statement reads. The merged loop runs point-major, so a
+ * shared row that one loop scatters into and the other reads would be
+ * seen half-accumulated (or, reversed, already updated).
+ */
+bool
+mergeConflicts(const Program &p, const Loop &a, const Loop &b)
+{
+    return readsShared(p, b.body, scatteredVars(p, a.body)) ||
+           readsShared(p, a.body, scatteredVars(p, b.body));
+}
+
 } // namespace
 
 PassStats
@@ -238,10 +292,12 @@ fuseLoops(Program &p, bool allow_virtual)
 {
     PassStats stats;
 
-    // 1. Merge adjacent edgewise loops.
+    // 1. Merge adjacent edgewise loops, unless the later one reads a
+    //    row the earlier one is still scattering into (or vice versa).
     for (std::size_t i = 0; i + 1 < p.loops.size();) {
         if (p.loops[i].domain == LoopDomain::Edges &&
-            p.loops[i + 1].domain == LoopDomain::Edges) {
+            p.loops[i + 1].domain == LoopDomain::Edges &&
+            !mergeConflicts(p, p.loops[i], p.loops[i + 1])) {
             auto &a = p.loops[i].body;
             auto &b = p.loops[i + 1].body;
             a.insert(a.end(), b.begin(), b.end());

@@ -98,7 +98,10 @@ PassStats compactMaterialization(Program &p);
 /**
  * Graph-semantic-aware loop canonicalization and fusion (Sec. 3.2.4).
  *
- * Merges adjacent same-domain edge loops, then fuses an edgewise loop
+ * Merges adjacent same-domain edge loops (refusing a merge when one
+ * loop reads, through an edge endpoint or a compact row, a variable
+ * the other scatters into: the merged loop would see partial sums),
+ * then fuses an edgewise loop
  * into an immediately following dst-nodes aggregation loop when all of
  * its outputs are consumed only there (using the for-each-edge ==
  * for-each-dst-node/incoming-edge equivalence rule). Fused-away

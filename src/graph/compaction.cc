@@ -34,6 +34,21 @@ CompactionMap::CompactionMap(const HeteroGraph &g)
         }
         uniqueEtypePtr_[static_cast<std::size_t>(r) + 1] = numUnique_;
     }
+
+    // Per-pair edge lists: a counting sort of edges by unique row,
+    // which keeps each list in ascending edge order.
+    uniquePtr_.assign(static_cast<std::size_t>(numUnique_) + 1, 0);
+    for (std::int64_t u : edgeToUnique_)
+        ++uniquePtr_[static_cast<std::size_t>(u) + 1];
+    for (std::int64_t u = 0; u < numUnique_; ++u)
+        uniquePtr_[static_cast<std::size_t>(u) + 1] +=
+            uniquePtr_[static_cast<std::size_t>(u)];
+    uniqueEdgeIds_.resize(static_cast<std::size_t>(numEdges_));
+    std::vector<std::int64_t> cursor(uniquePtr_.begin(), uniquePtr_.end() - 1);
+    for (std::int64_t e = 0; e < numEdges_; ++e)
+        uniqueEdgeIds_[static_cast<std::size_t>(
+            cursor[static_cast<std::size_t>(
+                edgeToUnique_[static_cast<std::size_t>(e)])]++)] = e;
 }
 
 void
@@ -54,6 +69,30 @@ CompactionMap::validate(const HeteroGraph &g) const
         if (u < uniqueEtypePtr_[static_cast<std::size_t>(r)] ||
             u >= uniqueEtypePtr_[static_cast<std::size_t>(r) + 1])
             throw std::runtime_error("CompactionMap: etype segment");
+    }
+    // Per-pair edge lists: edges of the right row, ascending, and
+    // E entries in all, so every edge is listed exactly once.
+    if (uniquePtr_.size() != static_cast<std::size_t>(numUnique_) + 1 ||
+        uniquePtr_.front() != 0 || uniquePtr_.back() != numEdges_ ||
+        uniqueEdgeIds_.size() != static_cast<std::size_t>(numEdges_))
+        throw std::runtime_error("CompactionMap: pair edge-list bounds");
+    for (std::int64_t u = 0; u < numUnique_; ++u) {
+        const std::int64_t lo = uniquePtr_[static_cast<std::size_t>(u)];
+        const std::int64_t hi = uniquePtr_[static_cast<std::size_t>(u) + 1];
+        if (lo >= hi)
+            throw std::runtime_error("CompactionMap: empty pair edge list");
+        for (std::int64_t i = lo; i < hi; ++i) {
+            const std::int64_t e = uniqueEdgeIds_[static_cast<std::size_t>(i)];
+            if (e < 0 || e >= numEdges_ ||
+                edgeToUnique_[static_cast<std::size_t>(e)] != u)
+                throw std::runtime_error(
+                    "CompactionMap: pair edge list disagrees with "
+                    "edge_to_unique");
+            if (i > lo &&
+                uniqueEdgeIds_[static_cast<std::size_t>(i) - 1] >= e)
+                throw std::runtime_error(
+                    "CompactionMap: pair edge list not ascending");
+        }
     }
     // Bijectivity: within an etype segment, unique rows map to
     // distinct source nodes.

@@ -8,6 +8,8 @@
  *   - unique_row_idx  : source node of each unique row (GEMM gather)
  *   - unique_etype_ptr: per-type segment offsets over unique rows
  *   - edge_to_unique  : per-edge index of its unique row (read access)
+ *   - unique_ptr / unique_eids: each unique row's edges, ascending
+ *     (the pair-grouped traversal walk; the inverse of edge_to_unique)
  * The "entity compaction ratio" (#unique pairs / #edges) drives the
  * memory-footprint results of Fig. 10 and the speedups of Table 5.
  */
@@ -60,6 +62,20 @@ class CompactionMap
         return edgeToUnique_;
     }
 
+    /** Offsets of each unique row's edge list (unique_ptr), U+1. */
+    std::span<const std::int64_t> uniquePtr() const { return uniquePtr_; }
+
+    /**
+     * Edge ids grouped by unique row (unique_eids): the edges of row u
+     * are uniqueEdgeIds()[uniquePtr()[u] .. uniquePtr()[u + 1]), in
+     * ascending order.
+     */
+    std::span<const std::int64_t>
+    uniqueEdgeIds() const
+    {
+        return uniqueEdgeIds_;
+    }
+
     /** @throws std::runtime_error if the map is inconsistent with g. */
     void validate(const HeteroGraph &g) const;
 
@@ -69,6 +85,8 @@ class CompactionMap
     std::vector<std::int64_t> uniqueSrc_;
     std::vector<std::int64_t> uniqueEtypePtr_;
     std::vector<std::int64_t> edgeToUnique_;
+    std::vector<std::int64_t> uniquePtr_;
+    std::vector<std::int64_t> uniqueEdgeIds_;
 };
 
 } // namespace hector::graph

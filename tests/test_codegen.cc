@@ -13,6 +13,7 @@
 #include "core/compiler.hh"
 #include "graph/datasets.hh"
 #include "models/models.hh"
+#include "serve/plan_cache.hh"
 
 namespace
 {
@@ -115,6 +116,62 @@ TEST(Codegen, AggregationAccumulatesInRegisterAndStoresOnce)
     EXPECT_GT(store, loop_end);
     EXPECT_NE(kernel.find("h_out[n * 8 + f] = h_out_acc;"),
               std::string::npos);
+}
+
+TEST(Codegen, PairGroupedBackwardWalksPairsAndStoresOnce)
+{
+    const auto m = compileModel(models::ModelKind::Rgcn, true, true, true);
+    std::string name;
+    for (const auto &ti : m.backwardFn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ti.group == GroupKey::UniquePair && ss.hoistLevel == 2 &&
+                ss.stmt.out.name == "msg_grad")
+                name = ti.name;
+    ASSERT_FALSE(name.empty());
+    const std::string &cuda = m.code.cudaSource;
+    const std::size_t begin = cuda.find("__global__ void " + name + "(");
+    ASSERT_NE(begin, std::string::npos);
+    const std::string kernel =
+        cuda.substr(begin, cuda.find("\n}\n", begin) - begin);
+
+    // One (src, etype) pair per group, walked over its edge list.
+    EXPECT_NE(kernel.find("for (int u = blockIdx.x; u < args.num_unique;"),
+              std::string::npos);
+    const std::size_t decl = kernel.find("float msg_grad_acc = 0.f;");
+    const std::size_t loop = kernel.find("for (int i = args.unique_ptr[u]");
+    const std::size_t loop_end = kernel.find("\n        }\n", loop);
+    ASSERT_NE(decl, std::string::npos);
+    ASSERT_NE(loop, std::string::npos);
+    ASSERT_NE(loop_end, std::string::npos);
+    EXPECT_LT(decl, loop);
+    EXPECT_LT(kernel.find("int e = args.unique_eids[i];", loop), loop_end);
+    EXPECT_LT(kernel.find("msg_grad_acc += ", loop), loop_end);
+
+    // Exactly one global access to msg_grad, a plain store after the
+    // loop: no atomic.
+    const std::size_t store = kernel.find("msg_grad[");
+    ASSERT_NE(store, std::string::npos);
+    EXPECT_EQ(kernel.find("msg_grad[", store + 1), std::string::npos);
+    EXPECT_GT(store, loop_end);
+    EXPECT_NE(kernel.find("msg_grad[u * 8 + f] = msg_grad_acc;"),
+              std::string::npos);
+    EXPECT_EQ(kernel.find("atomicAdd"), std::string::npos);
+    EXPECT_NE(m.code.hostSource.find("(unique_ptr / unique_eids)"),
+              std::string::npos);
+
+    // The plan signature covers the grouping: the same plan walked
+    // edge-centric hashes differently.
+    CompiledModel flat = m;
+    for (auto &ti : flat.backwardFn.traversals) {
+        ti.group = GroupKey::None;
+        for (auto &ss : ti.stmts)
+            ss.hoistLevel = 0;
+    }
+    flat.code = generateCode(flat.forwardProgram, flat.forwardFn,
+                             &flat.backwardProgram, &flat.backwardFn);
+    EXPECT_EQ(flat.code.cudaSource.find("args.unique_eids"),
+              std::string::npos);
+    EXPECT_NE(serve::planSignature(flat), serve::planSignature(m));
 }
 
 TEST(Codegen, TraversalKernelUsesAdjacencySpecialization)

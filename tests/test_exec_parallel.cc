@@ -6,10 +6,11 @@
  * gradients) to the seed's single-threaded scalar interpreter. Also
  * pins serving-drain determinism across thread counts, including the
  * modeled report (which depends only on kernel descriptors, never on
- * the host partitioning). Node-centric aggregations accumulated in a
- * per-node register row (hoist level 2) are held to the same oracle
- * on degenerate graphs, and the cases lowering must refuse keep the
- * per-edge path.
+ * the host partitioning). Grouped aggregations accumulated in a
+ * per-group register row (hoist level 2), forward by destination node
+ * and backward by destination node or (src, etype) pair, are held to
+ * the same oracle on degenerate graphs, and the cases lowering must
+ * refuse keep the per-edge path.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,8 @@
 
 #include "core/compiler.hh"
 #include "core/frontend.hh"
+#include "core/lowering.hh"
+#include "core/memory_plan.hh"
 #include "graph/compaction.hh"
 #include "graph/datasets.hh"
 #include "models/models.hh"
@@ -203,11 +206,12 @@ TEST_F(ExecDeterminism, ServingDrainIsThreadCountInvariant)
 /// @{
 
 /**
- * Forward of @p m on @p g at 1, 2 and 4 threads, with and without the
- * arena, must be bit-identical to the seed interpreter.
+ * Forward (and, for a training plan, the weight gradients) of @p m on
+ * @p g at 1, 2 and 4 threads, with and without the arena, must be
+ * bit-identical to the seed interpreter.
  */
 void
-expectForwardMatchesSeed(const core::CompiledModel &m,
+expectMatchesSeed(const core::CompiledModel &m,
                          const graph::HeteroGraph &g, const std::string &what)
 {
     for (bool arena : {false, true}) {
@@ -230,7 +234,8 @@ hoistLevelOf(const core::CompiledModel &m, const std::string &var)
 {
     for (const auto &ti : m.forwardFn.traversals)
         for (const auto &ss : ti.stmts)
-            if (ss.stmt.out.name == var && ti.nodeCentric)
+            if (ss.stmt.out.name == var &&
+                ti.group == core::GroupKey::DstNode)
                 return ss.hoistLevel;
     return -1;
 }
@@ -272,7 +277,7 @@ TEST_F(ExecDeterminism, RegisterAccumulationOnDegenerateGraphs)
                 bool node_centric = false;
                 int marked = 0;
                 for (const auto &ti : m.forwardFn.traversals) {
-                    node_centric |= ti.nodeCentric;
+                    node_centric |= ti.group == core::GroupKey::DstNode;
                     for (const auto &ss : ti.stmts)
                         marked += ss.hoistLevel == 2;
                 }
@@ -280,7 +285,7 @@ TEST_F(ExecDeterminism, RegisterAccumulationOnDegenerateGraphs)
                     gname + "/" + models::toString(mk) +
                     (optimized ? "/C+R" : "/base");
                 EXPECT_EQ(marked > 0, node_centric) << what;
-                expectForwardMatchesSeed(m, g, what);
+                expectMatchesSeed(m, g, what);
             }
         }
     }
@@ -293,7 +298,8 @@ TEST_F(ExecDeterminism, RegisterAccumulationRefusalsKeepPerEdgePath)
     opts.compactMaterialization = true;
     opts.linearReorder = true;
 
-    // An accumulateOut aggregation adds to whatever the row holds.
+    // An accumulateOut aggregation that is its variable's first
+    // writer adds to a slot that is zero on entry: it qualifies.
     {
         core::Program p = models::buildRgat(g.numEdgeTypes(), 8, 8);
         for (auto &loop : p.loops)
@@ -302,11 +308,13 @@ TEST_F(ExecDeterminism, RegisterAccumulationRefusalsKeepPerEdgePath)
                     if (s.out.name == "h_out")
                         s.accumulateOut = true;
         const core::CompiledModel m = core::compile(std::move(p), opts);
-        EXPECT_EQ(hoistLevelOf(m, "h_out"), 0);
+        EXPECT_EQ(hoistLevelOf(m, "h_out"), 2);
         EXPECT_EQ(hoistLevelOf(m, "att_sum"), 2);
-        expectForwardMatchesSeed(m, g, "accumulateOut");
+        expectMatchesSeed(m, g, "accumulateOut");
     }
-    // A second writer: the second nest must add to the first's sums.
+    // Two writers: the first nest's slot is zero on entry, so it
+    // qualifies; the second has an earlier writer and must add to the
+    // first's sums in place.
     {
         const core::CompiledModel m = core::compile(
             core::parseModel(R"(model two_writers
@@ -324,10 +332,13 @@ output h_out
 )",
                              8, 8),
             opts);
+        std::vector<int> levels;
         for (const auto &ti : m.forwardFn.traversals)
             for (const auto &ss : ti.stmts)
-                EXPECT_NE(ss.hoistLevel, 2) << ti.name;
-        expectForwardMatchesSeed(m, g, "second-writer");
+                if (ss.stmt.out.name == "h_out")
+                    levels.push_back(ss.hoistLevel);
+        EXPECT_EQ(levels, (std::vector<int>{2, 0}));
+        expectMatchesSeed(m, g, "second-writer");
     }
     // A read inside the instance must see the partial per-edge sums.
     {
@@ -350,7 +361,173 @@ output h_out
             opts);
         EXPECT_EQ(hoistLevelOf(m, "h_sum"), 0);
         EXPECT_EQ(hoistLevelOf(m, "h_out"), 2);
-        expectForwardMatchesSeed(m, g, "read-in-instance");
+        expectMatchesSeed(m, g, "read-in-instance");
+    }
+}
+
+/**
+ * Variables the backward of @p m accumulates in a register row, each
+ * with the key of its instance's grouping.
+ */
+std::map<std::string, core::GroupKey>
+backwardRegisterVars(const core::CompiledModel &m)
+{
+    std::map<std::string, core::GroupKey> out;
+    for (const auto &ti : m.backwardFn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ss.hoistLevel == 2)
+                out[ss.stmt.out.name] = ti.group;
+    return out;
+}
+
+TEST_F(ExecDeterminism, GroupedBackwardMatchesSeed)
+{
+    using Key = core::GroupKey;
+    const std::vector<std::pair<std::string, graph::HeteroGraph>> graphs = {
+        // Most nodes have several in-edges; many pairs several edges.
+        {"am/4096", graph::generate(graph::datasetSpec("am"), 1.0 / 4096.0)},
+        // Nodes 0, 5 and 6 have no in-edge; relation 3 has no edge;
+        // pair (2, relation 1) has one edge, (0, relation 0) two.
+        {"zero-in-degree+empty-relation",
+         makeGraph({0, 1, 1, 2, 2, 2, 2}, 3, {0, 1, 2, 2}, {1, 2, 2, 0},
+                   {{0, 1, 0}, {0, 2, 0}, {1, 3, 1}, {1, 4, 1}, {2, 4, 1},
+                    {4, 3, 2}, {5, 3, 2}, {5, 4, 2}, {6, 4, 2}})},
+        {"single-node", makeGraph({0}, 1, {0}, {0}, {{0, 0, 0}})},
+        {"no-edges", makeGraph({0, 0, 1, 1}, 2, {0, 1}, {1, 0}, {})},
+    };
+    // Lowering is graph-independent: what each plan groups.
+    const std::map<std::string, std::map<std::string, Key>> expected = {
+        {"RGCN/base", {}},
+        {"RGCN/C+R", {{"msg_grad", Key::UniquePair}}},
+        {"RGAT/base", {{"att_sum_grad", Key::DstNode}}},
+        {"RGAT/C+R",
+         {{"hs_grad", Key::UniquePair}, {"atts_grad", Key::UniquePair}}},
+        {"HGT/base", {{"att_sum_grad", Key::DstNode}, {"q_grad", Key::DstNode}}},
+        {"HGT/C+R", {{"msg_grad", Key::UniquePair}, {"q_grad", Key::DstNode}}},
+    };
+    for (const auto &[gname, g] : graphs) {
+        for (models::ModelKind mk :
+             {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+              models::ModelKind::Hgt}) {
+            for (bool optimized : {false, true}) {
+                core::CompileOptions opts;
+                opts.compactMaterialization = optimized;
+                opts.linearReorder = optimized;
+                opts.training = true;
+                const core::CompiledModel m =
+                    core::compile(models::buildModel(mk, g, 8, 8), opts);
+                const std::string plan = std::string(models::toString(mk)) +
+                                         (optimized ? "/C+R" : "/base");
+                EXPECT_EQ(backwardRegisterVars(m), expected.at(plan)) << plan;
+                expectMatchesSeed(m, g, gname + "/" + plan);
+            }
+        }
+    }
+}
+
+/**
+ * @p m with its backward program edited by @p edit, then lowered and
+ * memory-planned again.
+ */
+template <typename Edit>
+core::CompiledModel
+withBackwardEdit(core::CompiledModel m, Edit &&edit)
+{
+    edit(m.backwardProgram);
+    m.backwardFn = core::lower(m.backwardProgram, {}, sim::Phase::Backward,
+                               static_cast<int>(m.forwardFn.kernelCount()) +
+                                   1);
+    m.memoryPlan = core::planMemory(m.forwardProgram, m.forwardFn,
+                                    &m.backwardProgram, &m.backwardFn);
+    return m;
+}
+
+/** Index of the backward loop whose body writes @p var. */
+std::size_t
+loopWriting(const core::Program &p, const std::string &var)
+{
+    for (std::size_t i = 0; i < p.loops.size(); ++i)
+        for (const auto &s : p.loops[i].body)
+            if (s.out.name == var)
+                return i;
+    ADD_FAILURE() << "no loop writes " << var;
+    return 0;
+}
+
+/** Hoist levels of the backward statements writing @p var, in order. */
+std::vector<int>
+backwardLevelsOf(const core::CompiledModel &m, const std::string &var)
+{
+    std::vector<int> out;
+    for (const auto &step : m.backwardFn.order)
+        if (step.kind == core::LoweredFunction::Step::Kind::Traversal)
+            for (const auto &ss : m.backwardFn.traversals[step.index].stmts)
+                if (ss.stmt.out.name == var)
+                    out.push_back(ss.hoistLevel);
+    return out;
+}
+
+TEST_F(ExecDeterminism, GroupedBackwardRefusalsKeepPerEdgePath)
+{
+    const graph::HeteroGraph g =
+        graph::generate(graph::datasetSpec("am"), 1.0 / 4096.0);
+    core::CompileOptions opts;
+    opts.training = true;
+    core::CompileOptions cr = opts;
+    cr.compactMaterialization = true;
+    cr.linearReorder = true;
+    const core::CompiledModel rgcn =
+        core::compile(models::buildModel(models::ModelKind::Rgcn, g, 8, 8),
+                      cr);
+    const core::CompiledModel hgt =
+        core::compile(models::buildModel(models::ModelKind::Hgt, g, 8, 8),
+                      opts);
+    ASSERT_EQ(backwardLevelsOf(rgcn, "msg_grad"), (std::vector<int>{2}));
+    ASSERT_EQ(backwardLevelsOf(hgt, "q_grad"), (std::vector<int>{2}));
+
+    // An earlier writer: the later instance must add to its sums.
+    {
+        const core::CompiledModel m =
+            withBackwardEdit(rgcn, [](core::Program &p) {
+                const std::size_t i = loopWriting(p, "msg_grad");
+                p.loops.insert(p.loops.begin() + static_cast<long>(i),
+                               p.loops[i]);
+            });
+        EXPECT_EQ(backwardLevelsOf(m, "msg_grad"), (std::vector<int>{2, 0}));
+        expectMatchesSeed(m, g, "earlier-writer/pair");
+    }
+    // A reader inside the instance sees the partial per-edge sums, by
+    // pair (a compact row) and by node (through e.dst).
+    const std::vector<std::tuple<const core::CompiledModel *, std::string,
+                                 core::Access, core::GroupKey>>
+        readers = {
+            {&rgcn, "msg_grad", core::Access::Direct,
+             core::GroupKey::UniquePair},
+            {&hgt, "q_grad", core::Access::ViaDst, core::GroupKey::DstNode},
+        };
+    for (const auto &[base, var, access, key] : readers) {
+        const core::CompiledModel m =
+            withBackwardEdit(*base, [&](core::Program &p) {
+                p.declareVar("probe", {core::VarSpace::EdgeData, 8, false,
+                                       core::Materialization::Vanilla});
+                auto &body = p.loops[loopWriting(p, var)].body;
+                for (auto it = body.begin(); it != body.end(); ++it)
+                    if (it->out.name == var) {
+                        core::Stmt probe;
+                        probe.kind = core::OpKind::Copy;
+                        probe.out = {"probe", core::Access::Direct};
+                        probe.ins = {{var, access}};
+                        body.insert(it + 1, probe);
+                        break;
+                    }
+            });
+        EXPECT_EQ(backwardLevelsOf(m, var), (std::vector<int>{0})) << var;
+        bool grouped = false;
+        for (const auto &ti : m.backwardFn.traversals)
+            for (const auto &ss : ti.stmts)
+                grouped |= ss.stmt.out.name == "probe" && ti.group == key;
+        EXPECT_TRUE(grouped) << var;
+        expectMatchesSeed(m, g, "reader/" + var);
     }
 }
 

@@ -95,6 +95,33 @@ TEST_P(DatasetInvariants, CompactionMapIsConsistentBijection)
     EXPECT_EQ(static_cast<std::int64_t>(pairs.size()), cmap.numUnique());
 }
 
+TEST_P(DatasetInvariants, PairEdgeListsInvertEdgeToUnique)
+{
+    HeteroGraph g = load();
+    CompactionMap cmap(g);
+    const auto ptr = cmap.uniquePtr();
+    const auto eids = cmap.uniqueEdgeIds();
+    ASSERT_EQ(static_cast<std::int64_t>(ptr.size()), cmap.numUnique() + 1);
+    ASSERT_EQ(static_cast<std::int64_t>(eids.size()), g.numEdges());
+    EXPECT_EQ(ptr.front(), 0);
+    EXPECT_EQ(ptr.back(), g.numEdges());
+    std::vector<int> listed(static_cast<std::size_t>(g.numEdges()), 0);
+    for (std::int64_t u = 0; u < cmap.numUnique(); ++u) {
+        const auto lo = ptr[static_cast<std::size_t>(u)];
+        const auto hi = ptr[static_cast<std::size_t>(u) + 1];
+        ASSERT_LT(lo, hi) << "pair " << u << " has no edge";
+        for (auto i = lo; i < hi; ++i) {
+            const std::int64_t e = eids[static_cast<std::size_t>(i)];
+            EXPECT_EQ(cmap.edgeToUnique()[static_cast<std::size_t>(e)], u);
+            if (i > lo)
+                EXPECT_LT(eids[static_cast<std::size_t>(i) - 1], e);
+            ++listed[static_cast<std::size_t>(e)];
+        }
+    }
+    for (int n : listed)
+        EXPECT_EQ(n, 1);
+}
+
 TEST_P(DatasetInvariants, GenerationIsDeterministic)
 {
     HeteroGraph a = generate(datasetSpec(GetParam()), 1.0 / 1024.0, 7);
@@ -229,6 +256,42 @@ TEST(CompactionMap, ToyGraphCountsUniquePairs)
     EXPECT_EQ(cmap.uniqueEtypePtr()[1], 1);
     EXPECT_EQ(cmap.uniqueEtypePtr()[2], 3);
     EXPECT_EQ(cmap.uniqueEtypePtr()[3], 6);
+}
+
+TEST(CompactionMap, ValidateRejectsCorruptedPairEdgeList)
+{
+    const HeteroGraph g = toyCitationGraph();
+    // cites: paper 5 has two edges, so pair (5, cites) lists two.
+    auto corrupt = [&](auto &&edit) {
+        CompactionMap cmap(g);
+        cmap.validate(g);
+        edit(const_cast<std::int64_t *>(cmap.uniquePtr().data()),
+             const_cast<std::int64_t *>(cmap.uniqueEdgeIds().data()));
+        EXPECT_THROW(cmap.validate(g), std::runtime_error);
+    };
+    std::int64_t two = -1; // first pair with two edges
+    {
+        const CompactionMap cmap(g);
+        for (std::int64_t u = 0; u < cmap.numUnique() && two < 0; ++u)
+            if (cmap.uniquePtr()[static_cast<std::size_t>(u) + 1] -
+                    cmap.uniquePtr()[static_cast<std::size_t>(u)] ==
+                2)
+                two = u;
+    }
+    ASSERT_GE(two, 0);
+    const auto at = static_cast<std::size_t>(two);
+    // Two edges of one pair out of order.
+    corrupt([&](std::int64_t *ptr, std::int64_t *eids) {
+        std::swap(eids[ptr[at]], eids[ptr[at] + 1]);
+    });
+    // An edge listed under a pair it does not belong to.
+    corrupt([&](std::int64_t *, std::int64_t *eids) {
+        std::swap(eids[0], eids[g.numEdges() - 1]);
+    });
+    // A list boundary moved: one pair left without edges.
+    corrupt([&](std::int64_t *ptr, std::int64_t *) {
+        ptr[at + 1] = ptr[at];
+    });
 }
 
 } // namespace

@@ -84,12 +84,13 @@ TEST(Lowering, RgatUnoptimizedInstanceInventory)
     EXPECT_EQ(m.forwardFn.gemms[1].xAccess, AccessScheme::GatherDst);
     // No framework fallback in the unoptimized forward pass.
     EXPECT_EQ(m.forwardFn.fallbacks.size(), 0u);
-    // Node-centric aggregation instances use CSR.
+    // Aggregation instances walk edges grouped by destination node
+    // (the CSR).
     bool any_node_centric = false;
     for (const auto &ti : m.forwardFn.traversals)
-        if (ti.nodeCentric) {
+        if (ti.group == GroupKey::DstNode) {
             any_node_centric = true;
-            EXPECT_EQ(ti.adj, AdjEncoding::Csr);
+            EXPECT_EQ(ti.domain, RowDomain::Edges);
         }
     EXPECT_TRUE(any_node_centric);
 }

@@ -185,6 +185,34 @@ TEST(Fusion, DoesNotFuseMultiConsumerLoops)
     EXPECT_NE(p.varInfo("att_exp").mat, Materialization::Virtual);
 }
 
+TEST(Fusion, KeepsSharedRowReadOutOfTheLoopScatteringIntoIt)
+{
+    // The edge-softmax backward: one loop scatters into
+    // e.dst.att_sum_grad, the next reads it. Merged, the point-major
+    // loop would read partial sums.
+    for (Program fwd : {models::buildRgat(4, 8, 8),
+                        models::buildHgt(3, 4, 8, 8)}) {
+        Program bp = buildBackward(fwd, false);
+        fuseLoops(bp, false);
+        int scatter = -1;
+        int read = -1;
+        for (std::size_t i = 0; i < bp.loops.size(); ++i)
+            for (const auto &s : bp.loops[i].body) {
+                if (s.out.name == "att_sum_grad")
+                    scatter = static_cast<int>(i);
+                for (const auto &in : s.ins)
+                    if (in.name == "att_sum_grad")
+                        read = static_cast<int>(i);
+            }
+        ASSERT_GE(scatter, 0) << fwd.name;
+        EXPECT_LT(scatter, read) << fwd.name;
+        // Loops without such a conflict still merge: the rest of the
+        // backward joins the reading loop.
+        EXPECT_EQ(bp.loops.size(), fwd.name == "rgat" ? 2u : 3u)
+            << fwd.name;
+    }
+}
+
 TEST(ConsumerAnalysisTest, FindsReadersAndOutput)
 {
     Program p = models::buildRgat(4, 8, 8);

@@ -3,7 +3,8 @@
  * Tests for the analytical device model and runtime: monotonicity of
  * the cost model (DESIGN.md invariant 7), occupancy ramp, atomic
  * serialization, counter bookkeeping, derived Fig. 12 metrics, and
- * the store pricing of register-accumulated aggregations.
+ * the store and atomic pricing of register-accumulated (grouped)
+ * aggregations, forward and backward.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "graph/datasets.hh"
 #include "graph/sampler.hh"
 #include "models/model_sources.hh"
+#include "models/models.hh"
 #include "sim/counters.hh"
 #include "sim/device.hh"
 #include "sim/runtime.hh"
@@ -252,21 +254,45 @@ TEST(ArchMetrics, GemmBeatsTraversalThroughput)
               Counters::deriveMetrics(bt, spec).achievedGflops);
 }
 
-TEST(TraversalPricing, RegisterAccumulatorStoresOncePerNodeWithInEdges)
+/**
+ * A sampled serving block of `am` (fanout 4 for @p num_seeds seeds):
+ * more nodes than edges.
+ */
+hector::graph::HeteroGraph
+sampledAmBlock(int num_seeds = 16)
 {
-    namespace core = hector::core;
     namespace graph = hector::graph;
-    // A sampled serving block of `am`: more nodes than edges, so a
-    // store charged per node would cost more than the per-edge
-    // read-modify-write it replaces.
     const graph::HeteroGraph full = graph::generate(
         graph::datasetSpec("am"), 1.0 / 256.0);
     std::mt19937_64 rng(7);
     graph::SampleSpec spec;
-    spec.numSeeds = 16;
+    spec.numSeeds = num_seeds;
     spec.fanout = 4;
-    const graph::HeteroGraph g =
-        graph::sampleNeighbors(full, spec, rng).subgraph;
+    return graph::sampleNeighbors(full, spec, rng).subgraph;
+}
+
+/** Counters of one launch of @p ti of program @p p on @p g. */
+CounterBucket
+priceTraversal(const hector::core::Program &p,
+               const hector::core::TraversalInstance &ti,
+               const hector::graph::HeteroGraph &g)
+{
+    const hector::graph::CompactionMap cmap(g);
+    Runtime rt;
+    std::map<std::string, hector::tensor::Tensor> weights, grads;
+    hector::core::ExecutionContext ctx;
+    ctx.reset(&g, &cmap, &rt, &weights, &grads);
+    hector::core::execTraversal(p, ti, ctx);
+    return rt.counters().bucket(KernelCategory::Traversal, ti.phase);
+}
+
+TEST(TraversalPricing, RegisterAccumulatorStoresOncePerNodeWithInEdges)
+{
+    namespace core = hector::core;
+    namespace graph = hector::graph;
+    // More nodes than edges, so a store charged per node would cost
+    // more than the per-edge read-modify-write it replaces.
+    const graph::HeteroGraph g = sampledAmBlock();
     ASSERT_GT(g.numNodes(), g.numEdges());
     std::int64_t stored = 0;
     for (std::int64_t v = 0; v < g.numNodes(); ++v)
@@ -289,18 +315,8 @@ TEST(TraversalPricing, RegisterAccumulatorStoresOncePerNodeWithInEdges)
         if (ss.hoistLevel == 2)
             ss.hoistLevel = 0;
 
-    const graph::CompactionMap cmap(g);
-    auto price = [&](const core::TraversalInstance &ti) {
-        Runtime rt;
-        std::map<std::string, hector::tensor::Tensor> weights, grads;
-        core::ExecutionContext ctx;
-        ctx.reset(&g, &cmap, &rt, &weights, &grads);
-        core::execTraversal(m.forwardProgram, ti, ctx);
-        return rt.counters().bucket(KernelCategory::Traversal,
-                                    Phase::Forward);
-    };
-    const CounterBucket reg = price(*agg);
-    const CounterBucket edge = price(per_edge);
+    const CounterBucket reg = priceTraversal(m.forwardProgram, *agg, g);
+    const CounterBucket edge = priceTraversal(m.forwardProgram, per_edge, g);
     // The per-edge path writes the row once per edge; the register
     // path once per node with an in-edge. Nothing else moves.
     const double row_bytes = 4.0 * 16.0;
@@ -310,6 +326,78 @@ TEST(TraversalPricing, RegisterAccumulatorStoresOncePerNodeWithInEdges)
     EXPECT_EQ(reg.bytesRead, edge.bytesRead);
     EXPECT_EQ(reg.flops, edge.flops);
     EXPECT_LE(reg.timeSec, edge.timeSec);
+}
+
+/**
+ * The backward instance of @p model (C+R when @p optimized) grouped by
+ * @p key whose level-2 statement writes @p var, priced three ways on
+ * a sampled block: as lowered, with the statement summed in place per
+ * edge (level 0, same grouping), and as a flat edge-centric loop. The
+ * block has enough seeds that some (src, etype) pairs repeat.
+ */
+void
+expectGroupedBackwardPricing(hector::models::ModelKind model, bool optimized,
+                             hector::core::GroupKey key,
+                             const std::string &var)
+{
+    namespace core = hector::core;
+    const hector::graph::HeteroGraph g = sampledAmBlock(128);
+    const hector::graph::CompactionMap cmap(g);
+    core::CompileOptions opts;
+    opts.compactMaterialization = optimized;
+    opts.linearReorder = optimized;
+    opts.training = true;
+    const core::CompiledModel m = core::compile(
+        hector::models::buildModel(model, g, 16, 16), opts);
+    const core::TraversalInstance *grouped = nullptr;
+    for (const auto &ti : m.backwardFn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ti.group == key && ss.hoistLevel == 2 &&
+                ss.stmt.out.name == var)
+                grouped = &ti;
+    ASSERT_NE(grouped, nullptr) << var;
+    core::TraversalInstance in_place = *grouped;
+    for (auto &ss : in_place.stmts)
+        ss.hoistLevel = 0;
+    core::TraversalInstance flat = in_place;
+    flat.group = core::GroupKey::None;
+
+    const CounterBucket reg = priceTraversal(m.backwardProgram, *grouped, g);
+    const CounterBucket edge =
+        priceTraversal(m.backwardProgram, in_place, g);
+    const CounterBucket scatter = priceTraversal(m.backwardProgram, flat, g);
+
+    // The register row is stored once per group, not once per edge.
+    const std::int64_t groups = key == core::GroupKey::UniquePair
+                                    ? cmap.numUnique()
+                                    : g.numNodesWithInEdges();
+    ASSERT_GT(g.numEdges(), groups);
+    const double row_bytes = 4.0 * 16.0;
+    EXPECT_EQ(edge.bytesWritten - reg.bytesWritten,
+              row_bytes * static_cast<double>(g.numEdges() - groups))
+        << var;
+    EXPECT_EQ(reg.bytesRead, edge.bytesRead) << var;
+    EXPECT_EQ(reg.flops, edge.flops) << var;
+    // The group owns its rows: no atomics, where the flat loop
+    // scatters into them atomically.
+    EXPECT_EQ(reg.atomics, 0.0) << var;
+    EXPECT_GT(scatter.atomics, 0.0) << var;
+    EXPECT_LT(reg.timeSec, scatter.timeSec) << var;
+}
+
+TEST(TraversalPricing, PairGroupedBackwardStoresOncePerPairWithoutAtomics)
+{
+    // RGCN C+R: msg_grad, one compact row per (src, etype) pair.
+    expectGroupedBackwardPricing(hector::models::ModelKind::Rgcn, true,
+                                 hector::core::GroupKey::UniquePair,
+                                 "msg_grad");
+}
+
+TEST(TraversalPricing, NodeGroupedBackwardStoresOncePerNodeWithoutAtomics)
+{
+    // HGT: q_grad, reached through e.dst in the att_dot backward.
+    expectGroupedBackwardPricing(hector::models::ModelKind::Hgt, false,
+                                 hector::core::GroupKey::DstNode, "q_grad");
 }
 
 } // namespace
