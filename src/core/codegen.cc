@@ -66,41 +66,93 @@ accName(const Stmt &s)
     return s.out.name + "_acc";
 }
 
+/** Register an operand load is read into. */
+std::string
+loadReg(const OperandLoad &l)
+{
+    const char *via = l.access == Access::ViaSrc   ? "src_"
+                      : l.access == Access::ViaDst ? "dst_"
+                                                   : "";
+    return "ld_" + std::string(via) + l.var;
+}
+
+/**
+ * Loads of @p ti read into a register, one per distinct operand: every
+ * load of a materialized variable the instance does not write. A
+ * variable the instance writes is read where it was written, and a
+ * virtual one already lives in a register.
+ */
+std::vector<OperandLoad>
+registerLoads(const Program &p, const TraversalInstance &ti)
+{
+    std::vector<OperandLoad> out;
+    for (const auto &l : ti.loads) {
+        const bool written = std::any_of(
+            ti.stmts.begin(), ti.stmts.end(), [&](const ScheduledStmt &ss) {
+                return ss.stmt.out.name == l.var;
+            });
+        if (!written &&
+            p.varInfo(l.var).mat != Materialization::Virtual)
+            out.push_back(l);
+    }
+    return out;
+}
+
+/** Row @p row of @p var as CUDA C (column f when it is a vector). */
+std::string
+rowRef(const Program &p, const std::string &var, const std::string &row)
+{
+    const std::int64_t cols = p.varInfo(var).cols;
+    if (cols == 1)
+        return var + "[" + row + "]";
+    return var + "[" + row + " * " + std::to_string(cols) + " + f]";
+}
+
+/** Row of @p v at edge (or row) @p ent, as CUDA C. */
+std::string
+operandRef(const Program &p, const VarRef &v, const std::string &ent)
+{
+    const auto &vi = p.varInfo(v.name);
+    std::string idx;
+    if (vi.space == VarSpace::EdgeData) {
+        if (vi.mat == Materialization::Virtual)
+            return v.name + "_reg";
+        idx = vi.mat == Materialization::Compact
+                  ? "edge_to_unique[" + ent + "]"
+                  : ent;
+    } else {
+        switch (v.access) {
+          case Access::ViaSrc:
+            idx = "row_idx[" + ent + "]";
+            break;
+          case Access::ViaDst:
+            idx = "col_idx[" + ent + "]";
+            break;
+          case Access::Direct:
+            idx = "n";
+            break;
+        }
+    }
+    return rowRef(p, v.name, idx);
+}
+
 /**
  * Renders one traversal-statement as CUDA C. With @p into_register
  * (hoist level 2), an accumulation adds into its register
- * accumulator instead of the output row.
+ * accumulator instead of the output row. An input among @p regs reads
+ * its load's register instead of memory.
  */
 std::string
 stmtToCuda(const Program &p, const Stmt &s, const std::string &ent,
-           bool into_register = false)
+           bool into_register = false,
+           const std::vector<OperandLoad> &regs = {})
 {
-    auto ref = [&](const VarRef &v) -> std::string {
-        const auto &vi = p.varInfo(v.name);
-        std::string idx;
-        if (vi.space == VarSpace::EdgeData) {
-            if (vi.mat == Materialization::Virtual)
-                return v.name + "_reg";
-            idx = vi.mat == Materialization::Compact
-                      ? "edge_to_unique[" + ent + "]"
-                      : ent;
-        } else {
-            switch (v.access) {
-              case Access::ViaSrc:
-                idx = "row_idx[" + ent + "]";
-                break;
-              case Access::ViaDst:
-                idx = "col_idx[" + ent + "]";
-                break;
-              case Access::Direct:
-                idx = "n";
-                break;
-            }
-        }
-        if (vi.cols == 1)
-            return v.name + "[" + idx + "]";
-        return v.name + "[" + idx + " * " + std::to_string(vi.cols) +
-               " + f]";
+    auto ref = [&](const VarRef &v) { return operandRef(p, v, ent); };
+    auto in = [&](const VarRef &v) -> std::string {
+        for (const auto &l : regs)
+            if (l.var == v.name && l.access == v.access)
+                return loadReg(l);
+        return ref(v);
     };
 
     std::ostringstream os;
@@ -127,72 +179,62 @@ stmtToCuda(const Program &p, const Stmt &s, const std::string &ent,
 
     switch (s.kind) {
       case OpKind::DotProduct:
-        assign("warp_dot(" + ref(s.ins[0]) + ", " +
-               (s.weight.empty() ? ref(s.ins[1])
+        assign("warp_dot(" + in(s.ins[0]) + ", " +
+               (s.weight.empty() ? in(s.ins[1])
                                  : s.weight + "[etype * dim + f]") +
                ")");
         break;
       case OpKind::Add:
-        assign(ref(s.ins[0]) + " + " + ref(s.ins[1]));
+        assign(in(s.ins[0]) + " + " + in(s.ins[1]));
         break;
       case OpKind::Mul:
-        assign(ref(s.ins[0]) + " * " + ref(s.ins[1]));
+        assign(in(s.ins[0]) + " * " + in(s.ins[1]));
         break;
       case OpKind::LeakyRelu:
-        assign("leaky_relu(" + ref(s.ins[0]) + ", " +
+        assign("leaky_relu(" + in(s.ins[0]) + ", " +
                std::to_string(s.alpha) + "f)");
         break;
       case OpKind::Relu:
-        assign("fmaxf(" + ref(s.ins[0]) + ", 0.f)");
+        assign("fmaxf(" + in(s.ins[0]) + ", 0.f)");
         break;
       case OpKind::Exp:
-        assign("__expf(" + ref(s.ins[0]) + ")");
+        assign("__expf(" + in(s.ins[0]) + ")");
         break;
       case OpKind::Divide:
-        assign(ref(s.ins[0]) + " / " + ref(s.ins[1]));
+        assign(in(s.ins[0]) + " / " + in(s.ins[1]));
         break;
       case OpKind::Scale:
-        assign(std::to_string(s.alpha) + "f * " + ref(s.ins[0]));
+        assign(std::to_string(s.alpha) + "f * " + in(s.ins[0]));
         break;
       case OpKind::Copy:
       case OpKind::AccumulateSum:
-        assign(ref(s.ins[0]));
+        assign(in(s.ins[0]));
         break;
       case OpKind::AccumulateScaled:
-        assign(ref(s.ins[0]) + " * " +
-               (s.weight.empty() ? ref(s.ins[1])
+        assign(in(s.ins[0]) + " * " +
+               (s.weight.empty() ? in(s.ins[1])
                                  : s.weight + "[etype * dim + f]"));
         break;
       case OpKind::LeakyReluBwd:
-        assign(ref(s.ins[0]) + " * (" + ref(s.ins[1]) + " > 0.f ? 1.f : " +
+        assign(in(s.ins[0]) + " * (" + in(s.ins[1]) + " > 0.f ? 1.f : " +
                std::to_string(s.alpha) + "f)");
         break;
       case OpKind::ReluBwd:
-        assign(ref(s.ins[0]) + " * (" + ref(s.ins[1]) + " > 0.f)");
+        assign(in(s.ins[0]) + " * (" + in(s.ins[1]) + " > 0.f)");
         break;
       case OpKind::DivGradDenom:
-        assign("-" + ref(s.ins[0]) + " * " + ref(s.ins[1]) + " / (" +
-               ref(s.ins[2]) + " * " + ref(s.ins[2]) + ")");
+        assign("-" + in(s.ins[0]) + " * " + in(s.ins[1]) + " / (" +
+               in(s.ins[2]) + " * " + in(s.ins[2]) + ")");
         break;
       case OpKind::WeightVecGrad:
         os << "atomicAdd(&" << s.weight << "_grad[etype * dim + f], "
-           << ref(s.ins[0]) << " * " << ref(s.ins[1]) << ");";
+           << in(s.ins[0]) << " * " << in(s.ins[1]) << ");";
         break;
       default:
         os << "/* unsupported in traversal: " << toString(s.kind) << " */";
         break;
     }
     return os.str();
-}
-
-/** Output row of @p s at group @p grp (node n or pair u), as CUDA C. */
-std::string
-groupRowRef(const Program &p, const Stmt &s, const std::string &grp)
-{
-    const std::int64_t cols = p.varInfo(s.out.name).cols;
-    if (cols == 1)
-        return s.out.name + "[" + grp + "]";
-    return s.out.name + "[" + grp + " * " + std::to_string(cols) + " + f]";
 }
 
 } // namespace
@@ -358,6 +400,14 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
        << "{\n";
     for (const auto &v : ti.virtualVars)
         os << "    float " << v << "_reg;\n";
+    // One register load per distinct operand per edge (or row).
+    const std::vector<OperandLoad> regs = registerLoads(p, ti);
+    auto emitEdgeLoads = [&](const char *indent, const std::string &ent) {
+        for (const auto &l : regs)
+            if (!ti.hoisted(l))
+                os << indent << "const float " << loadReg(l) << " = "
+                   << operandRef(p, {l.var, l.access}, ent) << ";\n";
+    };
     if (ti.grouped()) {
         // One group per block: a destination node n over the CSR, or
         // a compact (src, etype) pair u over its edge list.
@@ -384,6 +434,21 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
                 stores = true;
             }
         }
+        // The group's own operand rows, loaded once before its edge
+        // loop; a group without an edge loads nothing.
+        bool hoists = false;
+        for (const auto &l : regs) {
+            if (!ti.hoisted(l))
+                continue;
+            if (!hoists)
+                os << "        // operand rows loaded once per "
+                   << (by_pair ? "pair" : "node with an incoming edge")
+                   << "\n"
+                   << "        const bool has_edges = " << range << ";\n";
+            hoists = true;
+            os << "        const float " << loadReg(l) << " = has_edges ? "
+               << rowRef(p, l.var, grp) << " : 0.f;\n";
+        }
         os << "        for (int i = " << ptr << "[" << grp
            << "] + threadIdx.y;\n"
            << "             i < " << ptr << "[" << grp
@@ -392,11 +457,13 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
            << (by_pair ? "args.unique_eids" : "args.in_edge_ids")
            << "[i];\n"
            << "            int etype = GetEType<" << ti.kid << ">(e);\n";
+        emitEdgeLoads("            ", "e");
         for (const auto &ss : ti.stmts) {
             if (ss.hoistLevel == 1)
                 continue;
             os << "            "
-               << stmtToCuda(p, ss.stmt, "e", ss.hoistLevel == 2) << "\n";
+               << stmtToCuda(p, ss.stmt, "e", ss.hoistLevel == 2, regs)
+               << "\n";
         }
         if (ti.partialAggregation)
             os << "            // partial per-thread/warp aggregation\n"
@@ -409,7 +476,7 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
                << "        if (" << range << ") {\n";
             for (const auto &ss : ti.stmts)
                 if (ss.hoistLevel == 2)
-                    os << "            " << groupRowRef(p, ss.stmt, grp)
+                    os << "            " << rowRef(p, ss.stmt.out.name, grp)
                        << " = " << accName(ss.stmt) << ";\n";
             os << "        }\n";
         }
@@ -436,8 +503,10 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
             os << "        int ntype = args.node_type[n];\n";
         }
         os << "        int f = threadIdx.x;\n";
+        emitEdgeLoads("        ", ent);
         for (const auto &ss : ti.stmts)
-            os << "        " << stmtToCuda(p, ss.stmt, ent) << "\n";
+            os << "        " << stmtToCuda(p, ss.stmt, ent, false, regs)
+               << "\n";
         os << "    }\n";
     }
     os << "}\n\n";

@@ -1085,6 +1085,13 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
         }
         for (std::size_t i = 0; i < s.ins.size() && i < 3; ++i) {
             ps.ins[i] = prepareOperand(s.ins[i]);
+            // A per-group load is the group's own row, which every
+            // edge of the group reaches: node v, or pair u.
+            const OperandLoad *load = ti.loadOf(s.ins[i]);
+            if (load && ti.hoisted(*load))
+                ps.ins[i].mode = ti.group == GroupKey::DstNode
+                                     ? RowMode::Node
+                                     : RowMode::Unique;
             if (i == 0)
                 ps.dIn0 = p.varInfo(s.ins[0].name).cols;
             if (i == 1)
@@ -1274,10 +1281,15 @@ evalPrepared(const PreparedStmt &ps, const EvalPoint &pt,
 
 /// @}
 
-/** Static per-iteration cost of one traversal statement. */
+/**
+ * Static per-iteration cost of one traversal statement. Its operand
+ * rows are not in bytesRead: the instance prices them from its load
+ * set (TraversalInstance::loads).
+ */
 struct StmtCost
 {
     double flops = 0.0;
+    /** Adjacency indices and typed weight-vector rows. */
     double bytesRead = 0.0;
     double bytesWritten = 0.0;
     double atomics = 0.0;
@@ -1294,21 +1306,22 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, GroupKey group,
             return static_cast<double>(p.varInfo(v).cols);
         return 0.0;
     };
-    double in_bytes = 0.0;
+    double operand_bytes = 0.0;
     for (const auto &in : s.ins)
-        in_bytes += 4.0 * colsOf(in.name);
+        operand_bytes += 4.0 * colsOf(in.name);
     double out_cols =
         p.vars.count(s.out.name) ? colsOf(s.out.name) : 0.0;
     if (s.kind == OpKind::WeightVecGrad && !s.weight.empty())
         out_cols = static_cast<double>(p.weightInfo(s.weight).cols);
+    double weight_bytes = 0.0;
     if ((s.kind == OpKind::DotProduct || s.kind == OpKind::AccumulateScaled)
         && !s.weight.empty())
-        in_bytes += 4.0 * static_cast<double>(p.weightInfo(s.weight).cols);
+        weight_bytes = 4.0 * static_cast<double>(p.weightInfo(s.weight).cols);
 
-    const double work = std::max(
-        {out_cols, in_bytes / 4.0, 1.0});
+    const double work =
+        std::max({out_cols, (operand_bytes + weight_bytes) / 4.0, 1.0});
     c.flops = 2.0 * work;
-    c.bytesRead = in_bytes + 12.0; // operand rows + adjacency indices
+    c.bytesRead = weight_bytes + 12.0; // weight-vector row + adjacency
     c.bytesWritten = 4.0 * out_cols;
 
     // Atomic detection: accumulating writes whose target row is shared
@@ -1586,12 +1599,24 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                                          : ctx.rowsOf(ti.domain));
     const double group_iters = static_cast<double>(
         by_pair ? ctx.rowsOf(RowDomain::UniquePairs) : g.numNodes());
-    // A register-accumulated (level-2) row is stored once per group
-    // with an edge (every pair, or each node with an in-edge), not
-    // once per edge.
-    const double stored_rows = static_cast<double>(
+    // A register-accumulated (level-2) row is stored, and a hoisted
+    // operand row loaded, once per group with an edge (every pair, or
+    // each node with an in-edge), not once per edge.
+    const double edged_groups = static_cast<double>(
         by_pair ? ctx.rowsOf(RowDomain::UniquePairs)
                 : g.numNodesWithInEdges());
+    // Operand rows: each distinct load once per edge, or once per
+    // group with an edge when hoisted out of the edge loop.
+    for (const auto &ss : ti.stmts)
+        for (const auto &in : ss.stmt.ins)
+            if (!ti.loadOf(in))
+                throw std::logic_error("traversal " + ti.name +
+                                       " has no load for operand " +
+                                       in.name);
+    for (const auto &l : ti.loads)
+        desc.bytesRead += 4.0 *
+                          static_cast<double>(p.varInfo(l.var).cols) *
+                          (ti.hoisted(l) ? edged_groups : iters);
     double max_cols = 1.0;
     for (const auto &ss : ti.stmts) {
         const StmtCost c = stmtCost(p, ss.stmt, ti.domain, ti.group, ctx);
@@ -1599,7 +1624,7 @@ execTraversal(const Program &p, const TraversalInstance &ti,
         desc.flops += c.flops * n;
         desc.bytesRead += c.bytesRead * n;
         desc.bytesWritten +=
-            c.bytesWritten * (ss.hoistLevel == 2 ? stored_rows : n);
+            c.bytesWritten * (ss.hoistLevel == 2 ? edged_groups : n);
         desc.atomics += c.atomics * n;
         desc.atomicConflict =
             std::max(desc.atomicConflict, c.atomicConflict);

@@ -12,8 +12,8 @@
  *
  *  - the traversal template (Algorithm 2): a generic edge-centric or
  *    grouped loop nest executing pointwise statements, with statement
- *    hoisting, adjacency-encoding-specific index retrieval, and
- *    partial-result aggregation before atomics.
+ *    and operand-load hoisting, adjacency-encoding-specific index
+ *    retrieval, and partial-result aggregation before atomics.
  *
  * Instances carry exactly the information the code generator needs to
  * emit a CUDA kernel and the interpreter needs to execute + price it.
@@ -177,6 +177,28 @@ struct ScheduledStmt
 };
 
 /**
+ * One distinct operand row a traversal instance reads: a variable and
+ * the access that locates its row. Statements of the instance reading
+ * the same (var, access) share the load, so the row is read once per
+ * edge (or per row of a flat domain), not once per statement.
+ */
+struct OperandLoad
+{
+    std::string var;
+    Access access = Access::Direct;
+    /**
+     * Loaded once per group, before the edge loop, instead of once per
+     * edge. Lowering sets it on a row that every edge of a group
+     * reads and that no statement of the instance writes: a node row
+     * (through e.dst, or Direct) under DstNode, a compact row under
+     * UniquePair. Never set on an e.src row, or on a compact row under
+     * DstNode: their rows change from edge to edge of the group. Only
+     * honoured while the instance is grouped (see hoisted()).
+     */
+    bool perGroup = false;
+};
+
+/**
  * One instance derived from the node/edge traversal template.
  *
  * Edge-centric instances assign edges to blocks; grouped instances
@@ -196,6 +218,11 @@ struct TraversalInstance
      * aggregation nest by DstNode, and an edge loop that scatters
      * into a destination node or a compact row by whichever of the
      * two its accumulations write more columns of (DstNode on a tie).
+     * An edge loop that writes only its own edge's rows (no
+     * WeightVecGrad) and reads a node row through e.dst is grouped by
+     * DstNode too, so that row is loaded once per node: each output
+     * is a function of its edge alone, so the walk order cannot
+     * change a bit.
      */
     GroupKey group = GroupKey::None;
     /**
@@ -213,7 +240,34 @@ struct TraversalInstance
     /** Variables fused away into registers (never materialized). */
     std::vector<std::string> virtualVars;
 
+    /**
+     * The instance's distinct operand loads, in first-read order (see
+     * OperandLoad). Every input of every statement has exactly one
+     * entry. The executor prices operand reads from this set, not per
+     * statement: a per-group load costs one row per group with an
+     * edge (HeteroGraph::numNodesWithInEdges nodes, or numUnique
+     * pairs), every other load one row per edge. The fast path
+     * resolves a per-group load at the group's own row (node v or
+     * pair u), which is the row every edge of the group reaches, and
+     * the code generator loads it into a register before the edge
+     * loop. Recompute it with operandLoads() after editing stmts.
+     */
+    std::vector<OperandLoad> loads;
+
     bool grouped() const { return group != GroupKey::None; }
+
+    /** The load of @p ref, or nullptr when no statement reads it. */
+    const OperandLoad *
+    loadOf(const VarRef &ref) const
+    {
+        for (const auto &l : loads)
+            if (l.var == ref.name && l.access == ref.access)
+                return &l;
+        return nullptr;
+    }
+
+    /** True when @p l is read once per group, before the edge loop. */
+    bool hoisted(const OperandLoad &l) const { return grouped() && l.perGroup; }
 };
 
 /** Operations left to the framework (paper: PyTorch fallback). */

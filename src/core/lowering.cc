@@ -1,5 +1,6 @@
 #include "core/lowering.hh"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 
@@ -78,6 +79,45 @@ stmtDomain(const Program &p, const Stmt &s, LoopDomain loop)
             return RowDomain::UniquePairs;
     }
     return RowDomain::Edges;
+}
+
+std::vector<OperandLoad>
+operandLoads(const Program &p, const TraversalInstance &ti)
+{
+    // A row every edge of a group reaches: the group's node (through
+    // e.dst or Direct), or its pair's compact row.
+    auto groupRow = [&](const VarRef &ref) {
+        const auto &vi = p.varInfo(ref.name);
+        switch (ti.group) {
+          case GroupKey::None:
+            return false;
+          case GroupKey::DstNode:
+            return (vi.space == VarSpace::NodeInput ||
+                    vi.space == VarSpace::NodeData) &&
+                   ref.access != Access::ViaSrc;
+          case GroupKey::UniquePair:
+            return vi.space == VarSpace::EdgeData &&
+                   vi.mat == Materialization::Compact;
+        }
+        return false;
+    };
+    std::set<std::string> written;
+    for (const auto &ss : ti.stmts)
+        written.insert(ss.stmt.out.name);
+    std::vector<OperandLoad> loads;
+    for (const auto &ss : ti.stmts)
+        for (const auto &in : ss.stmt.ins) {
+            const bool seen =
+                std::any_of(loads.begin(), loads.end(),
+                            [&](const OperandLoad &l) {
+                                return l.var == in.name &&
+                                       l.access == in.access;
+                            });
+            if (!seen)
+                loads.push_back({in.name, in.access,
+                                 !written.count(in.name) && groupRow(in)});
+        }
+    return loads;
 }
 
 namespace
@@ -296,9 +336,35 @@ class Lowerer
     }
 
     /**
+     * True when every statement of @p run writes only its own edge's
+     * row (vanilla or virtual edge data; a WeightVecGrad writes a
+     * weight, whose per-type sums follow the walk order) and one reads
+     * a node row through e.dst: grouping it by destination node loads
+     * that row once per node and cannot change a bit.
+     */
+    bool
+    pointwiseDstReader(const std::vector<ScheduledStmt> &run) const
+    {
+        bool reads_dst = false;
+        for (const auto &ss : run) {
+            const Stmt &s = ss.stmt;
+            if (!p_.vars.count(s.out.name))
+                return false;
+            const auto &vi = p_.varInfo(s.out.name);
+            if (vi.space != VarSpace::EdgeData ||
+                vi.mat == Materialization::Compact)
+                return false;
+            for (const auto &in : s.ins)
+                reads_dst |= in.access == Access::ViaDst;
+        }
+        return reads_dst;
+    }
+
+    /**
      * Group key of an edge-loop run: the key whose rows its
      * accumulations write the most columns of, the destination node
-     * winning a tie; None when it scatters into neither.
+     * winning a tie; when it scatters into neither, DstNode for a
+     * pointwise reader of e.dst rows and None otherwise.
      */
     GroupKey
     groupKeyOf(const std::vector<ScheduledStmt> &run) const
@@ -314,7 +380,8 @@ class Lowerer
                 pair_cols += p_.varInfo(ss.stmt.out.name).cols;
         }
         if (dst_cols == 0 && pair_cols == 0)
-            return GroupKey::None;
+            return pointwiseDstReader(run) ? GroupKey::DstNode
+                                           : GroupKey::None;
         return dst_cols >= pair_cols ? GroupKey::DstNode
                                      : GroupKey::UniquePair;
     }
@@ -424,6 +491,7 @@ class Lowerer
         ti.group = key;
         ti.domain = domain;
         ti.stmts = std::move(stmts);
+        ti.loads = operandLoads(p_, ti);
         collectVirtualVars(ti);
         fn_.order.push_back(
             {LoweredFunction::Step::Kind::Traversal, fn_.traversals.size()});

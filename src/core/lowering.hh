@@ -41,6 +41,13 @@ struct LowerOptions
 RowDomain stmtDomain(const Program &p, const Stmt &s, LoopDomain loop);
 
 /**
+ * The distinct operand loads of @p ti (TraversalInstance::loads) under
+ * its current group key and statements.
+ */
+std::vector<OperandLoad> operandLoads(const Program &p,
+                                      const TraversalInstance &ti);
+
+/**
  * Lower one program (forward or backward) to kernel instances, whose
  * kernel ids (and so names) count up from @p first_kid.
  */

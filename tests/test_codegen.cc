@@ -174,6 +174,86 @@ TEST(Codegen, PairGroupedBackwardWalksPairsAndStoresOnce)
     EXPECT_NE(serve::planSignature(flat), serve::planSignature(m));
 }
 
+/** Text of kernel @p name in @p cuda, up to its closing brace. */
+std::string
+kernelText(const std::string &cuda, const std::string &name)
+{
+    const std::size_t begin = cuda.find("__global__ void " + name + "(");
+    if (begin == std::string::npos)
+        return "";
+    return cuda.substr(begin, cuda.find("\n}\n", begin) - begin);
+}
+
+/** Number of times @p needle occurs in @p text. */
+int
+occurrences(const std::string &text, const std::string &needle)
+{
+    int n = 0;
+    for (std::size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+/** Name of the traversal of @p fn whose statements write @p var. */
+std::string
+writerName(const LoweredFunction &fn, const std::string &var)
+{
+    for (const auto &ti : fn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ss.stmt.out.name == var)
+                return ti.name;
+    return "";
+}
+
+TEST(Codegen, HoistedLoadsPrecedeTheEdgeLoop)
+{
+    const auto m = compileModel(models::ModelKind::Rgat, true, true, true);
+    const std::string &cuda = m.code.cudaSource;
+
+    // Forward: attt's pointwise loop is walked by node and loads the
+    // node's e.dst.feature row once, before the edge loop.
+    const std::string fwd = kernelText(cuda, writerName(m.forwardFn, "attt"));
+    const std::size_t load = fwd.find(
+        "const float ld_dst_feature = has_edges ? feature[n * 8 + f] : 0.f;");
+    const std::size_t loop = fwd.find("for (int i = args.in_ptr[n]");
+    ASSERT_NE(load, std::string::npos) << fwd;
+    ASSERT_NE(loop, std::string::npos);
+    EXPECT_LT(load, loop);
+    EXPECT_EQ(occurrences(fwd, "feature["), 1);
+    EXPECT_NE(fwd.find("warp_dot(ld_dst_feature, ", loop), std::string::npos);
+
+    // Backward: the pair group loads the compact hs row once per pair,
+    // and e.dst.h_out_grad, which two statements read, once per edge.
+    const std::string bwd =
+        kernelText(cuda, writerName(m.backwardFn, "hs_grad"));
+    const std::size_t pair_load =
+        bwd.find("const float ld_hs = has_edges ? hs[u * 8 + f] : 0.f;");
+    const std::size_t pair_loop = bwd.find("for (int i = args.unique_ptr[u]");
+    ASSERT_NE(pair_load, std::string::npos) << bwd;
+    ASSERT_NE(pair_loop, std::string::npos);
+    EXPECT_LT(pair_load, pair_loop);
+    const std::size_t edge_load = bwd.find(
+        "const float ld_dst_h_out_grad = h_out_grad[col_idx[e] * 8 + f];");
+    ASSERT_NE(edge_load, std::string::npos) << bwd;
+    EXPECT_GT(edge_load, pair_loop);
+    EXPECT_EQ(occurrences(bwd, "h_out_grad["), 1);
+    EXPECT_EQ(occurrences(bwd, "hs["), 1);
+
+    // The plan signature covers the hoisting: the same plan with
+    // every load read per edge hashes differently.
+    CompiledModel per_edge = m;
+    for (auto *fn : {&per_edge.forwardFn, &per_edge.backwardFn})
+        for (auto &ti : fn->traversals)
+            for (auto &l : ti.loads)
+                l.perGroup = false;
+    per_edge.code =
+        generateCode(per_edge.forwardProgram, per_edge.forwardFn,
+                     &per_edge.backwardProgram, &per_edge.backwardFn);
+    EXPECT_EQ(per_edge.code.cudaSource.find("has_edges"), std::string::npos);
+    EXPECT_NE(serve::planSignature(per_edge), serve::planSignature(m));
+}
+
 TEST(Codegen, TraversalKernelUsesAdjacencySpecialization)
 {
     const auto m = compileModel(models::ModelKind::Rgat, false, false);

@@ -10,13 +10,16 @@
  * per-group register row (hoist level 2), forward by destination node
  * and backward by destination node or (src, etype) pair, are held to
  * the same oracle on degenerate graphs, and the cases lowering must
- * refuse keep the per-edge path.
+ * refuse keep the per-edge path. So are operand rows loaded once per
+ * group, which must also match the same plan with every load read
+ * per edge.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "core/compiler.hh"
@@ -380,21 +383,35 @@ backwardRegisterVars(const core::CompiledModel &m)
     return out;
 }
 
+/**
+ * Graphs the grouped walks are held to the seed on: one with many
+ * edges per group, and degenerate ones.
+ */
+std::vector<std::pair<std::string, graph::HeteroGraph>>
+groupedWalkGraphs()
+{
+    std::vector<std::pair<std::string, graph::HeteroGraph>> graphs;
+    // Most nodes have several in-edges; many pairs several edges.
+    graphs.emplace_back("am/4096", graph::generate(graph::datasetSpec("am"),
+                                                   1.0 / 4096.0));
+    // Nodes 0, 5 and 6 have no in-edge; relation 3 has no edge;
+    // pair (2, relation 1) has one edge, (0, relation 0) two.
+    graphs.emplace_back(
+        "zero-in-degree+empty-relation",
+        makeGraph({0, 1, 1, 2, 2, 2, 2}, 3, {0, 1, 2, 2}, {1, 2, 2, 0},
+                  {{0, 1, 0}, {0, 2, 0}, {1, 3, 1}, {1, 4, 1}, {2, 4, 1},
+                   {4, 3, 2}, {5, 3, 2}, {5, 4, 2}, {6, 4, 2}}));
+    graphs.emplace_back("single-node",
+                        makeGraph({0}, 1, {0}, {0}, {{0, 0, 0}}));
+    graphs.emplace_back("no-edges",
+                        makeGraph({0, 0, 1, 1}, 2, {0, 1}, {1, 0}, {}));
+    return graphs;
+}
+
 TEST_F(ExecDeterminism, GroupedBackwardMatchesSeed)
 {
     using Key = core::GroupKey;
-    const std::vector<std::pair<std::string, graph::HeteroGraph>> graphs = {
-        // Most nodes have several in-edges; many pairs several edges.
-        {"am/4096", graph::generate(graph::datasetSpec("am"), 1.0 / 4096.0)},
-        // Nodes 0, 5 and 6 have no in-edge; relation 3 has no edge;
-        // pair (2, relation 1) has one edge, (0, relation 0) two.
-        {"zero-in-degree+empty-relation",
-         makeGraph({0, 1, 1, 2, 2, 2, 2}, 3, {0, 1, 2, 2}, {1, 2, 2, 0},
-                   {{0, 1, 0}, {0, 2, 0}, {1, 3, 1}, {1, 4, 1}, {2, 4, 1},
-                    {4, 3, 2}, {5, 3, 2}, {5, 4, 2}, {6, 4, 2}})},
-        {"single-node", makeGraph({0}, 1, {0}, {0}, {{0, 0, 0}})},
-        {"no-edges", makeGraph({0, 0, 1, 1}, 2, {0, 1}, {1, 0}, {})},
-    };
+    const auto graphs = groupedWalkGraphs();
     // Lowering is graph-independent: what each plan groups.
     const std::map<std::string, std::map<std::string, Key>> expected = {
         {"RGCN/base", {}},
@@ -528,6 +545,248 @@ TEST_F(ExecDeterminism, GroupedBackwardRefusalsKeepPerEdgePath)
                 grouped |= ss.stmt.out.name == "probe" && ti.group == key;
         EXPECT_TRUE(grouped) << var;
         expectMatchesSeed(m, g, "reader/" + var);
+    }
+}
+
+/// @}
+
+/// @name Operand loads hoisted out of the edge loop
+/// @{
+
+/** Rows of @p fn loaded once per group, as "<dir>:dst.q" or "<dir>:hs". */
+std::set<std::string>
+hoistedLoads(const core::LoweredFunction &fn, const char *dir)
+{
+    std::set<std::string> out;
+    for (const auto &ti : fn.traversals)
+        for (const auto &l : ti.loads)
+            if (ti.hoisted(l))
+                out.insert(std::string(dir) + ":" +
+                           (l.access == core::Access::ViaDst ? "dst." : "") +
+                           l.var);
+    return out;
+}
+
+/** True when every statement of @p ti writes only its own edge's row. */
+bool
+writesOnlyEdgeRows(const core::Program &p, const core::TraversalInstance &ti)
+{
+    for (const auto &ss : ti.stmts) {
+        if (!p.vars.count(ss.stmt.out.name))
+            return false;
+        const auto &vi = p.varInfo(ss.stmt.out.name);
+        if (vi.space != core::VarSpace::EdgeData ||
+            vi.mat == core::Materialization::Compact)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * @p m with every operand load read per edge, and the edge loops that
+ * are grouped only to load an e.dst row once walked flat: the per-edge
+ * reference the hoisted plan must match bit for bit.
+ */
+core::CompiledModel
+perEdgeLoadPlan(core::CompiledModel m)
+{
+    auto flatten = [](const core::Program &p, core::LoweredFunction &fn) {
+        for (auto &ti : fn.traversals) {
+            if (ti.group == core::GroupKey::DstNode &&
+                writesOnlyEdgeRows(p, ti))
+                ti.group = core::GroupKey::None;
+            for (auto &l : ti.loads)
+                l.perGroup = false;
+        }
+    };
+    flatten(m.forwardProgram, m.forwardFn);
+    flatten(m.backwardProgram, m.backwardFn);
+    return m;
+}
+
+TEST_F(ExecDeterminism, HoistedLoadsMatchSeedAndPerEdgePlan)
+{
+    const auto graphs = groupedWalkGraphs();
+    // Lowering is graph-independent: the rows each training plan
+    // loads once per group. Compact rows under a node group, e.src
+    // rows, e.dst rows under a pair group and rows the instance
+    // writes stay per edge.
+    const std::map<std::string, std::set<std::string>> expected = {
+        {"RGCN/base", {"bwd:dst.h_agg_grad"}},
+        {"RGCN/C+R", {}},
+        {"RGAT/base",
+         {"fwd:dst.att_sum", "bwd:dst.h_out_grad", "bwd:dst.att_sum"}},
+        {"RGAT/C+R", {"fwd:dst.feature", "fwd:dst.att_sum", "bwd:hs"}},
+        {"HGT/base",
+         {"fwd:dst.q", "fwd:dst.att_sum", "bwd:dst.h_out_grad",
+          "bwd:dst.att_sum", "bwd:dst.att_sum_grad", "bwd:dst.q"}},
+        {"HGT/C+R",
+         {"fwd:dst.q", "fwd:dst.att_sum", "bwd:msg", "bwd:dst.att_sum_grad",
+          "bwd:dst.q"}},
+    };
+    for (const auto &[gname, g] : graphs) {
+        for (models::ModelKind mk :
+             {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+              models::ModelKind::Hgt}) {
+            for (bool optimized : {false, true}) {
+                for (bool training : {false, true}) {
+                    core::CompileOptions opts;
+                    opts.compactMaterialization = optimized;
+                    opts.linearReorder = optimized;
+                    opts.training = training;
+                    const core::CompiledModel m = core::compile(
+                        models::buildModel(mk, g, 8, 8), opts);
+                    const std::string plan =
+                        std::string(models::toString(mk)) +
+                        (optimized ? "/C+R" : "/base");
+                    std::set<std::string> got =
+                        hoistedLoads(m.forwardFn, "fwd");
+                    std::set<std::string> want;
+                    for (const auto &h : expected.at(plan))
+                        if (training || h.rfind("fwd:", 0) == 0)
+                            want.insert(h);
+                    if (training)
+                        got.merge(hoistedLoads(m.backwardFn, "bwd"));
+                    EXPECT_EQ(got, want) << plan;
+
+                    const std::string what = gname + "/" + plan +
+                                             (training ? "/train" : "/infer");
+                    expectMatchesSeed(m, g, what);
+                    const core::CompiledModel per_edge = perEdgeLoadPlan(m);
+                    util::setGlobalThreads(1);
+                    for (bool arena : {false, true})
+                        expectSame(runCompiled(per_edge, g, arena),
+                                   runCompiled(m, g, arena),
+                                   (what + "/per-edge-plan").c_str());
+                }
+            }
+        }
+    }
+}
+
+/** The forward instance of @p m whose statements write @p var. */
+const core::TraversalInstance *
+forwardWriter(const core::CompiledModel &m, const std::string &var)
+{
+    for (const auto &ti : m.forwardFn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ss.stmt.out.name == var)
+                return &ti;
+    ADD_FAILURE() << "no forward instance writes " << var;
+    return nullptr;
+}
+
+/** True when @p ti loads (@p var, @p access) once per group. */
+bool
+loadsPerGroup(const core::TraversalInstance &ti, const std::string &var,
+              core::Access access)
+{
+    const core::OperandLoad *l = ti.loadOf({var, access});
+    EXPECT_NE(l, nullptr) << ti.name << " does not read " << var;
+    return l && ti.hoisted(*l);
+}
+
+TEST_F(ExecDeterminism, HoistRefusalsKeepPerEdgeLoads)
+{
+    const graph::HeteroGraph g = graph::toyCitationGraph();
+    core::CompileOptions opts;
+    opts.compactMaterialization = true;
+    opts.linearReorder = true;
+    using core::Access;
+
+    // A row the instance writes is read per edge: h_sum is still
+    // being summed while z reads it through e.dst.
+    {
+        const core::CompiledModel m = core::compile(
+            core::parseModel(R"(model read_in_instance
+weight W etype din dout
+input feature din
+for e in g.edges():
+    msg = typed_linear(e.src.feature, W[e.etype])
+for n in g.dst_nodes():
+    for e in n.incoming_edges():
+        h_sum += accumulate_sum(e.msg)
+        z = mul(e.msg, e.dst.h_sum)
+for n in g.dst_nodes():
+    for e in n.incoming_edges():
+        h_out += accumulate_sum(e.z)
+output h_out
+)",
+                             8, 8),
+            opts);
+        const core::TraversalInstance *ti = forwardWriter(m, "z");
+        ASSERT_NE(ti, nullptr);
+        EXPECT_EQ(ti->group, core::GroupKey::DstNode);
+        EXPECT_FALSE(loadsPerGroup(*ti, "h_sum", Access::ViaDst));
+        expectMatchesSeed(m, g, "written-operand");
+    }
+    // Under a node group, an e.src row and a compact row change from
+    // edge to edge; the e.dst row read beside them is hoisted.
+    {
+        const core::CompiledModel m = core::compile(
+            core::parseModel(R"(model src_and_dst
+weight K ntype din dout
+weight W etype din dout
+input feature din
+for n in g.nodes():
+    k = typed_linear(n.feature, K[n.ntype])
+for e in g.edges():
+    msg = typed_linear(e.src.feature, W[e.etype])
+for e in g.edges():
+    z = dot_prd(e.src.k, e.dst.k)
+    y = mul(e.msg, e.dst.k)
+for n in g.dst_nodes():
+    for e in n.incoming_edges():
+        h_out += accumulate_scaled(e.z, e.y)
+output h_out
+)",
+                             8, 8),
+            opts);
+        const core::TraversalInstance *ti = forwardWriter(m, "z");
+        ASSERT_NE(ti, nullptr);
+        EXPECT_EQ(ti->group, core::GroupKey::DstNode);
+        EXPECT_EQ(m.forwardProgram.varInfo("msg").mat,
+                  core::Materialization::Compact);
+        EXPECT_TRUE(loadsPerGroup(*ti, "k", Access::ViaDst));
+        EXPECT_FALSE(loadsPerGroup(*ti, "k", Access::ViaSrc));
+        EXPECT_FALSE(loadsPerGroup(*ti, "msg", Access::Direct));
+        expectMatchesSeed(m, g, "src-and-compact-under-node");
+    }
+    // A pointwise edge loop reading an e.dst row is grouped by node
+    // for it (HGT's att_dot); its per-edge rows stay per edge.
+    {
+        const core::CompiledModel m = core::compile(
+            models::buildModel(models::ModelKind::Hgt, g, 8, 8), opts);
+        const core::TraversalInstance *ti = forwardWriter(m, "att_dot");
+        ASSERT_NE(ti, nullptr);
+        EXPECT_EQ(ti->group, core::GroupKey::DstNode);
+        EXPECT_TRUE(loadsPerGroup(*ti, "q", Access::ViaDst));
+        EXPECT_FALSE(loadsPerGroup(*ti, "ka", Access::Direct));
+        expectMatchesSeed(m, g, "regrouped-pointwise-loop");
+    }
+    // A loop with a weight-vector gradient is never regrouped, though
+    // it reads e.dst rows: its per-type sums follow the walk order.
+    {
+        core::CompileOptions train;
+        train.training = true;
+        const core::CompiledModel m = core::compile(
+            models::buildModel(models::ModelKind::Rgat, g, 8, 8), train);
+        int checked = 0;
+        for (const auto &ti : m.backwardFn.traversals) {
+            bool wgrad = false;
+            bool reads_dst = false;
+            for (const auto &ss : ti.stmts) {
+                wgrad |= ss.stmt.kind == core::OpKind::WeightVecGrad;
+                for (const auto &in : ss.stmt.ins)
+                    reads_dst |= in.access == Access::ViaDst;
+            }
+            if (wgrad && reads_dst) {
+                EXPECT_EQ(ti.group, core::GroupKey::None) << ti.name;
+                ++checked;
+            }
+        }
+        EXPECT_GT(checked, 0);
+        expectMatchesSeed(m, g, "weight-vector-gradient");
     }
 }
 

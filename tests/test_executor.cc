@@ -313,6 +313,7 @@ TEST(Executor, TraversalDotProductMatchesManual)
     s.out = {"d", Access::Direct};
     s.ins = {{"a", Access::Direct}, {"b", Access::Direct}};
     ti.stmts.push_back({s, 0});
+    ti.loads = operandLoads(p, ti);
     execTraversal(p, ti, env.ctx);
 
     const Tensor &a = env.ctx.tensors.at("a");

@@ -113,8 +113,9 @@ TEST_P(DatasetInvariants, PairEdgeListsInvertEdgeToUnique)
         for (auto i = lo; i < hi; ++i) {
             const std::int64_t e = eids[static_cast<std::size_t>(i)];
             EXPECT_EQ(cmap.edgeToUnique()[static_cast<std::size_t>(e)], u);
-            if (i > lo)
+            if (i > lo) {
                 EXPECT_LT(eids[static_cast<std::size_t>(i) - 1], e);
+            }
             ++listed[static_cast<std::size_t>(e)];
         }
     }

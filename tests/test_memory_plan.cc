@@ -109,9 +109,10 @@ TEST(MemoryPlan, InputIsExternalAndOutputIsPinned)
     const auto &out = plan.vars.at("t4");
     EXPECT_TRUE(out.pinned);
     for (const auto &[name, vp] : plan.vars)
-        if (name != "t4")
+        if (name != "t4") {
             EXPECT_NE(vp.slot, out.slot)
                 << "pinned output slot must not be shared";
+        }
 }
 
 TEST(MemoryPlan, RealModelsPlanEveryMaterializedVariable)
@@ -128,13 +129,15 @@ TEST(MemoryPlan, RealModelsPlanEveryMaterializedVariable)
                 continue;
             // Unreferenced variables may legitimately be unplanned;
             // referenced ones must resolve to a slot.
-            if (m.memoryPlan.vars.count(name))
+            if (m.memoryPlan.vars.count(name)) {
                 EXPECT_GE(m.memoryPlan.slotOf(name), 0) << name;
+            }
         }
         // Stamped instances agree with the plan.
         for (const auto &gi : m.forwardFn.gemms) {
-            if (gi.kind == GemmKind::Linear && !gi.yVar.empty())
+            if (gi.kind == GemmKind::Linear && !gi.yVar.empty()) {
                 EXPECT_EQ(gi.ySlot, m.memoryPlan.slotOf(gi.yVar));
+            }
             EXPECT_EQ(gi.xSlot, m.memoryPlan.slotOf(gi.xVar));
         }
     }

@@ -4,7 +4,8 @@
  * the cost model (DESIGN.md invariant 7), occupancy ramp, atomic
  * serialization, counter bookkeeping, derived Fig. 12 metrics, and
  * the store and atomic pricing of register-accumulated (grouped)
- * aggregations, forward and backward.
+ * aggregations, forward and backward, and the read pricing of operand
+ * rows loaded once per group or shared by several statements.
  */
 
 #include <gtest/gtest.h>
@@ -398,6 +399,127 @@ TEST(TraversalPricing, NodeGroupedBackwardStoresOncePerNodeWithoutAtomics)
     // HGT: q_grad, reached through e.dst in the att_dot backward.
     expectGroupedBackwardPricing(hector::models::ModelKind::Hgt, false,
                                  hector::core::GroupKey::DstNode, "q_grad");
+}
+
+/** The instance of @p fn whose statements write @p var. */
+const hector::core::TraversalInstance *
+writerOf(const hector::core::LoweredFunction &fn, const std::string &var)
+{
+    for (const auto &ti : fn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ss.stmt.out.name == var)
+                return &ti;
+    return nullptr;
+}
+
+/** Every counter but bytesRead (and time) must agree. */
+void
+expectSameButReads(const CounterBucket &a, const CounterBucket &b,
+                   const std::string &what)
+{
+    EXPECT_EQ(a.launches, 1u) << what;
+    EXPECT_EQ(a.launches, b.launches) << what;
+    EXPECT_EQ(a.flops, b.flops) << what;
+    EXPECT_EQ(a.bytesWritten, b.bytesWritten) << what;
+    EXPECT_EQ(a.atomics, b.atomics) << what;
+}
+
+TEST(TraversalPricing, HoistedLoadReadOncePerGroup)
+{
+    namespace core = hector::core;
+    using hector::models::ModelKind;
+    const hector::graph::HeteroGraph g = sampledAmBlock(128);
+    const hector::graph::CompactionMap cmap(g);
+    struct Case
+    {
+        ModelKind model;
+        bool optimized;
+        bool backward;
+        std::string writes;
+        std::string var;
+        core::Access access;
+        std::int64_t groups;
+    };
+    const std::vector<Case> cases = {
+        // HGT's att_dot reads e.dst.q: once per node with an in-edge.
+        {ModelKind::Hgt, false, false, "att_dot", "q", core::Access::ViaDst,
+         g.numNodesWithInEdges()},
+        // RGAT's hs_grad backward reads the compact hs: once per pair.
+        {ModelKind::Rgat, true, true, "hs_grad", "hs", core::Access::Direct,
+         cmap.numUnique()},
+    };
+    for (const auto &c : cases) {
+        core::CompileOptions opts;
+        opts.compactMaterialization = c.optimized;
+        opts.linearReorder = c.optimized;
+        opts.training = true;
+        const core::CompiledModel m = core::compile(
+            hector::models::buildModel(c.model, g, 16, 16), opts);
+        const core::Program &p =
+            c.backward ? m.backwardProgram : m.forwardProgram;
+        const core::TraversalInstance *ti =
+            writerOf(c.backward ? m.backwardFn : m.forwardFn, c.writes);
+        ASSERT_NE(ti, nullptr) << c.writes;
+        const core::OperandLoad *load = ti->loadOf({c.var, c.access});
+        ASSERT_NE(load, nullptr) << c.var;
+        ASSERT_TRUE(ti->hoisted(*load)) << c.var;
+        core::TraversalInstance per_edge = *ti;
+        for (auto &l : per_edge.loads)
+            if (l.var == c.var && l.access == c.access)
+                l.perGroup = false;
+
+        const CounterBucket hoisted = priceTraversal(p, *ti, g);
+        const CounterBucket edge = priceTraversal(p, per_edge, g);
+        ASSERT_GT(g.numEdges(), c.groups);
+        EXPECT_EQ(edge.bytesRead - hoisted.bytesRead,
+                  4.0 * 16.0 * static_cast<double>(g.numEdges() - c.groups))
+            << c.var;
+        expectSameButReads(hoisted, edge, c.var);
+        EXPECT_LT(hoisted.timeSec, edge.timeSec) << c.var;
+    }
+}
+
+TEST(TraversalPricing, SharedOperandLoadedOncePerEdge)
+{
+    namespace core = hector::core;
+    const hector::graph::HeteroGraph g = sampledAmBlock(128);
+    core::CompileOptions opts;
+    opts.compactMaterialization = true;
+    opts.linearReorder = true;
+    opts.training = true;
+    const core::CompiledModel m = core::compile(
+        hector::models::buildModel(hector::models::ModelKind::Rgat, g, 16,
+                                   16),
+        opts);
+    // att_n_grad and hs_grad both read e.dst.h_out_grad, a row the
+    // pair group reaches per edge.
+    const core::TraversalInstance *ti = writerOf(m.backwardFn, "att_n_grad");
+    ASSERT_NE(ti, nullptr);
+    ASSERT_EQ(ti->group, core::GroupKey::UniquePair);
+    int readers = 0;
+    for (const auto &ss : ti->stmts)
+        for (const auto &in : ss.stmt.ins)
+            readers += in.name == "h_out_grad";
+    ASSERT_EQ(readers, 2);
+
+    // The same instance with the second reader pointed at an
+    // identical copy of the row: two distinct loads.
+    core::Program p = m.backwardProgram;
+    p.declareVar("h_out_grad_copy", p.varInfo("h_out_grad"));
+    core::TraversalInstance distinct = *ti;
+    int seen = 0;
+    for (auto &ss : distinct.stmts)
+        for (auto &in : ss.stmt.ins)
+            if (in.name == "h_out_grad" && ++seen == 2)
+                in.name = "h_out_grad_copy";
+    distinct.loads = core::operandLoads(p, distinct);
+    ASSERT_EQ(distinct.loads.size(), ti->loads.size() + 1);
+
+    const CounterBucket shared = priceTraversal(p, *ti, g);
+    const CounterBucket twice = priceTraversal(p, distinct, g);
+    EXPECT_EQ(twice.bytesRead - shared.bytesRead,
+              4.0 * 16.0 * static_cast<double>(g.numEdges()));
+    expectSameButReads(shared, twice, "h_out_grad");
 }
 
 } // namespace
