@@ -16,15 +16,8 @@ namespace hector::serve
 
 using tensor::Tensor;
 
-namespace
-{
+// ------------------------------------------------------------------ helpers
 
-/**
- * Deterministic dual-issue sampling: error diffusion over the
- * duplication fraction, no RNG, so of the first k primary batches
- * exactly round(k * fraction) duplicate — and a fault run replays
- * identically at any thread count.
- */
 bool
 sampleDuplicate(double fraction, double &acc)
 {
@@ -38,9 +31,40 @@ sampleDuplicate(double fraction, double &acc)
     return false;
 }
 
-} // namespace
-
-// ------------------------------------------------------------------ helpers
+GuardedBatch
+guardBatch(sim::FaultInjector *fi, int device, double t_sec,
+           bool duplicate, std::vector<Tensor> &outs,
+           const std::function<void(std::vector<Tensor> &)> &run)
+{
+    GuardedBatch g;
+    const bool hit = fi && fi->armTransient(device);
+    g.ordinal = fi ? fi->batchOrdinal(device) : 0;
+    run(outs);
+    if (hit)
+        fi->corruptBatch(outs, device, t_sec);
+    if (!duplicate) {
+        if (hit)
+            fi->noteEscape(device, t_sec, g.ordinal);
+        return g;
+    }
+    if (fi)
+        fi->noteDuplicate(device, t_sec, g.ordinal);
+    std::vector<Tensor> dup;
+    run(dup);
+    ++g.runs;
+    const std::uint64_t lhs = tensor::checksum(outs);
+    const std::uint64_t rhs = tensor::checksum(dup);
+    if (lhs == rhs)
+        return g;
+    if (fi)
+        fi->noteDetection(device, t_sec, g.ordinal, lhs, rhs);
+    g.detected = true;
+    run(outs);
+    ++g.runs;
+    if (fi)
+        fi->noteReplay(device, t_sec, "transient");
+    return g;
+}
 
 double
 percentileSorted(const std::vector<double> &sorted, double q)
@@ -87,7 +111,7 @@ fillLatencyStats(ServingReport &report,
     if (deadline_ms > 0.0 && !latencies_sec.empty()) {
         std::size_t met = 0;
         for (double l : latencies_sec)
-            if (l * 1e3 <= deadline_ms)
+            if (metDeadline(l, deadline_ms))
                 ++met;
         report.sloAttainment =
             static_cast<double>(met) /
@@ -118,7 +142,7 @@ makeVariantReport(const std::string &name,
     std::size_t met = 0;
     for (double l : latencies_sec) {
         sum += l;
-        if (deadline_ms <= 0.0 || l * 1e3 <= deadline_ms)
+        if (metDeadline(l, deadline_ms))
             ++met;
     }
     vr.meanLatencyMs =
@@ -593,21 +617,17 @@ Engine::drain()
                   return a.firstId < b.firstId;
               });
 
-    // Each logical batch is one primary scheduler run, optionally
-    // followed by an ASPIS-style redundant run (deterministically
-    // sampled per variant) whose output checksum is compared against
-    // the primary's, and — on a detected mismatch — a replay run whose
-    // output is the one served (bit-identical to fault-free, since
-    // execution is deterministic).
+    // Each logical batch is one ASPIS-guarded run group (guardBatch):
+    // the primary scheduler run, and the sampled duplicate and the
+    // replay when they run.
     sim::FaultInjector *fi = rt_.faultInjector();
     struct RunRefs
     {
-        int primary = -1;
-        int dup = -1;
-        int replay = -1;
+        std::size_t first = 0;
+        std::size_t count = 1;
     };
     std::vector<RunRefs> runs(batches.size());
-    int run_idx = 0;
+    std::size_t run_idx = 0;
     for (std::size_t b = 0; b < batches.size(); ++b) {
         const PlannedBatch &pb = batches[b];
         Variant &v = variants_[pb.variant];
@@ -617,48 +637,25 @@ Engine::drain()
             reqs.push_back(&v.queue[i]);
 
         std::vector<Tensor> outs;
-        const auto run_exec = [&](std::vector<Tensor> &dst) {
-            sched.run([&]() {
-                MicroBatch batch = coalesce(reqs, rt_);
-                dst = executeBatch(*plans[pb.variant], batch,
-                                   v.weights, rt_, v.ctx, v.grads,
-                                   v.cfg.useArena);
+        const GuardedBatch g = guardBatch(
+            fi, rt_.deviceId(), hostClockSec_,
+            sampleDuplicate(v.cfg.duplicationFraction * dupScale_,
+                            v.dupAccum),
+            outs, [&](std::vector<Tensor> &dst) {
+                sched.run([&]() {
+                    MicroBatch batch = coalesce(reqs, rt_);
+                    dst = executeBatch(*plans[pb.variant], batch,
+                                       v.weights, rt_, v.ctx, v.grads,
+                                       v.cfg.useArena);
+                });
             });
-        };
-        const bool hit = fi && fi->armTransient(rt_.deviceId());
-        const std::uint64_t ord =
-            fi ? fi->batchOrdinal(rt_.deviceId()) : 0;
-        runs[b].primary = run_idx++;
-        run_exec(outs);
-        if (hit)
-            fi->corruptBatch(outs, rt_.deviceId(), hostClockSec_);
-        if (sampleDuplicate(v.cfg.duplicationFraction * dupScale_,
-                            v.dupAccum)) {
-            if (fi)
-                fi->noteDuplicate(rt_.deviceId(), hostClockSec_, ord);
-            std::vector<Tensor> dup;
-            runs[b].dup = run_idx++;
-            run_exec(dup);
-            const std::uint64_t lhs = tensor::checksum(outs);
-            const std::uint64_t rhs = tensor::checksum(dup);
-            if (lhs != rhs) {
-                if (fi)
-                    fi->noteDetection(rt_.deviceId(), hostClockSec_,
-                                      ord, lhs, rhs);
-                if (obs::enabled())
-                    obs::tracer().instant(
-                        "fault.detect", "serve", hostClockSec_,
-                        rt_.deviceId(), 0,
-                        "\"batch\":" + std::to_string(ord));
-                runs[b].replay = run_idx++;
-                run_exec(outs);
-                if (fi)
-                    fi->noteReplay(rt_.deviceId(), hostClockSec_,
-                                   "transient");
-            }
-        } else if (hit) {
-            fi->noteEscape(rt_.deviceId(), hostClockSec_, ord);
-        }
+        runs[b] = {run_idx, g.runs};
+        run_idx += g.runs;
+        if (g.detected && obs::enabled())
+            obs::tracer().instant("fault.detect", "serve", hostClockSec_,
+                                  rt_.deviceId(), 0,
+                                  "\"batch\":" +
+                                      std::to_string(g.ordinal));
         // Detach results from the device memory scope so they
         // outlive the drain cycle.
         tensor::TrackerScope untracked(nullptr);
@@ -688,21 +685,11 @@ Engine::drain()
         const Variant &v = variants_[pb.variant];
         // A request completes when its batch's last run (primary, or
         // the redundant/replay runs that guarded it) completes.
-        double completion =
-            hostClockSec_ +
-            completions[static_cast<std::size_t>(runs[b].primary)];
-        if (runs[b].dup >= 0)
-            completion = std::max(
-                completion,
-                hostClockSec_ + completions[static_cast<std::size_t>(
-                                    runs[b].dup)]);
-        if (runs[b].replay >= 0)
-            completion = std::max(
-                completion,
-                hostClockSec_ + completions[static_cast<std::size_t>(
-                                    runs[b].replay)]);
-        const ScheduledBatch &sb =
-            sched.batches()[static_cast<std::size_t>(runs[b].primary)];
+        const std::size_t first = runs[b].first;
+        double completion = hostClockSec_ + completions[first];
+        for (std::size_t r = first + 1; r < first + runs[b].count; ++r)
+            completion = std::max(completion, hostClockSec_ + completions[r]);
+        const ScheduledBatch &sb = sched.batches()[first];
         const double service = sb.overheadSec + sb.execSec;
         if (v.cfg.deadlineMs > 0.0)
             any_deadline = true;
@@ -717,7 +704,7 @@ Engine::drain()
             latencies.push_back(lat);
             queue_delays.push_back(std::max(0.0, lat - service));
             by_variant[pb.variant].push_back(lat);
-            if (v.cfg.deadlineMs <= 0.0 || lat * 1e3 <= v.cfg.deadlineMs)
+            if (metDeadline(lat, v.cfg.deadlineMs))
                 ++met;
             if (flight_) {
                 const std::uint64_t id = v.queue[i].id;
@@ -815,51 +802,24 @@ Engine::serveOldest(int v, std::size_t n, int stream)
     reqs.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         reqs.push_back(&var.queue[i]);
+    // ASPIS guard, same semantics as drain(); the redundant and replay
+    // runs serialize on this stream, so their cost folds into the
+    // batch cost the online layer charges.
     std::vector<Tensor> outs;
-    const auto run_once = [&](std::vector<Tensor> &dst) {
-        return runOnStream(rt_, stream, [&]() {
-            auto scope = rt_.memoryScope();
-            MicroBatch batch = coalesce(reqs, rt_);
-            dst = executeBatch(*plan, batch, var.weights, rt_, var.ctx,
-                               var.grads, var.cfg.useArena);
-        });
-    };
-    const StreamRunCost run = run_once(outs);
-    cost.execSec = run.execSec;
-    cost.overheadSec = run.overheadSec;
-
-    // ASPIS sandwich, same semantics as drain(); the redundant and
-    // replay runs serialize on this stream, so their cost folds into
-    // the batch cost the online layer charges.
-    sim::FaultInjector *fi = rt_.faultInjector();
-    const bool hit = fi && fi->armTransient(rt_.deviceId());
-    const std::uint64_t ord = fi ? fi->batchOrdinal(rt_.deviceId()) : 0;
-    if (hit)
-        fi->corruptBatch(outs, rt_.deviceId(), rt_.nowSec());
-    if (sampleDuplicate(var.cfg.duplicationFraction * dupScale_,
-                        var.dupAccum)) {
-        if (fi)
-            fi->noteDuplicate(rt_.deviceId(), rt_.nowSec(), ord);
-        std::vector<Tensor> dup;
-        const StreamRunCost r2 = run_once(dup);
-        cost.execSec += r2.execSec;
-        cost.overheadSec += r2.overheadSec;
-        const std::uint64_t lhs = tensor::checksum(outs);
-        const std::uint64_t rhs = tensor::checksum(dup);
-        if (lhs != rhs) {
-            if (fi)
-                fi->noteDetection(rt_.deviceId(), rt_.nowSec(), ord,
-                                  lhs, rhs);
-            const StreamRunCost r3 = run_once(outs);
-            cost.execSec += r3.execSec;
-            cost.overheadSec += r3.overheadSec;
-            if (fi)
-                fi->noteReplay(rt_.deviceId(), rt_.nowSec(),
-                               "transient");
-        }
-    } else if (hit) {
-        fi->noteEscape(rt_.deviceId(), rt_.nowSec(), ord);
-    }
+    guardBatch(rt_.faultInjector(), rt_.deviceId(), rt_.nowSec(),
+               sampleDuplicate(var.cfg.duplicationFraction * dupScale_,
+                               var.dupAccum),
+               outs, [&](std::vector<Tensor> &dst) {
+                   const StreamRunCost run = runOnStream(rt_, stream, [&]() {
+                       auto scope = rt_.memoryScope();
+                       MicroBatch batch = coalesce(reqs, rt_);
+                       dst = executeBatch(*plan, batch, var.weights, rt_,
+                                          var.ctx, var.grads,
+                                          var.cfg.useArena);
+                   });
+                   cost.execSec += run.execSec;
+                   cost.overheadSec += run.overheadSec;
+               });
     {
         tensor::TrackerScope untracked(nullptr);
         for (std::size_t i = 0; i < n; ++i)

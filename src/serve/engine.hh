@@ -40,6 +40,7 @@
 #define HECTOR_SERVE_ENGINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <random>
 #include <string>
@@ -337,6 +338,19 @@ struct ServingReport
 double percentileSorted(const std::vector<double> &sorted, double q);
 
 /**
+ * Whether a request served @p lat_sec after its arrival met a
+ * @p deadline_ms SLO; always true when @p deadline_ms is 0 (none).
+ * The one deadline test of every report. It compares in milliseconds:
+ * the seconds form `lat_sec <= deadline_ms * 1e-3` rounds differently
+ * at the boundary (1.3 * 1e-3 s meets 1.3 ms in seconds, not in ms).
+ */
+inline bool
+metDeadline(double lat_sec, double deadline_ms)
+{
+    return deadline_ms <= 0.0 || lat_sec * 1e3 <= deadline_ms;
+}
+
+/**
  * Fill @p report's latency fields (mean/p50/p95/p99/max, mean queue
  * delay, SLO attainment against @p deadline_ms) from per-request
  * samples in seconds. The one place this arithmetic lives: the
@@ -385,6 +399,45 @@ struct BatchCost
      */
     std::vector<std::uint64_t> servedIds;
 };
+
+/**
+ * Deterministic dual-issue sampling for the ASPIS guard: error
+ * diffusion over the duplication @p fraction with the caller's
+ * accumulator @p acc, no RNG, so of the first k primary batches
+ * exactly round(k * fraction) duplicate and a fault run replays
+ * identically at any thread count.
+ */
+bool sampleDuplicate(double fraction, double &acc);
+
+/** What guardBatch() ran for one batch. */
+struct GuardedBatch
+{
+    /** Runs issued, in order: the primary, then the duplicate and the
+     *  replay when they ran (1 to 3). */
+    std::size_t runs = 1;
+    /** The duplicate's checksum differed, so the batch was replayed. */
+    bool detected = false;
+    /** The batch's primary-batch ordinal on its device (0 without a
+     *  fault injector). */
+    std::uint64_t ordinal = 0;
+};
+
+/**
+ * The ASPIS guard on one served batch — the one copy of it that both
+ * drain paths and both incremental serve paths of the Engine and the
+ * ShardedSession use. Arms @p device's next primary-batch ordinal on
+ * @p fi (nullable), runs the primary into @p outs, and corrupts it when
+ * a scheduled transient targets this batch. With @p duplicate it runs
+ * the batch again, compares output checksums, and on a mismatch replays
+ * into @p outs: the replay is what is served, bit-identical to a
+ * fault-free run because execution is deterministic. An armed transient
+ * without a duplicate escapes. Every step is noted on @p fi at
+ * @p t_sec. @p run executes the batch once into its argument.
+ */
+GuardedBatch
+guardBatch(sim::FaultInjector *fi, int device, double t_sec,
+           bool duplicate, std::vector<tensor::Tensor> &outs,
+           const std::function<void(std::vector<tensor::Tensor> &)> &run);
 
 /**
  * Per-variant compile closure shared by the Engine and ShardedSession:

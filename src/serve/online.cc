@@ -185,67 +185,6 @@ LoadGenerator::arrivals(double rate_per_sec, std::size_t count,
 namespace
 {
 
-/**
- * Shared finalization tail of the three tick loops: rate and
- * batch-size metrics, the per-request latency statistics via
- * fillLatencyStats (so the drain and online paths cannot drift), and
- * the shedding statistics — admittedSloAttainment keeps the
- * admitted-only attainment, while sloAttainment counts shed arrivals
- * as misses (denominator = offered), which reduces to the historical
- * value whenever nothing was shed.
- */
-void
-finalizeOnlineReport(OnlineReport &rep, std::size_t served,
-                     double last_completion_sec,
-                     const std::vector<double> &latencies_sec,
-                     const std::vector<double> &queue_delays_sec,
-                     double deadline_ms, std::size_t shed,
-                     std::size_t failed = 0)
-{
-    rep.requests = served;
-    rep.batches = rep.ticks;
-    rep.makespanMs = last_completion_sec * 1e3;
-    rep.throughputReqPerSec =
-        last_completion_sec > 0.0
-            ? static_cast<double>(served) / last_completion_sec
-            : 0.0;
-    rep.msPerRequest =
-        served ? rep.makespanMs / static_cast<double>(served) : 0.0;
-    rep.meanBatchSize =
-        rep.ticks ? static_cast<double>(served) /
-                        static_cast<double>(rep.ticks)
-                  : 0.0;
-    fillLatencyStats(rep, latencies_sec, queue_delays_sec, deadline_ms);
-
-    rep.requestsShed = shed;
-    rep.admittedSloAttainment = rep.sloAttainment;
-    // Resilience-failed requests (timeouts, exhausted retries) were
-    // admitted, so they stay out of shedFraction but count as misses
-    // in the offered-denominator sloAttainment, exactly like sheds.
-    const std::size_t offered = served + shed + failed;
-    rep.shedFraction =
-        offered > 0
-            ? static_cast<double>(shed) / static_cast<double>(offered)
-            : 0.0;
-    if ((shed > 0 || failed > 0) && deadline_ms > 0.0) {
-        std::size_t met = 0;
-        for (double l : latencies_sec)
-            if (l * 1e3 <= deadline_ms)
-                ++met;
-        rep.sloAttainment = static_cast<double>(met) /
-                            static_cast<double>(offered);
-    }
-}
-
-/**
- * Single-device open-loop clocks, shared by runSingle() and
- * runMulti() so the single- and multi-tenant tick machinery cannot
- * drift: one host thread admits arrivals and issues launches
- * (hostFree), each stream runs one batch at a time (streamFree), and
- * the serialized fraction of every kernel occupies a device-wide
- * shared resource (contendFree) — Runtime::makespanSec's overlap
- * rule, applied per batch.
- */
 /** Arrival time and request id of one queued arrival (FIFO entries of
  *  the tick loops; the id attributes flight-recorder lifecycle events
  *  to the engine-assigned request). */
@@ -259,6 +198,115 @@ struct QueuedArrival
     double notBeforeSec = 0.0;
 };
 
+/**
+ * Per-request completion bookkeeping shared by the two tick loops: the
+ * run's latency and queue-delay samples, the deadline tally, the
+ * resilience latency EWMA, the exec-start/completion flight events and
+ * the latency histogram.
+ */
+struct Completions
+{
+    ResilienceManager *resil;
+    obs::FlightRecorder *flight;
+    std::vector<double> latenciesSec;
+    std::vector<double> queueDelaysSec;
+    /** Served requests that met their own lane's deadline. */
+    std::size_t met = 0;
+
+    Completions(ResilienceManager *r, obs::FlightRecorder *f)
+        : resil(r), flight(f)
+    {}
+
+    /**
+     * Record @p req, whose batch started executing at @p exec_start on
+     * @p device / @p stream and which completed at @p done_at. @p hop,
+     * when set, is a flight event between exec-start and completion
+     * (the sharded all-gather). Returns the latency in seconds.
+     */
+    double
+    complete(const QueuedArrival &req, double exec_start, double done_at,
+             double deadline_ms, int device, int stream,
+             const obs::FlightEvent *hop = nullptr)
+    {
+        const double lat = done_at - req.arrivalSec;
+        latenciesSec.push_back(lat);
+        queueDelaysSec.push_back(
+            std::max(0.0, exec_start - req.arrivalSec));
+        if (metDeadline(lat, deadline_ms))
+            ++met;
+        if (resil)
+            resil->observeLatency(lat);
+        if (flight) {
+            flight->event(req.id, "exec-start", exec_start, device,
+                          "stream=" + std::to_string(stream));
+            if (hop)
+                flight->event(req.id, hop->what, hop->tSec, hop->device,
+                              hop->detail);
+            flight->event(req.id, "completion", done_at, device,
+                          "latency_ms=" + obs::jsonNum(lat * 1e3));
+        }
+        if (obs::enabled())
+            obs::metrics().histogram("online.latency_ms").observe(lat * 1e3);
+        return lat;
+    }
+};
+
+/**
+ * Shared finalization tail of the two tick loops: rate and batch-size
+ * metrics, the per-request latency statistics via fillLatencyStats (so
+ * the drain and online paths cannot drift), and the shedding
+ * statistics. With @p judged (some lane has a deadline), attainment is
+ * c.met over the served requests; admittedSloAttainment keeps that,
+ * while sloAttainment counts shed arrivals as misses (denominator =
+ * offered), which reduces to the admitted value whenever nothing was
+ * shed.
+ */
+void
+finalizeOnlineReport(OnlineReport &rep, double last_completion_sec,
+                     const Completions &c, bool judged, std::size_t shed,
+                     std::size_t failed)
+{
+    const std::size_t served = c.latenciesSec.size();
+    rep.requests = served;
+    rep.batches = rep.ticks;
+    rep.makespanMs = last_completion_sec * 1e3;
+    rep.throughputReqPerSec =
+        last_completion_sec > 0.0
+            ? static_cast<double>(served) / last_completion_sec
+            : 0.0;
+    rep.msPerRequest =
+        served ? rep.makespanMs / static_cast<double>(served) : 0.0;
+    rep.meanBatchSize =
+        rep.ticks ? static_cast<double>(served) /
+                        static_cast<double>(rep.ticks)
+                  : 0.0;
+    fillLatencyStats(rep, c.latenciesSec, c.queueDelaysSec, 0.0);
+    if (judged && served > 0)
+        rep.sloAttainment =
+            static_cast<double>(c.met) / static_cast<double>(served);
+
+    rep.requestsShed = shed;
+    rep.admittedSloAttainment = rep.sloAttainment;
+    // Resilience-failed requests (timeouts, exhausted retries) were
+    // admitted, so they stay out of shedFraction but count as misses
+    // in the offered-denominator sloAttainment, exactly like sheds.
+    const std::size_t offered = served + shed + failed;
+    rep.shedFraction =
+        offered > 0
+            ? static_cast<double>(shed) / static_cast<double>(offered)
+            : 0.0;
+    if ((shed > 0 || failed > 0) && judged)
+        rep.sloAttainment =
+            static_cast<double>(c.met) / static_cast<double>(offered);
+}
+
+/**
+ * Single-device open-loop clocks of the lane loop: one host thread
+ * admits arrivals and issues launches (hostFree), each stream runs one
+ * batch at a time (streamFree), and the serialized fraction of every
+ * kernel occupies a device-wide shared resource (contendFree) —
+ * Runtime::makespanSec's overlap rule, applied per batch.
+ */
 struct OpenLoopClock
 {
     std::vector<double> streamFree;
@@ -402,7 +450,7 @@ OnlineServer::OnlineServer(const graph::HeteroGraph &g,
                            tensor::Tensor host_features,
                            std::string model_source, OnlineConfig cfg,
                            sim::Runtime &rt)
-    : cfg_(cfg), rt_(&rt),
+    : cfg_(cfg),
       session_(std::make_unique<ServingSession>(
           g, std::move(host_features), std::move(model_source),
           cfg.serving, rt)),
@@ -530,324 +578,84 @@ OnlineServer::buildPolicy(PolicySetup setup) const
 OnlineReport
 OnlineServer::run()
 {
-    if (engine_)
-        return runMulti();
-    return sharded_ ? runSharded() : runSingle();
-}
-
-OnlineReport
-OnlineServer::runSingle()
-{
-    OnlineReport rep;
-    rep.offeredRatePerSec = cfg_.arrivalRatePerSec;
-    rep.deadlineMs = cfg_.serving.deadlineMs;
     latenciesMs_.clear();
     queueDelaysMs_.clear();
     batchSizes_.clear();
+    return sharded_ ? runSharded() : runLanes();
+}
 
-    PolicySetup setup;
-    setup.lanes.push_back(laneSpecFrom("default", cfg_.serving, cfg_));
-    setup.sharedBatcher = &batcher_;
-    const std::unique_ptr<SchedulerPolicy> policy =
-        buildPolicy(std::move(setup));
-    rep.policy = policy->name();
-    const std::size_t total_requests = cfg_.arrivalTrace.empty()
-                                           ? cfg_.numRequests
-                                           : cfg_.arrivalTrace.size();
-    if (total_requests == 0)
-        return rep;
-
-    LoadGenerator gen =
-        cfg_.arrivalTrace.empty()
-            ? LoadGenerator(cfg_.arrivalRatePerSec, cfg_.numRequests,
-                            cfg_.arrivalSeed, cfg_.serving.mmpp,
-                            cfg_.serving.diurnal)
-            : LoadGenerator(cfg_.arrivalTrace);
-
-    std::unique_ptr<ResilienceManager> resil;
-    if (cfg_.serving.resilience.enabled) {
-        resil = std::make_unique<ResilienceManager>(
-            cfg_.serving.resilience, 1);
-        resil->setFlightRecorder(flight_);
-    }
-    const double deadline_sec = cfg_.serving.deadlineMs * 1e-3;
-
-    const int num_streams = std::max(1, cfg_.serving.numStreams);
-    const double serial_frac = rt_->spec().streamSerialFraction;
-
-    // Open-loop timeline, per-batch application of the runtime's
-    // overlap rule (OpenLoopClock — shared with the multi-tenant
-    // loop).
-    OpenLoopClock clock(num_streams, serial_frac);
-
-    /** Arrival time and id of each queued request, FIFO like the
-     *  session. */
-    std::deque<QueuedArrival> queued_arrivals;
-
-    const std::uint64_t launches_before = rt_->counters().total().launches;
-    std::size_t shed_total = 0;
-    std::size_t failed_total = 0;
-
-    // Admit (or shed) every arrival the host clock has passed; each
-    // admitted request pays its modeled host-to-device transfer on the
-    // serialized host clock, while shed arrivals never sample, never
-    // transfer, and never touch a queue.
-    auto admit = [&]() {
-        while (!gen.done() && gen.peekSec() <= clock.hostFree) {
-            const double arr = gen.next();
-            rep.lastArrivalMs = arr * 1e3;
-            LaneView view;
-            view.queueDepth = queued_arrivals.size();
-            view.headArrivalSec = queued_arrivals.empty()
-                                      ? arr
-                                      : queued_arrivals.front().arrivalSec;
-            view.moreArrivals = !gen.done();
-            const AdmitDecision dec =
-                policy->admit(0, view, arr, clock.hostFree);
-            if (!dec.admit) {
-                ++shed_total;
-                recordShed(flight_, session_->reserveId(), arr,
-                           rt_->deviceId(), dec.reason, std::string());
-                if (resil)
-                    resil->noteFailure(0, clock.hostFree, "shed");
-                continue;
-            }
-            if (resil)
-                resil->noteAdmit(0);
-            const double host_before = rt_->hostTimeMs() * 1e-3;
-            const std::uint64_t id = session_->submit();
-            const double transfer = rt_->hostTimeMs() * 1e-3 - host_before;
-            clock.hostFree = std::max(clock.hostFree, arr) + transfer;
-            if (flight_) {
-                flight_->event(id, "arrival", arr, rt_->deviceId());
-                flight_->event(id, "admission", clock.hostFree,
-                               rt_->deviceId(),
-                               "transfer_ms=" +
-                                   obs::jsonNum(transfer * 1e3));
-            }
-            queued_arrivals.push_back(QueuedArrival{arr, id});
-            rep.peakLaneQueueDepth = std::max(rep.peakLaneQueueDepth,
-                                              queued_arrivals.size());
-        }
-    };
-
-    std::size_t served = 0;
-    double last_completion = 0.0;
-    std::vector<double> latencies_sec;
-    std::vector<double> queue_delays_sec;
-    latencies_sec.reserve(total_requests);
-    queue_delays_sec.reserve(total_requests);
-
-    // Timeout cancellation: fail the queue head fast while its
-    // remaining deadline budget cannot cover the policy's calibrated
-    // service estimate. Read-only unless it fires, so a run where no
-    // deadline ever expires keeps the pre-resilience timeline.
-    auto failfast = [&]() {
-        if (!resil || deadline_sec <= 0.0)
-            return;
-        while (!queued_arrivals.empty()) {
-            const QueuedArrival head = queued_arrivals.front();
-            const double est = policy->estimateServiceSec(0, 1);
-            if (!resil->deadlineExpired(head.arrivalSec, deadline_sec,
-                                        clock.hostFree, est))
-                break;
-            session_->dropOldest(1);
-            queued_arrivals.pop_front();
-            resil->recordTimeout(head.id, 0, rt_->deviceId(),
-                                 head.arrivalSec, clock.hostFree);
-            ++failed_total;
-        }
-    };
-
-    while (served + shed_total + failed_total < total_requests) {
-        admit();
-        failfast();
-        if (queued_arrivals.empty()) {
-            if (gen.done())
-                break; // everything remaining was shed
-            // Idle: jump the host clock to the next arrival.
-            clock.hostFree = std::max(clock.hostFree, gen.peekSec());
-            rt_->advanceTo(clock.hostFree);
-            continue;
-        }
-
-        const std::size_t depth = queued_arrivals.size();
-        rep.peakQueueDepth = std::max(rep.peakQueueDepth, depth);
-        rep.peakLaneQueueDepth =
-            std::max(rep.peakLaneQueueDepth, depth);
-
-        if (resil) {
-            resil->tickBrownout(depth, cfg_.serving.maxQueueDepth,
-                                clock.hostFree);
-            session_->engine().setDuplicationScale(
-                resil->duplicationScale());
-        }
-
-        std::vector<LaneView> views(1);
-        views[0].queueDepth = depth;
-        views[0].headArrivalSec = queued_arrivals.front().arrivalSec;
-        views[0].moreArrivals = !gen.done();
-        views[0].blocked = resil && resil->blocked(0, clock.hostFree);
-        int lane = policy->pickLane(views);
-        if (lane < 0) {
-            if (!gen.done()) {
-                // Wait (e.g. wait-to-fill still filling, or an open
-                // breaker): jump the host clock to the next arrival.
-                clock.hostFree = std::max(clock.hostFree, gen.peekSec());
-                rt_->advanceTo(clock.hostFree);
-                continue;
-            }
-            lane = oldestLane(views); // forced progress (breaker probe)
-        }
-
-        std::size_t batch = policy->pickBatch(0, views[0]);
-        batch = std::max<std::size_t>(1, std::min(batch, depth));
-
-        if (!cfg_.retainResults)
-            session_->clearResults();
-
-        // Hedge: the head request has waited past the EWMA-derived
-        // delay, so a backup copy runs on a second stream; the first
-        // completion wins. The primary result stays authoritative
-        // (hedgeOldest stores nothing), so outputs are bit-identical
-        // to the unhedged run by construction.
-        const int s = clock.pickStream();
-        const QueuedArrival head = queued_arrivals.front();
-        bool hedged = false;
-        BatchCost hedge_cost;
-        int hs = -1;
-        if (resil && resil->hedgeReady() && num_streams > 1) {
-            const double waited = clock.hostFree - head.arrivalSec;
-            if (waited > resil->hedgeDelaySec()) {
-                hs = s == 0 ? 1 : 0;
-                for (int i = 0; i < num_streams; ++i)
-                    if (i != s &&
-                        clock.streamFree[static_cast<std::size_t>(i)] <
-                            clock.streamFree[static_cast<std::size_t>(
-                                hs)])
-                        hs = i;
-                hedge_cost = session_->hedgeOldest(hs);
-                hedged = hedge_cost.requests > 0;
-                if (hedged)
-                    resil->recordHedge(head.id, 0, rt_->deviceId(),
-                                       clock.hostFree, waited);
-            }
-        }
-
-        const BatchCost cost = session_->serveOldest(batch, s);
-        const OpenLoopClock::Issued t = clock.issue(cost, s);
-        double head_done = t.done;
-        if (hedged) {
-            const OpenLoopClock::Issued th =
-                clock.issue(hedge_cost, hs);
-            const bool hedge_won = th.done < t.done;
-            head_done = std::min(t.done, th.done);
-            resil->recordHedgeOutcome(head.id, rt_->deviceId(),
-                                      head_done, hedge_won);
-            last_completion = std::max(last_completion, th.done);
-        }
-        rt_->advanceTo(std::max(t.done, last_completion));
-
-        if (obs::enabled())
-            obs::tracer().complete(
-                "tick", "online", t.execStart, cost.execSec,
-                rt_->deviceId(), s,
-                "\"batch\":" + std::to_string(batch));
-
-        policy->observe(0, cost);
-        batchSizes_.push_back(batch);
-        ++rep.ticks;
-
-        for (std::size_t i = 0; i < batch; ++i) {
-            const QueuedArrival req = queued_arrivals.front();
-            queued_arrivals.pop_front();
-            const double done_at = i == 0 ? head_done : t.done;
-            const double lat = done_at - req.arrivalSec;
-            const double delay =
-                std::max(0.0, t.execStart - req.arrivalSec);
-            latencies_sec.push_back(lat);
-            queue_delays_sec.push_back(delay);
-            latenciesMs_.push_back(lat * 1e3);
-            queueDelaysMs_.push_back(delay * 1e3);
-            if (resil)
-                resil->observeLatency(lat);
-            if (flight_) {
-                flight_->event(req.id, "exec-start", t.execStart,
-                               rt_->deviceId(),
-                               "stream=" + std::to_string(s));
-                flight_->event(req.id, "completion", done_at,
-                               rt_->deviceId(),
-                               "latency_ms=" + obs::jsonNum(lat * 1e3));
-            }
-            if (obs::enabled())
-                obs::metrics()
-                    .histogram("online.latency_ms")
-                    .observe(lat * 1e3);
-        }
-        served += batch;
-        if (resil)
-            resil->noteSuccess(0, t.done);
-        last_completion = std::max(last_completion, t.done);
-    }
-
-    finalizeOnlineReport(rep, served, last_completion, latencies_sec,
-                         queue_delays_sec, cfg_.serving.deadlineMs,
-                         shed_total, failed_total);
-    applyResilienceStats(rep, resil.get());
-
-    fillCacheStats(rep, session_->planCache().stats());
-    rep.launches = rt_->counters().total().launches - launches_before;
-    return rep;
+void
+OnlineServer::keepSamples(const std::vector<double> &latencies_sec,
+                          const std::vector<double> &queue_delays_sec)
+{
+    for (double l : latencies_sec)
+        latenciesMs_.push_back(l * 1e3);
+    for (double d : queue_delays_sec)
+        queueDelaysMs_.push_back(d * 1e3);
 }
 
 OnlineReport
-OnlineServer::runMulti()
+OnlineServer::runLanes()
 {
-    sim::Runtime &rt = engine_->runtime();
+    // Single-device mode is a one-lane run over its session's engine.
+    Engine &engine = engine_ ? *engine_ : session_->engine();
+    sim::Runtime &rt = engine.runtime();
     OnlineReport rep;
-    // Start from the base config's deadline like the other two paths
-    // (historically this was zeroed here, so an empty multi-tenant run
-    // reported deadlineMs = 0 even when one was configured); lanes
-    // with their own SLOs below can only raise it.
+    // Lanes with their own SLOs below can only raise the base deadline.
     rep.deadlineMs = cfg_.serving.deadlineMs;
-    latenciesMs_.clear();
-    queueDelaysMs_.clear();
-    batchSizes_.clear();
 
-    /** One open-loop arrival process + queue per variant (batch
-     *  sizing and lane ordering live in the SchedulerPolicy). */
+    /** One open-loop arrival process + queue per variant (batch sizing
+     *  and lane ordering live in the SchedulerPolicy). */
     struct Lane
     {
         int variant;
         std::string name;
+        double deadlineMs;
         LoadGenerator gen;
         std::deque<QueuedArrival> queued;
-        double deadlineSec;
         std::vector<double> latencies; ///< seconds, completion order
-        std::size_t met = 0;
         std::size_t shed = 0;
 
-        Lane(int v, const VariantLoad &load, const ServingConfig &cfg)
-            : variant(v), name(load.variant),
-              gen(load.ratePerSec, load.numRequests, load.arrivalSeed,
-                  cfg.mmpp, cfg.diurnal),
-              deadlineSec(cfg.deadlineMs * 1e-3)
+        Lane(int v, std::string n, double deadline_ms, LoadGenerator g)
+            : variant(v), name(std::move(n)), deadlineMs(deadline_ms),
+              gen(std::move(g))
         {}
     };
 
     std::vector<Lane> lanes;
-    lanes.reserve(cfg_.variants.size());
     PolicySetup setup;
-    setup.lanes.reserve(cfg_.variants.size());
     std::size_t total = 0;
-    for (const VariantLoad &load : cfg_.variants) {
-        const int v = engine_->variantIndex(load.variant);
-        const ServingConfig &vcfg = engine_->variantConfig(v);
-        lanes.emplace_back(v, load, vcfg);
-        setup.lanes.push_back(laneSpecFrom(load.variant, vcfg, cfg_));
-        rep.offeredRatePerSec += load.ratePerSec;
+    bool judged = false; // some lane with arrivals has a deadline
+    auto add_lane = [&](int v, double rate, LoadGenerator gen) {
+        const ServingConfig &vcfg = engine.variantConfig(v);
+        const std::string &name = engine.variantName(v);
+        setup.lanes.push_back(laneSpecFrom(name, vcfg, cfg_));
+        rep.offeredRatePerSec += rate;
         rep.deadlineMs = std::max(rep.deadlineMs, vcfg.deadlineMs);
-        total += load.numRequests;
+        total += gen.remaining();
+        judged = judged || (vcfg.deadlineMs > 0.0 && !gen.done());
+        lanes.emplace_back(v, name, vcfg.deadlineMs, std::move(gen));
+    };
+    if (session_) {
+        // Fed from the run's own arrival knobs, or its recorded trace;
+        // the lane shares the server's batcher, which batcher() reports.
+        const ServingConfig &scfg = cfg_.serving;
+        add_lane(0, cfg_.arrivalRatePerSec,
+                 cfg_.arrivalTrace.empty() && cfg_.numRequests > 0
+                     ? LoadGenerator(cfg_.arrivalRatePerSec,
+                                     cfg_.numRequests, cfg_.arrivalSeed,
+                                     scfg.mmpp, scfg.diurnal)
+                     : LoadGenerator(cfg_.arrivalTrace));
+        setup.sharedBatcher = &batcher_;
+    } else {
+        for (const VariantLoad &load : cfg_.variants) {
+            const int v = engine.variantIndex(load.variant);
+            const ServingConfig &vcfg = engine.variantConfig(v);
+            add_lane(v, load.ratePerSec,
+                     LoadGenerator(load.ratePerSec, load.numRequests,
+                                   load.arrivalSeed, vcfg.mmpp,
+                                   vcfg.diurnal));
+        }
     }
     const std::unique_ptr<SchedulerPolicy> policy =
         buildPolicy(std::move(setup));
@@ -865,23 +673,20 @@ OnlineServer::runMulti()
     for (const Lane &ln : lanes)
         brownout_bound =
             std::max(brownout_bound,
-                     engine_->variantConfig(ln.variant).maxQueueDepth);
+                     engine.variantConfig(ln.variant).maxQueueDepth);
 
-    const int num_streams = std::max(1, engine_->config().numStreams);
-    const double serial_frac = rt.spec().streamSerialFraction;
-
-    // The single-device overlap rule of runSingle, shared through
-    // OpenLoopClock and applied across lanes.
-    OpenLoopClock clock(num_streams, serial_frac);
+    const int num_streams = std::max(1, engine.config().numStreams);
+    OpenLoopClock clock(num_streams, rt.spec().streamSerialFraction);
 
     const std::uint64_t launches_before = rt.counters().total().launches;
     std::size_t shed_total = 0;
     std::size_t failed_total = 0;
-    bool any_deadline = false;
 
     // Admit (or shed) every arrival the host clock has passed, across
     // lanes in global time order; each admitted request pays its
-    // modeled transfer on the serialized host clock.
+    // modeled host-to-device transfer on the serialized host clock,
+    // while shed arrivals never sample, never transfer, and never
+    // touch a queue.
     auto admit = [&]() {
         while (true) {
             std::size_t next = lanes.size();
@@ -906,9 +711,7 @@ OnlineServer::runMulti()
             if (!dec.admit) {
                 ++ln.shed;
                 ++shed_total;
-                if (ln.deadlineSec > 0.0)
-                    any_deadline = true;
-                recordShed(flight_, engine_->reserveId(), arr,
+                recordShed(flight_, engine.reserveId(), arr,
                            rt.deviceId(), dec.reason, ln.name);
                 if (resil)
                     resil->noteFailure(next, clock.hostFree, "shed");
@@ -917,7 +720,7 @@ OnlineServer::runMulti()
             if (resil)
                 resil->noteAdmit(next);
             const double host_before = rt.hostTimeMs() * 1e-3;
-            const std::uint64_t id = engine_->submit(ln.variant);
+            const std::uint64_t id = engine.submit(ln.variant);
             const double transfer = rt.hostTimeMs() * 1e-3 - host_before;
             clock.hostFree = std::max(clock.hostFree, arr) + transfer;
             if (flight_) {
@@ -959,40 +762,40 @@ OnlineServer::runMulti()
         return views;
     };
 
-    // Timeout cancellation per lane (see runSingle's failfast).
+    // Timeout cancellation: fail a lane's queue head fast while its
+    // remaining deadline budget cannot cover the policy's calibrated
+    // service estimate. Read-only unless it fires, so a run where no
+    // deadline ever expires keeps the pre-resilience timeline.
     auto failfast = [&]() {
         if (!resil)
             return;
         for (std::size_t i = 0; i < lanes.size(); ++i) {
             Lane &ln = lanes[i];
-            if (ln.deadlineSec <= 0.0)
+            if (ln.deadlineMs <= 0.0)
                 continue;
             while (!ln.queued.empty()) {
                 const QueuedArrival head = ln.queued.front();
                 const double est = policy->estimateServiceSec(i, 1);
                 if (!resil->deadlineExpired(head.arrivalSec,
-                                            ln.deadlineSec,
+                                            ln.deadlineMs * 1e-3,
                                             clock.hostFree, est))
                     break;
-                engine_->dropOldest(ln.variant, 1);
+                engine.dropOldest(ln.variant, 1);
                 ln.queued.pop_front();
                 resil->recordTimeout(head.id, i, rt.deviceId(),
                                      head.arrivalSec, clock.hostFree);
                 ++failed_total;
-                any_deadline = true;
             }
         }
     };
 
-    std::size_t served = 0;
+    Completions served(resil.get(), flight_);
+    served.latenciesSec.reserve(total);
+    served.queueDelaysSec.reserve(total);
     double last_completion = 0.0;
-    std::vector<double> latencies_sec;
-    std::vector<double> queue_delays_sec;
-    latencies_sec.reserve(total);
-    queue_delays_sec.reserve(total);
-    std::size_t met = 0;
 
-    while (served + shed_total + failed_total < total) {
+    while (served.latenciesSec.size() + shed_total + failed_total <
+           total) {
         admit();
         failfast();
         const std::vector<LaneView> views = lane_views();
@@ -1000,23 +803,22 @@ OnlineServer::runMulti()
         if (li < 0) {
             const double na = next_arrival();
             if (std::isfinite(na)) {
-                // Idle (or wait-to-fill still filling): jump the host
-                // clock to the next arrival.
+                // Idle, wait-to-fill still filling, or an open breaker:
+                // jump the host clock to the next arrival.
                 clock.hostFree = std::max(clock.hostFree, na);
                 rt.advanceTo(clock.hostFree);
                 continue;
             }
-            li = oldestLane(views); // forced progress
+            li = oldestLane(views); // forced progress (breaker probe)
             if (li < 0)
                 break; // nothing queued, nothing arriving
         }
-        Lane *lane = &lanes[static_cast<std::size_t>(li)];
+        const std::size_t lane_idx = static_cast<std::size_t>(li);
+        Lane &lane = lanes[lane_idx];
 
-        const std::size_t depth = lane->queued.size();
-        rep.peakQueueDepth =
-            std::max(rep.peakQueueDepth, engine_->queued());
-        rep.peakLaneQueueDepth =
-            std::max(rep.peakLaneQueueDepth, depth);
+        const std::size_t depth = lane.queued.size();
+        rep.peakQueueDepth = std::max(rep.peakQueueDepth, engine.queued());
+        rep.peakLaneQueueDepth = std::max(rep.peakLaneQueueDepth, depth);
 
         if (resil) {
             std::size_t max_depth = 0;
@@ -1024,20 +826,22 @@ OnlineServer::runMulti()
                 max_depth = std::max(max_depth, ln.queued.size());
             resil->tickBrownout(max_depth, brownout_bound,
                                 clock.hostFree);
-            engine_->setDuplicationScale(resil->duplicationScale());
+            engine.setDuplicationScale(resil->duplicationScale());
         }
 
-        std::size_t batch = policy->pickBatch(
-            static_cast<std::size_t>(li),
-            views[static_cast<std::size_t>(li)]);
+        std::size_t batch = policy->pickBatch(lane_idx, views[lane_idx]);
         batch = std::max<std::size_t>(1, std::min(batch, depth));
 
         if (!cfg_.retainResults)
-            engine_->clearResults();
+            engine.clearResults();
 
-        // Hedge the head on a second stream (see runSingle).
+        // Hedge: the head request has waited past the EWMA-derived
+        // delay, so a backup copy runs on a second stream; the first
+        // completion wins. The primary result stays authoritative
+        // (hedgeOldest stores nothing), so outputs are bit-identical
+        // to the unhedged run by construction.
         const int s = clock.pickStream();
-        const QueuedArrival head = lane->queued.front();
+        const QueuedArrival head = lane.queued.front();
         bool hedged = false;
         BatchCost hedge_cost;
         int hs = -1;
@@ -1051,18 +855,15 @@ OnlineServer::runMulti()
                             clock.streamFree[static_cast<std::size_t>(
                                 hs)])
                         hs = i;
-                hedge_cost = engine_->hedgeOldest(lane->variant, hs);
+                hedge_cost = engine.hedgeOldest(lane.variant, hs);
                 hedged = hedge_cost.requests > 0;
                 if (hedged)
-                    resil->recordHedge(head.id,
-                                       static_cast<std::size_t>(li),
-                                       rt.deviceId(), clock.hostFree,
-                                       waited);
+                    resil->recordHedge(head.id, lane_idx, rt.deviceId(),
+                                       clock.hostFree, waited);
             }
         }
 
-        const BatchCost cost =
-            engine_->serveOldest(lane->variant, batch, s);
+        const BatchCost cost = engine.serveOldest(lane.variant, batch, s);
         const OpenLoopClock::Issued t = clock.issue(cost, s);
         double head_done = t.done;
         if (hedged) {
@@ -1078,85 +879,42 @@ OnlineServer::runMulti()
 
         if (obs::enabled())
             obs::tracer().complete(
-                "tick/" + lane->name, "online", t.execStart,
+                "tick/" + lane.name, "online", t.execStart,
                 cost.execSec, rt.deviceId(), s,
                 "\"batch\":" + std::to_string(batch));
 
-        policy->observe(static_cast<std::size_t>(li), cost);
+        policy->observe(lane_idx, cost);
         batchSizes_.push_back(batch);
         ++rep.ticks;
 
-        if (lane->deadlineSec > 0.0)
-            any_deadline = true;
         for (std::size_t i = 0; i < batch; ++i) {
-            const QueuedArrival req = lane->queued.front();
-            lane->queued.pop_front();
-            const double done_at = i == 0 ? head_done : t.done;
-            const double lat = done_at - req.arrivalSec;
-            const double delay =
-                std::max(0.0, t.execStart - req.arrivalSec);
-            latencies_sec.push_back(lat);
-            queue_delays_sec.push_back(delay);
-            latenciesMs_.push_back(lat * 1e3);
-            queueDelaysMs_.push_back(delay * 1e3);
-            lane->latencies.push_back(lat);
-            if (lane->deadlineSec <= 0.0 || lat <= lane->deadlineSec)
-                ++lane->met;
-            if (resil)
-                resil->observeLatency(lat);
-            if (flight_) {
-                flight_->event(req.id, "exec-start", t.execStart,
-                               rt.deviceId(),
-                               "stream=" + std::to_string(s));
-                flight_->event(req.id, "completion", done_at,
-                               rt.deviceId(),
-                               "latency_ms=" + obs::jsonNum(lat * 1e3));
-            }
-            if (obs::enabled())
-                obs::metrics()
-                    .histogram("online.latency_ms")
-                    .observe(lat * 1e3);
+            lane.latencies.push_back(served.complete(
+                lane.queued.front(), t.execStart,
+                i == 0 ? head_done : t.done, lane.deadlineMs,
+                rt.deviceId(), s));
+            lane.queued.pop_front();
         }
-        served += batch;
         if (resil)
-            resil->noteSuccess(static_cast<std::size_t>(li), t.done);
+            resil->noteSuccess(lane_idx, t.done);
         last_completion = std::max(last_completion, t.done);
     }
 
-    // Percentiles/means via the shared tail; attainment judges each
-    // request against its own variant's deadline, so the overall
-    // numbers are recomputed from the per-lane tallies below.
-    finalizeOnlineReport(rep, served, last_completion, latencies_sec,
-                         queue_delays_sec, 0.0, shed_total,
+    // Each request was judged against its own lane's deadline.
+    finalizeOnlineReport(rep, last_completion, served, judged, shed_total,
                          failed_total);
     applyResilienceStats(rep, resil.get());
-    if (any_deadline && !latencies_sec.empty()) {
-        met = 0;
-        for (const Lane &ln : lanes)
-            met += ln.met;
-        rep.sloAttainment = static_cast<double>(met) /
-                            static_cast<double>(latencies_sec.size());
-    }
-    rep.admittedSloAttainment = rep.sloAttainment;
-    if ((shed_total > 0 || failed_total > 0) && any_deadline) {
-        std::size_t met_total = 0;
-        for (const Lane &ln : lanes)
-            met_total += ln.met;
-        rep.sloAttainment =
-            static_cast<double>(met_total) /
-            static_cast<double>(served + shed_total + failed_total);
-    }
+    keepSamples(served.latenciesSec, served.queueDelaysSec);
 
     for (Lane &ln : lanes) {
         if (ln.latencies.empty() && ln.shed == 0)
             continue;
-        VariantReport vr = makeVariantReport(ln.name, ln.latencies,
-                                             ln.deadlineSec * 1e3);
+        VariantReport vr =
+            makeVariantReport(ln.name, ln.latencies, ln.deadlineMs);
         vr.requestsShed = ln.shed;
         rep.perVariant.push_back(std::move(vr));
     }
 
-    fillCacheStats(rep, engine_->planCache().stats());
+    fillCacheStats(rep, engine.planCache().stats());
     rep.launches = rt.counters().total().launches - launches_before;
     return rep;
 }
@@ -1168,9 +926,6 @@ OnlineServer::runSharded()
     rep.offeredRatePerSec = cfg_.arrivalRatePerSec;
     rep.deadlineMs = cfg_.serving.deadlineMs;
     rep.devices = group_->size();
-    latenciesMs_.clear();
-    queueDelaysMs_.clear();
-    batchSizes_.clear();
 
     const int devices = group_->size();
 
@@ -1218,7 +973,7 @@ OnlineServer::runSharded()
     // issues launches (issue_free), each stream runs one batch at a
     // time (stream_free), and the device's contention floor gates
     // overlapped execution (contend_free) — the same per-batch overlap
-    // rule as the single-device loop, instantiated per device.
+    // rule as the lane loop, instantiated per device.
     std::vector<std::vector<double>> stream_free(
         static_cast<std::size_t>(devices),
         std::vector<double>(static_cast<std::size_t>(num_streams), 0.0));
@@ -1240,7 +995,7 @@ OnlineServer::runSharded()
     std::size_t failed_total = 0;
 
     // Admit (or shed) arrivals the simulation has reached. Unlike the
-    // single-device loop — whose one host thread both admits and
+    // lane loop — whose one host thread both admits and
     // issues, so admission stalls behind issue overheads — the group's
     // admission thread is free while devices execute: anything that
     // arrived by the group clock (advanced to each batch completion)
@@ -1367,7 +1122,7 @@ OnlineServer::runSharded()
         return views;
     };
 
-    // Timeout cancellation per device lane (see runSingle's failfast).
+    // Timeout cancellation per device lane (see runLanes' failfast).
     auto failfast = [&]() {
         if (!resil || deadline_sec <= 0.0)
             return;
@@ -1410,14 +1165,68 @@ OnlineServer::runSharded()
                                     : std::vector<char>{});
     };
 
-    std::size_t served = 0;
-    double last_completion = 0.0;
-    std::vector<double> latencies_sec;
-    std::vector<double> queue_delays_sec;
-    latencies_sec.reserve(cfg_.numRequests);
-    queue_delays_sec.reserve(cfg_.numRequests);
+    /** Least-loaded stream of @p dev (ties to the lower id). */
+    auto pick_stream = [&](int dev) {
+        const auto &streams = stream_free[static_cast<std::size_t>(dev)];
+        int s = 0;
+        for (int i = 1; i < num_streams; ++i)
+            if (streams[static_cast<std::size_t>(i)] <
+                streams[static_cast<std::size_t>(s)])
+                s = i;
+        return s;
+    };
 
-    while (served + shed_total + failed_total < total_requests) {
+    /** Clock points of one batch issued on a device. */
+    struct DeviceTimes
+    {
+        double issueDone, commDone, execStart, execDone, done;
+    };
+    // One batch through @p dev's clocks: its driver thread issues the
+    // launches, the halo becomes resident, the stream and the
+    // contention floor free up, and the outputs gather onto @p root.
+    auto issue_on = [&](int dev, int stream, const ShardBatch &b,
+                        int root) {
+        const std::size_t di = static_cast<std::size_t>(dev);
+        DeviceTimes t;
+        t.issueDone =
+            std::max(issue_free[di], host_free) + b.cost.overheadSec;
+        issue_free[di] = t.issueDone;
+        // Halo rows must be resident before the batch's kernels start;
+        // rows owned by failed shards re-gather from the host store
+        // over this device's PCIe lanes instead of the interconnect.
+        t.commDone = t.issueDone;
+        for (const auto &[owner, bytes] : b.haloBytesByOwner) {
+            t.commDone = std::max(t.commDone,
+                                  group_->interconnect().transfer(
+                                      owner, dev, bytes, t.issueDone));
+            rep.haloBytes += bytes;
+        }
+        if (b.hostFallbackBytes > 0.0) {
+            sim::Runtime &drt = group_->device(dev);
+            const double ht =
+                graph::hostTransferSec(b.hostFallbackBytes, drt.spec());
+            drt.hostOverhead(ht);
+            t.commDone = std::max(t.commDone, t.issueDone + ht);
+        }
+        double &stream_at = stream_free[di][static_cast<std::size_t>(stream)];
+        t.execStart =
+            std::max(t.commDone, std::max(stream_at, contend_free[di]));
+        t.execDone = t.execStart + b.cost.execSec;
+        stream_at = t.execDone;
+        contend_free[di] = t.execStart + serial_frac * b.cost.execSec;
+        t.done = dev != root ? group_->interconnect().transfer(
+                                   dev, root, b.gatherBytes, t.execDone)
+                             : t.execDone;
+        return t;
+    };
+
+    Completions served(resil.get(), flight_);
+    served.latenciesSec.reserve(total_requests);
+    served.queueDelaysSec.reserve(total_requests);
+    double last_completion = 0.0;
+
+    while (served.latenciesSec.size() + shed_total + failed_total <
+           total_requests) {
         admit();
         check_failures();
         update_route_avoid();
@@ -1483,12 +1292,7 @@ OnlineServer::runSharded()
         if (!cfg_.retainResults)
             sharded_->clearResults();
 
-        auto &streams = stream_free[static_cast<std::size_t>(d)];
-        int s = 0;
-        for (int i = 1; i < num_streams; ++i)
-            if (streams[static_cast<std::size_t>(i)] <
-                streams[static_cast<std::size_t>(s)])
-                s = i;
+        const int s = pick_stream(d);
 
         // Hedge: re-issue the waiting head on a second alive device
         // before serving the primary batch; the first completion wins
@@ -1518,14 +1322,7 @@ OnlineServer::runSharded()
                         hedge_dev = dd;
                 }
                 if (hedge_dev >= 0) {
-                    auto &hstreams =
-                        stream_free[static_cast<std::size_t>(
-                            hedge_dev)];
-                    for (int i = 1; i < num_streams; ++i)
-                        if (hstreams[static_cast<std::size_t>(i)] <
-                            hstreams[static_cast<std::size_t>(
-                                hedge_stream)])
-                            hedge_stream = i;
+                    hedge_stream = pick_stream(hedge_dev);
                     hb = sharded_->hedgeOldestOn(d, hedge_dev,
                                                  hedge_stream);
                     hedged = hb.cost.requests > 0;
@@ -1537,106 +1334,33 @@ OnlineServer::runSharded()
             }
         }
 
-        const ShardBatch sb = sharded_->serveOldestOn(d, batch, s);
-        const double issue_start =
-            std::max(issue_free[static_cast<std::size_t>(d)], host_free);
-        const double issue_done = issue_start + sb.cost.overheadSec;
-        issue_free[static_cast<std::size_t>(d)] = issue_done;
-
-        // Halo rows must be resident before the batch's kernels start;
-        // rows owned by failed shards re-gather from the host store
-        // over this device's PCIe lanes instead of the interconnect.
-        double comm_done = issue_done;
-        for (const auto &[owner, bytes] : sb.haloBytesByOwner) {
-            comm_done = std::max(comm_done,
-                                 group_->interconnect().transfer(
-                                     owner, d, bytes, issue_done));
-            rep.haloBytes += bytes;
-        }
-        if (sb.hostFallbackBytes > 0.0) {
-            sim::Runtime &frt = group_->device(d);
-            const double t = graph::hostTransferSec(
-                sb.hostFallbackBytes, frt.spec());
-            frt.hostOverhead(t);
-            comm_done = std::max(comm_done, issue_done + t);
-        }
-
-        const double exec_start = std::max(
-            comm_done,
-            std::max(streams[static_cast<std::size_t>(s)],
-                     contend_free[static_cast<std::size_t>(d)]));
-        const double exec_done = exec_start + sb.cost.execSec;
-        streams[static_cast<std::size_t>(s)] = exec_done;
-        contend_free[static_cast<std::size_t>(d)] =
-            exec_start + serial_frac * sb.cost.execSec;
-
-        // All-gather the batch's outputs onto the root (device 0
-        // unless it has been quarantined, then the lowest survivor).
+        // All-gather onto the root: device 0 unless it has been
+        // quarantined, then the lowest survivor.
         int root = 0;
         while (root < devices && sharded_->isDead(root))
             ++root;
         if (root >= devices)
             root = d;
-        const double done =
-            d != root ? group_->interconnect().transfer(
-                            d, root, sb.gatherBytes, exec_done)
-                      : exec_done;
+        const ShardBatch sb = sharded_->serveOldestOn(d, batch, s);
+        const DeviceTimes t = issue_on(d, s, sb, root);
+        const double done = t.done;
 
         // The hedge copy runs through the SAME per-device clock
-        // machinery on its backup device: issue, halo, contention,
-        // gather to the root. First completion wins the race.
+        // machinery on its backup device. First completion wins.
         double head_done = done;
         if (hedged) {
-            const std::size_t hd =
-                static_cast<std::size_t>(hedge_dev);
-            auto &hstreams = stream_free[hd];
-            const double h_issue_start =
-                std::max(issue_free[hd], host_free);
-            const double h_issue_done =
-                h_issue_start + hb.cost.overheadSec;
-            issue_free[hd] = h_issue_done;
-            double h_comm_done = h_issue_done;
-            for (const auto &[owner, bytes] : hb.haloBytesByOwner) {
-                h_comm_done =
-                    std::max(h_comm_done,
-                             group_->interconnect().transfer(
-                                 owner, hedge_dev, bytes,
-                                 h_issue_done));
-                rep.haloBytes += bytes;
-            }
-            if (hb.hostFallbackBytes > 0.0) {
-                sim::Runtime &hrt = group_->device(hedge_dev);
-                const double ht = graph::hostTransferSec(
-                    hb.hostFallbackBytes, hrt.spec());
-                hrt.hostOverhead(ht);
-                h_comm_done = std::max(h_comm_done, h_issue_done + ht);
-            }
-            const double h_exec_start = std::max(
-                h_comm_done,
-                std::max(hstreams[static_cast<std::size_t>(
-                             hedge_stream)],
-                         contend_free[hd]));
-            const double h_exec_done = h_exec_start + hb.cost.execSec;
-            hstreams[static_cast<std::size_t>(hedge_stream)] =
-                h_exec_done;
-            contend_free[hd] =
-                h_exec_start + serial_frac * hb.cost.execSec;
-            const double hedge_done =
-                hedge_dev != root
-                    ? group_->interconnect().transfer(
-                          hedge_dev, root, hb.gatherBytes,
-                          h_exec_done)
-                    : h_exec_done;
-            const bool hedge_won = hedge_done < done;
-            head_done = std::min(done, hedge_done);
+            const DeviceTimes th = issue_on(hedge_dev, hedge_stream, hb,
+                                            root);
+            const bool hedge_won = th.done < done;
+            head_done = std::min(done, th.done);
             resil->recordHedgeOutcome(head.id, hedge_dev, head_done,
                                       hedge_won);
             if (obs::enabled())
                 obs::tracer().complete(
-                    "tick/hedge", "online", h_exec_start,
+                    "tick/hedge", "online", th.execStart,
                     hb.cost.execSec, hedge_dev, hedge_stream,
                     "\"batch\":1");
-            last_completion = std::max(last_completion, hedge_done);
+            last_completion = std::max(last_completion, th.done);
         }
         group_->advanceTo(std::max(done, last_completion));
 
@@ -1647,16 +1371,16 @@ OnlineServer::runSharded()
             return b;
         }();
         if (obs::enabled()) {
-            if (comm_done > issue_done)
+            if (t.commDone > t.issueDone)
                 obs::tracer().complete(
-                    "halo", "comm", issue_done, comm_done - issue_done,
+                    "halo", "comm", t.issueDone, t.commDone - t.issueDone,
                     d, s, "\"bytes\":" + obs::jsonNum(halo_total));
             obs::tracer().complete(
-                "tick", "online", exec_start, sb.cost.execSec, d, s,
+                "tick", "online", t.execStart, sb.cost.execSec, d, s,
                 "\"batch\":" + std::to_string(batch));
             if (d != root)
                 obs::tracer().complete(
-                    "gather", "comm", exec_done, done - exec_done, d, s,
+                    "gather", "comm", t.execDone, done - t.execDone, d, s,
                     "\"bytes\":" + obs::jsonNum(sb.gatherBytes));
         }
 
@@ -1664,47 +1388,28 @@ OnlineServer::runSharded()
         batchSizes_.push_back(batch);
         ++rep.ticks;
 
+        obs::FlightEvent gather{"all-gather", done, d,
+                                "bytes=" + obs::jsonNum(sb.gatherBytes)};
         for (std::size_t i = 0; i < batch; ++i) {
-            const QueuedArrival req = q.front();
+            if (flight_ && t.commDone > t.issueDone)
+                flight_->event(q.front().id, "halo", t.commDone, d,
+                               "bytes=" + obs::jsonNum(halo_total));
+            served.complete(q.front(), t.execStart,
+                              i == 0 ? head_done : done,
+                              cfg_.serving.deadlineMs, d, s,
+                              d != root ? &gather : nullptr);
             q.pop_front();
-            const double done_at = i == 0 ? head_done : done;
-            const double lat = done_at - req.arrivalSec;
-            const double delay =
-                std::max(0.0, exec_start - req.arrivalSec);
-            latencies_sec.push_back(lat);
-            queue_delays_sec.push_back(delay);
-            latenciesMs_.push_back(lat * 1e3);
-            queueDelaysMs_.push_back(delay * 1e3);
-            if (resil)
-                resil->observeLatency(lat);
-            if (flight_) {
-                if (comm_done > issue_done)
-                    flight_->event(req.id, "halo", comm_done, d,
-                                   "bytes=" + obs::jsonNum(halo_total));
-                flight_->event(req.id, "exec-start", exec_start, d,
-                               "stream=" + std::to_string(s));
-                if (d != root)
-                    flight_->event(
-                        req.id, "all-gather", done, d,
-                        "bytes=" + obs::jsonNum(sb.gatherBytes));
-                flight_->event(req.id, "completion", done_at, d,
-                               "latency_ms=" + obs::jsonNum(lat * 1e3));
-            }
-            if (obs::enabled())
-                obs::metrics()
-                    .histogram("online.latency_ms")
-                    .observe(lat * 1e3);
         }
-        served += batch;
         if (resil)
             resil->noteSuccess(static_cast<std::size_t>(d), done);
         last_completion = std::max(last_completion, done);
     }
 
-    finalizeOnlineReport(rep, served, last_completion, latencies_sec,
-                         queue_delays_sec, cfg_.serving.deadlineMs,
-                         shed_total, failed_total);
+    finalizeOnlineReport(rep, last_completion, served,
+                         cfg_.serving.deadlineMs > 0.0, shed_total,
+                         failed_total);
     applyResilienceStats(rep, resil.get());
+    keepSamples(served.latenciesSec, served.queueDelaysSec);
 
     rep.interconnectMs =
         (group_->interconnect().totalBusySec() - ic_busy_before) * 1e3;

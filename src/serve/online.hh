@@ -16,10 +16,11 @@
  *    an optional two-state MMPP mode (ServingConfig::mmpp) modulates
  *    the rate between baseline and burst states for bursty traffic,
  *    drawn from the same seeded stream;
- *  - OnlineServer wraps a ServingSession and serves in timed ticks:
- *    arrivals are admitted as the host clock passes them (each paying
- *    its modeled host-to-device transfer), one micro-batch is issued
- *    per tick, and completions are gated on host serialization, stream
+ *  - OnlineServer serves an Engine in timed ticks, one lane per
+ *    variant (a ServingSession is the one-lane case): arrivals are
+ *    admitted as the host clock passes them (each paying its modeled
+ *    host-to-device transfer), one micro-batch is issued per tick, and
+ *    completions are gated on host serialization, stream
  *    availability, and the shared-resource serial fraction — the same
  *    overlap rule as sim::Runtime::makespanSec, applied per batch;
  *  - every batching / admission / lane-ordering decision is delegated
@@ -201,10 +202,11 @@ struct OnlineConfig
     graph::PartitionSpec partition;
     /**
      * Multi-tenant mode (the Engine constructor): one offered load per
-     * engine variant. arrivalRatePerSec / numRequests / arrivalSeed /
-     * serving above are ignored in that mode — every per-variant knob
-     * (deadline, maxBatch, sampling) comes from the variant's own
-     * ServingConfig in the engine registry.
+     * engine variant. arrivalRatePerSec / numRequests / arrivalSeed
+     * are ignored in that mode, and of `serving` only the resilience
+     * knobs and the reported deadline's floor are read — every
+     * per-variant knob (deadline, maxBatch, sampling) comes from the
+     * variant's own ServingConfig in the engine registry.
      */
     std::vector<VariantLoad> variants;
 };
@@ -279,13 +281,19 @@ struct OnlineReport : ServingReport
 };
 
 /**
- * Open-loop server: a LoadGenerator feeding a ServingSession in timed
- * ticks on the simulated clock.
+ * Open-loop server: LoadGenerators feeding an Engine (or a
+ * ShardedSession) in timed ticks on the simulated clock. The
+ * single-device and multi-tenant modes run one tick loop over lanes,
+ * one lane per served variant; the sharded mode has its own loop.
  */
 class OnlineServer
 {
   public:
-    /** Single simulated device (the PR 2 path). */
+    /**
+     * Single simulated device: a ServingSession served as one lane,
+     * "default", fed from cfg's arrival rate, count and seed (or its
+     * arrivalTrace). The lane's cost model is the server's batcher().
+     */
     OnlineServer(const graph::HeteroGraph &g, tensor::Tensor host_features,
                  std::string model_source, OnlineConfig cfg,
                  sim::Runtime &rt);
@@ -298,12 +306,12 @@ class OnlineServer
     /**
      * Multi-tenant: open-loop load over an externally built Engine
      * (variants already registered). Each cfg.variants entry drives
-     * one seeded Poisson arrival process; ticks interleave variants
-     * deadline-first (earliest head-of-line absolute deadline wins;
-     * variants without a deadline compete on arrival order), and each
-     * tick serves one same-variant micro-batch sized by that
-     * variant's own AdaptiveBatcher. Throws std::invalid_argument on
-     * an empty load list or an unregistered variant name.
+     * one lane with its own seeded arrival process and a per-lane
+     * AdaptiveBatcher; each tick serves one same-variant micro-batch
+     * from the lane the scheduling policy picks (cfg.policy: EDF for
+     * "adaptive", priority tiers and weighted-fair shares for "wfq").
+     * Throws std::invalid_argument on an empty load list, a duplicate
+     * or unregistered variant name, or a non-positive rate.
      */
     OnlineServer(Engine &engine, OnlineConfig cfg);
 
@@ -356,18 +364,20 @@ class OnlineServer
     }
 
   private:
-    OnlineReport runSingle();
+    /** The lane loop: single-device and multi-tenant modes. */
+    OnlineReport runLanes();
     OnlineReport runSharded();
-    OnlineReport runMulti();
+    /** Append a finished run's samples to the ms accessors above. */
+    void keepSamples(const std::vector<double> &latencies_sec,
+                     const std::vector<double> &queue_delays_sec);
 
     /** Resolve cfg_ (makePolicy > policy name > adaptive flag) into a
      *  policy instance over @p setup's lanes. */
     std::unique_ptr<SchedulerPolicy> buildPolicy(PolicySetup setup) const;
 
     OnlineConfig cfg_;
-    /** Exactly one of rt_/group_/engine_ (and the matching wrapped
-     *  object) is set. */
-    sim::Runtime *rt_ = nullptr;
+    /** Exactly one of session_ (single device), group_ + sharded_
+     *  (sharded) and engine_ (multi-tenant) is set. */
     sim::DeviceGroup *group_ = nullptr;
     Engine *engine_ = nullptr;
     std::unique_ptr<ServingSession> session_;

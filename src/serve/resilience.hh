@@ -84,7 +84,7 @@ struct ResilienceStats
  * OnlineServer::run() when ResilienceConfig::enabled; the tick loops
  * call into it at admission, scheduling, and completion points. All
  * event emission (flight recorder, tracer instants carrying
- * args.reason, metrics counters) funnels through here so the three
+ * args.reason, metrics counters) funnels through here so the two
  * loops cannot drift.
  */
 class ResilienceManager

@@ -165,7 +165,7 @@ namespace
  * Wait-to-fill fixed batching: a lane becomes eligible once its queue
  * reaches fixedBatch (or its arrivals ran out); eligible lanes are
  * ordered EDF exactly like the adaptive policy, so the two differ only
- * in batch sizing — the historical !adaptive behavior of all three
+ * in batch sizing — the historical !adaptive behavior of the online
  * tick loops, bit-identically.
  */
 class FixedFillPolicy : public SchedulerPolicy
@@ -212,7 +212,7 @@ class FixedFillPolicy : public SchedulerPolicy
  * without a deadline rank behind every deadline lane and compete on
  * arrival order; ties go to the lower lane index. Batch sizes come
  * from the lane's AdaptiveBatcher. The historical adaptive behavior
- * of all three tick loops, bit-identically.
+ * of the online tick loops, bit-identically.
  */
 class AdaptiveEdfPolicy : public SchedulerPolicy
 {

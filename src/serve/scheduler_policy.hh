@@ -156,10 +156,11 @@ struct PolicySetup
     std::vector<LaneSpec> lanes;
     /**
      * When set, every lane shares this externally owned cost model
-     * instead of per-lane owned batchers. The single and sharded
-     * modes pass the server's batcher here: sharded devices have
-     * always shared one EWMA state (the batcher() accessor reports
-     * it), and the refactor keeps those timelines bit-identical.
+     * instead of per-lane owned batchers. The single-device and
+     * sharded modes pass the server's batcher here, so the batcher()
+     * accessor reports the cost model the run fed: the sharded
+     * devices share one EWMA state, and the single-device lane keeps
+     * its EWMAs across run() calls. Multi-tenant lanes own theirs.
      */
     AdaptiveBatcher *sharedBatcher = nullptr;
 };

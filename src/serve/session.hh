@@ -59,47 +59,22 @@ class ServingSession
         return engine_.submit(0, std::move(mb), std::move(feature));
     }
 
-    /** Consume one request id without enqueuing (shed arrivals keep a
-     *  unique flight-recorder identity); see Engine::reserveId. */
-    std::uint64_t reserveId() { return engine_.reserveId(); }
-
     /** Serve every queued request; returns the cycle's metrics. */
     ServingReport drain() { return engine_.drain(); }
 
     /**
      * Serve the min(n, queued()) oldest queued requests as ONE
      * micro-batch issued to @p stream, retaining their results
-     * alongside any previous ones (use clearResults() to bound
+     * alongside any previous ones (engine().clearResults() bounds
      * memory). Unlike drain(), no timeline is imposed: the caller owns
-     * the clock, which is how the online serving layer gates batches
-     * on request arrivals and stream availability. Returns the batch's
-     * modeled cost (zeroed when the queue is empty).
+     * the clock. Returns the batch's modeled cost (zeroed when the
+     * queue is empty).
      */
     BatchCost
     serveOldest(std::size_t n, int stream = 0)
     {
         return engine_.serveOldest(0, n, stream);
     }
-
-    /** Fail-fast cancel the min(n, queued()) oldest queued requests
-     *  without serving them; returns the dropped ids in queue order.
-     *  See Engine::dropOldest. */
-    std::vector<std::uint64_t>
-    dropOldest(std::size_t n)
-    {
-        return engine_.dropOldest(0, n);
-    }
-
-    /** Re-issue the oldest queued request as a hedge batch-of-1 on
-     *  @p stream without popping it; see Engine::hedgeOldest. */
-    BatchCost
-    hedgeOldest(int stream = 0)
-    {
-        return engine_.hedgeOldest(0, stream);
-    }
-
-    /** Drop all retained request results (bounded-memory serving). */
-    void clearResults() { engine_.clearResults(); }
 
     /**
      * Output of a served request, [its subgraph nodes, dout]; nullptr

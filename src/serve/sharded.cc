@@ -188,24 +188,6 @@ ShardedSession::aliveCount() const
     return n;
 }
 
-bool
-ShardedSession::shouldDuplicate()
-{
-    const double f = cfg_.serving.duplicationFraction * dupScale_;
-    if (f <= 0.0)
-        return false;
-    // Error diffusion: of the first k primary batches, exactly
-    // round(k * f) dual-issue, with no RNG — the sampling pattern is a
-    // pure function of the call sequence, so a fault run replays
-    // identically at any thread count.
-    dupAccum_ += f;
-    if (dupAccum_ >= 1.0 - 1e-12) {
-        dupAccum_ -= 1.0;
-        return true;
-    }
-    return false;
-}
-
 std::vector<Tensor>
 ShardedSession::runBatch(const core::CompiledModel &plan,
                          const std::vector<const Request *> &reqs, int d)
@@ -523,99 +505,59 @@ ShardedSession::drain()
                 "\"bytes\":" + obs::jsonNum(device_halo));
 
         // Compute: this device's own driver thread and streams, on the
-        // shared overlap rule, starting once the halo is resident.
-        // Primary runs may be sandwiched by the ASPIS-style redundancy
-        // machinery: a scheduled transient corrupts the primary's
-        // output, a deterministically sampled duplicate re-executes and
-        // compares checksums, and a detected mismatch replays a third
-        // time (the replay is served — bit-identical to fault-free).
+        // shared overlap rule, starting once the halo is resident. Each
+        // batch is ASPIS-guarded (guardBatch): the primary run, and the
+        // sampled duplicate and the replay when they run.
         struct Runs
         {
-            int primary = -1;
-            int dup = -1;
-            int replay = -1;
+            std::size_t first = 0;
+            std::size_t count = 1;
         };
         std::vector<Runs> runs(batches.size());
         std::vector<std::vector<Tensor>> outs(batches.size());
-        int run_idx = 0;
+        std::size_t run_idx = 0;
         for (std::size_t b = 0; b < batches.size(); ++b) {
-            const bool hit = fi && fi->armTransient(d);
-            const std::uint64_t ord = fi ? fi->batchOrdinal(d) : 0;
-            runs[b].primary = run_idx++;
-            sched.run([&, b]() {
-                outs[b] = runBatch(*plan, batches[b], d);
-            });
-            if (hit)
-                fi->corruptBatch(outs[b], d, host_end);
-            if (shouldDuplicate()) {
-                ++report.duplicatesIssued;
-                if (fi)
-                    fi->noteDuplicate(d, host_end, ord);
-                std::vector<Tensor> dup;
-                runs[b].dup = run_idx++;
-                sched.run([&]() {
-                    dup = runBatch(*plan, batches[b], d);
+            const bool dup = sampleDuplicate(
+                cfg_.serving.duplicationFraction * dupScale_, dupAccum_);
+            const GuardedBatch g = guardBatch(
+                fi, d, host_end, dup, outs[b],
+                [&](std::vector<Tensor> &dst) {
+                    sched.run(
+                        [&]() { dst = runBatch(*plan, batches[b], d); });
                 });
-                const std::uint64_t lhs = tensor::checksum(outs[b]);
-                const std::uint64_t rhs = tensor::checksum(dup);
-                if (lhs != rhs) {
-                    ++report.transientsDetected;
-                    if (fi)
-                        fi->noteDetection(d, host_end, ord, lhs, rhs);
-                    if (obs::enabled())
-                        obs::tracer().instant(
-                            "fault.detect", "serve", host_end, d, 0,
-                            "\"batch\":" + std::to_string(ord));
-                    runs[b].replay = run_idx++;
-                    sched.run([&, b]() {
-                        outs[b] = runBatch(*plan, batches[b], d);
-                    });
-                    if (fi)
-                        fi->noteReplay(d, host_end, "transient");
-                    report.requestsReplayed += batches[b].size();
-                    if (flight_)
-                        for (const Request *r : batches[b])
-                            flight_->event(r->id, "replay", host_end,
-                                           d, "why=transient");
-                }
-            } else if (hit) {
-                fi->noteEscape(d, host_end, ord);
+            runs[b] = {run_idx, g.runs};
+            run_idx += g.runs;
+            if (dup)
+                ++report.duplicatesIssued;
+            if (g.detected) {
+                ++report.transientsDetected;
+                if (obs::enabled())
+                    obs::tracer().instant(
+                        "fault.detect", "serve", host_end, d, 0,
+                        "\"batch\":" + std::to_string(g.ordinal));
+                report.requestsReplayed += batches[b].size();
+                if (flight_)
+                    for (const Request *r : batches[b])
+                        flight_->event(r->id, "replay", host_end, d,
+                                       "why=transient");
             }
         }
 
         const std::vector<double> completions = sched.completionTimes();
         for (std::size_t b = 0; b < batches.size(); ++b) {
-            primary_exec_sec +=
-                sched.batches()[static_cast<std::size_t>(
-                                    runs[b].primary)]
-                    .execSec;
-            if (runs[b].dup >= 0)
-                redundant_exec_sec +=
-                    sched.batches()[static_cast<std::size_t>(
-                                        runs[b].dup)]
-                        .execSec;
-            if (runs[b].replay >= 0)
-                redundant_exec_sec +=
-                    sched.batches()[static_cast<std::size_t>(
-                                        runs[b].replay)]
-                        .execSec;
+            const std::size_t first = runs[b].first;
+            primary_exec_sec += sched.batches()[first].execSec;
+            for (std::size_t r = first + 1; r < first + runs[b].count; ++r)
+                redundant_exec_sec += sched.batches()[r].execSec;
         }
 
         double device_end = host_end;
         for (std::size_t b = 0; b < batches.size(); ++b) {
-            double compute_done =
-                comm_done + completions[static_cast<std::size_t>(
-                                runs[b].primary)];
-            if (runs[b].dup >= 0)
-                compute_done = std::max(
-                    compute_done,
-                    comm_done + completions[static_cast<std::size_t>(
-                                    runs[b].dup)]);
-            if (runs[b].replay >= 0)
-                compute_done = std::max(
-                    compute_done,
-                    comm_done + completions[static_cast<std::size_t>(
-                                    runs[b].replay)]);
+            const std::size_t first = runs[b].first;
+            double compute_done = comm_done + completions[first];
+            for (std::size_t r = first + 1; r < first + runs[b].count; ++r)
+                compute_done =
+                    std::max(compute_done, comm_done + completions[r]);
             if (compute_done > t_fail) {
                 // Lost with the device: the outputs never left it.
                 LostBatch lb;
@@ -652,14 +594,10 @@ ShardedSession::drain()
             cycle_end = std::max(cycle_end, final_done);
             device_end = std::max(device_end, final_done);
 
-            const ScheduledBatch &sb =
-                sched.batches()[static_cast<std::size_t>(
-                    runs[b].primary)];
+            const ScheduledBatch &sb = sched.batches()[first];
             const double service = sb.overheadSec + sb.execSec;
             const double exec_start =
-                comm_done + completions[static_cast<std::size_t>(
-                                runs[b].primary)] -
-                sb.execSec;
+                comm_done + completions[first] - sb.execSec;
             if (obs::enabled()) {
                 obs::tracer().complete(
                     "batch", "serve", exec_start, sb.execSec, d,
@@ -977,54 +915,27 @@ ShardedSession::serveOldestOn(int device, std::size_t n, int stream)
                                    r->mb.subgraph.numNodes()) *
                                dout_bytes;
 
+    // ASPIS guard, same semantics as drain(). All runs serialize on
+    // this stream, so their cost folds into the batch's cost the
+    // online layer charges.
     sim::Runtime &rt = group_.device(device);
-    sim::FaultInjector *fi = group_.faultInjector();
     std::vector<Tensor> outs;
-    const auto run_once = [&](std::vector<Tensor> &dst) {
-        return runOnStream(rt, stream, [&]() {
-            auto scope = rt.memoryScope();
-            dst = runBatch(*plan, reqs, device);
+    const GuardedBatch g = guardBatch(
+        group_.faultInjector(), device, group_.nowSec(),
+        sampleDuplicate(cfg_.serving.duplicationFraction * dupScale_,
+                        dupAccum_),
+        outs, [&](std::vector<Tensor> &dst) {
+            const StreamRunCost run = runOnStream(rt, stream, [&]() {
+                auto scope = rt.memoryScope();
+                dst = runBatch(*plan, reqs, device);
+            });
+            out.cost.execSec += run.execSec;
+            out.cost.overheadSec += run.overheadSec;
         });
-    };
-    const StreamRunCost run = run_once(outs);
-    out.cost.execSec = run.execSec;
-    out.cost.overheadSec = run.overheadSec;
-
-    // ASPIS sandwich, same semantics as drain(): scheduled transient
-    // corrupts the primary output, a sampled duplicate detects by
-    // checksum compare, a detection replays (and the replay is
-    // served). All runs serialize on this stream, so their cost folds
-    // into the batch's cost the online layer charges.
-    const bool hit = fi && fi->armTransient(device);
-    const std::uint64_t ord = fi ? fi->batchOrdinal(device) : 0;
-    if (hit)
-        fi->corruptBatch(outs, device, group_.nowSec());
-    if (shouldDuplicate()) {
-        if (fi)
-            fi->noteDuplicate(device, group_.nowSec(), ord);
-        std::vector<Tensor> dup;
-        const StreamRunCost r2 = run_once(dup);
-        out.cost.execSec += r2.execSec;
-        out.cost.overheadSec += r2.overheadSec;
-        const std::uint64_t lhs = tensor::checksum(outs);
-        const std::uint64_t rhs = tensor::checksum(dup);
-        if (lhs != rhs) {
-            if (fi)
-                fi->noteDetection(device, group_.nowSec(), ord, lhs,
-                                  rhs);
-            const StreamRunCost r3 = run_once(outs);
-            out.cost.execSec += r3.execSec;
-            out.cost.overheadSec += r3.overheadSec;
-            if (fi)
-                fi->noteReplay(device, group_.nowSec(), "transient");
-            if (flight_)
-                for (const Request *r : reqs)
-                    flight_->event(r->id, "replay", group_.nowSec(),
-                                   device, "why=transient");
-        }
-    } else if (hit) {
-        fi->noteEscape(device, group_.nowSec(), ord);
-    }
+    if (g.detected && flight_)
+        for (const Request *r : reqs)
+            flight_->event(r->id, "replay", group_.nowSec(), device,
+                           "why=transient");
     {
         tensor::TrackerScope untracked(nullptr);
         for (std::size_t i = 0; i < n; ++i)

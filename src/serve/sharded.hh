@@ -302,9 +302,6 @@ class ShardedSession
     std::vector<std::pair<int, double>>
     batchHaloBytes(const std::vector<const Request *> &reqs, int home,
                    double *host_fallback_bytes) const;
-    /** Deterministic dual-issue sampling (error diffusion over
-     *  cfg.serving.duplicationFraction). */
-    bool shouldDuplicate();
     /** Execute @p reqs as one micro-batch on device @p d. */
     std::vector<tensor::Tensor>
     runBatch(const core::CompiledModel &plan,

@@ -6,14 +6,20 @@
  * immediately and grows to maxBatch under saturation, the open-loop
  * server produces bit-identical per-request results to closed-loop
  * drain cycles, SLO attainment is monotone non-increasing in offered
- * load, and the simulated virtual clock advances monotonically to the
- * run's makespan. Everything here is deterministic under fixed seeds.
+ * load, the simulated virtual clock advances monotonically to the
+ * run's makespan, a single-device server is bit-identical to a
+ * one-lane engine run, and every report judges a deadline the same
+ * way. Everything here is deterministic under fixed seeds.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "graph/datasets.hh"
 #include "models/model_sources.hh"
@@ -424,6 +430,253 @@ TEST(OnlineServer, ZeroRequestsReturnsEmptyReport)
     EXPECT_EQ(rep.throughputReqPerSec, 0.0);
     EXPECT_EQ(rep.sloAttainment, 1.0);
     EXPECT_TRUE(std::isfinite(rep.meanLatencyMs));
+}
+
+// ---------------------------------------- single device == one-lane engine
+
+/** Everything one open-loop run exposes, for bit-equality checks. */
+struct RunCapture
+{
+    serve::OnlineReport rep;
+    std::vector<double> latenciesMs;
+    std::vector<double> queueDelaysMs;
+    std::vector<std::size_t> batchSizes;
+    /** Output bits of request ids 1..numRequests; empty when unserved. */
+    std::vector<std::vector<std::uint32_t>> outputs;
+};
+
+template <typename ResultFn>
+void
+capture(RunCapture &out, serve::OnlineServer &server, std::size_t ids,
+        ResultFn result)
+{
+    out.rep = server.run();
+    out.latenciesMs = server.latenciesMs();
+    out.queueDelaysMs = server.queueDelaysMs();
+    out.batchSizes = server.batchSizes();
+    for (std::uint64_t id = 1; id <= ids; ++id) {
+        std::vector<std::uint32_t> bits;
+        if (const Tensor *t = result(id)) {
+            bits.resize(t->numel());
+            std::memcpy(bits.data(), t->data(),
+                        t->numel() * sizeof(float));
+        }
+        out.outputs.push_back(std::move(bits));
+    }
+}
+
+RunCapture
+runSingleDevice(const graph::HeteroGraph &g, const Tensor &features,
+                const serve::OnlineConfig &cfg)
+{
+    sim::Runtime rt;
+    serve::OnlineServer server(g, features, models::kRgcnSource, cfg, rt);
+    RunCapture out;
+    capture(out, server, cfg.numRequests, [&](std::uint64_t id) {
+        return server.session().result(id);
+    });
+    return out;
+}
+
+/** The same run through the Engine constructor: one variant registered
+ *  with the run's ServingConfig and one VariantLoad with its arrivals. */
+RunCapture
+runOneLaneEngine(const graph::HeteroGraph &g, const Tensor &features,
+                 const serve::OnlineConfig &cfg)
+{
+    sim::Runtime rt;
+    serve::EngineConfig ec;
+    ec.numStreams = cfg.serving.numStreams;
+    ec.planBudgetBytes = cfg.serving.planBudgetBytes;
+    ec.autotuneSchedules = cfg.serving.autotuneSchedules;
+    serve::Engine engine(g, ec, rt);
+    engine.registerVariant("default", features, models::kRgcnSource,
+                           cfg.serving);
+    serve::OnlineConfig ecfg = cfg;
+    serve::VariantLoad load;
+    load.variant = "default";
+    load.ratePerSec = cfg.arrivalRatePerSec;
+    load.numRequests = cfg.numRequests;
+    load.arrivalSeed = cfg.arrivalSeed;
+    ecfg.variants = {load};
+    serve::OnlineServer server(engine, ecfg);
+    RunCapture out;
+    capture(out, server, cfg.numRequests,
+            [&](std::uint64_t id) { return engine.result(id); });
+    return out;
+}
+
+void
+expectSameRun(const RunCapture &a, const RunCapture &b,
+              const std::string &label)
+{
+    SCOPED_TRACE(label);
+    const serve::OnlineReport &x = a.rep;
+    const serve::OnlineReport &y = b.rep;
+    EXPECT_EQ(x.requests, y.requests);
+    EXPECT_EQ(x.batches, y.batches);
+    EXPECT_EQ(x.makespanMs, y.makespanMs);
+    EXPECT_EQ(x.throughputReqPerSec, y.throughputReqPerSec);
+    EXPECT_EQ(x.meanLatencyMs, y.meanLatencyMs);
+    EXPECT_EQ(x.p50LatencyMs, y.p50LatencyMs);
+    EXPECT_EQ(x.p95LatencyMs, y.p95LatencyMs);
+    EXPECT_EQ(x.p99LatencyMs, y.p99LatencyMs);
+    EXPECT_EQ(x.p999LatencyMs, y.p999LatencyMs);
+    EXPECT_EQ(x.maxLatencyMs, y.maxLatencyMs);
+    EXPECT_EQ(x.meanQueueDelayMs, y.meanQueueDelayMs);
+    EXPECT_EQ(x.sloAttainment, y.sloAttainment);
+    EXPECT_EQ(x.msPerRequest, y.msPerRequest);
+    EXPECT_EQ(x.cacheHits, y.cacheHits);
+    EXPECT_EQ(x.cacheMisses, y.cacheMisses);
+    EXPECT_EQ(x.cacheRecompiles, y.cacheRecompiles);
+    EXPECT_EQ(x.cacheEvictions, y.cacheEvictions);
+    EXPECT_EQ(x.cacheResidentBytes, y.cacheResidentBytes);
+    EXPECT_EQ(x.launches, y.launches);
+    EXPECT_EQ(x.perVariant.size(), y.perVariant.size());
+    for (std::size_t i = 0;
+         i < std::min(x.perVariant.size(), y.perVariant.size()); ++i) {
+        EXPECT_EQ(x.perVariant[i].name, y.perVariant[i].name);
+        EXPECT_EQ(x.perVariant[i].requests, y.perVariant[i].requests);
+        EXPECT_EQ(x.perVariant[i].meanLatencyMs,
+                  y.perVariant[i].meanLatencyMs);
+        EXPECT_EQ(x.perVariant[i].p50LatencyMs,
+                  y.perVariant[i].p50LatencyMs);
+        EXPECT_EQ(x.perVariant[i].p99LatencyMs,
+                  y.perVariant[i].p99LatencyMs);
+        EXPECT_EQ(x.perVariant[i].sloAttainment,
+                  y.perVariant[i].sloAttainment);
+        EXPECT_EQ(x.perVariant[i].requestsShed,
+                  y.perVariant[i].requestsShed);
+    }
+    EXPECT_EQ(x.offeredRatePerSec, y.offeredRatePerSec);
+    EXPECT_EQ(x.deadlineMs, y.deadlineMs);
+    EXPECT_EQ(x.ticks, y.ticks);
+    EXPECT_EQ(x.meanBatchSize, y.meanBatchSize);
+    EXPECT_EQ(x.peakQueueDepth, y.peakQueueDepth);
+    EXPECT_EQ(x.lastArrivalMs, y.lastArrivalMs);
+    EXPECT_EQ(x.devices, y.devices);
+    EXPECT_EQ(x.haloBytes, y.haloBytes);
+    EXPECT_EQ(x.interconnectMs, y.interconnectMs);
+    EXPECT_EQ(x.devicesFailed, y.devicesFailed);
+    EXPECT_EQ(x.requestsRerouted, y.requestsRerouted);
+    EXPECT_EQ(x.requestsShed, y.requestsShed);
+    EXPECT_EQ(x.shedFraction, y.shedFraction);
+    EXPECT_EQ(x.admittedSloAttainment, y.admittedSloAttainment);
+    EXPECT_EQ(x.peakLaneQueueDepth, y.peakLaneQueueDepth);
+    EXPECT_EQ(x.policy, y.policy);
+    EXPECT_EQ(x.requestsRetried, y.requestsRetried);
+    EXPECT_EQ(x.requestsHedged, y.requestsHedged);
+    EXPECT_EQ(x.hedgeWins, y.hedgeWins);
+    EXPECT_EQ(x.requestsTimedOut, y.requestsTimedOut);
+    EXPECT_EQ(x.requestsFailed, y.requestsFailed);
+    EXPECT_EQ(x.breakerOpens, y.breakerOpens);
+    EXPECT_EQ(x.brownoutTicks, y.brownoutTicks);
+    EXPECT_EQ(a.latenciesMs, b.latenciesMs);
+    EXPECT_EQ(a.queueDelaysMs, b.queueDelaysMs);
+    EXPECT_EQ(a.batchSizes, b.batchSizes);
+    EXPECT_EQ(a.outputs, b.outputs);
+}
+
+TEST(OnlineServer, SingleDeviceEqualsOneLaneEngineRun)
+{
+    graph::HeteroGraph g = servingGraph();
+    const Tensor host = hostFeatures(g, 8, 70);
+
+    auto base = [](const char *policy) {
+        serve::OnlineConfig cfg = onlineConfig(48, 50000.0);
+        cfg.policy = policy;
+        cfg.serving.deadlineMs = 1.0;
+        cfg.retainResults = true;
+        return cfg;
+    };
+    std::vector<std::pair<std::string, serve::OnlineConfig>> cases;
+    for (const char *policy : {"fixed", "adaptive", "wfq"})
+        cases.emplace_back(policy, base(policy));
+
+    serve::OnlineConfig shed = base("adaptive");
+    shed.arrivalRatePerSec = 200000.0;
+    shed.serving.maxQueueDepth = 8;
+    shed.serving.shed = serve::ShedMode::RejectNewest;
+    cases.emplace_back("shed", shed);
+
+    // Deadline fail-fast and hedging both fire on the 2-stream device;
+    // at twice the load brownout engages as well.
+    serve::OnlineConfig resil = base("adaptive");
+    resil.numRequests = 96;
+    resil.arrivalRatePerSec = 40000.0;
+    resil.serving.deadlineMs = 0.2;
+    resil.serving.maxQueueDepth = 16;
+    resil.serving.shed = serve::ShedMode::RejectNewest;
+    resil.serving.resilience.enabled = true;
+    resil.serving.resilience.hedge = true;
+    resil.serving.resilience.hedgeDelayFactor = 0.5;
+    cases.emplace_back("resilience", resil);
+    resil.arrivalRatePerSec = 80000.0;
+    resil.serving.deadlineMs = 0.3;
+    cases.emplace_back("resilience-brownout", resil);
+
+    for (const auto &[name, cfg] : cases) {
+        ASSERT_EQ(cfg.serving.numStreams, 2);
+        const RunCapture single = runSingleDevice(g, host, cfg);
+        const RunCapture lane = runOneLaneEngine(g, host, cfg);
+        ASSERT_GT(single.rep.requests, 0u) << name;
+        expectSameRun(single, lane, name);
+        if (name == "shed") {
+            EXPECT_GT(single.rep.requestsShed, 0u);
+        }
+        if (name == "resilience") {
+            EXPECT_GT(single.rep.requestsTimedOut, 0u);
+            EXPECT_GT(single.rep.requestsHedged, 0u);
+        }
+        if (name == "resilience-brownout") {
+            EXPECT_GT(single.rep.requestsTimedOut, 0u);
+            EXPECT_GT(single.rep.brownoutTicks, 0u);
+        }
+    }
+}
+
+// ----------------------------------------------------------- deadline test
+
+TEST(MetDeadline, JudgesInMillisecondsAtTheBoundary)
+{
+    // 1.3 * 1e-3 rounds to 0.0013000000000000002 s, whose millisecond
+    // value 1.3000000000000003 exceeds 1.3: the millisecond form says
+    // missed, while the seconds form (lat <= 1.3 * 1e-3) says met.
+    const double lat_sec = 1.3 * 1e-3;
+    ASSERT_TRUE(lat_sec <= 1.3 * 1e-3);
+    ASSERT_FALSE(lat_sec * 1e3 <= 1.3);
+    EXPECT_FALSE(serve::metDeadline(lat_sec, 1.3));
+    EXPECT_TRUE(serve::metDeadline(std::nextafter(lat_sec, 0.0), 1.3));
+    EXPECT_TRUE(serve::metDeadline(lat_sec, 0.0)) << "0 = no deadline";
+}
+
+TEST(MetDeadline, OverallAndPerVariantAttainmentAgreeAtEveryBoundary)
+{
+    graph::HeteroGraph g = servingGraph();
+    const Tensor host = hostFeatures(g, 8, 71);
+
+    // A one-lane engine run under wait-to-fill: the deadline changes
+    // no scheduling decision, so the timeline is the same for every
+    // deadline and each observed latency can be put exactly on it.
+    // With the deadline on a latency or one ulp below it, the seconds
+    // and millisecond forms of the test disagree for three of these.
+    serve::OnlineConfig cfg = onlineConfig(48, 10000.0);
+    cfg.policy = "fixed";
+    const std::vector<double> lat =
+        runOneLaneEngine(g, host, cfg).latenciesMs;
+    ASSERT_EQ(lat.size(), cfg.numRequests);
+
+    for (double l : lat)
+        for (double deadline_ms : {l, std::nextafter(l, 0.0)}) {
+            serve::OnlineConfig dcfg = cfg;
+            dcfg.serving.deadlineMs = deadline_ms;
+            const RunCapture run = runOneLaneEngine(g, host, dcfg);
+            ASSERT_EQ(run.latenciesMs, lat);
+            ASSERT_EQ(run.rep.perVariant.size(), 1u);
+            EXPECT_EQ(run.rep.sloAttainment,
+                      run.rep.perVariant[0].sloAttainment)
+                << "deadline " << deadline_ms << " ms";
+        }
 }
 
 } // namespace

@@ -501,8 +501,8 @@ TEST(EmptyRunReport, SingleModeReportsConfiguredDeadline)
 
 TEST(EmptyRunReport, MultiTenantModeReportsConfiguredDeadline)
 {
-    // Historically runMulti zeroed rep.deadlineMs, so an empty
-    // multi-tenant run reported 0 even with a configured deadline
+    // Historically the multi-tenant loop zeroed rep.deadlineMs, so an
+    // empty multi-tenant run reported 0 even with a configured deadline
     // while the single and sharded paths reported the configured one.
     graph::HeteroGraph g = servingGraph();
     sim::Runtime rt;
