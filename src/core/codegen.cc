@@ -226,10 +226,6 @@ stmtToCuda(const Program &p, const Stmt &s, const std::string &ent,
         assign("-" + in(s.ins[0]) + " * " + in(s.ins[1]) + " / (" +
                in(s.ins[2]) + " * " + in(s.ins[2]) + ")");
         break;
-      case OpKind::WeightVecGrad:
-        os << "atomicAdd(&" << s.weight << "_grad[etype * dim + f], "
-           << in(s.ins[0]) << " * " << in(s.ins[1]) << ");";
-        break;
       default:
         os << "/* unsupported in traversal: " << toString(s.kind) << " */";
         break;

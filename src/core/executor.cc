@@ -363,8 +363,10 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
     const std::int64_t total_rows = ctx.rowsOf(gi.rows);
 
     Tensor &w = ctx.weights->at(gi.wVar);
-    const std::int64_t wr = w.dim(1);
-    const std::int64_t wc = w.dim(2);
+    // A weight vector [T, cols] is the matrix [T, 1, cols].
+    const bool wvec = w.ndim() == 2;
+    const std::int64_t wr = wvec ? 1 : w.dim(1);
+    const std::int64_t wc = w.dim(wvec ? 1 : 2);
     const std::int64_t din = gi.din;
     const std::int64_t dout = gi.dout;
 
@@ -533,15 +535,25 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
     const double rows_d = static_cast<double>(total_rows);
     desc.flops = 2.0 * rows_d * static_cast<double>(din * dout) +
                  (scalar ? rows_d * static_cast<double>(dout) : 0.0);
-    // Weight reads do not scale with the dataset; scale them so that
-    // their share of the kernel time matches the full-size run.
+    // Weight traffic does not scale with the dataset; scale it so that
+    // its share of the kernel time matches the full-size run.
+    const double weight_bytes = static_cast<double>(w.numel()) * 4.0 *
+                                ctx.rt->spec().datasetScale;
+    const double out_rows_bytes = rows_d * static_cast<double>(dout) * 4.0;
     desc.bytesRead = rows_d * static_cast<double>(din) * 4.0 +
-                     static_cast<double>(w.numel()) * 4.0 *
-                         ctx.rt->spec().datasetScale +
                      (usesIndexArray(gi.xAccess) ? rows_d * 8.0 : 0.0) +
-                     (usesIndexArray(gi.yAccess) ? rows_d * 8.0 : 0.0) +
                      (scalar ? rows_d * 4.0 : 0.0);
-    desc.bytesWritten = rows_d * static_cast<double>(dout) * 4.0;
+    if (gi.kind == GemmKind::Outer) {
+        // The y2 rows are read (through their index array when
+        // gathered); the weight gradient is written once per type.
+        desc.bytesRead += out_rows_bytes +
+                          (usesIndexArray(gi.y2Access) ? rows_d * 8.0 : 0.0);
+        desc.bytesWritten = weight_bytes;
+    } else {
+        desc.bytesRead += weight_bytes +
+                          (usesIndexArray(gi.yAccess) ? rows_d * 8.0 : 0.0);
+        desc.bytesWritten = out_rows_bytes;
+    }
     if (isAtomicScatter(gi.yAccess)) {
         // Per-thread register accumulation over coarsened rows plus
         // warp-level aggregation cut the atomics reaching DRAM.
@@ -835,19 +847,6 @@ evalStmt(const Program &p, const Stmt &s, const EvalPoint &pt,
         out[0] += -gy[0] * a[0] / (b[0] * b[0]);
         break;
       }
-      case OpKind::WeightVecGrad: {
-        Tensor &w = ctx.weights->at(s.weight);
-        float *grow =
-            untrackedParam(*ctx.weightGrads, s.weight, w.shape())
-                .row(pt.etype);
-        const float *gy = res.resolve(s.ins[0], pt, domain);
-        const float *a = res.resolve(s.ins[1], pt, domain);
-        const std::int64_t d = w.dim(1);
-        const float gv = gy[0];
-        for (std::int64_t i = 0; i < d; ++i)
-            grow[i] += gv * a[i];
-        break;
-      }
       default:
         throw std::runtime_error("traversal cannot execute op " +
                                  std::string(toString(s.kind)));
@@ -911,8 +910,6 @@ struct PreparedStmt
     /** Typed weight-vector rows [T, weightCols], when s->weight set. */
     const float *weightBase = nullptr;
     std::int64_t weightCols = 0;
-    /** WeightVecGrad accumulation target rows [T, weightCols]. */
-    float *weightGradBase = nullptr;
 };
 
 /** Per-thread scratch table for one chunk of a traversal launch. */
@@ -1014,10 +1011,6 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
     std::vector<std::string> written_node_vars;
     for (const auto &ss : ti.stmts) {
         const Stmt &s = ss.stmt;
-        if (s.kind == OpKind::WeightVecGrad) {
-            parallel = false; // weight-space reduction across rows
-            continue;
-        }
         if (!p.vars.count(s.out.name)) {
             parallel = false;
             continue;
@@ -1071,8 +1064,7 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
         ps.hoistLevel = ss.hoistLevel;
         ps.outCols =
             p.vars.count(s.out.name) ? p.varInfo(s.out.name).cols : 0;
-        if (s.kind != OpKind::WeightVecGrad)
-            ps.out = prepareOperand(s.out);
+        ps.out = prepareOperand(s.out);
         if (ss.hoistLevel == 2) {
             // Stored to the group's own row: node v or compact row u.
             ps.store = ps.out;
@@ -1101,10 +1093,6 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
             Tensor &wv = ctx.weights->at(s.weight);
             ps.weightBase = wv.data();
             ps.weightCols = wv.dim(1);
-            if (s.kind == OpKind::WeightVecGrad)
-                ps.weightGradBase =
-                    untrackedParam(*ctx.weightGrads, s.weight, wv.shape())
-                        .data();
         }
         prep.stmts.push_back(ps);
     }
@@ -1264,15 +1252,6 @@ evalPrepared(const PreparedStmt &ps, const EvalPoint &pt,
         out[0] += -gy[0] * a[0] / (b[0] * b[0]);
         break;
       }
-      case OpKind::WeightVecGrad: {
-        float *grow = ps.weightGradBase + pt.etype * ps.weightCols;
-        const float *gy = opPtr(ps.ins[0], pt, ix, scratch);
-        const float *a = opPtr(ps.ins[1], pt, ix, scratch);
-        const float gv = gy[0];
-        for (std::int64_t i = 0; i < ps.weightCols; ++i)
-            grow[i] += gv * a[i];
-        break;
-      }
       default:
         throw std::runtime_error("traversal cannot execute op " +
                                  std::string(toString(s.kind)));
@@ -1309,10 +1288,7 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, GroupKey group,
     double operand_bytes = 0.0;
     for (const auto &in : s.ins)
         operand_bytes += 4.0 * colsOf(in.name);
-    double out_cols =
-        p.vars.count(s.out.name) ? colsOf(s.out.name) : 0.0;
-    if (s.kind == OpKind::WeightVecGrad && !s.weight.empty())
-        out_cols = static_cast<double>(p.weightInfo(s.weight).cols);
+    const double out_cols = colsOf(s.out.name);
     double weight_bytes = 0.0;
     if ((s.kind == OpKind::DotProduct || s.kind == OpKind::AccumulateScaled)
         && !s.weight.empty())
@@ -1326,46 +1302,31 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, GroupKey group,
 
     // Atomic detection: accumulating writes whose target row is shared
     // across iterations of an edge-parallel loop.
-    if (isAccumulation(s) && domain != RowDomain::Nodes) {
-        bool shared = false;
-        AccessScheme scheme = AccessScheme::Identity;
-        if (s.kind == OpKind::WeightVecGrad) {
-            // Per-type weight-vector gradients are reduced within
-            // blocks before the per-address atomics, so contention is
-            // edges-per-type divided by the block reduction width.
-            shared = true;
-            scheme = AccessScheme::ScatterUniqueAtomic;
-            c.atomicConflict = std::min(
-                16.0,
-                std::max(1.0, static_cast<double>(ctx.g->numEdges()) /
-                                  std::max(1, ctx.g->numEdgeTypes()) /
-                                  32.0));
-        } else if (p.vars.count(s.out.name)) {
-            const auto &oi = p.varInfo(s.out.name);
-            const bool node_out = oi.space == VarSpace::NodeData ||
-                                  oi.space == VarSpace::NodeInput;
-            // A group's own row (its node, or its compact pair row)
-            // is written atomic-free (Sec. 3.4.1).
-            if (node_out && s.out.access != Access::Direct) {
-                shared = group != GroupKey::DstNode ||
-                         s.out.access == Access::ViaSrc;
-                scheme = s.out.access == Access::ViaSrc
-                             ? AccessScheme::ScatterSrcAtomic
-                             : AccessScheme::ScatterDstAtomic;
-            } else if (node_out && group == GroupKey::DstNode) {
-                shared = false;
-            } else if (oi.space == VarSpace::EdgeData &&
-                       oi.mat == Materialization::Compact &&
-                       domain == RowDomain::Edges) {
-                shared = group != GroupKey::UniquePair;
-                scheme = AccessScheme::ScatterUniqueAtomic;
-            }
-        }
-        if (shared) {
-            c.atomics = out_cols > 0.0 ? out_cols : 1.0;
-            if (c.atomicConflict == 1.0)
-                c.atomicConflict = atomicConflictFor(ctx, scheme);
-        }
+    if (!isAccumulation(s) || domain == RowDomain::Nodes ||
+        !p.vars.count(s.out.name))
+        return c;
+    bool shared = false;
+    AccessScheme scheme = AccessScheme::Identity;
+    const auto &oi = p.varInfo(s.out.name);
+    const bool node_out = oi.space == VarSpace::NodeData ||
+                          oi.space == VarSpace::NodeInput;
+    // A group's own row (its node, or its compact pair row) is written
+    // atomic-free (Sec. 3.4.1).
+    if (node_out && s.out.access != Access::Direct) {
+        shared = group != GroupKey::DstNode ||
+                 s.out.access == Access::ViaSrc;
+        scheme = s.out.access == Access::ViaSrc
+                     ? AccessScheme::ScatterSrcAtomic
+                     : AccessScheme::ScatterDstAtomic;
+    } else if (oi.space == VarSpace::EdgeData &&
+               oi.mat == Materialization::Compact &&
+               domain == RowDomain::Edges) {
+        shared = group != GroupKey::UniquePair;
+        scheme = AccessScheme::ScatterUniqueAtomic;
+    }
+    if (shared) {
+        c.atomics = out_cols;
+        c.atomicConflict = atomicConflictFor(ctx, scheme);
     }
     return c;
 }
@@ -1381,12 +1342,6 @@ execTraversal(const Program &p, const TraversalInstance &ti,
     /** The seed interpreter body: per-point map-keyed resolution. */
     auto seedBody = [&]() {
         OperandResolver res(p, ctx);
-        // A weight-vector gradient exists after the launch even when no
-        // edge reaches it, as on the fast path (prepareTraversal).
-        for (const auto &ss : ti.stmts)
-            if (ss.stmt.kind == OpKind::WeightVecGrad)
-                untrackedParam(*ctx.weightGrads, ss.stmt.weight,
-                               ctx.weights->at(ss.stmt.weight).shape());
         if (ti.grouped()) {
             const GroupWalk walk(ti, ctx);
             const auto etype = g.etype();

@@ -78,7 +78,10 @@ struct GemmSchedule
 enum class GemmKind
 {
     Linear, ///< Y[S] = X[G] * W[T] (+ optional per-row scalar)
-    Outer,  ///< dW[T] += sum_rows X[G]^T (x) dY[G2] (backward)
+    /** dW[T] += sum_rows X[G]^T (x) dY[G2] (backward), summed by type
+     *  segment without atomics; a weight vector's gradient is the
+     *  din = 1 case (X is the per-row scalar, dW is [T, 1, dout]). */
+    Outer,
 };
 
 /**
@@ -161,10 +164,11 @@ struct ScheduledStmt
      *    edge loop; the row is stored to the group's output row once
      *    after the loop, and only when the group has an edge.
      *
-     * Lowering sets level 2 on an accumulation (`out += ...`, not a
-     * WeightVecGrad) into the group's own row: a NodeData variable
-     * reached Direct or through e.dst under DstNode, a compact
-     * variable under UniquePair. The instance must be the variable's
+     * Lowering sets level 2 on an accumulation (`out += ...`) into the
+     * group's own row: a NodeData variable reached Direct or through
+     * e.dst under DstNode, a compact variable under UniquePair. Either
+     * key's instance may be the second half of a split edge loop (see
+     * TraversalInstance::group). The instance must be the variable's
      * first writer in lowered order, hold its only writer in the
      * instance, and never read it. The variable's arena slot is then
      * zero on entry, so storing 0 + a1 + a2 + ... is bit-identical to
@@ -218,11 +222,16 @@ struct TraversalInstance
      * aggregation nest by DstNode, and an edge loop that scatters
      * into a destination node or a compact row by whichever of the
      * two its accumulations write more columns of (DstNode on a tie).
-     * An edge loop that writes only its own edge's rows (no
-     * WeightVecGrad) and reads a node row through e.dst is grouped by
-     * DstNode too, so that row is loaded once per node: each output
-     * is a function of its edge alone, so the walk order cannot
-     * change a bit.
+     * When the losing key's accumulations write vector rows, lowering
+     * splits them off into a second instance grouped by the losing
+     * key, after the first, so neither scatters by atomics (HGT's
+     * `ka_grad` under UniquePair beside `q_grad` under DstNode);
+     * scalar losers stay in the run and keep their atomics. An edge
+     * loop that writes only its own edge's rows and reads a node row
+     * through e.dst is grouped by DstNode too, so that row is loaded
+     * once per node: each output is a function of its edge alone, so
+     * the walk order cannot change a bit. Weight gradients never sit
+     * in a traversal: they lower onto the GEMM template.
      */
     GroupKey group = GroupKey::None;
     /**

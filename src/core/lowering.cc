@@ -268,10 +268,10 @@ class Lowerer
         auto flush = [&]() {
             if (run.empty())
                 return;
-            const GroupKey key = run_domain == RowDomain::Edges
-                                     ? groupKeyOf(run)
-                                     : GroupKey::None;
-            emitTraversal(std::move(run), run_domain, key);
+            if (run_domain == RowDomain::Edges)
+                emitEdgeRun(std::move(run));
+            else
+                emitTraversal(std::move(run), run_domain, GroupKey::None);
             run.clear();
         };
         for (const auto &s : loop.body) {
@@ -295,24 +295,33 @@ class Lowerer
     lowerDstNodesNest(const Loop &loop)
     {
         std::vector<ScheduledStmt> stmts;
+        std::vector<const Stmt *> grads;
         for (const auto &s : loop.body)
             stmts.push_back({s, 1});
         for (const auto &inner : loop.inner) {
             for (const auto &s : inner.body) {
                 if (fusedConsumer_.count(&s))
                     continue;
-                if (isGemmEligible(s)) {
+                if (s.kind == OpKind::TypedLinear) {
                     // Typed linears inside an aggregation nest are
                     // extracted ahead of the traversal (greedy pass 1).
                     emitGemm(s, LoopDomain::Edges);
                     continue;
                 }
+                if (isGemmEligible(s)) {
+                    // A weight gradient reads rows the nest computes,
+                    // so its GEMM follows the traversal.
+                    grads.push_back(&s);
+                    continue;
+                }
                 stmts.push_back({s, 0});
             }
         }
-        if (stmts.empty())
-            return;
-        emitTraversal(std::move(stmts), RowDomain::Edges, GroupKey::DstNode);
+        if (!stmts.empty())
+            emitTraversal(std::move(stmts), RowDomain::Edges,
+                          GroupKey::DstNode);
+        for (const Stmt *s : grads)
+            emitGemm(*s, LoopDomain::Edges);
     }
 
     /** True when @p s writes a row that group @p key owns. */
@@ -337,10 +346,9 @@ class Lowerer
 
     /**
      * True when every statement of @p run writes only its own edge's
-     * row (vanilla or virtual edge data; a WeightVecGrad writes a
-     * weight, whose per-type sums follow the walk order) and one reads
-     * a node row through e.dst: grouping it by destination node loads
-     * that row once per node and cannot change a bit.
+     * row (vanilla or virtual edge data) and one reads a node row
+     * through e.dst: grouping it by destination node loads that row
+     * once per node and cannot change a bit.
      */
     bool
     pointwiseDstReader(const std::vector<ScheduledStmt> &run) const
@@ -397,8 +405,8 @@ class Lowerer
     accumulatesInRegister(const Stmt &s, const std::vector<ScheduledStmt> &inst,
                           GroupKey key) const
     {
-        if (!isAccumulation(s) || s.kind == OpKind::WeightVecGrad ||
-            !writesGroupRow(s, key) || written_.count(s.out.name))
+        if (!isAccumulation(s) || !writesGroupRow(s, key) ||
+            written_.count(s.out.name))
             return false;
         int writers = 0;
         for (const auto &ss : inst) {
@@ -410,11 +418,79 @@ class Lowerer
         return writers == 1;
     }
 
+    /**
+     * Statements of @p run the losing key @p loser of groupKeyOf()
+     * scatters vector rows into, moved out of @p run: the accumulations
+     * into a @p loser row with more than one column. Each must be
+     * movable past the rest of the run: no statement of the run reads
+     * its output or writes it otherwise, and no later statement writes
+     * one of its inputs. Empty, with @p run unchanged, when there is
+     * none or one is not movable.
+     */
+    std::vector<ScheduledStmt>
+    splitLosers(std::vector<ScheduledStmt> &run, GroupKey loser) const
+    {
+        auto moves = [&](const Stmt &s) {
+            return isAccumulation(s) && writesGroupRow(s, loser) &&
+                   p_.varInfo(s.out.name).cols > 1;
+        };
+        for (std::size_t i = 0; i < run.size(); ++i) {
+            const Stmt &s = run[i].stmt;
+            if (!moves(s))
+                continue;
+            for (std::size_t j = 0; j < run.size(); ++j) {
+                const Stmt &o = run[j].stmt;
+                if (o.out.name == s.out.name && !moves(o))
+                    return {};
+                for (const auto &in : o.ins)
+                    if (in.name == s.out.name)
+                        return {};
+                for (const auto &in : s.ins)
+                    if (j > i && o.out.name == in.name)
+                        return {};
+            }
+        }
+        std::vector<ScheduledStmt> kept;
+        std::vector<ScheduledStmt> moved;
+        for (auto &ss : run)
+            (moves(ss.stmt) ? moved : kept).push_back(std::move(ss));
+        run = std::move(kept);
+        return moved;
+    }
+
+    /**
+     * Emits an edge-loop run grouped by groupKeyOf(). When the losing
+     * key's accumulations write vector rows, they become a second
+     * instance grouped by that key (see splitLosers()), which reads
+     * the edge rows the first one materialized: both write their
+     * group's rows without atomics. Scalar losers stay in the run.
+     */
+    void
+    emitEdgeRun(std::vector<ScheduledStmt> run)
+    {
+        const GroupKey key = groupKeyOf(run);
+        GroupKey loser = GroupKey::None;
+        if (key == GroupKey::DstNode)
+            loser = GroupKey::UniquePair;
+        else if (key == GroupKey::UniquePair)
+            loser = GroupKey::DstNode;
+        std::vector<ScheduledStmt> moved = splitLosers(run, loser);
+        emitTraversal(std::move(run), RowDomain::Edges, key);
+        if (!moved.empty())
+            emitTraversal(std::move(moved), RowDomain::Edges, loser);
+    }
+
+    /**
+     * Statements lowered onto the GEMM template: typed linears, and
+     * weight gradients as outer products summed by type segment (a
+     * WeightVecGrad is one whose left operand has one column).
+     */
     bool
     isGemmEligible(const Stmt &s) const
     {
         return s.kind == OpKind::TypedLinear ||
-               s.kind == OpKind::OuterAccumulate;
+               s.kind == OpKind::OuterAccumulate ||
+               s.kind == OpKind::WeightVecGrad;
     }
 
     void
@@ -428,7 +504,9 @@ class Lowerer
         const RowDomain domain = stmtDomain(p_, s, loop);
         gi.rows = domain;
 
-        if (s.kind == OpKind::OuterAccumulate) {
+        if (s.kind != OpKind::TypedLinear) {
+            // dW[t] += x^T (x) y2 over the rows of type t; for a
+            // WeightVecGrad x is the one-column scalar (din = 1).
             gi.kind = GemmKind::Outer;
             gi.name = "gemm_outer_" + std::to_string(gi.kid) + "_" +
                       s.weight;
@@ -478,6 +556,11 @@ class Lowerer
     emitTraversal(std::vector<ScheduledStmt> stmts, RowDomain domain,
                   GroupKey key)
     {
+        for (const auto &ss : stmts)
+            if (ss.stmt.kind == OpKind::WeightVecGrad)
+                throw std::logic_error(
+                    "a weight-vector gradient lowers onto the GEMM "
+                    "template, not a traversal");
         for (auto &ss : stmts)
             if (ss.hoistLevel == 0 &&
                 accumulatesInRegister(ss.stmt, stmts, key))

@@ -35,6 +35,11 @@ struct LaunchRecord
     KernelCategory category;
     Phase phase;
     double timeSec;
+    /** The launch's KernelDesc counts (see KernelDesc). */
+    double flops = 0.0;
+    double bytesRead = 0.0;
+    double bytesWritten = 0.0;
+    double atomics = 0.0;
 };
 
 /** Per-stream launch accounting (serving/multi-stream execution). */
@@ -137,7 +142,9 @@ class Runtime
         b.launches += 1;
         totalTimeSec_ += t;
         if (recordLaunches_)
-            records_.push_back({desc.name, desc.category, desc.phase, t});
+            records_.push_back({desc.name, desc.category, desc.phase, t,
+                                desc.flops, desc.bytesRead,
+                                desc.bytesWritten, desc.atomics});
         return t;
     }
 

@@ -275,7 +275,7 @@ TEST(Codegen, VirtualVariablesLiveInRegisters)
               std::string::npos);
 }
 
-TEST(Codegen, BackwardEmitsAtomicsAndOuterKernels)
+TEST(Codegen, BackwardEmitsOuterKernelsWithoutWeightAtomics)
 {
     const auto m =
         compileModel(models::ModelKind::Rgat, false, false, true);
@@ -283,7 +283,47 @@ TEST(Codegen, BackwardEmitsAtomicsAndOuterKernels)
     EXPECT_NE(cuda.find("======== backward ========"), std::string::npos);
     EXPECT_NE(cuda.find("gemm_outer_"), std::string::npos);
     EXPECT_NE(cuda.find("outer-product gradient"), std::string::npos);
-    EXPECT_NE(cuda.find("_grad[etype * dim + f]"), std::string::npos);
+    // Weight-vector gradients are outer-product GEMMs too: no kernel
+    // of any training plan adds into a weight gradient by atomics.
+    for (models::ModelKind mk :
+         {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+          models::ModelKind::Hgt})
+        for (bool optimized : {false, true}) {
+            const auto t = compileModel(mk, optimized, optimized, true);
+            for (const auto &[w, wi] : t.forwardProgram.weights)
+                EXPECT_EQ(t.code.cudaSource.find("atomicAdd(&" + w + "_grad"),
+                          std::string::npos)
+                    << models::toString(mk) << " " << w;
+            for (const auto &gi : t.backwardFn.gemms)
+                EXPECT_FALSE(kernelText(t.code.cudaSource, gi.name).empty())
+                    << gi.name;
+        }
+}
+
+TEST(Codegen, SplitBackwardWalksKaGradByPair)
+{
+    // HGT C+R: q_grad is summed per destination node, and ka_grad,
+    // which the same edge loop scatters into compact rows, per pair in
+    // a kernel of its own; neither by atomics.
+    const auto m = compileModel(models::ModelKind::Hgt, true, true, true);
+    const std::string &cuda = m.code.cudaSource;
+    const std::string ka = kernelText(cuda, writerName(m.backwardFn,
+                                                       "ka_grad"));
+    const std::string q = kernelText(cuda, writerName(m.backwardFn,
+                                                      "q_grad"));
+    ASSERT_FALSE(ka.empty());
+    ASSERT_FALSE(q.empty());
+    EXPECT_NE(ka, q);
+    EXPECT_NE(ka.find("for (int u = blockIdx.x; u < args.num_unique;"),
+              std::string::npos);
+    EXPECT_NE(ka.find("float ka_grad_acc = 0.f;"), std::string::npos);
+    EXPECT_NE(ka.find("ka_grad[u * 8 + f] = ka_grad_acc;"),
+              std::string::npos);
+    EXPECT_EQ(ka.find("atomicAdd"), std::string::npos);
+    EXPECT_NE(q.find("for (int n = blockIdx.x; n < args.num_nodes;"),
+              std::string::npos);
+    EXPECT_NE(q.find("q_grad[n * 8 + f] = q_grad_acc;"), std::string::npos);
+    EXPECT_EQ(q.find("atomicAdd"), std::string::npos);
 }
 
 TEST(Codegen, HostRegistersEveryForwardKernel)

@@ -420,7 +420,10 @@ TEST_F(ExecDeterminism, GroupedBackwardMatchesSeed)
         {"RGAT/C+R",
          {{"hs_grad", Key::UniquePair}, {"atts_grad", Key::UniquePair}}},
         {"HGT/base", {{"att_sum_grad", Key::DstNode}, {"q_grad", Key::DstNode}}},
-        {"HGT/C+R", {{"msg_grad", Key::UniquePair}, {"q_grad", Key::DstNode}}},
+        {"HGT/C+R",
+         {{"msg_grad", Key::UniquePair},
+          {"q_grad", Key::DstNode},
+          {"ka_grad", Key::UniquePair}}},
     };
     for (const auto &[gname, g] : graphs) {
         for (models::ModelKind mk :
@@ -615,14 +618,14 @@ TEST_F(ExecDeterminism, HoistedLoadsMatchSeedAndPerEdgePlan)
         {"RGCN/base", {"bwd:dst.h_agg_grad"}},
         {"RGCN/C+R", {}},
         {"RGAT/base",
-         {"fwd:dst.att_sum", "bwd:dst.h_out_grad", "bwd:dst.att_sum"}},
+         {"fwd:dst.att_sum", "bwd:dst.h_out_grad", "bwd:dst.att_sum",
+          "bwd:dst.att_sum_grad"}},
         {"RGAT/C+R", {"fwd:dst.feature", "fwd:dst.att_sum", "bwd:hs"}},
         {"HGT/base",
          {"fwd:dst.q", "fwd:dst.att_sum", "bwd:dst.h_out_grad",
           "bwd:dst.att_sum", "bwd:dst.att_sum_grad", "bwd:dst.q"}},
         {"HGT/C+R",
-         {"fwd:dst.q", "fwd:dst.att_sum", "bwd:msg", "bwd:dst.att_sum_grad",
-          "bwd:dst.q"}},
+         {"fwd:dst.q", "fwd:dst.att_sum", "bwd:msg", "bwd:dst.att_sum_grad"}},
     };
     for (const auto &[gname, g] : graphs) {
         for (models::ModelKind mk :
@@ -764,29 +767,30 @@ output h_out
         EXPECT_FALSE(loadsPerGroup(*ti, "ka", Access::Direct));
         expectMatchesSeed(m, g, "regrouped-pointwise-loop");
     }
-    // A loop with a weight-vector gradient is never regrouped, though
-    // it reads e.dst rows: its per-type sums follow the walk order.
+    // Weight-vector gradients lower onto the GEMM template, so no
+    // traversal of any training plan holds one; their GEMMs match the
+    // seed.
     {
-        core::CompileOptions train;
-        train.training = true;
-        const core::CompiledModel m = core::compile(
-            models::buildModel(models::ModelKind::Rgat, g, 8, 8), train);
-        int checked = 0;
-        for (const auto &ti : m.backwardFn.traversals) {
-            bool wgrad = false;
-            bool reads_dst = false;
-            for (const auto &ss : ti.stmts) {
-                wgrad |= ss.stmt.kind == core::OpKind::WeightVecGrad;
-                for (const auto &in : ss.stmt.ins)
-                    reads_dst |= in.access == Access::ViaDst;
-            }
-            if (wgrad && reads_dst) {
-                EXPECT_EQ(ti.group, core::GroupKey::None) << ti.name;
-                ++checked;
+        for (models::ModelKind mk :
+             {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+              models::ModelKind::Hgt}) {
+            for (bool optimized : {false, true}) {
+                core::CompileOptions train;
+                train.compactMaterialization = optimized;
+                train.linearReorder = optimized;
+                train.training = true;
+                const core::CompiledModel m = core::compile(
+                    models::buildModel(mk, g, 8, 8), train);
+                for (const auto &ti : m.backwardFn.traversals)
+                    for (const auto &ss : ti.stmts)
+                        EXPECT_NE(ss.stmt.kind, core::OpKind::WeightVecGrad)
+                            << models::toString(mk) << " " << ti.name;
+                if (mk == models::ModelKind::Rgat)
+                    expectMatchesSeed(m, g,
+                                      optimized ? "weight-vector-gradient/C+R"
+                                                : "weight-vector-gradient");
             }
         }
-        EXPECT_GT(checked, 0);
-        expectMatchesSeed(m, g, "weight-vector-gradient");
     }
 }
 

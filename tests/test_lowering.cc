@@ -3,12 +3,19 @@
  * Tests for lowering onto the two kernel templates: greedy operator
  * selection (GEMM preferred, traversal next, framework fallback
  * last), the RGCN GEMM+scatter fusion, compact row domains, access
- * scheme selection, and backward instance structure.
+ * scheme selection, and backward instance structure: weight-vector
+ * gradients on the GEMM template after the instance writing their
+ * scalar, and the split of an edge loop that scatters vector rows
+ * under both group keys.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+
 #include "core/compiler.hh"
+#include "core/frontend.hh"
 #include "graph/datasets.hh"
 #include "models/models.hh"
 
@@ -242,6 +249,295 @@ TEST(Lowering, OrderCoversEveryInstanceExactlyOnce)
             EXPECT_EQ(t, fn->traversals.size());
             EXPECT_EQ(f, fn->fallbacks.size());
         }
+    }
+}
+
+/** Position in @p fn.order of the traversal writing @p var, or -1. */
+int
+writerStep(const LoweredFunction &fn, const std::string &var)
+{
+    for (std::size_t i = 0; i < fn.order.size(); ++i) {
+        const auto &step = fn.order[i];
+        if (step.kind != LoweredFunction::Step::Kind::Traversal)
+            continue;
+        for (const auto &ss : fn.traversals[step.index].stmts)
+            if (ss.stmt.out.name == var)
+                return static_cast<int>(i);
+    }
+    return -1;
+}
+
+/** Position in @p fn.order of the outer GEMM summing @p weight's
+ *  gradient, or -1. */
+int
+outerGemmStep(const LoweredFunction &fn, const std::string &weight)
+{
+    for (std::size_t i = 0; i < fn.order.size(); ++i) {
+        const auto &step = fn.order[i];
+        if (step.kind == LoweredFunction::Step::Kind::Gemm &&
+            fn.gemms[step.index].kind == GemmKind::Outer &&
+            fn.gemms[step.index].yVar == weight)
+            return static_cast<int>(i);
+    }
+    return -1;
+}
+
+/** Every WeightVecGrad statement of @p p. */
+std::vector<Stmt>
+weightVecGrads(const Program &p)
+{
+    std::vector<Stmt> out;
+    auto visit = [&](const Loop &l, auto &&self) -> void {
+        for (const auto &s : l.body)
+            if (s.kind == OpKind::WeightVecGrad)
+                out.push_back(s);
+        for (const auto &in : l.inner)
+            self(in, self);
+    };
+    for (const auto &l : p.loops)
+        visit(l, visit);
+    return out;
+}
+
+/**
+ * A WeightVecGrad of @p p lowered into @p fn: an outer GEMM with
+ * din = 1 over the statement's own operands, after the instance that
+ * writes its scalar; and no traversal holds one.
+ */
+void
+expectWeightVecGemms(const Program &p, const LoweredFunction &fn,
+                     const std::string &what)
+{
+    for (const auto &ti : fn.traversals)
+        for (const auto &ss : ti.stmts)
+            EXPECT_NE(ss.stmt.kind, OpKind::WeightVecGrad)
+                << what << " " << ti.name;
+    for (const Stmt &s : weightVecGrads(p)) {
+        const int at = outerGemmStep(fn, s.weight);
+        ASSERT_GE(at, 0) << what << " " << s.weight;
+        const GemmInstance &gi =
+            fn.gemms[fn.order[static_cast<std::size_t>(at)].index];
+        EXPECT_EQ(gi.din, 1) << what << " " << s.weight;
+        EXPECT_EQ(gi.dout, p.weightInfo(s.weight).cols) << what;
+        EXPECT_EQ(gi.xVar, s.ins[0].name) << what;
+        EXPECT_EQ(gi.y2Var, s.ins[1].name) << what;
+        EXPECT_EQ(gi.yAccess, AccessScheme::Identity) << what;
+        const int producer = writerStep(fn, s.ins[0].name);
+        ASSERT_GE(producer, 0) << what << " " << s.ins[0].name;
+        EXPECT_LT(producer, at) << what << " " << s.weight;
+    }
+}
+
+TEST(Lowering, WeightVecGradsLowerToOuterGemmsAfterTheirScalar)
+{
+    int checked = 0;
+    for (models::ModelKind mk :
+         {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+          models::ModelKind::Hgt})
+        for (bool optimized : {false, true}) {
+            const auto m = compileModel(mk, optimized, optimized, true);
+            const std::string what = std::string(models::toString(mk)) +
+                                     (optimized ? "/C+R" : "/base");
+            expectWeightVecGemms(m.backwardProgram, m.backwardFn, what);
+            checked += static_cast<int>(
+                weightVecGrads(m.backwardProgram).size());
+        }
+    EXPECT_EQ(checked, 4); // RGAT's w_s and w_t (w_t__W under C+R)
+
+    // Under C+R, w_t__W sums attt_grad x e.dst.feature over edges,
+    // gathering the feature row, and w_s over the compact pairs.
+    const auto cr = compileModel(models::ModelKind::Rgat, true, true, true);
+    const auto &fn = cr.backwardFn;
+    const GemmInstance &wt =
+        fn.gemms[fn.order[static_cast<std::size_t>(
+                     outerGemmStep(fn, "w_t__W"))].index];
+    EXPECT_EQ(wt.rows, RowDomain::Edges);
+    EXPECT_EQ(wt.y2Access, AccessScheme::GatherDst);
+    const GemmInstance &ws =
+        fn.gemms[fn.order[static_cast<std::size_t>(
+                     outerGemmStep(fn, "w_s"))].index];
+    EXPECT_EQ(ws.rows, RowDomain::UniquePairs);
+    EXPECT_EQ(ws.y2Access, AccessScheme::Identity);
+}
+
+TEST(Lowering, WeightVecGradInANestFollowsTheTraversal)
+{
+    // Fusion moves an edge loop holding a weight-vector gradient into
+    // the aggregation nest that consumes its rows. The typed linear is
+    // still extracted ahead of the nest; the gradient GEMM reads the
+    // scalar the nest computes, so it follows it.
+    graph::HeteroGraph g = graph::toyCitationGraph();
+    Program p = parseModel(R"(model wvec_nest
+weight W etype din dout
+weightvec w_a etype dout
+input feature din
+for e in g.edges():
+    hs = typed_linear(e.src.feature, W[e.etype])
+    a = dot_prd(e.hs, w_a[e.etype])
+for n in g.dst_nodes():
+    for e in n.incoming_edges():
+        h_out += accumulate_scaled(e.a, e.hs)
+output h_out
+)",
+                           8, 8);
+    Stmt wv;
+    wv.kind = OpKind::WeightVecGrad;
+    wv.out = {"w_a", Access::Direct};
+    wv.ins = {{"a", Access::Direct}, {"hs", Access::Direct}};
+    wv.weight = "w_a";
+    wv.accumulateOut = true;
+    p.loops[0].body.push_back(wv);
+    fuseLoops(p, false);
+    ASSERT_EQ(p.loops.size(), 1u);
+    ASSERT_EQ(p.loops[0].domain, LoopDomain::DstNodes);
+
+    const LoweredFunction fn = lower(p, {}, sim::Phase::Backward);
+    ASSERT_EQ(fn.order.size(), 3u);
+    EXPECT_EQ(fn.order[0].kind, LoweredFunction::Step::Kind::Gemm);
+    EXPECT_EQ(fn.order[1].kind, LoweredFunction::Step::Kind::Traversal);
+    EXPECT_EQ(fn.order[2].kind, LoweredFunction::Step::Kind::Gemm);
+    expectWeightVecGemms(p, fn, "nest");
+
+    // The GEMM sums a_e * hs_e by type segment, edges ascending.
+    std::mt19937_64 rng(3);
+    models::WeightMap weights = models::initWeights(p, g, rng);
+    models::WeightMap grads;
+    sim::Runtime rt;
+    ExecutionContext ctx;
+    ctx.reset(&g, nullptr, &rt, &weights, &grads);
+    ctx.bindExternal("feature",
+                     tensor::Tensor::uniform({g.numNodes(), 8}, rng, 0.5f));
+    execute(p, fn, ctx);
+    const tensor::Tensor &a = *ctx.lookup("a");
+    const tensor::Tensor &hs = *ctx.lookup("hs");
+    tensor::Tensor want({g.numEdgeTypes(), 8});
+    for (std::int64_t e = 0; e < g.numEdges(); ++e) {
+        const float av = a.at(e, 0);
+        if (av == 0.0f)
+            continue;
+        float *row = want.row(g.etype()[static_cast<std::size_t>(e)]);
+        for (std::int64_t j = 0; j < 8; ++j)
+            row[j] += av * hs.at(e, j);
+    }
+    ASSERT_EQ(grads.count("w_a"), 1u);
+    const tensor::Tensor &got = grads.at("w_a");
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.numel() * sizeof(float)),
+              0);
+}
+
+/** The backward traversal of @p m writing @p var. */
+const TraversalInstance *
+backwardWriter(const CompiledModel &m, const std::string &var)
+{
+    const int at = writerStep(m.backwardFn, var);
+    if (at < 0)
+        return nullptr;
+    return &m.backwardFn.traversals[m.backwardFn.order[
+        static_cast<std::size_t>(at)].index];
+}
+
+/** Hoist level of @p var's writer in @p ti (-1 when absent). */
+int
+levelOf(const TraversalInstance &ti, const std::string &var)
+{
+    for (const auto &ss : ti.stmts)
+        if (ss.stmt.out.name == var)
+            return ss.hoistLevel;
+    return -1;
+}
+
+TEST(Lowering, TwoKeyEdgeLoopSplitsVectorLosers)
+{
+    // HGT C+R: one backward edge loop sums q_grad through e.dst and
+    // ka_grad into compact rows, 8 columns each. The node key wins the
+    // tie; ka_grad moves to a pair-grouped instance right after it.
+    const auto m = compileModel(models::ModelKind::Hgt, true, true, true);
+    const TraversalInstance *q = backwardWriter(m, "q_grad");
+    const TraversalInstance *ka = backwardWriter(m, "ka_grad");
+    ASSERT_NE(q, nullptr);
+    ASSERT_NE(ka, nullptr);
+    ASSERT_NE(q, ka);
+    EXPECT_EQ(q->group, GroupKey::DstNode);
+    EXPECT_EQ(levelOf(*q, "q_grad"), 2);
+    EXPECT_EQ(ka->group, GroupKey::UniquePair);
+    EXPECT_EQ(levelOf(*ka, "ka_grad"), 2);
+    ASSERT_EQ(ka->stmts.size(), 1u);
+    // The pair instance reads the edge rows the node instance wrote.
+    const int qs = writerStep(m.backwardFn, "q_grad");
+    EXPECT_EQ(writerStep(m.backwardFn, "ka_grad"), qs + 1);
+    for (const auto &in : ka->stmts[0].stmt.ins)
+        if (m.backwardProgram.varInfo(in.name).space == VarSpace::EdgeData) {
+            EXPECT_EQ(writerStep(m.backwardFn, in.name), qs) << in.name;
+        }
+
+    // A reader of ka_grad in the loop, a later writer of one of its
+    // inputs, or another writer of ka_grad keeps the loop whole:
+    // ka_grad then scatters from the node instance.
+    const auto withProbe = [&](auto &&probe_of) {
+        Program p = m.backwardProgram;
+        p.declareVar("probe", {VarSpace::EdgeData, 8, false,
+                               Materialization::Vanilla});
+        for (auto &l : p.loops)
+            for (auto it = l.body.begin(); it != l.body.end(); ++it)
+                if (it->out.name == "ka_grad") {
+                    const Stmt probe = probe_of(*it);
+                    l.body.insert(it + 1, probe);
+                    return lower(p, {}, sim::Phase::Backward);
+                }
+        ADD_FAILURE() << "no loop writes ka_grad";
+        return LoweredFunction{};
+    };
+    const auto copy = [](VarRef out, VarRef in, bool accumulate) {
+        Stmt s;
+        s.kind = OpKind::Copy;
+        s.out = out;
+        s.ins = {in};
+        s.accumulateOut = accumulate;
+        return s;
+    };
+    const std::vector<std::pair<std::string, LoweredFunction>> refused = {
+        {"reader", withProbe([&](const Stmt &) {
+             return copy({"probe", Access::Direct},
+                         {"ka_grad", Access::Direct}, false);
+         })},
+        {"later-input-writer", withProbe([&](const Stmt &ka) {
+             return copy(ka.ins[0], ka.ins[0], true);
+         })},
+        {"other-writer", withProbe([&](const Stmt &) {
+             return copy({"ka_grad", Access::Direct}, {"q", Access::ViaDst},
+                         false);
+         })},
+    };
+    for (const auto &[what, fn] : refused) {
+        EXPECT_EQ(writerStep(fn, "ka_grad"), writerStep(fn, "q_grad"))
+            << what;
+        for (const auto &ti : fn.traversals)
+            for (const auto &ss : ti.stmts)
+                if (ss.stmt.out.name == "ka_grad") {
+                    EXPECT_EQ(ti.group, GroupKey::DstNode) << what;
+                    EXPECT_EQ(ss.hoistLevel, 0) << what;
+                }
+    }
+}
+
+TEST(Lowering, ScalarLosersAreNotSplit)
+{
+    // The edge-softmax backward sums the one-column att_sum_grad
+    // through e.dst beside a compact vector gradient: it keeps its
+    // atomics in the pair instance rather than cost a second walk.
+    for (models::ModelKind mk :
+         {models::ModelKind::Rgat, models::ModelKind::Hgt}) {
+        const auto m = compileModel(mk, true, true, true);
+        const std::string vec =
+            mk == models::ModelKind::Rgat ? "hs_grad" : "msg_grad";
+        const TraversalInstance *ti = backwardWriter(m, "att_sum_grad");
+        ASSERT_NE(ti, nullptr);
+        EXPECT_EQ(ti, backwardWriter(m, vec)) << vec;
+        EXPECT_EQ(ti->group, GroupKey::UniquePair);
+        EXPECT_EQ(levelOf(*ti, vec), 2);
+        EXPECT_EQ(levelOf(*ti, "att_sum_grad"), 0);
     }
 }
 

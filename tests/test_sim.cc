@@ -4,8 +4,10 @@
  * the cost model (DESIGN.md invariant 7), occupancy ramp, atomic
  * serialization, counter bookkeeping, derived Fig. 12 metrics, and
  * the store and atomic pricing of register-accumulated (grouped)
- * aggregations, forward and backward, and the read pricing of operand
- * rows loaded once per group or shared by several statements.
+ * aggregations, forward and backward, the read pricing of operand
+ * rows loaded once per group or shared by several statements, the
+ * outer-product GEMMs that sum weight gradients (weight vectors
+ * included), and the two halves of a split backward edge loop.
  */
 
 #include <gtest/gtest.h>
@@ -256,15 +258,15 @@ TEST(ArchMetrics, GemmBeatsTraversalThroughput)
 }
 
 /**
- * A sampled serving block of `am` (fanout 4 for @p num_seeds seeds):
- * more nodes than edges.
+ * A sampled block of @p dataset at scale 1/256 (fanout 4 for
+ * @p num_seeds seeds).
  */
 hector::graph::HeteroGraph
-sampledAmBlock(int num_seeds = 16)
+sampledBlock(const std::string &dataset, int num_seeds)
 {
     namespace graph = hector::graph;
     const graph::HeteroGraph full = graph::generate(
-        graph::datasetSpec("am"), 1.0 / 256.0);
+        graph::datasetSpec(dataset), 1.0 / 256.0);
     std::mt19937_64 rng(7);
     graph::SampleSpec spec;
     spec.numSeeds = num_seeds;
@@ -272,14 +274,24 @@ sampledAmBlock(int num_seeds = 16)
     return graph::sampleNeighbors(full, spec, rng).subgraph;
 }
 
+/**
+ * A sampled serving block of `am` (fanout 4 for @p num_seeds seeds):
+ * more nodes than edges.
+ */
+hector::graph::HeteroGraph
+sampledAmBlock(int num_seeds = 16)
+{
+    return sampledBlock("am", num_seeds);
+}
+
 /** Counters of one launch of @p ti of program @p p on @p g. */
 CounterBucket
 priceTraversal(const hector::core::Program &p,
                const hector::core::TraversalInstance &ti,
-               const hector::graph::HeteroGraph &g)
+               const hector::graph::HeteroGraph &g, DeviceSpec spec = {})
 {
     const hector::graph::CompactionMap cmap(g);
-    Runtime rt;
+    Runtime rt(spec);
     std::map<std::string, hector::tensor::Tensor> weights, grads;
     hector::core::ExecutionContext ctx;
     ctx.reset(&g, &cmap, &rt, &weights, &grads);
@@ -520,6 +532,160 @@ TEST(TraversalPricing, SharedOperandLoadedOncePerEdge)
     EXPECT_EQ(twice.bytesRead - shared.bytesRead,
               4.0 * 16.0 * static_cast<double>(g.numEdges()));
     expectSameButReads(shared, twice, "h_out_grad");
+}
+
+/** One training step of @p m on @p g with every launch recorded. */
+std::vector<LaunchRecord>
+trainRecords(const hector::core::CompiledModel &m,
+             const hector::graph::HeteroGraph &g,
+             const hector::graph::CompactionMap &cmap,
+             std::map<std::string, hector::tensor::Tensor> &weights)
+{
+    std::mt19937_64 rng(5);
+    weights = hector::models::initWeights(m.forwardProgram, g, rng);
+    const hector::tensor::Tensor feature =
+        hector::tensor::Tensor::uniform({g.numNodes(), 16}, rng, 0.5f);
+    Runtime rt(makeScaledSpec(1.0 / 256.0));
+    rt.setRecordLaunches(true);
+    std::map<std::string, hector::tensor::Tensor> grads;
+    hector::core::ExecutionContext ctx;
+    ctx.reset(&g, &cmap, &rt, &weights, &grads);
+    hector::core::trainStep(m, ctx, feature);
+    return rt.records();
+}
+
+TEST(GemmPricing, OuterGemmReadsY2RowsAndWritesTheGradientOnce)
+{
+    namespace core = hector::core;
+    using hector::models::ModelKind;
+    const double scale = 1.0 / 256.0;
+    int weight_vectors = 0;
+    int gathered = 0;
+    for (const char *dataset : {"am", "mag"}) {
+        const hector::graph::HeteroGraph g = sampledBlock(dataset, 128);
+        const hector::graph::CompactionMap cmap(g);
+        for (ModelKind mk : {ModelKind::Rgcn, ModelKind::Rgat, ModelKind::Hgt})
+            for (bool optimized : {false, true}) {
+                core::CompileOptions opts;
+                opts.compactMaterialization = optimized;
+                opts.linearReorder = optimized;
+                opts.training = true;
+                const core::CompiledModel m = core::compile(
+                    hector::models::buildModel(mk, g, 16, 16), opts);
+                std::map<std::string, hector::tensor::Tensor> weights;
+                const auto records = trainRecords(m, g, cmap, weights);
+                for (const auto &gi : m.backwardFn.gemms) {
+                    if (gi.kind != core::GemmKind::Outer)
+                        continue;
+                    const std::string what = std::string(dataset) + " " +
+                                             gi.name;
+                    const LaunchRecord *rec = nullptr;
+                    for (const auto &r : records)
+                        if (r.name == gi.name)
+                            rec = &r;
+                    ASSERT_NE(rec, nullptr) << what;
+                    const double rows = static_cast<double>(
+                        gi.rows == core::RowDomain::Edges
+                            ? g.numEdges()
+                            : (gi.rows == core::RowDomain::UniquePairs
+                                   ? cmap.numUnique()
+                                   : g.numNodes()));
+                    const double din = static_cast<double>(gi.din);
+                    const double dout = static_cast<double>(gi.dout);
+                    const double grad = 4.0 * scale *
+                        static_cast<double>(weights.at(gi.wVar).numel());
+                    const double x_idx =
+                        gi.xAccess == core::AccessScheme::Identity ? 0.0
+                                                                   : 8.0;
+                    const double y2_idx =
+                        gi.y2Access == core::AccessScheme::Identity ? 0.0
+                                                                    : 8.0;
+                    // x and y2 rows (and the index arrays gathering
+                    // them) are read; the gradient is written once.
+                    EXPECT_EQ(rec->bytesRead,
+                              rows * (4.0 * din + x_idx) +
+                                  rows * (4.0 * dout + y2_idx))
+                        << what;
+                    EXPECT_EQ(rec->bytesWritten, grad) << what;
+                    EXPECT_EQ(rec->atomics, 0.0) << what;
+                    // Where y2 is not gathered, the byte total (and so
+                    // the modeled time) is the one that booked the
+                    // gradient as read and rows * dout as written.
+                    if (y2_idx == 0.0) {
+                        EXPECT_EQ(rec->bytesRead + rec->bytesWritten,
+                                  rows * 4.0 * din + grad + rows * x_idx +
+                                      rows * 4.0 * dout)
+                            << what;
+                    }
+                    weight_vectors += gi.din == 1;
+                    gathered += y2_idx != 0.0;
+                }
+            }
+    }
+    // RGAT's w_s and w_t per plan and dataset; w_t__W gathers e.dst's
+    // feature row.
+    EXPECT_EQ(weight_vectors, 8);
+    EXPECT_EQ(gathered, 2);
+}
+
+TEST(TraversalPricing, SplitHalvesAreAtomicFreeAndCheaperThanTheWholeLoop)
+{
+    namespace core = hector::core;
+    struct Case
+    {
+        const char *dataset;
+        int seeds;
+        /** Largest allowed price of the halves over the whole loop. */
+        double bound;
+    };
+    // With 8192 seeds, (src, etype) pairs repeat (about 1.8 edges per
+    // pair on am, 8 on mag) and the split saves the atomics. With 128
+    // seeds nearly every pair has one edge: the atomics barely contend,
+    // and the second walk's re-reads cost the split a few percent.
+    const std::vector<Case> cases = {
+        {"am", 8192, 1.0}, {"mag", 8192, 1.0},
+        {"am", 128, 1.1},  {"mag", 128, 1.1},
+    };
+    for (const auto &c : cases) {
+        const std::string what =
+            std::string(c.dataset) + "/" + std::to_string(c.seeds);
+        const hector::graph::HeteroGraph g = sampledBlock(c.dataset, c.seeds);
+        core::CompileOptions opts;
+        opts.compactMaterialization = true;
+        opts.linearReorder = true;
+        opts.training = true;
+        const core::CompiledModel m = core::compile(
+            hector::models::buildModel(hector::models::ModelKind::Hgt, g, 16,
+                                       16),
+            opts);
+        const core::Program &p = m.backwardProgram;
+        const core::TraversalInstance *node = writerOf(m.backwardFn, "q_grad");
+        const core::TraversalInstance *pair =
+            writerOf(m.backwardFn, "ka_grad");
+        ASSERT_NE(node, nullptr);
+        ASSERT_NE(pair, nullptr);
+        ASSERT_NE(node, pair);
+
+        // The loop as one node-grouped instance: ka_grad summed in
+        // place, scattering into compact rows.
+        core::TraversalInstance whole = *node;
+        for (auto ss : pair->stmts) {
+            ss.hoistLevel = 0;
+            whole.stmts.push_back(ss);
+        }
+        whole.loads = core::operandLoads(p, whole);
+
+        // Priced on the device a 1/256-scale block is served on, whose
+        // per-launch overhead shrinks with the data.
+        const DeviceSpec spec = makeScaledSpec(1.0 / 256.0);
+        const CounterBucket n = priceTraversal(p, *node, g, spec);
+        const CounterBucket u = priceTraversal(p, *pair, g, spec);
+        const CounterBucket w = priceTraversal(p, whole, g, spec);
+        EXPECT_EQ(n.atomics, 0.0) << what;
+        EXPECT_EQ(u.atomics, 0.0) << what;
+        EXPECT_GT(w.atomics, 0.0) << what;
+        EXPECT_LT(n.timeSec + u.timeSec, c.bound * w.timeSec) << what;
+    }
 }
 
 } // namespace
