@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/lowering.hh"
+
 namespace hector::core
 {
 
@@ -78,9 +80,9 @@ loadReg(const OperandLoad &l)
 
 /**
  * Loads of @p ti read into a register, one per distinct operand: every
- * load of a materialized variable the instance does not write. A
- * variable the instance writes is read where it was written, and a
- * virtual one already lives in a register.
+ * weight-vector row, and every load of a materialized variable the
+ * instance does not write. A variable the instance writes is read
+ * where it was written, and a virtual one already lives in a register.
  */
 std::vector<OperandLoad>
 registerLoads(const Program &p, const TraversalInstance &ti)
@@ -91,8 +93,8 @@ registerLoads(const Program &p, const TraversalInstance &ti)
             ti.stmts.begin(), ti.stmts.end(), [&](const ScheduledStmt &ss) {
                 return ss.stmt.out.name == l.var;
             });
-        if (!written &&
-            p.varInfo(l.var).mat != Materialization::Virtual)
+        if (l.weight ||
+            (!written && p.varInfo(l.var).mat != Materialization::Virtual))
             out.push_back(l);
     }
     return out;
@@ -108,22 +110,35 @@ rowRef(const Program &p, const std::string &var, const std::string &row)
     return var + "[" + row + " * " + std::to_string(cols) + " + f]";
 }
 
-/** Row of @p v at edge (or row) @p ent, as CUDA C. */
+/** Row of typed weight vector @p w at the current etype, as CUDA C. */
 std::string
-operandRef(const Program &p, const VarRef &v, const std::string &ent)
+weightRef(const std::string &w)
 {
+    return w + "[etype * dim + f]";
+}
+
+/**
+ * Row of @p v at row @p ent of @p domain, as CUDA C: @p ent is an edge
+ * id, except in the UniquePairs domain, where it is the pair id that
+ * indexes compact rows and unique_row_idx directly.
+ */
+std::string
+operandRef(const Program &p, const VarRef &v, const std::string &ent,
+           RowDomain domain)
+{
+    const bool by_pair = domain == RowDomain::UniquePairs;
     const auto &vi = p.varInfo(v.name);
     std::string idx;
     if (vi.space == VarSpace::EdgeData) {
         if (vi.mat == Materialization::Virtual)
             return v.name + "_reg";
-        idx = vi.mat == Materialization::Compact
+        idx = vi.mat == Materialization::Compact && !by_pair
                   ? "edge_to_unique[" + ent + "]"
                   : ent;
     } else {
         switch (v.access) {
           case Access::ViaSrc:
-            idx = "row_idx[" + ent + "]";
+            idx = (by_pair ? "unique_row_idx[" : "row_idx[") + ent + "]";
             break;
           case Access::ViaDst:
             idx = "col_idx[" + ent + "]";
@@ -136,23 +151,45 @@ operandRef(const Program &p, const VarRef &v, const std::string &ent)
     return rowRef(p, v.name, idx);
 }
 
+/** The row load @p l reads at row @p ent of @p ti's domain. */
+std::string
+loadRef(const Program &p, const TraversalInstance &ti, const OperandLoad &l,
+        const std::string &ent)
+{
+    return l.weight ? weightRef(l.var)
+                    : operandRef(p, {l.var, l.access}, ent, ti.domain);
+}
+
 /**
- * Renders one traversal-statement as CUDA C. With @p into_register
+ * Renders one statement of @p ti as CUDA C. With @p into_register
  * (hoist level 2), an accumulation adds into its register
- * accumulator instead of the output row. An input among @p regs reads
- * its load's register instead of memory.
+ * accumulator instead of the output row. An input or weight vector
+ * among @p regs reads its load's register instead of memory. An
+ * accumulation scatters by atomicAdd exactly when the cost model
+ * prices atomics for it (scattersAtomically()).
  */
 std::string
-stmtToCuda(const Program &p, const Stmt &s, const std::string &ent,
-           bool into_register = false,
+stmtToCuda(const Program &p, const TraversalInstance &ti, const Stmt &s,
+           const std::string &ent, bool into_register = false,
            const std::vector<OperandLoad> &regs = {})
 {
-    auto ref = [&](const VarRef &v) { return operandRef(p, v, ent); };
+    auto ref = [&](const VarRef &v) {
+        return operandRef(p, v, ent, ti.domain);
+    };
     auto in = [&](const VarRef &v) -> std::string {
         for (const auto &l : regs)
-            if (l.var == v.name && l.access == v.access)
+            if (!l.weight && l.var == v.name && l.access == v.access)
                 return loadReg(l);
         return ref(v);
+    };
+    // The second operand: an input, or the typed weight-vector row.
+    auto in1 = [&]() -> std::string {
+        if (s.weight.empty())
+            return in(s.ins[1]);
+        for (const auto &l : regs)
+            if (l.weight && l.var == s.weight)
+                return loadReg(l);
+        return weightRef(s.weight);
     };
 
     std::ostringstream os;
@@ -162,27 +199,17 @@ stmtToCuda(const Program &p, const Stmt &s, const std::string &ent,
             return;
         }
         const std::string out = ref(s.out);
-        if (s.accumulateOut || s.kind == OpKind::AccumulateSum ||
-            s.kind == OpKind::AccumulateScaled) {
-            if ((s.out.access != Access::Direct &&
-                 p.varInfo(s.out.name).space != VarSpace::EdgeData) ||
-                (p.varInfo(s.out.name).space == VarSpace::EdgeData &&
-                 p.varInfo(s.out.name).mat == Materialization::Compact)) {
-                os << "atomicAdd(&" << out << ", " << expr << ");";
-                return;
-            }
-            os << out << " += " << expr << ";";
-        } else {
+        if (!isAccumulation(s))
             os << out << " = " << expr << ";";
-        }
+        else if (scattersAtomically(p, s, ti.domain, ti.group))
+            os << "atomicAdd(&" << out << ", " << expr << ");";
+        else
+            os << out << " += " << expr << ";";
     };
 
     switch (s.kind) {
       case OpKind::DotProduct:
-        assign("warp_dot(" + in(s.ins[0]) + ", " +
-               (s.weight.empty() ? in(s.ins[1])
-                                 : s.weight + "[etype * dim + f]") +
-               ")");
+        assign("warp_dot(" + in(s.ins[0]) + ", " + in1() + ")");
         break;
       case OpKind::Add:
         assign(in(s.ins[0]) + " + " + in(s.ins[1]));
@@ -211,9 +238,7 @@ stmtToCuda(const Program &p, const Stmt &s, const std::string &ent,
         assign(in(s.ins[0]));
         break;
       case OpKind::AccumulateScaled:
-        assign(in(s.ins[0]) + " * " +
-               (s.weight.empty() ? in(s.ins[1])
-                                 : s.weight + "[etype * dim + f]"));
+        assign(in(s.ins[0]) + " * " + in1());
         break;
       case OpKind::LeakyReluBwd:
         assign(in(s.ins[0]) + " * (" + in(s.ins[1]) + " > 0.f ? 1.f : " +
@@ -400,9 +425,9 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
     const std::vector<OperandLoad> regs = registerLoads(p, ti);
     auto emitEdgeLoads = [&](const char *indent, const std::string &ent) {
         for (const auto &l : regs)
-            if (!ti.hoisted(l))
+            if (ti.rateOf(l) == LoadRate::PerEdge)
                 os << indent << "const float " << loadReg(l) << " = "
-                   << operandRef(p, {l.var, l.access}, ent) << ";\n";
+                   << loadRef(p, ti, l, ent) << ";\n";
     };
     if (ti.grouped()) {
         // One group per block: a destination node n over the CSR, or
@@ -423,7 +448,8 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
         for (const auto &ss : ti.stmts) {
             if (ss.hoistLevel == 1) {
                 os << "        // hoisted before edge loop\n";
-                os << "        " << stmtToCuda(p, ss.stmt, "e") << "\n";
+                os << "        " << stmtToCuda(p, ti, ss.stmt, "e")
+                   << "\n";
             } else if (ss.hoistLevel == 2) {
                 os << "        float " << accName(ss.stmt)
                    << " = 0.f;  // register accumulator\n";
@@ -445,6 +471,19 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
             os << "        const float " << loadReg(l) << " = has_edges ? "
                << rowRef(p, l.var, grp) << " : 0.f;\n";
         }
+        // Weight-vector rows, reloaded inside the edge loop only when
+        // the edge's etype differs from the last one loaded.
+        std::string run_loads;
+        for (const auto &l : regs) {
+            if (ti.rateOf(l) != LoadRate::PerRun)
+                continue;
+            if (run_loads.empty())
+                os << "        // weight-vector rows loaded once per run of "
+                      "equal etype\n"
+                   << "        int ld_etype = -1;\n";
+            os << "        float " << loadReg(l) << " = 0.f;\n";
+            run_loads += " " + loadReg(l) + " = " + weightRef(l.var) + ";";
+        }
         os << "        for (int i = " << ptr << "[" << grp
            << "] + threadIdx.y;\n"
            << "             i < " << ptr << "[" << grp
@@ -453,12 +492,15 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
            << (by_pair ? "args.unique_eids" : "args.in_edge_ids")
            << "[i];\n"
            << "            int etype = GetEType<" << ti.kid << ">(e);\n";
+        if (!run_loads.empty())
+            os << "            if (etype != ld_etype) { ld_etype = etype;"
+               << run_loads << " }\n";
         emitEdgeLoads("            ", "e");
         for (const auto &ss : ti.stmts) {
             if (ss.hoistLevel == 1)
                 continue;
             os << "            "
-               << stmtToCuda(p, ss.stmt, "e", ss.hoistLevel == 2, regs)
+               << stmtToCuda(p, ti, ss.stmt, "e", ss.hoistLevel == 2, regs)
                << "\n";
         }
         if (ti.partialAggregation)
@@ -483,25 +525,34 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
                                 : (ti.domain == RowDomain::Nodes
                                        ? "args.num_nodes"
                                        : "args.num_edges");
-        const char *ent = ti.domain == RowDomain::Nodes ? "n" : "e";
+        // The loop variable is the row id: an edge e, a compact
+        // (src, etype) pair u, or a node n.
+        const char *ent = ti.domain == RowDomain::Nodes         ? "n"
+                          : ti.domain == RowDomain::UniquePairs ? "u"
+                                                                : "e";
         os << "    for (int " << ent
            << " = blockIdx.x * blockDim.y + threadIdx.y; " << ent << " < "
            << count << ";\n"
            << "         " << ent << " += gridDim.x * blockDim.y) {\n";
-        if (ti.domain != RowDomain::Nodes) {
-            os << "        int etype = GetEType<" << ti.kid << ">(" << ent
-               << ");  // segment lookup via etype_ptr\n"
-               << "        int src = GetSrcId<" << ti.kid << ">(" << ent
-               << ");\n"
-               << "        int dst = GetDstId<" << ti.kid << ">(" << ent
-               << ");\n";
-        } else {
+        switch (ti.domain) {
+          case RowDomain::Edges:
+            os << "        int etype = GetEType<" << ti.kid
+               << ">(e);  // segment lookup via etype_ptr\n"
+               << "        int src = GetSrcId<" << ti.kid << ">(e);\n"
+               << "        int dst = GetDstId<" << ti.kid << ">(e);\n";
+            break;
+          case RowDomain::UniquePairs:
+            os << "        int etype = GetEType<" << ti.kid
+               << ">(u);  // segment lookup via unique_etype_ptr\n";
+            break;
+          case RowDomain::Nodes:
             os << "        int ntype = args.node_type[n];\n";
+            break;
         }
         os << "        int f = threadIdx.x;\n";
         emitEdgeLoads("        ", ent);
         for (const auto &ss : ti.stmts)
-            os << "        " << stmtToCuda(p, ss.stmt, ent, false, regs)
+            os << "        " << stmtToCuda(p, ti, ss.stmt, ent, false, regs)
                << "\n";
         os << "    }\n";
     }

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/jit.hh"
+#include "core/lowering.hh"
 #include "obs/trace.hh"
 #include "tensor/block_kernels.hh"
 #include "tensor/simd.hh"
@@ -1262,13 +1263,13 @@ evalPrepared(const PreparedStmt &ps, const EvalPoint &pt,
 
 /**
  * Static per-iteration cost of one traversal statement. Its operand
- * rows are not in bytesRead: the instance prices them from its load
- * set (TraversalInstance::loads).
+ * rows, typed weight-vector rows included, are not in bytesRead: the
+ * instance prices them from its load set (TraversalInstance::loads).
  */
 struct StmtCost
 {
     double flops = 0.0;
-    /** Adjacency indices and typed weight-vector rows. */
+    /** Adjacency indices. */
     double bytesRead = 0.0;
     double bytesWritten = 0.0;
     double atomics = 0.0;
@@ -1285,48 +1286,24 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, GroupKey group,
             return static_cast<double>(p.varInfo(v).cols);
         return 0.0;
     };
-    double operand_bytes = 0.0;
+    double operand_cols = 0.0;
     for (const auto &in : s.ins)
-        operand_bytes += 4.0 * colsOf(in.name);
+        operand_cols += colsOf(in.name);
+    if (!s.weight.empty())
+        operand_cols += static_cast<double>(p.weightInfo(s.weight).cols);
     const double out_cols = colsOf(s.out.name);
-    double weight_bytes = 0.0;
-    if ((s.kind == OpKind::DotProduct || s.kind == OpKind::AccumulateScaled)
-        && !s.weight.empty())
-        weight_bytes = 4.0 * static_cast<double>(p.weightInfo(s.weight).cols);
 
-    const double work =
-        std::max({out_cols, (operand_bytes + weight_bytes) / 4.0, 1.0});
-    c.flops = 2.0 * work;
-    c.bytesRead = weight_bytes + 12.0; // weight-vector row + adjacency
+    c.flops = 2.0 * std::max({out_cols, operand_cols, 1.0});
+    c.bytesRead = 12.0; // adjacency
     c.bytesWritten = 4.0 * out_cols;
-
-    // Atomic detection: accumulating writes whose target row is shared
-    // across iterations of an edge-parallel loop.
-    if (!isAccumulation(s) || domain == RowDomain::Nodes ||
-        !p.vars.count(s.out.name))
-        return c;
-    bool shared = false;
-    AccessScheme scheme = AccessScheme::Identity;
-    const auto &oi = p.varInfo(s.out.name);
-    const bool node_out = oi.space == VarSpace::NodeData ||
-                          oi.space == VarSpace::NodeInput;
-    // A group's own row (its node, or its compact pair row) is written
-    // atomic-free (Sec. 3.4.1).
-    if (node_out && s.out.access != Access::Direct) {
-        shared = group != GroupKey::DstNode ||
-                 s.out.access == Access::ViaSrc;
-        scheme = s.out.access == Access::ViaSrc
-                     ? AccessScheme::ScatterSrcAtomic
-                     : AccessScheme::ScatterDstAtomic;
-    } else if (oi.space == VarSpace::EdgeData &&
-               oi.mat == Materialization::Compact &&
-               domain == RowDomain::Edges) {
-        shared = group != GroupKey::UniquePair;
-        scheme = AccessScheme::ScatterUniqueAtomic;
-    }
-    if (shared) {
+    if (scattersAtomically(p, s, domain, group)) {
         c.atomics = out_cols;
-        c.atomicConflict = atomicConflictFor(ctx, scheme);
+        c.atomicConflict = atomicConflictFor(
+            ctx, p.varInfo(s.out.name).space == VarSpace::EdgeData
+                     ? AccessScheme::ScatterUniqueAtomic
+                 : s.out.access == Access::ViaSrc
+                     ? AccessScheme::ScatterSrcAtomic
+                     : AccessScheme::ScatterDstAtomic);
     }
     return c;
 }
@@ -1560,18 +1537,38 @@ execTraversal(const Program &p, const TraversalInstance &ti,
     const double edged_groups = static_cast<double>(
         by_pair ? ctx.rowsOf(RowDomain::UniquePairs)
                 : g.numNodesWithInEdges());
-    // Operand rows: each distinct load once per edge, or once per
-    // group with an edge when hoisted out of the edge loop.
-    for (const auto &ss : ti.stmts)
+    // A weight-vector row is loaded once per run of equal etype: one
+    // per pair, or one per distinct (dst, etype) of the in-CSR walk.
+    const double etype_runs = static_cast<double>(
+        by_pair ? ctx.rowsOf(RowDomain::UniquePairs) : g.numInEtypeRuns());
+    for (const auto &ss : ti.stmts) {
         for (const auto &in : ss.stmt.ins)
             if (!ti.loadOf(in))
                 throw std::logic_error("traversal " + ti.name +
                                        " has no load for operand " +
                                        in.name);
-    for (const auto &l : ti.loads)
-        desc.bytesRead += 4.0 *
-                          static_cast<double>(p.varInfo(l.var).cols) *
-                          (ti.hoisted(l) ? edged_groups : iters);
+        if (!ss.stmt.weight.empty() && !ti.weightLoadOf(ss.stmt.weight))
+            throw std::logic_error("traversal " + ti.name +
+                                   " has no load for weight " +
+                                   ss.stmt.weight);
+    }
+    // Operand rows: each distinct load once per edge, group or run.
+    for (const auto &l : ti.loads) {
+        const double cols = static_cast<double>(
+            l.weight ? p.weightInfo(l.var).cols : p.varInfo(l.var).cols);
+        double rows = iters;
+        switch (ti.rateOf(l)) {
+          case LoadRate::PerEdge:
+            break;
+          case LoadRate::PerGroup:
+            rows = edged_groups;
+            break;
+          case LoadRate::PerRun:
+            rows = etype_runs;
+            break;
+        }
+        desc.bytesRead += 4.0 * cols * rows;
+    }
     double max_cols = 1.0;
     for (const auto &ss : ti.stmts) {
         const StmtCost c = stmtCost(p, ss.stmt, ti.domain, ti.group, ctx);

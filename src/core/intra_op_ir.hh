@@ -180,26 +180,46 @@ struct ScheduledStmt
     int hoistLevel = 0;
 };
 
+/** How often a traversal instance reads one operand row. */
+enum class LoadRate
+{
+    /** Once per edge (or per row of a flat domain). */
+    PerEdge,
+    /** Once per group, before the edge loop. */
+    PerGroup,
+    /** Once per run of equal etype in the group's walk order. */
+    PerRun,
+};
+
 /**
  * One distinct operand row a traversal instance reads: a variable and
- * the access that locates its row. Statements of the instance reading
- * the same (var, access) share the load, so the row is read once per
+ * the access that locates its row, or a typed weight-vector row
+ * (Stmt::weight at the edge's etype). Statements of the instance
+ * reading the same row share the load, so the row is read once per
  * edge (or per row of a flat domain), not once per statement.
  */
 struct OperandLoad
 {
+    /** The variable, or the weight vector when `weight` is set. */
     std::string var;
     Access access = Access::Direct;
+    /** A typed weight-vector row rather than a variable row. */
+    bool weight = false;
     /**
-     * Loaded once per group, before the edge loop, instead of once per
-     * edge. Lowering sets it on a row that every edge of a group
-     * reads and that no statement of the instance writes: a node row
-     * (through e.dst, or Direct) under DstNode, a compact row under
-     * UniquePair. Never set on an e.src row, or on a compact row under
-     * DstNode: their rows change from edge to edge of the group. Only
-     * honoured while the instance is grouped (see hoisted()).
+     * Lowering sets, and the instance honours only while grouped (see
+     * TraversalInstance::rateOf()):
+     *
+     *  - PerGroup on a row that every edge of a group reads and that
+     *    no statement of the instance writes: a node row (through
+     *    e.dst, or Direct) under DstNode, a compact row under
+     *    UniquePair. Never on an e.src row, or on a compact row under
+     *    DstNode: their rows change from edge to edge of the group.
+     *  - PerRun on every weight-vector row. The in-CSR lists a node's
+     *    edges in ascending edge id and edges are sorted by etype, so
+     *    a DstNode walk meets one run per distinct (dst, etype) pair
+     *    (HeteroGraph::numInEtypeRuns); a UniquePair group is one run.
      */
-    bool perGroup = false;
+    LoadRate rate = LoadRate::PerEdge;
 };
 
 /**
@@ -251,32 +271,57 @@ struct TraversalInstance
 
     /**
      * The instance's distinct operand loads, in first-read order (see
-     * OperandLoad). Every input of every statement has exactly one
-     * entry. The executor prices operand reads from this set, not per
-     * statement: a per-group load costs one row per group with an
-     * edge (HeteroGraph::numNodesWithInEdges nodes, or numUnique
-     * pairs), every other load one row per edge. The fast path
-     * resolves a per-group load at the group's own row (node v or
-     * pair u), which is the row every edge of the group reaches, and
-     * the code generator loads it into a register before the edge
-     * loop. Recompute it with operandLoads() after editing stmts.
+     * OperandLoad). Every input and every weight vector of every
+     * statement has exactly one entry. The executor prices operand
+     * reads from this set, not per statement: at rateOf(), a per-group
+     * load costs one row per group with an edge
+     * (HeteroGraph::numNodesWithInEdges nodes, or numUnique pairs), a
+     * per-run load one row per etype run (HeteroGraph::numInEtypeRuns,
+     * or numUnique), and a per-edge load one row per edge. The fast
+     * path resolves a per-group load at the group's own row (node v
+     * or pair u), which is the row every edge of the group reaches.
+     * The code generator loads a per-group row into a register before
+     * the edge loop, and a per-run row inside it, only when the edge's
+     * etype differs from the last one loaded. Recompute it with
+     * operandLoads() after editing stmts.
      */
     std::vector<OperandLoad> loads;
 
     bool grouped() const { return group != GroupKey::None; }
 
-    /** The load of @p ref, or nullptr when no statement reads it. */
+    /** The load of variable row @p ref, or nullptr when none reads it. */
     const OperandLoad *
     loadOf(const VarRef &ref) const
     {
         for (const auto &l : loads)
-            if (l.var == ref.name && l.access == ref.access)
+            if (!l.weight && l.var == ref.name && l.access == ref.access)
                 return &l;
         return nullptr;
     }
 
+    /** The load of weight vector @p name, or nullptr when none reads it. */
+    const OperandLoad *
+    weightLoadOf(const std::string &name) const
+    {
+        for (const auto &l : loads)
+            if (l.weight && l.var == name)
+                return &l;
+        return nullptr;
+    }
+
+    /** How often @p l is read: its rate while grouped, else per edge. */
+    LoadRate
+    rateOf(const OperandLoad &l) const
+    {
+        return grouped() ? l.rate : LoadRate::PerEdge;
+    }
+
     /** True when @p l is read once per group, before the edge loop. */
-    bool hoisted(const OperandLoad &l) const { return grouped() && l.perGroup; }
+    bool
+    hoisted(const OperandLoad &l) const
+    {
+        return rateOf(l) == LoadRate::PerGroup;
+    }
 };
 
 /** Operations left to the framework (paper: PyTorch fallback). */

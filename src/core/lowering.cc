@@ -105,19 +105,42 @@ operandLoads(const Program &p, const TraversalInstance &ti)
     for (const auto &ss : ti.stmts)
         written.insert(ss.stmt.out.name);
     std::vector<OperandLoad> loads;
-    for (const auto &ss : ti.stmts)
-        for (const auto &in : ss.stmt.ins) {
-            const bool seen =
-                std::any_of(loads.begin(), loads.end(),
-                            [&](const OperandLoad &l) {
-                                return l.var == in.name &&
-                                       l.access == in.access;
-                            });
-            if (!seen)
-                loads.push_back({in.name, in.access,
-                                 !written.count(in.name) && groupRow(in)});
-        }
+    auto add = [&](OperandLoad l) {
+        for (const auto &o : loads)
+            if (o.weight == l.weight && o.var == l.var &&
+                o.access == l.access)
+                return;
+        loads.push_back(std::move(l));
+    };
+    for (const auto &ss : ti.stmts) {
+        for (const auto &in : ss.stmt.ins)
+            add({in.name, in.access, false,
+                 !written.count(in.name) && groupRow(in)
+                     ? LoadRate::PerGroup
+                     : LoadRate::PerEdge});
+        // A weight-vector row changes only with the edge's etype.
+        if (!ss.stmt.weight.empty())
+            add({ss.stmt.weight, Access::Direct, true, LoadRate::PerRun});
+    }
     return loads;
+}
+
+bool
+scattersAtomically(const Program &p, const Stmt &s, RowDomain domain,
+                   GroupKey group)
+{
+    if (!isAccumulation(s) || domain == RowDomain::Nodes ||
+        !p.vars.count(s.out.name))
+        return false;
+    const auto &oi = p.varInfo(s.out.name);
+    if ((oi.space == VarSpace::NodeData ||
+         oi.space == VarSpace::NodeInput) &&
+        s.out.access != Access::Direct)
+        return group != GroupKey::DstNode || s.out.access == Access::ViaSrc;
+    if (oi.space == VarSpace::EdgeData &&
+        oi.mat == Materialization::Compact && domain == RowDomain::Edges)
+        return group != GroupKey::UniquePair;
+    return false;
 }
 
 namespace

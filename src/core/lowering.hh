@@ -48,6 +48,20 @@ std::vector<OperandLoad> operandLoads(const Program &p,
                                       const TraversalInstance &ti);
 
 /**
+ * True when statement @p s of a traversal over @p domain grouped by
+ * @p group adds into a row that other iterations write too, so it
+ * scatters by atomics: an e.src row, an e.dst row outside a node
+ * group, or a compact row reached per edge outside a pair group. A
+ * row the iteration or its group owns (a vanilla edge row, a node in
+ * the Nodes domain or under its own DstNode group, a compact row in
+ * the UniquePairs domain or under its own pair group) is written
+ * without atomics (Sec. 3.4.1). The executor prices atomics and the
+ * code generator emits atomicAdd from this one predicate.
+ */
+bool scattersAtomically(const Program &p, const Stmt &s, RowDomain domain,
+                        GroupKey group);
+
+/**
  * Lower one program (forward or backward) to kernel instances, whose
  * kernel ids (and so names) count up from @p first_kid.
  */

@@ -99,6 +99,17 @@ HeteroGraph::HeteroGraph(std::vector<std::int32_t> node_type, int num_ntypes,
             inEdgeIds_[static_cast<std::size_t>(c++)] = e;
         }
     }
+    // Runs of equal etype along each node's in-edge list.
+    for (std::int64_t v = 0; v < numNodes_; ++v) {
+        std::int32_t last = -1;
+        for (std::int64_t i = inPtr_[static_cast<std::size_t>(v)];
+             i < inPtr_[static_cast<std::size_t>(v) + 1]; ++i) {
+            const std::int32_t t = etype_[static_cast<std::size_t>(
+                inEdgeIds_[static_cast<std::size_t>(i)])];
+            numInEtypeRuns_ += t != last;
+            last = t;
+        }
+    }
 
     // RGCN normalization: 1 / |N_r(dst)| per edge.
     rgcnNorm_.resize(static_cast<std::size_t>(numEdges_), 1.0f);

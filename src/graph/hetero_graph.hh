@@ -115,6 +115,14 @@ class HeteroGraph
     /** Nodes with at least one in-edge (counted once, at CSR build). */
     std::int64_t numNodesWithInEdges() const { return numNodesWithInEdges_; }
 
+    /**
+     * Runs of equal etype in the in-CSR walk (counted once, at CSR
+     * build). A node's in-edges are listed in ascending edge id and
+     * edges are sorted by etype, so this is the number of distinct
+     * (dst, etype) pairs.
+     */
+    std::int64_t numInEtypeRuns() const { return numInEtypeRuns_; }
+
     /** Average in-degree over nodes with at least one in-edge. */
     double
     avgNonzeroInDegree() const
@@ -166,6 +174,7 @@ class HeteroGraph
     std::vector<std::int64_t> inPtr_;
     std::vector<std::int64_t> inEdgeIds_;
     std::int64_t numNodesWithInEdges_ = 0;
+    std::int64_t numInEtypeRuns_ = 0;
 
     std::vector<float> rgcnNorm_;
 };

@@ -10,10 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <sstream>
+
 #include "core/compiler.hh"
+#include "core/lowering.hh"
+#include "graph/compaction.hh"
 #include "graph/datasets.hh"
 #include "models/models.hh"
 #include "serve/plan_cache.hh"
+#include "sim/runtime.hh"
 
 namespace
 {
@@ -246,7 +253,7 @@ TEST(Codegen, HoistedLoadsPrecedeTheEdgeLoop)
     for (auto *fn : {&per_edge.forwardFn, &per_edge.backwardFn})
         for (auto &ti : fn->traversals)
             for (auto &l : ti.loads)
-                l.perGroup = false;
+                l.rate = LoadRate::PerEdge;
     per_edge.code =
         generateCode(per_edge.forwardProgram, per_edge.forwardFn,
                      &per_edge.backwardProgram, &per_edge.backwardFn);
@@ -324,6 +331,120 @@ TEST(Codegen, SplitBackwardWalksKaGradByPair)
               std::string::npos);
     EXPECT_NE(q.find("q_grad[n * 8 + f] = q_grad_acc;"), std::string::npos);
     EXPECT_EQ(q.find("atomicAdd"), std::string::npos);
+}
+
+/** Every launch of one training step of @p m on @p g, by kernel name. */
+std::map<std::string, sim::LaunchRecord>
+trainLaunches(const CompiledModel &m, const graph::HeteroGraph &g)
+{
+    const graph::CompactionMap cmap(g);
+    std::mt19937_64 rng(3);
+    models::WeightMap weights = models::initWeights(m.forwardProgram, g, rng);
+    const tensor::Tensor feature =
+        tensor::Tensor::uniform({g.numNodes(), 8}, rng, 0.5f);
+    sim::Runtime rt;
+    rt.setRecordLaunches(true);
+    models::WeightMap grads;
+    ExecutionContext ctx;
+    ctx.reset(&g, &cmap, &rt, &weights, &grads);
+    trainStep(m, ctx, feature);
+    std::map<std::string, sim::LaunchRecord> out;
+    for (const auto &r : rt.records())
+        out.emplace(r.name, r);
+    return out;
+}
+
+TEST(Codegen, EmittedAtomicsAreThePricedAtomics)
+{
+    const graph::HeteroGraph g = graph::toyCitationGraph();
+    for (models::ModelKind mk :
+         {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+          models::ModelKind::Hgt})
+        for (bool optimized : {false, true}) {
+            const auto m = compileModel(mk, optimized, optimized, true);
+            const std::string plan = std::string(models::toString(mk)) +
+                                     (optimized ? "/C+R" : "/base");
+            const auto launches = trainLaunches(m, g);
+            auto check = [&](const Program &p, const LoweredFunction &fn) {
+                for (const auto &ti : fn.traversals) {
+                    const std::string kernel =
+                        kernelText(m.code.cudaSource, ti.name);
+                    ASSERT_FALSE(kernel.empty()) << plan << " " << ti.name;
+                    // One atomicAdd per statement the cost model prices
+                    // atomics for; a register row is never scattered.
+                    int priced = 0;
+                    for (const auto &ss : ti.stmts)
+                        priced += ss.hoistLevel != 2 &&
+                                  scattersAtomically(p, ss.stmt, ti.domain,
+                                                     ti.group);
+                    EXPECT_EQ(occurrences(kernel, "atomicAdd("), priced)
+                        << plan << " " << ti.name << "\n" << kernel;
+                    const auto it = launches.find(ti.name);
+                    ASSERT_NE(it, launches.end()) << plan << " " << ti.name;
+                    EXPECT_EQ(it->second.atomics > 0.0, priced > 0)
+                        << plan << " " << ti.name;
+                    // A flat pair kernel's loop variable is the pair id.
+                    if (!ti.grouped() && ti.domain == RowDomain::UniquePairs)
+                        EXPECT_EQ(kernel.find("edge_to_unique["),
+                                  std::string::npos)
+                            << plan << " " << ti.name << "\n" << kernel;
+                }
+                for (const auto &gi : fn.gemms) {
+                    const auto it = launches.find(gi.name);
+                    ASSERT_NE(it, launches.end()) << plan << " " << gi.name;
+                    EXPECT_EQ(occurrences(kernelText(m.code.cudaSource,
+                                                     gi.name),
+                                          "atomicAdd("),
+                              it->second.atomics > 0.0 ? 1 : 0)
+                        << plan << " " << gi.name;
+                }
+            };
+            check(m.forwardProgram, m.forwardFn);
+            check(m.backwardProgram, m.backwardFn);
+        }
+}
+
+TEST(Codegen, WeightVectorRowLoadedOncePerEtypeRun)
+{
+    // RGAT C+R: attt = dot(e.dst.feature, w_t__W[e.etype]) walks each
+    // node's in-edges, whose etypes come in runs.
+    const auto m = compileModel(models::ModelKind::Rgat, true, true, true);
+    const std::string fwd =
+        kernelText(m.code.cudaSource, writerName(m.forwardFn, "attt"));
+    const std::size_t decl = fwd.find("float ld_w_t__W = 0.f;");
+    const std::size_t loop = fwd.find("for (int i = args.in_ptr[n]");
+    const std::size_t guard = fwd.find(
+        "if (etype != ld_etype) { ld_etype = etype; "
+        "ld_w_t__W = w_t__W[etype * dim + f]; }");
+    ASSERT_NE(decl, std::string::npos) << fwd;
+    ASSERT_NE(loop, std::string::npos);
+    ASSERT_NE(guard, std::string::npos) << fwd;
+    EXPECT_LT(fwd.find("int ld_etype = -1;"), loop);
+    EXPECT_LT(decl, loop);
+    EXPECT_GT(guard, loop);
+    EXPECT_EQ(occurrences(fwd, "w_t__W[etype * dim + f]"), 1);
+    EXPECT_NE(fwd.find("warp_dot(ld_dst_feature, ld_w_t__W)"),
+              std::string::npos);
+
+    // In every training plan, no statement indexes a weight vector
+    // itself: each row is read into its register, per etype run in a
+    // grouped kernel and per row in a flat one.
+    for (models::ModelKind mk :
+         {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+          models::ModelKind::Hgt})
+        for (bool optimized : {false, true}) {
+            const auto t = compileModel(mk, optimized, optimized, true);
+            std::istringstream lines(t.code.cudaSource);
+            for (std::string line; std::getline(lines, line);) {
+                if (line.find("[etype * dim + f]") == std::string::npos)
+                    continue;
+                const std::size_t at = line.find_first_not_of(' ');
+                EXPECT_TRUE(line.compare(at, 15, "const float ld_") == 0 ||
+                            line.compare(at, 22,
+                                         "if (etype != ld_etype)") == 0)
+                    << models::toString(mk) << ": " << line;
+            }
+        }
 }
 
 TEST(Codegen, HostRegistersEveryForwardKernel)

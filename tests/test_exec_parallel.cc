@@ -12,7 +12,7 @@
  * the same oracle on degenerate graphs, and the cases lowering must
  * refuse keep the per-edge path. So are operand rows loaded once per
  * group, which must also match the same plan with every load read
- * per edge.
+ * per edge, and weight-vector rows loaded once per etype run.
  */
 
 #include <gtest/gtest.h>
@@ -405,6 +405,13 @@ groupedWalkGraphs()
                         makeGraph({0}, 1, {0}, {0}, {{0, 0, 0}}));
     graphs.emplace_back("no-edges",
                         makeGraph({0, 0, 1, 1}, 2, {0, 1}, {1, 0}, {}));
+    // Node 0's in-edges span all four etypes, in runs of 1, 2, 1 and
+    // 3 edges; node 1 has one run of etype 1 and one of etype 3.
+    graphs.emplace_back(
+        "one-node-every-etype",
+        makeGraph({0, 0, 0, 0, 0}, 1, {0, 0, 0, 0}, {0, 0, 0, 0},
+                  {{3, 0, 3}, {1, 0, 0}, {2, 0, 1}, {4, 0, 3}, {3, 0, 1},
+                   {2, 0, 3}, {4, 0, 2}, {0, 1, 1}, {2, 1, 3}}));
     return graphs;
 }
 
@@ -599,7 +606,7 @@ perEdgeLoadPlan(core::CompiledModel m)
                 writesOnlyEdgeRows(p, ti))
                 ti.group = core::GroupKey::None;
             for (auto &l : ti.loads)
-                l.perGroup = false;
+                l.rate = core::LoadRate::PerEdge;
         }
     };
     flatten(m.forwardProgram, m.forwardFn);
@@ -661,6 +668,71 @@ TEST_F(ExecDeterminism, HoistedLoadsMatchSeedAndPerEdgePlan)
                         expectSame(runCompiled(per_edge, g, arena),
                                    runCompiled(m, g, arena),
                                    (what + "/per-edge-plan").c_str());
+                }
+            }
+        }
+    }
+}
+
+/**
+ * Weight vectors @p fn reads, as "<dir>:<weight>@run" when a grouped
+ * walk loads the row once per etype run, "<dir>:<weight>@edge" when a
+ * flat one loads it per row.
+ */
+std::set<std::string>
+weightLoads(const core::LoweredFunction &fn, const char *dir)
+{
+    std::set<std::string> out;
+    for (const auto &ti : fn.traversals)
+        for (const auto &l : ti.loads)
+            if (l.weight)
+                out.insert(std::string(dir) + ":" + l.var +
+                           (ti.rateOf(l) == core::LoadRate::PerRun
+                                ? "@run"
+                                : "@edge"));
+    return out;
+}
+
+TEST_F(ExecDeterminism, WeightRunLoadsMatchSeed)
+{
+    const auto graphs = groupedWalkGraphs();
+    // Lowering is graph-independent: what each plan loads how often.
+    const std::map<std::string, std::set<std::string>> expected = {
+        {"RGCN/base", {}},
+        {"RGCN/C+R", {}},
+        {"RGAT/base",
+         {"fwd:w_s@edge", "fwd:w_t@edge", "bwd:w_t@run", "bwd:w_s@edge"}},
+        {"RGAT/C+R", {"fwd:w_s@edge", "fwd:w_t__W@run", "bwd:w_s@edge"}},
+        {"HGT/base", {}},
+        {"HGT/C+R", {}},
+    };
+    for (const auto &[gname, g] : graphs) {
+        for (models::ModelKind mk :
+             {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+              models::ModelKind::Hgt}) {
+            for (bool optimized : {false, true}) {
+                for (bool training : {false, true}) {
+                    core::CompileOptions opts;
+                    opts.compactMaterialization = optimized;
+                    opts.linearReorder = optimized;
+                    opts.training = training;
+                    const core::CompiledModel m = core::compile(
+                        models::buildModel(mk, g, 8, 8), opts);
+                    const std::string plan =
+                        std::string(models::toString(mk)) +
+                        (optimized ? "/C+R" : "/base");
+                    std::set<std::string> got =
+                        weightLoads(m.forwardFn, "fwd");
+                    std::set<std::string> want;
+                    for (const auto &w : expected.at(plan))
+                        if (training || w.rfind("fwd:", 0) == 0)
+                            want.insert(w);
+                    if (training)
+                        got.merge(weightLoads(m.backwardFn, "bwd"));
+                    EXPECT_EQ(got, want) << plan;
+                    expectMatchesSeed(m, g,
+                                      gname + "/" + plan +
+                                          (training ? "/train" : "/infer"));
                 }
             }
         }

@@ -9,11 +9,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 #include <set>
 
 #include "graph/compaction.hh"
 #include "graph/datasets.hh"
 #include "graph/hetero_graph.hh"
+#include "graph/sampler.hh"
 
 namespace
 {
@@ -242,6 +244,53 @@ TEST(HeteroGraph, StructureBytesPositiveAndGrows)
     HeteroGraph big = generate(datasetSpec("mutag"), 1.0 / 256.0);
     EXPECT_GT(small.structureBytes(), 0u);
     EXPECT_GT(big.structureBytes(), small.structureBytes());
+}
+
+/** Distinct (dst, etype) pairs of @p g, from its COO arrays. */
+std::int64_t
+distinctDstEtype(const HeteroGraph &g)
+{
+    std::set<std::pair<std::int64_t, std::int32_t>> pairs;
+    for (std::int64_t e = 0; e < g.numEdges(); ++e)
+        pairs.insert({g.dst()[static_cast<std::size_t>(e)],
+                      g.etype()[static_cast<std::size_t>(e)]});
+    return static_cast<std::int64_t>(pairs.size());
+}
+
+/** Bytes of the COO, type, CSR and normalization arrays of @p g. */
+std::size_t
+arrayBytes(const HeteroGraph &g)
+{
+    const auto e = static_cast<std::size_t>(g.numEdges());
+    const auto n = static_cast<std::size_t>(g.numNodes());
+    return e * (8 + 8 + 4 + 8 + 4) +
+           (static_cast<std::size_t>(g.numEdgeTypes()) + 1) * 8 +
+           (n + 1) * 8 + n * 4;
+}
+
+TEST(HeteroGraph, InEtypeRunsCountDistinctDstEtypePairs)
+{
+    const HeteroGraph am = generate(datasetSpec("am"), 1.0 / 256.0);
+    std::mt19937_64 rng(7);
+    SampleSpec spec;
+    spec.numSeeds = 128;
+    spec.fanout = 4;
+    const std::vector<std::pair<std::string, HeteroGraph>> graphs = {
+        {"am", am},
+        {"mag", generate(datasetSpec("mag"), 1.0 / 256.0)},
+        {"am block", sampleNeighbors(am, spec, rng).subgraph},
+    };
+    for (const auto &[name, g] : graphs) {
+        EXPECT_EQ(g.numInEtypeRuns(), distinctDstEtype(g)) << name;
+        // Some (dst, etype) pair has several edges.
+        EXPECT_LT(g.numInEtypeRuns(), g.numEdges()) << name;
+        EXPECT_GE(g.numInEtypeRuns(), g.numNodesWithInEdges()) << name;
+        // Counted, not stored: the structure holds no new array.
+        EXPECT_EQ(g.structureBytes(), arrayBytes(g)) << name;
+    }
+    const HeteroGraph edgeless({0, 0, 1, 1}, 2, 2, {0, 1}, {1, 0}, {});
+    EXPECT_EQ(edgeless.numInEtypeRuns(), 0);
+    EXPECT_EQ(edgeless.structureBytes(), arrayBytes(edgeless));
 }
 
 TEST(CompactionMap, ToyGraphCountsUniquePairs)

@@ -5,7 +5,8 @@
  * serialization, counter bookkeeping, derived Fig. 12 metrics, and
  * the store and atomic pricing of register-accumulated (grouped)
  * aggregations, forward and backward, the read pricing of operand
- * rows loaded once per group or shared by several statements, the
+ * rows loaded once per group or shared by several statements and of
+ * weight-vector rows loaded once per etype run, the
  * outer-product GEMMs that sum weight gradients (weight vectors
  * included), and the two halves of a split backward edge loop.
  */
@@ -284,7 +285,10 @@ sampledAmBlock(int num_seeds = 16)
     return sampledBlock("am", num_seeds);
 }
 
-/** Counters of one launch of @p ti of program @p p on @p g. */
+/**
+ * Counters of one launch of @p ti of program @p p on @p g, with every
+ * weight vector it reads zero.
+ */
 CounterBucket
 priceTraversal(const hector::core::Program &p,
                const hector::core::TraversalInstance &ti,
@@ -293,6 +297,10 @@ priceTraversal(const hector::core::Program &p,
     const hector::graph::CompactionMap cmap(g);
     Runtime rt(spec);
     std::map<std::string, hector::tensor::Tensor> weights, grads;
+    for (const auto &ss : ti.stmts)
+        if (!ss.stmt.weight.empty())
+            weights[ss.stmt.weight] = hector::tensor::Tensor::zeros(
+                {g.numEdgeTypes(), p.weightInfo(ss.stmt.weight).cols});
     hector::core::ExecutionContext ctx;
     ctx.reset(&g, &cmap, &rt, &weights, &grads);
     hector::core::execTraversal(p, ti, ctx);
@@ -478,7 +486,7 @@ TEST(TraversalPricing, HoistedLoadReadOncePerGroup)
         core::TraversalInstance per_edge = *ti;
         for (auto &l : per_edge.loads)
             if (l.var == c.var && l.access == c.access)
-                l.perGroup = false;
+                l.rate = core::LoadRate::PerEdge;
 
         const CounterBucket hoisted = priceTraversal(p, *ti, g);
         const CounterBucket edge = priceTraversal(p, per_edge, g);
@@ -532,6 +540,71 @@ TEST(TraversalPricing, SharedOperandLoadedOncePerEdge)
     EXPECT_EQ(twice.bytesRead - shared.bytesRead,
               4.0 * 16.0 * static_cast<double>(g.numEdges()));
     expectSameButReads(shared, twice, "h_out_grad");
+}
+
+TEST(TraversalPricing, WeightVectorRowLoadedOncePerEtypeRun)
+{
+    namespace core = hector::core;
+    namespace graph = hector::graph;
+    struct Case
+    {
+        std::string name;
+        graph::HeteroGraph g;
+        std::int64_t cols;
+    };
+    std::vector<Case> cases;
+    cases.push_back(
+        {"mag/256", graph::generate(graph::datasetSpec("mag"), 1.0 / 256.0),
+         64});
+    cases.push_back({"am block", sampledAmBlock(128), 16});
+    // Node 2 has an in-edge of two etypes, every other node at most
+    // one: each edge is a run of its own.
+    cases.push_back({"one edge per etype",
+                     graph::HeteroGraph({0, 0, 1, 1}, 2, 3, {0, 1, 0},
+                                        {1, 0, 1},
+                                        {{0, 2, 0},
+                                         {1, 3, 0},
+                                         {2, 0, 1},
+                                         {3, 1, 1},
+                                         {1, 2, 2}}),
+                     16});
+    for (const auto &c : cases) {
+        const graph::HeteroGraph &g = c.g;
+        core::CompileOptions opts;
+        opts.compactMaterialization = true;
+        opts.linearReorder = true;
+        const core::CompiledModel m = core::compile(
+            hector::models::buildModel(hector::models::ModelKind::Rgat, g,
+                                       c.cols, c.cols),
+            opts);
+        // attt = dot(e.dst.feature, w_t__W[e.etype]), walked by node.
+        const core::TraversalInstance *ti = writerOf(m.forwardFn, "attt");
+        ASSERT_NE(ti, nullptr) << c.name;
+        EXPECT_EQ(ti->name, "traversal_4") << c.name;
+        ASSERT_EQ(ti->group, core::GroupKey::DstNode) << c.name;
+        const core::OperandLoad *load = ti->weightLoadOf("w_t__W");
+        ASSERT_NE(load, nullptr) << c.name;
+        ASSERT_EQ(ti->rateOf(*load), core::LoadRate::PerRun) << c.name;
+        core::TraversalInstance per_edge = *ti;
+        for (auto &l : per_edge.loads)
+            if (l.weight)
+                l.rate = core::LoadRate::PerEdge;
+
+        const CounterBucket run = priceTraversal(m.forwardProgram, *ti, g);
+        const CounterBucket edge =
+            priceTraversal(m.forwardProgram, per_edge, g);
+        const std::int64_t runs = g.numInEtypeRuns();
+        EXPECT_EQ(edge.bytesRead - run.bytesRead,
+                  4.0 * static_cast<double>(c.cols) *
+                      static_cast<double>(g.numEdges() - runs))
+            << c.name;
+        expectSameButReads(run, edge, c.name);
+        if (runs == g.numEdges())
+            EXPECT_EQ(run.bytesRead, edge.bytesRead) << c.name;
+        else
+            EXPECT_LT(run.timeSec, edge.timeSec) << c.name;
+    }
+    EXPECT_EQ(cases[2].g.numInEtypeRuns(), cases[2].g.numEdges());
 }
 
 /** One training step of @p m on @p g with every launch recorded. */
