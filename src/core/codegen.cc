@@ -1,6 +1,7 @@
 #include "core/codegen.hh"
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "core/lowering.hh"
@@ -68,6 +69,13 @@ accName(const Stmt &s)
     return s.out.name + "_acc";
 }
 
+/** Register holding a virtual variable, or a row written and re-read. */
+std::string
+valueReg(const std::string &var)
+{
+    return var + "_reg";
+}
+
 /** Register an operand load is read into. */
 std::string
 loadReg(const OperandLoad &l)
@@ -131,7 +139,7 @@ operandRef(const Program &p, const VarRef &v, const std::string &ent,
     std::string idx;
     if (vi.space == VarSpace::EdgeData) {
         if (vi.mat == Materialization::Virtual)
-            return v.name + "_reg";
+            return valueReg(v.name);
         idx = vi.mat == Materialization::Compact && !by_pair
                   ? "edge_to_unique[" + ent + "]"
                   : ent;
@@ -160,23 +168,48 @@ loadRef(const Program &p, const TraversalInstance &ti, const OperandLoad &l,
                     : operandRef(p, {l.var, l.access}, ent, ti.domain);
 }
 
+/** A row as a variable and the access locating it. */
+using RowKey = std::pair<std::string, Access>;
+
+/**
+ * Materialized rows @p ti reads in a register an earlier statement
+ * filled: its loads at LoadRate::InRegister that are not virtual. The
+ * level-0 writer fills the register and stores it; the readers use it.
+ */
+std::set<RowKey>
+reusedRows(const Program &p, const TraversalInstance &ti)
+{
+    std::set<RowKey> out;
+    for (const auto &l : ti.loads)
+        if (!l.weight && ti.rateOf(l) == LoadRate::InRegister &&
+            p.varInfo(l.var).mat != Materialization::Virtual)
+            out.insert({l.var, l.access});
+    return out;
+}
+
 /**
  * Renders one statement of @p ti as CUDA C. With @p into_register
  * (hoist level 2), an accumulation adds into its register
  * accumulator instead of the output row. An input or weight vector
- * among @p regs reads its load's register instead of memory. An
- * accumulation scatters by atomicAdd exactly when the cost model
- * prices atomics for it (scattersAtomically()).
+ * among @p regs reads its load's register instead of memory, and an
+ * input in @p live reads the register an earlier statement filled.
+ * With @p fill, the statement computes its row into that register,
+ * stores it, and adds it to @p live. An accumulation scatters by
+ * atomicAdd exactly when the cost model prices atomics for it
+ * (scattersAtomically()).
  */
 std::string
 stmtToCuda(const Program &p, const TraversalInstance &ti, const Stmt &s,
            const std::string &ent, bool into_register = false,
-           const std::vector<OperandLoad> &regs = {})
+           const std::vector<OperandLoad> &regs = {},
+           std::set<RowKey> *live = nullptr, bool fill = false)
 {
     auto ref = [&](const VarRef &v) {
         return operandRef(p, v, ent, ti.domain);
     };
     auto in = [&](const VarRef &v) -> std::string {
+        if (live && live->count({v.name, v.access}))
+            return valueReg(v.name);
         for (const auto &l : regs)
             if (!l.weight && l.var == v.name && l.access == v.access)
                 return loadReg(l);
@@ -199,6 +232,16 @@ stmtToCuda(const Program &p, const TraversalInstance &ti, const Stmt &s,
             return;
         }
         const std::string out = ref(s.out);
+        if (fill && live) {
+            const std::string reg = valueReg(s.out.name);
+            const RowKey row{s.out.name, s.out.access};
+            const std::string old = live->count(row) ? reg : out;
+            os << reg << " = "
+               << (isAccumulation(s) ? old + " + " + expr : expr) << "; "
+               << out << " = " << reg << ";";
+            live->insert(row);
+            return;
+        }
         if (!isAccumulation(s))
             os << out << " = " << expr << ";";
         else if (scattersAtomically(p, s, ti.domain, ti.group))
@@ -416,13 +459,42 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
             os << " " << v;
         os << "\n";
     }
+    const std::set<RowKey> reused = reusedRows(p, ti);
+    if (!reused.empty()) {
+        os << "// rows stored once and re-read from registers:";
+        for (const auto &r : reused)
+            os << " " << r.first;
+        os << "\n";
+    }
     os << "__global__ void " << ti.name << "(\n"
        << "    KernelArgs<" << ti.kid << "> args)\n"
        << "{\n";
     for (const auto &v : ti.virtualVars)
-        os << "    float " << v << "_reg;\n";
+        os << "    float " << valueReg(v) << ";\n";
+    for (const auto &r : reused)
+        os << "    float " << valueReg(r.first) << ";\n";
     // One register load per distinct operand per edge (or row).
     const std::vector<OperandLoad> regs = registerLoads(p, ti);
+    // Per-iteration statements: a virtual `+=` output restarts at +0,
+    // and a row in `reused` is read from the register its writer fills.
+    const std::vector<std::string> restarted = restartedVirtuals(p, ti);
+    auto emitBody = [&](const char *indent, const std::string &ent) {
+        for (const auto &v : restarted)
+            os << indent << valueReg(v)
+               << " = 0.f;  // restarts every iteration\n";
+        std::set<RowKey> live;
+        for (const auto &ss : ti.stmts) {
+            if (ss.hoistLevel == 1)
+                continue;
+            os << indent
+               << stmtToCuda(p, ti, ss.stmt, ent, ss.hoistLevel == 2, regs,
+                             &live,
+                             ss.hoistLevel == 0 &&
+                                 reused.count({ss.stmt.out.name,
+                                               ss.stmt.out.access}))
+               << "\n";
+        }
+    };
     auto emitEdgeLoads = [&](const char *indent, const std::string &ent) {
         for (const auto &l : regs)
             if (ti.rateOf(l) == LoadRate::PerEdge)
@@ -496,13 +568,7 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
             os << "            if (etype != ld_etype) { ld_etype = etype;"
                << run_loads << " }\n";
         emitEdgeLoads("            ", "e");
-        for (const auto &ss : ti.stmts) {
-            if (ss.hoistLevel == 1)
-                continue;
-            os << "            "
-               << stmtToCuda(p, ti, ss.stmt, "e", ss.hoistLevel == 2, regs)
-               << "\n";
-        }
+        emitBody("            ", "e");
         if (ti.partialAggregation)
             os << "            // partial per-thread/warp aggregation\n"
                << "            warp_reduce_partial(args);\n";
@@ -515,7 +581,8 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
             for (const auto &ss : ti.stmts)
                 if (ss.hoistLevel == 2)
                     os << "            " << rowRef(p, ss.stmt.out.name, grp)
-                       << " = " << accName(ss.stmt) << ";\n";
+                       << (ss.addsOnStore() ? " += " : " = ")
+                       << accName(ss.stmt) << ";\n";
             os << "        }\n";
         }
         os << "    }\n";
@@ -551,9 +618,7 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
         }
         os << "        int f = threadIdx.x;\n";
         emitEdgeLoads("        ", ent);
-        for (const auto &ss : ti.stmts)
-            os << "        " << stmtToCuda(p, ti, ss.stmt, ent, false, regs)
-               << "\n";
+        emitBody("        ", ent);
         os << "    }\n";
     }
     os << "}\n\n";

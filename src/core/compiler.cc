@@ -44,16 +44,17 @@ compile(Program program, const CompileOptions &options)
         m.passStats.compactedVars += s.compactedVars;
     }
 
-    // Backward is derived before fusion so no variable it reads can
-    // be virtualized away.
+    // The self-loop fold changes what autodiff differentiates, so it
+    // runs first.
+    if (options.fuseTraversalLoops)
+        m.passStats.fusedLoops +=
+            foldAddIntoAggregation(program, options.fuseGemmScatter)
+                .fusedLoops;
     if (options.training)
         m.backwardProgram = buildBackward(program, options.featureGrad);
 
-    if (options.fuseTraversalLoops) {
-        const PassStats s = fuseLoops(program, !options.training);
-        m.passStats.fusedLoops += s.fusedLoops;
-        m.passStats.virtualizedVars += s.virtualizedVars;
-    }
+    if (options.fuseTraversalLoops)
+        m.passStats.fusedLoops += fuseLoops(program).fusedLoops;
 
     LowerOptions lopts;
     lopts.fuseGemmScatter = options.fuseGemmScatter;
@@ -61,17 +62,23 @@ compile(Program program, const CompileOptions &options)
 
     m.forwardFn = lower(program, lopts, sim::Phase::Forward);
     if (options.training) {
-        if (options.fuseTraversalLoops) {
-            // Merging the backward's many flat edge loops reduces
-            // kernel count; virtualization is never applied backward.
-            fuseLoops(m.backwardProgram, false);
-        }
+        // Merging the backward's many flat edge loops reduces kernel
+        // count.
+        if (options.fuseTraversalLoops)
+            fuseLoops(m.backwardProgram);
         // Backward kernel ids continue after the forward's, so every
         // generated kernel name is unique within the plan.
         m.backwardFn =
             lower(m.backwardProgram, lopts, sim::Phase::Backward,
                   static_cast<int>(m.forwardFn.kernelCount()) + 1);
     }
+    // With both directions lowered, every edge temporary that only its
+    // own instance references stays in registers.
+    if (options.fuseTraversalLoops)
+        m.passStats.virtualizedVars += virtualizeTemporaries(
+            program, m.forwardFn,
+            options.training ? &m.backwardProgram : nullptr,
+            options.training ? &m.backwardFn : nullptr);
 
     m.forwardProgram = std::move(program);
     m.memoryPlan = planMemory(

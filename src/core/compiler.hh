@@ -3,10 +3,12 @@
  * Top-level Hector compiler driver.
  *
  * compile() runs the inter-operator passes in the paper's order
- * (linear operator reordering, compact materialization, graph-
- * semantic-aware loop fusion), emits the backward program when
- * training, lowers both directions onto the GEMM / traversal
- * templates, and generates the CUDA-style source text. The result is
+ * (linear operator reordering, compact materialization, the self-loop
+ * fold, graph-semantic-aware loop fusion), emits the backward program
+ * when training, lowers both directions onto the GEMM / traversal
+ * templates, keeps every edge temporary that only its own instance
+ * references in registers (virtualizeTemporaries), and generates the
+ * CUDA-style source text. The result is
  * graph-independent: one CompiledModel can execute on any graph via
  * an ExecutionContext (mirroring the paper's precompiled .so loaded
  * as autograd.Function subclasses).

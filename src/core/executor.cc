@@ -646,9 +646,33 @@ class OperandResolver
         return buf.data();
     }
 
+    /** Restarts virtual variable @p name at +0 (its zeroed row). */
+    void
+    restart(const std::string &name, std::int64_t cols)
+    {
+        float *row = scratch(name, cols);
+        std::fill(row, row + cols, 0.0f);
+    }
+
+    /** Sends writes of @p name to a zeroed row until endSum(). */
+    void
+    beginSum(const std::string &name, std::int64_t cols)
+    {
+        sums_[name].assign(static_cast<std::size_t>(cols), 0.0f);
+    }
+
+    /** Stops redirecting @p name; the row summed since beginSum(). */
+    std::vector<float>
+    endSum(const std::string &name)
+    {
+        return std::move(sums_.extract(name).mapped());
+    }
+
     float *
     resolve(const VarRef &ref, const EvalPoint &pt, RowDomain domain)
     {
+        if (auto it = sums_.find(ref.name); it != sums_.end())
+            return it->second.data();
         const auto &vi = p_.varInfo(ref.name);
         if (vi.space == VarSpace::EdgeData) {
             if (vi.mat == Materialization::Virtual)
@@ -687,7 +711,9 @@ class OperandResolver
     const Program &p_;
     ExecutionContext &ctx_;
     std::map<std::string, std::vector<float>> scratch_;
+    std::map<std::string, std::vector<float>> sums_;
 };
+
 
 /** Executes one statement at one evaluation point (seed path). */
 void
@@ -920,6 +946,8 @@ struct TraversalPrep
 {
     std::vector<PreparedStmt> stmts;
     std::vector<std::int64_t> scratchCols;
+    /** Scratch rows of virtual `+=` outputs, zeroed every iteration. */
+    std::vector<std::int32_t> restart;
     /** Ownership predicate: safe to partition the iteration domain. */
     bool rowParallel = false;
     PointIndex ix;
@@ -1097,6 +1125,8 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
         }
         prep.stmts.push_back(ps);
     }
+    for (const auto &v : restartedVirtuals(p, ti))
+        prep.restart.push_back(scratch_of.at(v));
 
     const auto &g = *ctx.g;
     prep.ix.src = g.src().data();
@@ -1295,7 +1325,10 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, GroupKey group,
 
     c.flops = 2.0 * std::max({out_cols, operand_cols, 1.0});
     c.bytesRead = 12.0; // adjacency
-    c.bytesWritten = 4.0 * out_cols;
+    // A virtual output stays in a register.
+    if (!p.vars.count(s.out.name) ||
+        p.varInfo(s.out.name).mat != Materialization::Virtual)
+        c.bytesWritten = 4.0 * out_cols;
     if (scattersAtomically(p, s, domain, group)) {
         c.atomics = out_cols;
         c.atomicConflict = atomicConflictFor(
@@ -1319,24 +1352,51 @@ execTraversal(const Program &p, const TraversalInstance &ti,
     /** The seed interpreter body: per-point map-keyed resolution. */
     auto seedBody = [&]() {
         OperandResolver res(p, ctx);
+        // Virtual `+=` outputs restart at +0 on every iteration.
+        const std::vector<std::string> restarted = restartedVirtuals(p, ti);
+        auto restart = [&]() {
+            for (const auto &v : restarted)
+                res.restart(v, p.varInfo(v).cols);
+        };
         if (ti.grouped()) {
             const GroupWalk walk(ti, ctx);
             const auto etype = g.etype();
             for (std::int64_t k = 0; k < walk.groups(); ++k) {
                 EvalPoint pt = walk.enter(k);
-                for (const auto &ss : ti.stmts)
+                for (const auto &ss : ti.stmts) {
                     if (ss.hoistLevel == 1)
                         evalStmt(p, ss.stmt, pt, RowDomain::Edges, res, ctx);
-                for (std::int64_t i = walk.ptr[static_cast<std::size_t>(k)];
-                     i < walk.ptr[static_cast<std::size_t>(k) + 1]; ++i) {
+                    else if (ss.stmt.sumFirst)
+                        res.beginSum(ss.stmt.out.name,
+                                     p.varInfo(ss.stmt.out.name).cols);
+                }
+                const std::int64_t i0 = walk.ptr[static_cast<std::size_t>(k)];
+                const std::int64_t i1 =
+                    walk.ptr[static_cast<std::size_t>(k) + 1];
+                for (std::int64_t i = i0; i < i1; ++i) {
                     pt.e = walk.ids[static_cast<std::size_t>(i)];
                     pt.etype = etype[static_cast<std::size_t>(pt.e)];
+                    restart();
                     // Level 2 sums in place here: the oracle of the
                     // fast path's register accumulator.
                     for (const auto &ss : ti.stmts)
                         if (ss.hoistLevel != 1)
                             evalStmt(p, ss.stmt, pt, RowDomain::Edges, res,
                                      ctx);
+                }
+                // A sum-first row is added to the output row once per
+                // group with an edge.
+                for (const auto &ss : ti.stmts) {
+                    if (!ss.stmt.sumFirst)
+                        continue;
+                    const std::vector<float> sum =
+                        res.endSum(ss.stmt.out.name);
+                    if (i0 == i1)
+                        continue;
+                    float *row =
+                        res.resolve(ss.stmt.out, pt, RowDomain::Edges);
+                    for (std::size_t c = 0; c < sum.size(); ++c)
+                        row[c] += sum[c];
                 }
             }
             return;
@@ -1348,6 +1408,7 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                 EvalPoint pt;
                 pt.e = e;
                 pt.etype = etype[static_cast<std::size_t>(e)];
+                restart();
                 for (const auto &ss : ti.stmts)
                     evalStmt(p, ss.stmt, pt, RowDomain::Edges, res, ctx);
             }
@@ -1361,6 +1422,7 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                     EvalPoint pt;
                     pt.u = u;
                     pt.etype = r;
+                    restart();
                     for (const auto &ss : ti.stmts)
                         evalStmt(p, ss.stmt, pt, RowDomain::UniquePairs, res,
                                  ctx);
@@ -1374,6 +1436,7 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                 EvalPoint pt;
                 pt.v = v;
                 pt.ntype = ntype[static_cast<std::size_t>(v)];
+                restart();
                 for (const auto &ss : ti.stmts)
                     evalStmt(p, ss.stmt, pt, RowDomain::Nodes, res, ctx);
             }
@@ -1395,6 +1458,13 @@ execTraversal(const Program &p, const TraversalInstance &ti,
             for (std::int64_t cols : prep.scratchCols)
                 scratch.emplace_back(static_cast<std::size_t>(cols), 0.0f);
             return scratch;
+        };
+        // Virtual `+=` outputs restart at +0 on every iteration.
+        auto restart = [&](ScratchTable &scratch) {
+            for (std::int32_t r : prep.restart) {
+                auto &row = scratch[static_cast<std::size_t>(r)];
+                std::fill(row.begin(), row.end(), 0.0f);
+            }
         };
 
         if (ti.grouped()) {
@@ -1420,19 +1490,24 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                     for (std::int64_t i = i0; i < i1; ++i) {
                         pt.e = walk.ids[static_cast<std::size_t>(i)];
                         pt.etype = etype[static_cast<std::size_t>(pt.e)];
+                        restart(scratch);
                         for (const auto &ps : prep.stmts)
                             if (ps.hoistLevel != 1)
                                 evalPrepared(ps, pt, ix, scratch);
                     }
                     // One store per group with an edge; a node without
-                    // an in-edge keeps its zeroed row.
+                    // an in-edge keeps its row. A sum-first store adds.
                     if (i0 < i1)
                         for (const auto &ps : prep.stmts)
                             if (ps.hoistLevel == 2) {
                                 const auto &acc = scratch[
                                     static_cast<std::size_t>(ps.out.scratch)];
-                                std::copy(acc.begin(), acc.end(),
-                                          opPtr(ps.store, pt, ix, scratch));
+                                float *row = opPtr(ps.store, pt, ix, scratch);
+                                if (ps.s->sumFirst)
+                                    for (std::size_t c = 0; c < acc.size(); ++c)
+                                        row[c] += acc[c];
+                                else
+                                    std::copy(acc.begin(), acc.end(), row);
                             }
                 }
             };
@@ -1451,6 +1526,7 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                     EvalPoint pt;
                     pt.e = e;
                     pt.etype = etype[static_cast<std::size_t>(e)];
+                    restart(scratch);
                     for (const auto &ps : prep.stmts)
                         evalPrepared(ps, pt, ix, scratch);
                 }
@@ -1481,6 +1557,7 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                         EvalPoint pt;
                         pt.u = u;
                         pt.etype = r;
+                        restart(scratch);
                         for (const auto &ps : prep.stmts)
                             evalPrepared(ps, pt, ix, scratch);
                     }
@@ -1500,6 +1577,7 @@ execTraversal(const Program &p, const TraversalInstance &ti,
                     EvalPoint pt;
                     pt.v = v;
                     pt.ntype = ntype[static_cast<std::size_t>(v)];
+                    restart(scratch);
                     for (const auto &ps : prep.stmts)
                         evalPrepared(ps, pt, ix, scratch);
                 }
@@ -1533,7 +1611,9 @@ execTraversal(const Program &p, const TraversalInstance &ti,
         by_pair ? ctx.rowsOf(RowDomain::UniquePairs) : g.numNodes());
     // A register-accumulated (level-2) row is stored, and a hoisted
     // operand row loaded, once per group with an edge (every pair, or
-    // each node with an in-edge), not once per edge.
+    // each node with an in-edge), not once per edge. A load in a
+    // register (a virtual variable, or a row an earlier statement
+    // wrote) costs nothing.
     const double edged_groups = static_cast<double>(
         by_pair ? ctx.rowsOf(RowDomain::UniquePairs)
                 : g.numNodesWithInEdges());
@@ -1566,6 +1646,9 @@ execTraversal(const Program &p, const TraversalInstance &ti,
           case LoadRate::PerRun:
             rows = etype_runs;
             break;
+          case LoadRate::InRegister:
+            rows = 0.0;
+            break;
         }
         desc.bytesRead += 4.0 * cols * rows;
     }
@@ -1577,6 +1660,9 @@ execTraversal(const Program &p, const TraversalInstance &ti,
         desc.bytesRead += c.bytesRead * n;
         desc.bytesWritten +=
             c.bytesWritten * (ss.hoistLevel == 2 ? edged_groups : n);
+        // An adding store reads the row it adds into.
+        if (ss.addsOnStore())
+            desc.bytesRead += c.bytesWritten * edged_groups;
         desc.atomics += c.atomics * n;
         desc.atomicConflict =
             std::max(desc.atomicConflict, c.atomicConflict);

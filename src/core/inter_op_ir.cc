@@ -299,7 +299,8 @@ void
 dumpStmt(std::ostringstream &os, const Stmt &s, int indent)
 {
     os << std::string(static_cast<std::size_t>(indent), ' ');
-    os << s.out.name << " = " << toString(s.kind) << "(";
+    os << s.out.name << (s.sumFirst ? " += sum " : " = ")
+       << toString(s.kind) << "(";
     bool first = true;
     for (const auto &in : s.ins) {
         if (!first)

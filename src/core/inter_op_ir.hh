@@ -64,7 +64,9 @@ enum class Access
  * Materialization of an EdgeData variable (Sec. 3.2.2). Decided by
  * the compact-materialization pass; Vanilla stores one row per edge,
  * Compact one row per unique (source node, edge type) pair, Virtual
- * means the variable was fused away and never touches global memory.
+ * means no kernel but the one writing it reads the variable, so it
+ * lives in registers and never touches global memory (decided after
+ * lowering by virtualizeTemporaries, core/lowering.hh).
  */
 enum class Materialization
 {
@@ -140,6 +142,16 @@ struct Stmt
     bool accumulateOut = false;
     /** Use the transposed weight slice (backward of TypedLinear). */
     bool transW = false;
+    /**
+     * An aggregation into the destination node of an incoming-edges
+     * loop whose row already holds a value: the node's contributions
+     * are summed from +0 first, and the sum is added to the row once,
+     * when the node has an edge: out[n] += (0 + c1 + c2 + ...). Set by
+     * foldAddIntoAggregation (core/passes.hh); lowering runs it as a
+     * register accumulator with an adding store, and the seed
+     * interpreter evaluates it the same way.
+     */
+    bool sumFirst = false;
 };
 
 /** A loop over a graph domain containing statements and nested loops. */

@@ -41,4 +41,38 @@ toString(AccessScheme s)
     return "?";
 }
 
+std::vector<StepRef>
+LoweredFunction::refs(std::size_t i) const
+{
+    std::vector<StepRef> out;
+    auto add = [&](const std::string &v, bool write) {
+        if (!v.empty())
+            out.push_back({v, write});
+    };
+    const Step &step = order[i];
+    switch (step.kind) {
+      case Step::Kind::Gemm: {
+        const GemmInstance &gi = gemms[step.index];
+        add(gi.xVar, false);
+        add(gi.perRowScalarVar, false);
+        add(gi.y2Var, false);
+        if (gi.kind == GemmKind::Linear)
+            add(gi.yVar, true);
+        break;
+      }
+      case Step::Kind::Traversal:
+        for (const auto &ss : traversals[step.index].stmts) {
+            add(ss.stmt.out.name, true);
+            for (const auto &in : ss.stmt.ins)
+                add(in.name, false);
+        }
+        break;
+      case Step::Kind::Fallback:
+        for (const auto &in : fallbacks[step.index].stmt.ins)
+            add(in.name, false);
+        break;
+    }
+    return out;
+}
+
 } // namespace hector::core

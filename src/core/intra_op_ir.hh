@@ -176,8 +176,21 @@ struct ScheduledStmt
      * in-edge keeps its zero row without a store. The seed interpreter
      * evaluates level 2 like level 0 (in place, per edge, in the same
      * group order) and stays the oracle.
+     *
+     * A Stmt::sumFirst aggregation is level 2 too, though an earlier
+     * instance wrote its row: its store adds the register row into the
+     * output row (`out[n] += acc`), which prices a read of the row as
+     * well as its write. The seed interpreter sums it into a scratch
+     * row from +0 and adds that the same way.
      */
     int hoistLevel = 0;
+
+    /** True when the level-2 store adds into the row (sumFirst). */
+    bool
+    addsOnStore() const
+    {
+        return hoistLevel == 2 && stmt.sumFirst;
+    }
 };
 
 /** How often a traversal instance reads one operand row. */
@@ -189,6 +202,12 @@ enum class LoadRate
     PerGroup,
     /** Once per run of equal etype in the group's walk order. */
     PerRun,
+    /**
+     * Never from memory: the row of a virtual variable, or one that an
+     * earlier statement of the instance wrote at the same iteration,
+     * which is still in a register.
+     */
+    InRegister,
 };
 
 /**
@@ -218,6 +237,10 @@ struct OperandLoad
      *    edges in ascending edge id and edges are sorted by etype, so
      *    a DstNode walk meets one run per distinct (dst, etype) pair
      *    (HeteroGraph::numInEtypeRuns); a UniquePair group is one run.
+     *  - InRegister, grouped or flat, on a virtual variable and on a row
+     *    the iteration owns (its edge's row, its pair's compact row in
+     *    the UniquePairs domain, its node in the Nodes domain) that an
+     *    earlier level-0 statement of the instance writes.
      */
     LoadRate rate = LoadRate::PerEdge;
 };
@@ -266,7 +289,12 @@ struct TraversalInstance
     /** Aggregate per-thread/warp partial results before atomics. */
     bool partialAggregation = true;
 
-    /** Variables fused away into registers (never materialized). */
+    /**
+     * Variables that live in registers only (Materialization::Virtual,
+     * see virtualizeTemporaries in core/lowering.hh): no other
+     * instance references them. A virtual variable written with `+=`
+     * restarts at +0 on every iteration, as its zeroed row did.
+     */
     std::vector<std::string> virtualVars;
 
     /**
@@ -277,13 +305,14 @@ struct TraversalInstance
      * load costs one row per group with an edge
      * (HeteroGraph::numNodesWithInEdges nodes, or numUnique pairs), a
      * per-run load one row per etype run (HeteroGraph::numInEtypeRuns,
-     * or numUnique), and a per-edge load one row per edge. The fast
-     * path resolves a per-group load at the group's own row (node v
+     * or numUnique), a per-edge load one row per edge, and a load in
+     * a register nothing. The fast path resolves a per-group load at the group's own row (node v
      * or pair u), which is the row every edge of the group reaches.
      * The code generator loads a per-group row into a register before
      * the edge loop, and a per-run row inside it, only when the edge's
-     * etype differs from the last one loaded. Recompute it with
-     * operandLoads() after editing stmts.
+     * etype differs from the last one loaded, and reads a row in a
+     * register from the register its writer filled. Recompute it with
+     * operandLoads() after editing stmts or materializations.
      */
     std::vector<OperandLoad> loads;
 
@@ -309,11 +338,16 @@ struct TraversalInstance
         return nullptr;
     }
 
-    /** How often @p l is read: its rate while grouped, else per edge. */
+    /**
+     * How often @p l is read: its rate while grouped; per edge (or
+     * row) in a flat domain, unless it is in a register.
+     */
     LoadRate
     rateOf(const OperandLoad &l) const
     {
-        return grouped() ? l.rate : LoadRate::PerEdge;
+        return grouped() || l.rate == LoadRate::InRegister
+                   ? l.rate
+                   : LoadRate::PerEdge;
     }
 
     /** True when @p l is read once per group, before the edge loop. */
@@ -331,6 +365,13 @@ struct FallbackInstance
     std::string name;
     sim::Phase phase = sim::Phase::Forward;
     Stmt stmt;
+};
+
+/** A variable one step of a lowered function reads or writes. */
+struct StepRef
+{
+    std::string name;
+    bool write = false;
 };
 
 /** A lowered kernel sequence for one direction of one model. */
@@ -363,6 +404,14 @@ struct LoweredFunction
      * was computed (hand-built lowered functions).
      */
     std::vector<std::vector<std::int32_t>> zeroSlotsBefore;
+
+    /**
+     * The variables step @p i of `order` references, in operand order
+     * (a name may repeat). An Outer GEMM's yVar names a weight
+     * gradient and is left out. The memory planner's liveness and
+     * virtualizeTemporaries() both walk the steps through this.
+     */
+    std::vector<StepRef> refs(std::size_t i) const;
 
     std::size_t
     kernelCount() const

@@ -56,6 +56,42 @@ isWeightOut(const Program &p, const Stmt &s)
            s.kind == OpKind::WeightVecGrad || p.weights.count(s.out.name);
 }
 
+/** Statements of @p p's loops writing @p var. */
+int
+writerCount(const Program &p, const std::string &var)
+{
+    int n = 0;
+    auto visit = [&](const Loop &l, auto &&self) -> void {
+        for (const auto &s : l.body)
+            if (s.out.name == var)
+                ++n;
+        for (const auto &in : l.inner)
+            self(in, self);
+    };
+    for (const auto &l : p.loops)
+        visit(l, visit);
+    return n;
+}
+
+bool
+isVirtual(const Program &p, const std::string &var)
+{
+    return p.vars.count(var) &&
+           p.varInfo(var).mat == Materialization::Virtual;
+}
+
+/** The virtual variables @p ti writes, each once. */
+std::vector<std::string>
+virtualOutputs(const Program &p, const TraversalInstance &ti)
+{
+    std::vector<std::string> out;
+    for (const auto &ss : ti.stmts)
+        if (isVirtual(p, ss.stmt.out.name) &&
+            std::find(out.begin(), out.end(), ss.stmt.out.name) == out.end())
+            out.push_back(ss.stmt.out.name);
+    return out;
+}
+
 } // namespace
 
 RowDomain
@@ -81,6 +117,44 @@ stmtDomain(const Program &p, const Stmt &s, LoopDomain loop)
     return RowDomain::Edges;
 }
 
+std::vector<std::string>
+restartedVirtuals(const Program &p, const TraversalInstance &ti)
+{
+    std::vector<std::string> out;
+    for (const auto &ss : ti.stmts) {
+        const std::string &v = ss.stmt.out.name;
+        if (isAccumulation(ss.stmt) && isVirtual(p, v) &&
+            std::find(out.begin(), out.end(), v) == out.end())
+            out.push_back(v);
+    }
+    return out;
+}
+
+namespace
+{
+
+/**
+ * True when @p ref, written or read by a statement of @p ti, is a row
+ * the iteration owns: its edge's row in the Edges domain, its pair's
+ * compact row in the UniquePairs domain, or its node's (Direct) in
+ * the Nodes domain. A value written there is still in a register for
+ * every later statement of the same iteration.
+ */
+bool
+ownsRow(const Program &p, const TraversalInstance &ti, const VarRef &ref)
+{
+    if (!p.vars.count(ref.name))
+        return false;
+    const auto &vi = p.varInfo(ref.name);
+    if (vi.space == VarSpace::EdgeData)
+        return vi.mat == Materialization::Compact
+                   ? ti.domain == RowDomain::UniquePairs
+                   : ti.domain == RowDomain::Edges;
+    return ref.access == Access::Direct && ti.domain == RowDomain::Nodes;
+}
+
+} // namespace
+
 std::vector<OperandLoad>
 operandLoads(const Program &p, const TraversalInstance &ti)
 {
@@ -104,6 +178,8 @@ operandLoads(const Program &p, const TraversalInstance &ti)
     std::set<std::string> written;
     for (const auto &ss : ti.stmts)
         written.insert(ss.stmt.out.name);
+    // Rows earlier level-0 statements wrote at this iteration.
+    std::set<std::pair<std::string, Access>> produced;
     std::vector<OperandLoad> loads;
     auto add = [&](OperandLoad l) {
         for (const auto &o : loads)
@@ -113,14 +189,19 @@ operandLoads(const Program &p, const TraversalInstance &ti)
         loads.push_back(std::move(l));
     };
     for (const auto &ss : ti.stmts) {
-        for (const auto &in : ss.stmt.ins)
-            add({in.name, in.access, false,
-                 !written.count(in.name) && groupRow(in)
-                     ? LoadRate::PerGroup
-                     : LoadRate::PerEdge});
+        for (const auto &in : ss.stmt.ins) {
+            LoadRate rate = LoadRate::PerEdge;
+            if (isVirtual(p, in.name) || produced.count({in.name, in.access}))
+                rate = LoadRate::InRegister;
+            else if (!written.count(in.name) && groupRow(in))
+                rate = LoadRate::PerGroup;
+            add({in.name, in.access, false, rate});
+        }
         // A weight-vector row changes only with the edge's etype.
         if (!ss.stmt.weight.empty())
             add({ss.stmt.weight, Access::Direct, true, LoadRate::PerRun});
+        if (ss.hoistLevel == 0 && ownsRow(p, ti, ss.stmt.out))
+            produced.insert({ss.stmt.out.name, ss.stmt.out.access});
     }
     return loads;
 }
@@ -141,6 +222,29 @@ scattersAtomically(const Program &p, const Stmt &s, RowDomain domain,
         oi.mat == Materialization::Compact && domain == RowDomain::Edges)
         return group != GroupKey::UniquePair;
     return false;
+}
+
+const Stmt *
+scatterGemmConsumer(const Program &p, const ConsumerAnalysis &ca,
+                    const Stmt &producer)
+{
+    if (producer.kind != OpKind::TypedLinear || producer.accumulateOut)
+        return nullptr;
+    const auto &oi = p.varInfo(producer.out.name);
+    if (oi.mat != Materialization::Vanilla ||
+        ca.isProgramOutput(producer.out.name))
+        return nullptr;
+    const auto &readers = ca.readers(producer.out.name);
+    if (readers.size() != 1)
+        return nullptr;
+    const Stmt *c = readers[0];
+    if (c->kind != OpKind::AccumulateScaled || c->ins.size() != 2 ||
+        c->ins[1].name != producer.out.name)
+        return nullptr;
+    const auto &sc = p.varInfo(c->ins[0].name);
+    if (sc.requiresGrad || writerCount(p, c->ins[0].name) > 0)
+        return nullptr;
+    return c;
 }
 
 namespace
@@ -237,43 +341,12 @@ class Lowerer
         }
         for (const auto *body : bodies) {
             for (const auto &s : *body) {
-                if (s.kind != OpKind::TypedLinear || s.accumulateOut)
-                    continue;
-                const auto &oi = p_.varInfo(s.out.name);
-                if (oi.mat != Materialization::Vanilla ||
-                    ca_.isProgramOutput(s.out.name))
-                    continue;
-                const auto &readers = ca_.readers(s.out.name);
-                if (readers.size() != 1)
-                    continue;
-                const Stmt *c = readers[0];
-                if (c->kind != OpKind::AccumulateScaled ||
-                    c->ins.size() != 2 || c->ins[1].name != s.out.name)
-                    continue;
-                const auto &sc = p_.varInfo(c->ins[0].name);
-                if (sc.requiresGrad || writerCount(c->ins[0].name) > 0)
-                    continue;
-                fusedProducer_[&s] = c;
-                fusedConsumer_.insert(c);
+                if (const Stmt *c = scatterGemmConsumer(p_, ca_, s)) {
+                    fusedProducer_[&s] = c;
+                    fusedConsumer_.insert(c);
+                }
             }
         }
-    }
-
-    /** Statements of the program's loops writing @p var. */
-    int
-    writerCount(const std::string &var) const
-    {
-        int n = 0;
-        auto visit = [&](const Loop &l, auto &&self) -> void {
-            for (const auto &s : l.body)
-                if (s.out.name == var)
-                    ++n;
-            for (const auto &in : l.inner)
-                self(in, self);
-        };
-        for (const auto &l : p_.loops)
-            visit(l, visit);
-        return n;
     }
 
     void
@@ -421,15 +494,15 @@ class Lowerer
      * True when statement @p s of an instance grouped by @p key may
      * run at hoist level 2 (see ScheduledStmt): an accumulation into
      * the group's own row of a variable that no earlier instance
-     * writes, that no other statement of @p inst writes, and that
-     * @p inst never reads.
+     * writes (unless @p s sums first and adds on store), that no other
+     * statement of @p inst writes, and that @p inst never reads.
      */
     bool
     accumulatesInRegister(const Stmt &s, const std::vector<ScheduledStmt> &inst,
                           GroupKey key) const
     {
         if (!isAccumulation(s) || !writesGroupRow(s, key) ||
-            written_.count(s.out.name))
+            (written_.count(s.out.name) && !s.sumFirst))
             return false;
         int writers = 0;
         for (const auto &ss : inst) {
@@ -584,10 +657,15 @@ class Lowerer
                 throw std::logic_error(
                     "a weight-vector gradient lowers onto the GEMM "
                     "template, not a traversal");
-        for (auto &ss : stmts)
+        for (auto &ss : stmts) {
             if (ss.hoistLevel == 0 &&
                 accumulatesInRegister(ss.stmt, stmts, key))
                 ss.hoistLevel = 2;
+            if (ss.stmt.sumFirst && ss.hoistLevel != 2)
+                throw std::logic_error(
+                    "a sum-first aggregation of " + ss.stmt.out.name +
+                    " must run as a register accumulator");
+        }
         for (const auto &ss : stmts)
             written_.insert(ss.stmt.out.name);
         TraversalInstance ti;
@@ -598,22 +676,10 @@ class Lowerer
         ti.domain = domain;
         ti.stmts = std::move(stmts);
         ti.loads = operandLoads(p_, ti);
-        collectVirtualVars(ti);
+        ti.virtualVars = virtualOutputs(p_, ti);
         fn_.order.push_back(
             {LoweredFunction::Step::Kind::Traversal, fn_.traversals.size()});
         fn_.traversals.push_back(std::move(ti));
-    }
-
-    void
-    collectVirtualVars(TraversalInstance &ti) const
-    {
-        for (const auto &ss : ti.stmts) {
-            if (p_.vars.count(ss.stmt.out.name)) {
-                const auto &vi = p_.varInfo(ss.stmt.out.name);
-                if (vi.mat == Materialization::Virtual)
-                    ti.virtualVars.push_back(ss.stmt.out.name);
-            }
-        }
     }
 
     void
@@ -653,6 +719,92 @@ lower(const Program &p, const LowerOptions &opts, sim::Phase phase,
     LoweredFunction fn = l.run();
     fn.phase = phase;
     return fn;
+}
+
+namespace
+{
+
+/**
+ * True when @p ti writes @p var at hoist level 0 before any statement
+ * reads it, and reads it only per edge (never at hoist level 1).
+ */
+bool
+writtenBeforeRead(const TraversalInstance &ti, const std::string &var)
+{
+    bool written = false;
+    for (const auto &ss : ti.stmts) {
+        const bool reads =
+            std::any_of(ss.stmt.ins.begin(), ss.stmt.ins.end(),
+                        [&](const VarRef &in) { return in.name == var; });
+        if (reads && (!written || ss.hoistLevel == 1))
+            return false;
+        if (ss.stmt.out.name == var) {
+            if (ss.hoistLevel != 0)
+                return false;
+            written = true;
+        }
+    }
+    return written;
+}
+
+} // namespace
+
+int
+virtualizeTemporaries(Program &fwd, LoweredFunction &fwd_fn, Program *bwd,
+                      LoweredFunction *bwd_fn)
+{
+    Program *progs[2] = {&fwd, bwd_fn ? bwd : nullptr};
+    LoweredFunction *fns[2] = {&fwd_fn, bwd_fn};
+    // Every (function, step) referencing each variable, and writing it.
+    using Site = std::pair<int, std::size_t>;
+    std::map<std::string, std::set<Site>> refs;
+    std::map<std::string, std::set<Site>> writes;
+    for (int f = 0; f < 2; ++f) {
+        if (!fns[f])
+            continue;
+        for (std::size_t i = 0; i < fns[f]->order.size(); ++i)
+            for (const StepRef &r : fns[f]->refs(i)) {
+                refs[r.name].insert({f, i});
+                if (r.write)
+                    writes[r.name].insert({f, i});
+            }
+    }
+
+    auto boundary = [&](const std::string &v) {
+        for (const Program *p : progs)
+            if (p && (v == p->inputVar || v == p->outputVar))
+                return true;
+        return false;
+    };
+    int virtualized = 0;
+    std::set<Site> touched;
+    for (const auto &[var, sites] : refs) {
+        if (sites.size() != 1 || writes[var] != sites || boundary(var))
+            continue;
+        const auto [f, at] = *sites.begin();
+        const Program &p = *progs[f];
+        const auto &step = fns[f]->order[at];
+        if (step.kind != LoweredFunction::Step::Kind::Traversal ||
+            !p.vars.count(var))
+            continue;
+        const VarInfo &vi = p.varInfo(var);
+        if (vi.space != VarSpace::EdgeData ||
+            vi.mat != Materialization::Vanilla ||
+            !writtenBeforeRead(fns[f]->traversals[step.index], var))
+            continue;
+        for (Program *q : progs)
+            if (q && q->vars.count(var))
+                q->varInfo(var).mat = Materialization::Virtual;
+        touched.insert({f, at});
+        ++virtualized;
+    }
+    for (const auto &[f, at] : touched) {
+        TraversalInstance &ti =
+            fns[f]->traversals[fns[f]->order[at].index];
+        ti.loads = operandLoads(*progs[f], ti);
+        ti.virtualVars = virtualOutputs(*progs[f], ti);
+    }
+    return virtualized;
 }
 
 } // namespace hector::core

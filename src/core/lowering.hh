@@ -12,6 +12,7 @@
 
 #include "core/inter_op_ir.hh"
 #include "core/intra_op_ir.hh"
+#include "core/passes.hh"
 #include "sim/device.hh"
 
 namespace hector::core
@@ -41,6 +42,13 @@ struct LowerOptions
 RowDomain stmtDomain(const Program &p, const Stmt &s, LoopDomain loop);
 
 /**
+ * The virtual variables of @p ti written with `+=`, each once: they
+ * restart at +0 on every iteration, as their zeroed rows did.
+ */
+std::vector<std::string> restartedVirtuals(const Program &p,
+                                           const TraversalInstance &ti);
+
+/**
  * The distinct operand loads of @p ti (TraversalInstance::loads) under
  * its current group key and statements.
  */
@@ -62,11 +70,36 @@ bool scattersAtomically(const Program &p, const Stmt &s, RowDomain domain,
                         GroupKey group);
 
 /**
+ * The aggregation that lowering, with LowerOptions::fuseGemmScatter,
+ * fuses with typed linear @p producer into one scatter GEMM, or
+ * nullptr: @p producer's output is vanilla, not the program output,
+ * and read only as the vector of that AccumulateScaled, whose scalar
+ * carries no gradient and is written by no statement. @p ca analyses
+ * @p p.
+ */
+const Stmt *scatterGemmConsumer(const Program &p, const ConsumerAnalysis &ca,
+                                const Stmt &producer);
+
+/**
  * Lower one program (forward or backward) to kernel instances, whose
  * kernel ids (and so names) count up from @p first_kid.
  */
 LoweredFunction lower(const Program &p, const LowerOptions &opts,
                       sim::Phase phase, int first_kid = 1);
+
+/**
+ * Virtual materialization (Sec. 3.2.2), decided once both directions
+ * are lowered. A vanilla edge variable becomes Virtual when every
+ * reference to it, in @p fwd_fn and (training) @p bwd_fn, sits in the
+ * one traversal instance that writes it, no statement there reads it
+ * before the first write, and it is not a program input or output.
+ * The variable is marked in both programs' tables, so the memory
+ * planner gives it no slot; the instance lists it in virtualVars and
+ * its loads are recomputed (a read of it is LoadRate::InRegister).
+ * Returns the number of variables virtualized.
+ */
+int virtualizeTemporaries(Program &fwd, LoweredFunction &fwd_fn,
+                          Program *bwd, LoweredFunction *bwd_fn);
 
 } // namespace hector::core
 

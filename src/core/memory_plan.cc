@@ -1,5 +1,6 @@
 #include "core/memory_plan.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/autodiff.hh"
@@ -66,50 +67,19 @@ isPlannable(const Program &p, const std::string &name)
     return true;
 }
 
-/** One function's per-instruction variable references, in order. */
+/** One function's per-instruction plannable variables, in order. */
 void
 collectRefs(const Program &p, const LoweredFunction &fn,
             std::vector<std::vector<std::string>> &per_step)
 {
     per_step.clear();
     per_step.resize(fn.order.size());
-    auto add = [&](std::size_t step, const std::string &name) {
-        if (!isPlannable(p, name))
-            return;
-        auto &v = per_step[step];
-        for (const auto &existing : v)
-            if (existing == name)
-                return;
-        v.push_back(name);
-    };
     for (std::size_t i = 0; i < fn.order.size(); ++i) {
-        const auto &step = fn.order[i];
-        switch (step.kind) {
-          case LoweredFunction::Step::Kind::Gemm: {
-            const GemmInstance &gi = fn.gemms[step.index];
-            add(i, gi.xVar);
-            add(i, gi.perRowScalarVar);
-            if (gi.kind == GemmKind::Outer) {
-                // yVar names a weight gradient (not a variable).
-                add(i, gi.y2Var);
-            } else {
-                add(i, gi.yVar);
-            }
-            break;
-          }
-          case LoweredFunction::Step::Kind::Traversal: {
-            const TraversalInstance &ti = fn.traversals[step.index];
-            for (const auto &ss : ti.stmts) {
-                add(i, ss.stmt.out.name);
-                for (const auto &in : ss.stmt.ins)
-                    add(i, in.name);
-            }
-            break;
-          }
-          case LoweredFunction::Step::Kind::Fallback:
-            // Weight-space composition only; nothing to plan.
-            break;
-        }
+        auto &v = per_step[i];
+        for (const StepRef &r : fn.refs(i))
+            if (isPlannable(p, r.name) &&
+                std::find(v.begin(), v.end(), r.name) == v.end())
+                v.push_back(r.name);
     }
 }
 

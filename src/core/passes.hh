@@ -101,15 +101,56 @@ PassStats compactMaterialization(Program &p);
  * Merges adjacent same-domain edge loops (refusing a merge when one
  * loop reads, through an edge endpoint or a compact row, a variable
  * the other scatters into: the merged loop would see partial sums),
- * then fuses an edgewise loop
- * into an immediately following dst-nodes aggregation loop when all of
- * its outputs are consumed only there (using the for-each-edge ==
- * for-each-dst-node/incoming-edge equivalence rule). Fused-away
- * temporaries are demoted to Virtual when @p allow_virtual is set
- * (inference); in training they stay materialized because backward
- * kernels read them.
+ * then folds an edgewise loop into the dst-nodes aggregation nest
+ * that immediately follows it, using the for-each-edge ==
+ * for-each-dst-node/incoming-edge equivalence rule. A fold is refused
+ * when the edge loop writes a program output or reads a variable the
+ * nest writes, or when the nest reads, through a shared row, a
+ * variable the edge loop writes in a traversal.
+ *
+ *  - When every output of the edge loop is read only inside the loop
+ *    or the nest, the whole loop moves into the nest (lowering still
+ *    extracts its typed linears onto the GEMM template ahead of it).
+ *  - Otherwise the loop's other outputs are read later as well, and
+ *    only its traversal statements move in; those outputs stay
+ *    materialized. Typed linears and statements writing compact rows
+ *    stay out: the ones the nest reads, itself or through a moved
+ *    statement, run in an edge loop before the nest, the rest in one
+ *    after it (HGT's `msg` GEMM, so its rows are not live across the
+ *    walk). A loop holding a statement that writes a weight is never
+ *    split, and no two statements that touch a common variable change
+ *    order.
+ *
+ * This is how the edge-softmax sum joins the walk that computes the
+ * scores (RGAT `attt ... att_exp` + `att_sum`). Materialization is
+ * not decided here: after lowering, virtualizeTemporaries
+ * (core/lowering.hh) keeps every edge temporary that only its own
+ * instance reads in registers.
  */
-PassStats fuseLoops(Program &p, bool allow_virtual);
+PassStats fuseLoops(Program &p);
+
+/**
+ * Self-loop fold (RGCN's h_out = h_agg + h_self), run before autodiff.
+ *
+ * Pattern: a nodewise `out = add(a, b)` where `a` is written only by
+ * an aggregation into the destination node of an incoming-edges loop
+ * and read only by the add, and `b` is written only by a nodewise
+ * typed linear and read only by the add. The typed linear then writes
+ * `out` in a node loop placed right before the nest, the aggregation
+ * adds into `out` as a Stmt::sumFirst statement, and the add, `a` and
+ * `b` go away. Forward this removes a node pass and the `a` buffer;
+ * backward, autodiff sees no add, so there is no pass copying the
+ * output gradient into `a`'s and `b`'s.
+ *
+ * The bits do not change: out[n] = b[n] + (0 + c1 + ...) equals
+ * (0 + c1 + ...) + b[n], and a node without an incoming edge keeps
+ * b[n] where it had 0 + b[n], which is the same value because a GEMM
+ * row starts at +0 and so is never -0. When @p gemm_scatter is set
+ * and lowering would fuse the aggregation with its producer into one
+ * scatter GEMM (LowerOptions::fuseGemmScatter), the fold is refused:
+ * that GEMM sums in edge order, not per node.
+ */
+PassStats foldAddIntoAggregation(Program &p, bool gemm_scatter);
 
 } // namespace hector::core
 

@@ -1,7 +1,6 @@
 #include "graph/hetero_graph.hh"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -99,27 +98,30 @@ HeteroGraph::HeteroGraph(std::vector<std::int32_t> node_type, int num_ntypes,
             inEdgeIds_[static_cast<std::size_t>(c++)] = e;
         }
     }
-    // Runs of equal etype along each node's in-edge list.
+    // Runs of equal etype along each node's in-edge list. Edges are
+    // sorted by etype and listed in ascending id, so each run is the
+    // whole (dst, etype) group, and its length is the RGCN
+    // normalization count: 1 / |N_r(dst)| for every edge of the run.
+    rgcnNorm_.resize(static_cast<std::size_t>(numEdges_), 1.0f);
     for (std::int64_t v = 0; v < numNodes_; ++v) {
+        const std::int64_t end = inPtr_[static_cast<std::size_t>(v) + 1];
         std::int32_t last = -1;
-        for (std::int64_t i = inPtr_[static_cast<std::size_t>(v)];
-             i < inPtr_[static_cast<std::size_t>(v) + 1]; ++i) {
+        for (std::int64_t i = inPtr_[static_cast<std::size_t>(v)]; i < end;) {
             const std::int32_t t = etype_[static_cast<std::size_t>(
                 inEdgeIds_[static_cast<std::size_t>(i)])];
-            numInEtypeRuns_ += t != last;
+            graphCheck(t > last, "in-edge etype runs out of order");
+            std::int64_t j = i + 1;
+            while (j < end &&
+                   etype_[static_cast<std::size_t>(
+                       inEdgeIds_[static_cast<std::size_t>(j)])] == t)
+                ++j;
+            const float norm = 1.0f / static_cast<float>(j - i);
+            for (; i < j; ++i)
+                rgcnNorm_[static_cast<std::size_t>(
+                    inEdgeIds_[static_cast<std::size_t>(i)])] = norm;
+            ++numInEtypeRuns_;
             last = t;
         }
-    }
-
-    // RGCN normalization: 1 / |N_r(dst)| per edge.
-    rgcnNorm_.resize(static_cast<std::size_t>(numEdges_), 1.0f);
-    {
-        std::map<std::pair<std::int64_t, std::int32_t>, std::int64_t> count;
-        for (std::size_t e = 0; e < src_.size(); ++e)
-            ++count[{dst_[e], etype_[e]}];
-        for (std::size_t e = 0; e < src_.size(); ++e)
-            rgcnNorm_[e] =
-                1.0f / static_cast<float>(count[{dst_[e], etype_[e]}]);
     }
 }
 

@@ -28,6 +28,8 @@ struct GradCase
     bool compact;
     bool reorder;
     bool featureGrad;
+    /** LowerOptions::fuseGemmScatter (on by default). */
+    bool gemmScatter = true;
 };
 
 std::string
@@ -86,6 +88,7 @@ checkGradients(const GradCase &c, const graph::HeteroGraph &g, Tolerance tol)
     opts.linearReorder = c.reorder;
     opts.training = true;
     opts.featureGrad = c.featureGrad;
+    opts.fuseGemmScatter = c.gemmScatter;
     const core::CompiledModel compiled = core::compile(program, opts);
 
     graph::CompactionMap cmap(g);
@@ -220,5 +223,58 @@ manyInEdgeCases()
 
 INSTANTIATE_TEST_SUITE_P(AmScaled, GradCheckManyInEdges,
                          testing::ValuesIn(manyInEdgeCases()), gradCaseName);
+
+/** True when @p m's forward adds h_self into the aggregation. */
+bool
+selfLoopFolded(const core::CompiledModel &m)
+{
+    bool add = false;
+    bool sum_first = false;
+    for (const auto &l : m.forwardProgram.loops) {
+        for (const auto &s : l.body)
+            add |= s.kind == core::OpKind::Add;
+        for (const auto &in : l.inner)
+            for (const auto &s : in.body)
+                sum_first |= s.sumFirst;
+    }
+    return sum_first && !add;
+}
+
+TEST(GradCheckFoldedRgcn, MatchesNumericalGradient)
+{
+    // The self-loop fold: h_self's GEMM writes h_out, the aggregation
+    // adds into it, and the backward has no add. It applies wherever
+    // the aggregation is a register sum: compact messages, or vanilla
+    // ones without the scatter GEMM; with feature gradients too.
+    static const graph::HeteroGraph am =
+        graph::generate(graph::datasetSpec("am"), 1.0 / 4096.0);
+    const std::vector<GradCase> cases = {
+        {ModelKind::Rgcn, true, false, false},
+        {ModelKind::Rgcn, true, true, true},
+        {ModelKind::Rgcn, false, false, false, false},
+        {ModelKind::Rgcn, false, false, true, false},
+    };
+    for (const GradCase &c : cases) {
+        core::CompileOptions opts;
+        opts.compactMaterialization = c.compact;
+        opts.linearReorder = c.reorder;
+        opts.training = true;
+        opts.featureGrad = c.featureGrad;
+        opts.fuseGemmScatter = c.gemmScatter;
+        const core::CompiledModel m =
+            core::compile(models::buildRgcn(4, 4, 4), opts);
+        const std::string what = std::string(c.compact ? "C" : "base") +
+                                 (c.featureGrad ? "_dX" : "") +
+                                 (c.gemmScatter ? "" : "_noscatter");
+        ASSERT_TRUE(selfLoopFolded(m)) << what;
+        SCOPED_TRACE(what);
+        checkGradients(c, graph::toyCitationGraph(), {2e-2f, 0.0});
+        checkGradients(c, am, {3e-5, 1e-3});
+    }
+    // With the scatter GEMM, base RGCN keeps its add.
+    core::CompileOptions base;
+    base.training = true;
+    EXPECT_FALSE(selfLoopFolded(core::compile(models::buildRgcn(4, 4, 4), base)));
+}
 
 } // namespace

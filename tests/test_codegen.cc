@@ -213,6 +213,17 @@ writerName(const LoweredFunction &fn, const std::string &var)
     return "";
 }
 
+/** Name of the traversal of @p fn grouped by @p key writing @p var. */
+std::string
+writerName(const LoweredFunction &fn, const std::string &var, GroupKey key)
+{
+    for (const auto &ti : fn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ti.group == key && ss.stmt.out.name == var)
+                return ti.name;
+    return "";
+}
+
 TEST(Codegen, HoistedLoadsPrecedeTheEdgeLoop)
 {
     const auto m = compileModel(models::ModelKind::Rgat, true, true, true);
@@ -261,16 +272,96 @@ TEST(Codegen, HoistedLoadsPrecedeTheEdgeLoop)
     EXPECT_NE(serve::planSignature(per_edge), serve::planSignature(m));
 }
 
+/**
+ * The row references @p line stores to: `X[...]` left of ` = ` or
+ * ` += ` in each `;`-separated statement, or the target of an
+ * atomicAdd.
+ */
+std::vector<std::string>
+storedRows(const std::string &line)
+{
+    std::vector<std::string> out;
+    std::size_t start = 0;
+    while (start < line.size()) {
+        std::size_t end = line.find(';', start);
+        if (end == std::string::npos)
+            end = line.size();
+        std::string stmt = line.substr(start, end - start);
+        start = end + 1;
+        stmt.erase(0, stmt.find_first_not_of(' '));
+        if (stmt.rfind("atomicAdd(&", 0) == 0)
+            stmt = stmt.substr(11);
+        const std::size_t open = stmt.find('[');
+        const std::size_t eq = stmt.find(" = ");
+        const std::size_t add = stmt.find(" += ");
+        const std::size_t lhs_end = std::min(eq, add);
+        if (open == std::string::npos || open > lhs_end)
+            continue;
+        int depth = 0;
+        for (std::size_t i = open; i < stmt.size(); ++i) {
+            depth += stmt[i] == '[';
+            depth -= stmt[i] == ']';
+            if (depth == 0) {
+                out.push_back(stmt.substr(0, i + 1));
+                break;
+            }
+        }
+    }
+    return out;
+}
+
+TEST(Codegen, NoKernelReadsARowItWroteEarlier)
+{
+    // A value a statement stores is in a register for the rest of the
+    // iteration: later statements read the register, not the row.
+    for (models::ModelKind mk : {models::ModelKind::Rgcn,
+                                 models::ModelKind::Rgat,
+                                 models::ModelKind::Hgt})
+        for (bool optimized : {false, true}) {
+            const auto m = compileModel(mk, optimized, optimized, true);
+            for (const auto *fn : {&m.forwardFn, &m.backwardFn})
+                for (const auto &ti : fn->traversals) {
+                    std::istringstream kernel(
+                        kernelText(m.code.cudaSource, ti.name));
+                    std::vector<std::string> stored;
+                    std::string line;
+                    int stores = 0;
+                    while (std::getline(kernel, line)) {
+                        for (const auto &row : stored)
+                            EXPECT_EQ(line.find(row), std::string::npos)
+                                << ti.name << " reads " << row << ": "
+                                << line;
+                        for (const auto &row : storedRows(line)) {
+                            stored.push_back(row);
+                            ++stores;
+                        }
+                    }
+                    EXPECT_GT(stores, 0) << ti.name;
+                }
+            // Stored and re-read: the writer fills a register.
+            if (mk == models::ModelKind::Rgat && optimized) {
+                EXPECT_NE(kernelText(m.code.cudaSource,
+                                     writerName(m.forwardFn, "att_sum"))
+                              .find("att_exp_reg = __expf(att_reg); "
+                                    "att_exp[e] = att_exp_reg;"),
+                          std::string::npos);
+            }
+        }
+}
+
 TEST(Codegen, TraversalKernelUsesAdjacencySpecialization)
 {
-    const auto m = compileModel(models::ModelKind::Rgat, false, false);
+    // Base RGAT training: the forward's node-centric walks use the CSR
+    // in_ptr loop; the backward's flat edge kernel (hs_grad from
+    // atts_grad) uses COO index retrieval.
+    const auto m = compileModel(models::ModelKind::Rgat, false, false, true);
     const std::string &cuda = m.code.cudaSource;
-    // Node-centric aggregation uses the CSR in_ptr loop; edge-centric
-    // statements use COO index retrieval.
     EXPECT_NE(cuda.find("args.in_ptr[n]"), std::string::npos);
     EXPECT_NE(cuda.find("GetEType<"), std::string::npos);
-    EXPECT_NE(cuda.find("segment lookup via etype_ptr"),
-              std::string::npos);
+    const std::string flat = kernelText(
+        cuda, writerName(m.backwardFn, "hs_grad", GroupKey::None));
+    EXPECT_NE(flat.find("segment lookup via etype_ptr"), std::string::npos)
+        << flat;
 }
 
 TEST(Codegen, VirtualVariablesLiveInRegisters)

@@ -452,6 +452,98 @@ TEST_F(ExecDeterminism, GroupedBackwardMatchesSeed)
     }
 }
 
+/** The variables @p m keeps in registers only, in either direction. */
+std::set<std::string>
+registerVars(const core::CompiledModel &m)
+{
+    std::set<std::string> out;
+    for (const auto *fn : {&m.forwardFn, &m.backwardFn})
+        for (const auto &ti : fn->traversals)
+            out.insert(ti.virtualVars.begin(), ti.virtualVars.end());
+    return out;
+}
+
+/** Outputs of @p m's forward aggregations that add on their store. */
+std::set<std::string>
+addingStores(const core::CompiledModel &m)
+{
+    std::set<std::string> out;
+    for (const auto &ti : m.forwardFn.traversals)
+        for (const auto &ss : ti.stmts)
+            if (ss.addsOnStore())
+                out.insert(ss.stmt.out.name);
+    return out;
+}
+
+/** @p m with every virtual variable materialized again. */
+core::CompiledModel
+materialized(core::CompiledModel m)
+{
+    const std::pair<core::Program *, core::LoweredFunction *> dirs[] = {
+        {&m.forwardProgram, &m.forwardFn},
+        {&m.backwardProgram, &m.backwardFn}};
+    for (const auto &[p, fn] : dirs) {
+        for (auto &[name, vi] : p->vars)
+            if (vi.mat == core::Materialization::Virtual)
+                vi.mat = core::Materialization::Vanilla;
+        for (auto &ti : fn->traversals) {
+            ti.virtualVars.clear();
+            ti.loads = core::operandLoads(*p, ti);
+        }
+    }
+    m.memoryPlan = core::planMemory(m.forwardProgram, m.forwardFn,
+                                    &m.backwardProgram, &m.backwardFn);
+    return m;
+}
+
+TEST_F(ExecDeterminism, RegisterValuesMatchSeedAndMaterializedRows)
+{
+    const auto graphs = groupedWalkGraphs();
+    // Lowering is graph-independent: which edge temporaries each
+    // training plan keeps in registers.
+    const std::map<std::string, std::set<std::string>> expected = {
+        {"RGCN/base", {}},
+        {"RGCN/C+R", {}},
+        {"RGAT/base",
+         {"atts", "attt", "att", "att_n_grad", "att_grad", "att_raw_grad"}},
+        {"RGAT/C+R",
+         {"attt", "att", "att_n_grad", "att_grad", "att_raw_grad"}},
+        {"HGT/base", {"att_dot", "att", "att_n_grad", "att_dot_grad"}},
+        {"HGT/C+R", {"att_dot", "att", "att_n_grad"}},
+    };
+    for (const auto &[gname, g] : graphs) {
+        for (models::ModelKind mk :
+             {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+              models::ModelKind::Hgt}) {
+            for (bool optimized : {false, true}) {
+                core::CompileOptions opts;
+                opts.compactMaterialization = optimized;
+                opts.linearReorder = optimized;
+                opts.training = true;
+                const core::CompiledModel m =
+                    core::compile(models::buildModel(mk, g, 8, 8), opts);
+                const std::string plan = std::string(models::toString(mk)) +
+                                         (optimized ? "/C+R" : "/base");
+                EXPECT_EQ(registerVars(m), expected.at(plan)) << plan;
+                EXPECT_EQ(addingStores(m),
+                          plan == "RGCN/C+R" ? std::set<std::string>{"h_out"}
+                                             : std::set<std::string>{})
+                    << plan;
+                const std::string what = gname + "/" + plan;
+                expectMatchesSeed(m, g, what);
+                // Registers hold what the rows held: a virtual `+=`
+                // output restarts at +0 as its zeroed row did.
+                util::setSeedKernelMode(true);
+                util::setGlobalThreads(1);
+                expectSame(runCompiled(materialized(m), g, true),
+                           runCompiled(m, g, true),
+                           (what + "/materialized").c_str());
+                util::setSeedKernelMode(false);
+            }
+        }
+    }
+}
+
 /**
  * @p m with its backward program edited by @p edit, then lowered and
  * memory-planned again.
@@ -701,7 +793,7 @@ TEST_F(ExecDeterminism, WeightRunLoadsMatchSeed)
         {"RGCN/base", {}},
         {"RGCN/C+R", {}},
         {"RGAT/base",
-         {"fwd:w_s@edge", "fwd:w_t@edge", "bwd:w_t@run", "bwd:w_s@edge"}},
+         {"fwd:w_s@run", "fwd:w_t@run", "bwd:w_t@run", "bwd:w_s@edge"}},
         {"RGAT/C+R", {"fwd:w_s@edge", "fwd:w_t__W@run", "bwd:w_s@edge"}},
         {"HGT/base", {}},
         {"HGT/C+R", {}},

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <random>
 #include <set>
@@ -291,6 +292,48 @@ TEST(HeteroGraph, InEtypeRunsCountDistinctDstEtypePairs)
     const HeteroGraph edgeless({0, 0, 1, 1}, 2, 2, {0, 1}, {1, 0}, {});
     EXPECT_EQ(edgeless.numInEtypeRuns(), 0);
     EXPECT_EQ(edgeless.structureBytes(), arrayBytes(edgeless));
+}
+
+TEST(HeteroGraph, RgcnNormMatchesAPerPairCountBitForBit)
+{
+    // The norm comes from the in-CSR etype-run walk; the reference
+    // counts each (dst, etype) pair in a map.
+    auto reference = [](const HeteroGraph &g) {
+        std::map<std::pair<std::int64_t, std::int32_t>, std::int64_t> count;
+        for (std::int64_t e = 0; e < g.numEdges(); ++e)
+            ++count[{g.dst()[static_cast<std::size_t>(e)],
+                     g.etype()[static_cast<std::size_t>(e)]}];
+        std::vector<float> norm;
+        for (std::int64_t e = 0; e < g.numEdges(); ++e)
+            norm.push_back(1.0f /
+                           static_cast<float>(
+                               count[{g.dst()[static_cast<std::size_t>(e)],
+                                      g.etype()[static_cast<std::size_t>(e)]}]));
+        return norm;
+    };
+    const HeteroGraph am = generate(datasetSpec("am"), 1.0 / 256.0);
+    std::mt19937_64 rng(3);
+    SampleSpec spec;
+    spec.numSeeds = 128;
+    const std::vector<std::pair<std::string, HeteroGraph>> graphs = {
+        {"am", am},
+        {"mag", generate(datasetSpec("mag"), 1.0 / 256.0)},
+        {"am block", sampleNeighbors(am, spec, rng).subgraph},
+        {"edgeless", HeteroGraph({0, 0, 1, 1}, 2, 2, {0, 1}, {1, 0}, {})},
+        // Nodes 1, 3 and 4 have no in-edge; node 2 has two etypes.
+        {"isolated",
+         HeteroGraph({0, 0, 0, 1, 1}, 2, 2, {0, 1}, {0, 0},
+                     {{0, 2, 0}, {1, 2, 0}, {3, 2, 1}, {4, 0, 1}})},
+    };
+    for (const auto &[name, g] : graphs) {
+        const std::vector<float> want = reference(g);
+        const auto got = g.rgcnNorm();
+        ASSERT_EQ(got.size(), want.size()) << name;
+        EXPECT_TRUE(want.empty() ||
+                    std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(float)) == 0)
+            << name;
+    }
 }
 
 TEST(CompactionMap, ToyGraphCountsUniquePairs)

@@ -61,7 +61,15 @@ TEST(Lowering, RgcnFusionDisabledProducesSeparateTraversal)
     const auto m = compile(models::buildRgcn(3, 8, 8), opts);
     for (const auto &gi : m.forwardFn.gemms)
         EXPECT_EQ(gi.name.find("fused_scatter"), std::string::npos);
-    EXPECT_GE(m.forwardFn.traversals.size(), 2u);
+    // The aggregation is a traversal of its own, and the self-loop
+    // add folds into it: h_self's GEMM writes h_out and the
+    // aggregation's register store adds into it.
+    ASSERT_EQ(m.forwardFn.traversals.size(), 1u);
+    const TraversalInstance &agg = m.forwardFn.traversals[0];
+    ASSERT_EQ(agg.stmts.size(), 1u);
+    EXPECT_EQ(agg.stmts[0].stmt.kind, OpKind::AccumulateScaled);
+    EXPECT_EQ(agg.stmts[0].stmt.out.name, "h_out");
+    EXPECT_TRUE(agg.stmts[0].addsOnStore());
 }
 
 TEST(Lowering, RgcnCompactionSwitchesMessageDomain)
@@ -387,7 +395,7 @@ output h_out
     wv.weight = "w_a";
     wv.accumulateOut = true;
     p.loops[0].body.push_back(wv);
-    fuseLoops(p, false);
+    fuseLoops(p);
     ASSERT_EQ(p.loops.size(), 1u);
     ASSERT_EQ(p.loops[0].domain, LoopDomain::DstNodes);
 

@@ -444,6 +444,80 @@ expectSameButReads(const CounterBucket &a, const CounterBucket &b,
     EXPECT_EQ(a.atomics, b.atomics) << what;
 }
 
+TEST(TraversalPricing, RegisterValuesCostNoBytes)
+{
+    namespace core = hector::core;
+    // RGAT C+R training: the score walk writes attt and att into
+    // registers only, and reads attt, att_raw, att and att_exp from the
+    // registers the statements before it filled.
+    const hector::graph::HeteroGraph g = sampledAmBlock(128);
+    core::CompileOptions opts;
+    opts.compactMaterialization = true;
+    opts.linearReorder = true;
+    opts.training = true;
+    const core::CompiledModel m = core::compile(
+        hector::models::buildModel(hector::models::ModelKind::Rgat, g, 16,
+                                   16),
+        opts);
+    const core::TraversalInstance *ti = writerOf(m.forwardFn, "att_sum");
+    ASSERT_NE(ti, nullptr);
+    EXPECT_EQ(ti->virtualVars, (std::vector<std::string>{"attt", "att"}));
+    std::vector<std::string> in_register;
+    for (const auto &l : ti->loads)
+        if (ti->rateOf(l) == core::LoadRate::InRegister)
+            in_register.push_back(l.var);
+    EXPECT_EQ(in_register, (std::vector<std::string>{"attt", "att_raw",
+                                                     "att", "att_exp"}));
+
+    // The same walk with every value stored to and reloaded from rows.
+    core::Program rows = m.forwardProgram;
+    for (const auto &v : ti->virtualVars)
+        rows.varInfo(v).mat = core::Materialization::Vanilla;
+    core::TraversalInstance reload = *ti;
+    reload.virtualVars.clear();
+    reload.loads = core::operandLoads(rows, reload);
+    for (auto &l : reload.loads)
+        if (l.rate == core::LoadRate::InRegister)
+            l.rate = core::LoadRate::PerEdge;
+
+    const CounterBucket reg = priceTraversal(m.forwardProgram, *ti, g);
+    const CounterBucket mem = priceTraversal(rows, reload, g);
+    const double edges = static_cast<double>(g.numEdges());
+    // Two scalar stores and four scalar reloads per edge.
+    EXPECT_EQ(mem.bytesWritten - reg.bytesWritten, 4.0 * 2.0 * edges);
+    EXPECT_EQ(mem.bytesRead - reg.bytesRead, 4.0 * 4.0 * edges);
+    EXPECT_EQ(mem.flops, reg.flops);
+    EXPECT_EQ(mem.atomics, reg.atomics);
+    EXPECT_LT(reg.timeSec, mem.timeSec);
+}
+
+TEST(TraversalPricing, AddingRegisterStoreReadsTheRowOnce)
+{
+    namespace core = hector::core;
+    // RGCN C+R: the aggregation adds its register row into the h_out
+    // row h_self's GEMM wrote, once per node with an in-edge.
+    const hector::graph::HeteroGraph g = sampledAmBlock(128);
+    core::CompileOptions opts;
+    opts.compactMaterialization = true;
+    const core::CompiledModel m = core::compile(
+        hector::models::buildModel(hector::models::ModelKind::Rgcn, g, 16,
+                                   16),
+        opts);
+    const core::TraversalInstance *ti = writerOf(m.forwardFn, "h_out");
+    ASSERT_NE(ti, nullptr);
+    ASSERT_EQ(ti->stmts.size(), 1u);
+    ASSERT_TRUE(ti->stmts[0].addsOnStore());
+    core::TraversalInstance overwrite = *ti;
+    overwrite.stmts[0].stmt.sumFirst = false;
+
+    const CounterBucket adds = priceTraversal(m.forwardProgram, *ti, g);
+    const CounterBucket stores =
+        priceTraversal(m.forwardProgram, overwrite, g);
+    EXPECT_EQ(adds.bytesRead - stores.bytesRead,
+              4.0 * 16.0 * static_cast<double>(g.numNodesWithInEdges()));
+    expectSameButReads(adds, stores, "h_out");
+}
+
 TEST(TraversalPricing, HoistedLoadReadOncePerGroup)
 {
     namespace core = hector::core;
