@@ -125,31 +125,85 @@ weightRef(const std::string &w)
     return w + "[etype * dim + f]";
 }
 
+/** Register adjacency index @p i is read into. */
+const char *
+indexReg(AdjIndex i)
+{
+    switch (i) {
+      case AdjIndex::EdgeId:
+        return "e";
+      case AdjIndex::Src:
+        return "src";
+      case AdjIndex::Dst:
+        return "dst";
+      case AdjIndex::EdgeToUnique:
+        return "uid";
+      case AdjIndex::Etype:
+        return "etype";
+    }
+    return "?";
+}
+
 /**
- * Row of @p v at row @p ent of @p domain, as CUDA C: @p ent is an edge
- * id, except in the UniquePairs domain, where it is the pair id that
- * indexes compact rows and unique_row_idx directly.
+ * The line reading index @p r of @p ti into its register: per edge
+ * from the edge id e, or per group from the group's node n or pair u
+ * (the loop variable u of the UniquePairs domain too).
  */
 std::string
-operandRef(const Program &p, const VarRef &v, const std::string &ent,
-           RowDomain domain)
+indexLoad(const TraversalInstance &ti, const AdjacencyRead &r)
 {
-    const bool by_pair = domain == RowDomain::UniquePairs;
+    const bool per_pair = ti.group == GroupKey::UniquePair ||
+                          ti.domain == RowDomain::UniquePairs;
+    std::string expr;
+    switch (r.index) {
+      case AdjIndex::EdgeId:
+        expr = ti.group == GroupKey::UniquePair ? "args.unique_eids[i]"
+                                                : "args.in_edge_ids[i]";
+        break;
+      case AdjIndex::Src:
+        expr = per_pair ? "unique_row_idx[u]" : "row_idx[e]";
+        break;
+      case AdjIndex::Dst:
+        expr = ti.group == GroupKey::DstNode ? "n" : "col_idx[e]";
+        break;
+      case AdjIndex::EdgeToUnique:
+        expr = ti.group == GroupKey::UniquePair ? "u" : "edge_to_unique[e]";
+        break;
+      case AdjIndex::Etype:
+        expr = "GetEType<" + std::to_string(ti.kid) +
+               (per_pair ? ">(u);  // segment lookup via unique_etype_ptr"
+                         : ">(e);  // segment lookup via etype_ptr");
+        return "const int etype = " + expr;
+    }
+    return "const int " + std::string(indexReg(r.index)) + " = " + expr + ";";
+}
+
+/**
+ * Row of @p v in @p ti at row @p ent of its domain, as CUDA C: @p ent
+ * is an edge id, except in the UniquePairs domain, where it is the pair
+ * id that indexes compact rows directly. Every other row is located
+ * through the register of its adjacency index (see adjacencyReads()).
+ */
+std::string
+operandRef(const Program &p, const TraversalInstance &ti, const VarRef &v,
+           const std::string &ent)
+{
     const auto &vi = p.varInfo(v.name);
     std::string idx;
     if (vi.space == VarSpace::EdgeData) {
         if (vi.mat == Materialization::Virtual)
             return valueReg(v.name);
-        idx = vi.mat == Materialization::Compact && !by_pair
-                  ? "edge_to_unique[" + ent + "]"
+        idx = vi.mat == Materialization::Compact &&
+                      ti.domain != RowDomain::UniquePairs
+                  ? indexReg(AdjIndex::EdgeToUnique)
                   : ent;
     } else {
         switch (v.access) {
           case Access::ViaSrc:
-            idx = (by_pair ? "unique_row_idx[" : "row_idx[") + ent + "]";
+            idx = indexReg(AdjIndex::Src);
             break;
           case Access::ViaDst:
-            idx = "col_idx[" + ent + "]";
+            idx = indexReg(AdjIndex::Dst);
             break;
           case Access::Direct:
             idx = "n";
@@ -165,7 +219,7 @@ loadRef(const Program &p, const TraversalInstance &ti, const OperandLoad &l,
         const std::string &ent)
 {
     return l.weight ? weightRef(l.var)
-                    : operandRef(p, {l.var, l.access}, ent, ti.domain);
+                    : operandRef(p, ti, {l.var, l.access}, ent);
 }
 
 /** A row as a variable and the access locating it. */
@@ -188,25 +242,25 @@ reusedRows(const Program &p, const TraversalInstance &ti)
 }
 
 /**
- * Renders one statement of @p ti as CUDA C. With @p into_register
- * (hoist level 2), an accumulation adds into its register
- * accumulator instead of the output row. An input or weight vector
- * among @p regs reads its load's register instead of memory, and an
- * input in @p live reads the register an earlier statement filled.
- * With @p fill, the statement computes its row into that register,
- * stores it, and adds it to @p live. An accumulation scatters by
- * atomicAdd exactly when the cost model prices atomics for it
- * (scattersAtomically()).
+ * Renders statement @p ss of @p ti as CUDA C. At hoist level 2, an
+ * accumulation adds into its register accumulator instead of the
+ * output row. An input or weight vector among @p regs reads its load's
+ * register instead of memory, and an input in @p live reads the
+ * register an earlier statement filled. With @p fill, the statement
+ * computes its row into that register, stores it, and adds it to
+ * @p live. An accumulation scatters by atomicAdd exactly when the cost
+ * model prices atomics for it (scattersAtomically()), and a
+ * ScheduledStmt::firstWrite adds to 0.f instead of reading its row.
  */
 std::string
-stmtToCuda(const Program &p, const TraversalInstance &ti, const Stmt &s,
-           const std::string &ent, bool into_register = false,
+stmtToCuda(const Program &p, const TraversalInstance &ti,
+           const ScheduledStmt &ss, const std::string &ent,
            const std::vector<OperandLoad> &regs = {},
            std::set<RowKey> *live = nullptr, bool fill = false)
 {
-    auto ref = [&](const VarRef &v) {
-        return operandRef(p, v, ent, ti.domain);
-    };
+    const Stmt &s = ss.stmt;
+    const bool into_register = ss.hoistLevel == 2;
+    auto ref = [&](const VarRef &v) { return operandRef(p, ti, v, ent); };
     auto in = [&](const VarRef &v) -> std::string {
         if (live && live->count({v.name, v.access}))
             return valueReg(v.name);
@@ -235,7 +289,9 @@ stmtToCuda(const Program &p, const TraversalInstance &ti, const Stmt &s,
         if (fill && live) {
             const std::string reg = valueReg(s.out.name);
             const RowKey row{s.out.name, s.out.access};
-            const std::string old = live->count(row) ? reg : out;
+            const std::string old = live->count(row) ? reg
+                                    : ss.firstWrite    ? "0.f"
+                                                       : out;
             os << reg << " = "
                << (isAccumulation(s) ? old + " + " + expr : expr) << "; "
                << out << " = " << reg << ";";
@@ -246,6 +302,8 @@ stmtToCuda(const Program &p, const TraversalInstance &ti, const Stmt &s,
             os << out << " = " << expr << ";";
         else if (scattersAtomically(p, s, ti.domain, ti.group))
             os << "atomicAdd(&" << out << ", " << expr << ");";
+        else if (ss.firstWrite)
+            os << out << " = 0.f + " << expr << ";";
         else
             os << out << " += " << expr << ";";
     };
@@ -487,13 +545,21 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
             if (ss.hoistLevel == 1)
                 continue;
             os << indent
-               << stmtToCuda(p, ti, ss.stmt, ent, ss.hoistLevel == 2, regs,
-                             &live,
+               << stmtToCuda(p, ti, ss, ent, regs, &live,
                              ss.hoistLevel == 0 &&
                                  reused.count({ss.stmt.out.name,
                                                ss.stmt.out.access}))
                << "\n";
         }
+    };
+    // Each adjacency index the instance uses, read once into its
+    // register: per group at the top of the group, per edge at the top
+    // of the edge body.
+    const std::vector<AdjacencyRead> indices = adjacencyReads(p, ti);
+    auto emitIndices = [&](const char *indent, LoadRate rate) {
+        for (const auto &r : indices)
+            if (r.rate == rate)
+                os << indent << indexLoad(ti, r) << "\n";
     };
     auto emitEdgeLoads = [&](const char *indent, const std::string &ent) {
         for (const auto &l : regs)
@@ -516,12 +582,12 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
            << ";\n"
            << "         " << grp << " += gridDim.x) {\n";
         os << "        int f = threadIdx.x;\n";
+        emitIndices("        ", LoadRate::PerGroup);
         bool stores = false;
         for (const auto &ss : ti.stmts) {
             if (ss.hoistLevel == 1) {
                 os << "        // hoisted before edge loop\n";
-                os << "        " << stmtToCuda(p, ti, ss.stmt, "e")
-                   << "\n";
+                os << "        " << stmtToCuda(p, ti, ss, "e") << "\n";
             } else if (ss.hoistLevel == 2) {
                 os << "        float " << accName(ss.stmt)
                    << " = 0.f;  // register accumulator\n";
@@ -559,11 +625,8 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
         os << "        for (int i = " << ptr << "[" << grp
            << "] + threadIdx.y;\n"
            << "             i < " << ptr << "[" << grp
-           << " + 1]; i += blockDim.y) {\n"
-           << "            int e = "
-           << (by_pair ? "args.unique_eids" : "args.in_edge_ids")
-           << "[i];\n"
-           << "            int etype = GetEType<" << ti.kid << ">(e);\n";
+           << " + 1]; i += blockDim.y) {\n";
+        emitIndices("            ", LoadRate::PerEdge);
         if (!run_loads.empty())
             os << "            if (etype != ld_etype) { ld_etype = etype;"
                << run_loads << " }\n";
@@ -601,21 +664,8 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
            << " = blockIdx.x * blockDim.y + threadIdx.y; " << ent << " < "
            << count << ";\n"
            << "         " << ent << " += gridDim.x * blockDim.y) {\n";
-        switch (ti.domain) {
-          case RowDomain::Edges:
-            os << "        int etype = GetEType<" << ti.kid
-               << ">(e);  // segment lookup via etype_ptr\n"
-               << "        int src = GetSrcId<" << ti.kid << ">(e);\n"
-               << "        int dst = GetDstId<" << ti.kid << ">(e);\n";
-            break;
-          case RowDomain::UniquePairs:
-            os << "        int etype = GetEType<" << ti.kid
-               << ">(u);  // segment lookup via unique_etype_ptr\n";
-            break;
-          case RowDomain::Nodes:
-            os << "        int ntype = args.node_type[n];\n";
-            break;
-        }
+        emitIndices("        ", LoadRate::PerEdge);
+        emitIndices("        ", LoadRate::PerGroup);
         os << "        int f = threadIdx.x;\n";
         emitEdgeLoads("        ", ent);
         emitBody("        ", ent);
@@ -708,6 +758,17 @@ generateCode(const Program &fwd, const LoweredFunction &ffn,
         for (const auto &ti : fn.traversals) {
             cuda << emitTraversalKernel(p, ti);
             host << emitHostWrapper(ti.name, "traversal");
+        }
+        // The merged walk of each split edge loop, which the executor
+        // launches instead of its halves where it prices less.
+        for (std::size_t i = 0; i < fn.order.size(); ++i) {
+            if (!fn.foldsIntoPrevious(i))
+                continue;
+            const TraversalInstance merged = mergedTraversal(
+                p, fn.traversals[fn.order[i - 1].index],
+                fn.traversals[fn.order[i].index]);
+            cuda << emitTraversalKernel(p, merged);
+            host << emitHostWrapper(merged.name, "traversal");
         }
         for (const auto &fi : fn.fallbacks) {
             host << "// fallback (framework BMM + slicing): " << fi.name

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -1292,15 +1293,16 @@ evalPrepared(const PreparedStmt &ps, const EvalPoint &pt,
 /// @}
 
 /**
- * Static per-iteration cost of one traversal statement. Its operand
- * rows, typed weight-vector rows included, are not in bytesRead: the
- * instance prices them from its load set (TraversalInstance::loads).
+ * Static per-iteration cost of one traversal statement: its flops, the
+ * row it writes and its atomics. It reads nothing of its own: the
+ * instance prices its operand rows, typed weight-vector rows included,
+ * from its load set (TraversalInstance::loads), the adjacency indices
+ * that locate them once per instance (adjacencyReads()), and an output
+ * row a `+=` reads by readsOutputRow().
  */
 struct StmtCost
 {
     double flops = 0.0;
-    /** Adjacency indices. */
-    double bytesRead = 0.0;
     double bytesWritten = 0.0;
     double atomics = 0.0;
     double atomicConflict = 1.0;
@@ -1324,7 +1326,6 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, GroupKey group,
     const double out_cols = colsOf(s.out.name);
 
     c.flops = 2.0 * std::max({out_cols, operand_cols, 1.0});
-    c.bytesRead = 12.0; // adjacency
     // A virtual output stays in a register.
     if (!p.vars.count(s.out.name) ||
         p.varInfo(s.out.name).mat != Materialization::Virtual)
@@ -1342,6 +1343,102 @@ stmtCost(const Program &p, const Stmt &s, RowDomain domain, GroupKey group,
 }
 
 } // namespace
+
+sim::KernelDesc
+traversalDesc(const Program &p, const TraversalInstance &ti,
+              const ExecutionContext &ctx)
+{
+    const auto &g = *ctx.g;
+    sim::KernelDesc desc;
+    desc.name = ti.name;
+    desc.category = sim::KernelCategory::Traversal;
+    desc.phase = ti.phase;
+    const bool by_pair = ti.group == GroupKey::UniquePair;
+    const double iters =
+        static_cast<double>(ti.grouped() ? g.numEdges()
+                                         : ctx.rowsOf(ti.domain));
+    const double group_iters = static_cast<double>(
+        by_pair ? ctx.rowsOf(RowDomain::UniquePairs) : g.numNodes());
+    // A register-accumulated (level-2) row is stored, and a hoisted
+    // operand row loaded, once per group with an edge (every pair, or
+    // each node with an in-edge), not once per edge. A load in a
+    // register (a virtual variable, or a row an earlier statement
+    // wrote) costs nothing.
+    const double edged_groups = static_cast<double>(
+        by_pair ? ctx.rowsOf(RowDomain::UniquePairs)
+                : g.numNodesWithInEdges());
+    // A weight-vector row is loaded once per run of equal etype: one
+    // per pair, or one per distinct (dst, etype) of the in-CSR walk.
+    const double etype_runs = static_cast<double>(
+        by_pair ? ctx.rowsOf(RowDomain::UniquePairs) : g.numInEtypeRuns());
+    for (const auto &ss : ti.stmts) {
+        for (const auto &in : ss.stmt.ins)
+            if (!ti.loadOf(in))
+                throw std::logic_error("traversal " + ti.name +
+                                       " has no load for operand " +
+                                       in.name);
+        if (!ss.stmt.weight.empty() && !ti.weightLoadOf(ss.stmt.weight))
+            throw std::logic_error("traversal " + ti.name +
+                                   " has no load for weight " +
+                                   ss.stmt.weight);
+    }
+    // Operand rows: each distinct load once per edge, group or run.
+    for (const auto &l : ti.loads) {
+        const double cols = static_cast<double>(
+            l.weight ? p.weightInfo(l.var).cols : p.varInfo(l.var).cols);
+        double rows = iters;
+        switch (ti.rateOf(l)) {
+          case LoadRate::PerEdge:
+            break;
+          case LoadRate::PerGroup:
+            rows = edged_groups;
+            break;
+          case LoadRate::PerRun:
+            rows = etype_runs;
+            break;
+          case LoadRate::InRegister:
+            rows = 0.0;
+            break;
+        }
+        desc.bytesRead += 4.0 * cols * rows;
+    }
+    // Adjacency indices: 4 bytes each, once per edge (or row of a flat
+    // domain), or once per group with an edge (per pair in the
+    // UniquePairs domain).
+    for (const AdjacencyRead &r : adjacencyReads(p, ti))
+        desc.bytesRead +=
+            4.0 * (r.rate == LoadRate::PerGroup && ti.grouped() ? edged_groups
+                                                                : iters);
+    double max_cols = 1.0;
+    for (std::size_t i = 0; i < ti.stmts.size(); ++i) {
+        const ScheduledStmt &ss = ti.stmts[i];
+        const StmtCost c = stmtCost(p, ss.stmt, ti.domain, ti.group, ctx);
+        const double n = ss.hoistLevel == 1 ? group_iters : iters;
+        desc.flops += c.flops * n;
+        desc.bytesWritten +=
+            c.bytesWritten * (ss.hoistLevel == 2 ? edged_groups : n);
+        // An adding store, and a `+=` that reads its row from memory,
+        // read the row they add into.
+        if (ss.addsOnStore())
+            desc.bytesRead += c.bytesWritten * edged_groups;
+        if (readsOutputRow(p, ti, i))
+            desc.bytesRead += c.bytesWritten * n;
+        desc.atomics += c.atomics * n;
+        desc.atomicConflict =
+            std::max(desc.atomicConflict, c.atomicConflict);
+        if (p.vars.count(ss.stmt.out.name))
+            max_cols = std::max(
+                max_cols, static_cast<double>(
+                              p.varInfo(ss.stmt.out.name).cols));
+    }
+    // Partial-result aggregation within threads/warps cuts the atomic
+    // traffic that reaches global memory (Sec. 3.4.1).
+    if (ti.partialAggregation)
+        desc.atomics /= 8.0;
+    // Parallelism is element-level: entities times feature width.
+    desc.workItems = iters * max_cols;
+    return desc;
+}
 
 void
 execTraversal(const Program &p, const TraversalInstance &ti,
@@ -1597,87 +1694,7 @@ execTraversal(const Program &p, const TraversalInstance &ti,
         else
             fastBody();
     };
-
-    // Price the launch from static per-statement costs.
-    sim::KernelDesc desc;
-    desc.name = ti.name;
-    desc.category = sim::KernelCategory::Traversal;
-    desc.phase = ti.phase;
-    const bool by_pair = ti.group == GroupKey::UniquePair;
-    const double iters =
-        static_cast<double>(ti.grouped() ? g.numEdges()
-                                         : ctx.rowsOf(ti.domain));
-    const double group_iters = static_cast<double>(
-        by_pair ? ctx.rowsOf(RowDomain::UniquePairs) : g.numNodes());
-    // A register-accumulated (level-2) row is stored, and a hoisted
-    // operand row loaded, once per group with an edge (every pair, or
-    // each node with an in-edge), not once per edge. A load in a
-    // register (a virtual variable, or a row an earlier statement
-    // wrote) costs nothing.
-    const double edged_groups = static_cast<double>(
-        by_pair ? ctx.rowsOf(RowDomain::UniquePairs)
-                : g.numNodesWithInEdges());
-    // A weight-vector row is loaded once per run of equal etype: one
-    // per pair, or one per distinct (dst, etype) of the in-CSR walk.
-    const double etype_runs = static_cast<double>(
-        by_pair ? ctx.rowsOf(RowDomain::UniquePairs) : g.numInEtypeRuns());
-    for (const auto &ss : ti.stmts) {
-        for (const auto &in : ss.stmt.ins)
-            if (!ti.loadOf(in))
-                throw std::logic_error("traversal " + ti.name +
-                                       " has no load for operand " +
-                                       in.name);
-        if (!ss.stmt.weight.empty() && !ti.weightLoadOf(ss.stmt.weight))
-            throw std::logic_error("traversal " + ti.name +
-                                   " has no load for weight " +
-                                   ss.stmt.weight);
-    }
-    // Operand rows: each distinct load once per edge, group or run.
-    for (const auto &l : ti.loads) {
-        const double cols = static_cast<double>(
-            l.weight ? p.weightInfo(l.var).cols : p.varInfo(l.var).cols);
-        double rows = iters;
-        switch (ti.rateOf(l)) {
-          case LoadRate::PerEdge:
-            break;
-          case LoadRate::PerGroup:
-            rows = edged_groups;
-            break;
-          case LoadRate::PerRun:
-            rows = etype_runs;
-            break;
-          case LoadRate::InRegister:
-            rows = 0.0;
-            break;
-        }
-        desc.bytesRead += 4.0 * cols * rows;
-    }
-    double max_cols = 1.0;
-    for (const auto &ss : ti.stmts) {
-        const StmtCost c = stmtCost(p, ss.stmt, ti.domain, ti.group, ctx);
-        const double n = ss.hoistLevel == 1 ? group_iters : iters;
-        desc.flops += c.flops * n;
-        desc.bytesRead += c.bytesRead * n;
-        desc.bytesWritten +=
-            c.bytesWritten * (ss.hoistLevel == 2 ? edged_groups : n);
-        // An adding store reads the row it adds into.
-        if (ss.addsOnStore())
-            desc.bytesRead += c.bytesWritten * edged_groups;
-        desc.atomics += c.atomics * n;
-        desc.atomicConflict =
-            std::max(desc.atomicConflict, c.atomicConflict);
-        if (p.vars.count(ss.stmt.out.name))
-            max_cols = std::max(
-                max_cols, static_cast<double>(
-                              p.varInfo(ss.stmt.out.name).cols));
-    }
-    // Partial-result aggregation within threads/warps cuts the atomic
-    // traffic that reaches global memory (Sec. 3.4.1).
-    if (ti.partialAggregation)
-        desc.atomics /= 8.0;
-    // Parallelism is element-level: entities times feature width.
-    desc.workItems = iters * max_cols;
-    ctx.rt->launch(desc, body);
+    ctx.rt->launch(traversalDesc(p, ti, ctx), body);
 }
 
 void
@@ -1832,6 +1849,31 @@ execFallback(const Program &p, const FallbackInstance &fi,
     ctx.rt->hostOverhead(3.0e-6 * ctx.rt->spec().overheadScale);
 }
 
+namespace
+{
+
+/**
+ * The merged walk of the split edge loop at steps @p i and i + 1 of
+ * @p fn when it prices less on ctx's graph than the two halves, each
+ * launch with its overhead; otherwise nothing.
+ */
+std::optional<TraversalInstance>
+cheaperMerge(const Program &p, const LoweredFunction &fn, std::size_t i,
+             const ExecutionContext &ctx)
+{
+    const TraversalInstance &first = fn.traversals[fn.order[i].index];
+    const TraversalInstance &second = fn.traversals[fn.order[i + 1].index];
+    TraversalInstance merged = mergedTraversal(p, first, second);
+    const sim::DeviceModel &m = ctx.rt->model();
+    if (m.kernelTime(traversalDesc(p, merged, ctx)) <
+        m.kernelTime(traversalDesc(p, first, ctx)) +
+            m.kernelTime(traversalDesc(p, second, ctx)))
+        return merged;
+    return std::nullopt;
+}
+
+} // namespace
+
 void
 execute(const Program &p, const LoweredFunction &fn, ExecutionContext &ctx)
 {
@@ -1846,6 +1888,12 @@ execute(const Program &p, const LoweredFunction &fn, ExecutionContext &ctx)
             for (std::int32_t slot : fn.zeroSlotsBefore[i])
                 ctx.materializeSlot(slot);
         const auto &step = fn.order[i];
+        // A split edge loop runs as its two halves, or as one merged
+        // walk in place of both where that prices less on this graph.
+        // The planner zeroes the second half's slots before the first.
+        std::optional<TraversalInstance> merged;
+        if (fn.foldsIntoPrevious(i + 1))
+            merged = cheaperMerge(p, fn, i, ctx);
         // Per-step trace span on the modeled launch clock (thread-count
         // invariant): start/end are totalTimeSec deltas, so the same
         // plan traces identically at any pool size.
@@ -1859,7 +1907,8 @@ execute(const Program &p, const LoweredFunction &fn, ExecutionContext &ctx)
                 kind = "gemm";
                 break;
               case LoweredFunction::Step::Kind::Traversal:
-                name = &fn.traversals[step.index].name;
+                name = merged ? &merged->name
+                              : &fn.traversals[step.index].name;
                 kind = "traversal";
                 break;
               case LoweredFunction::Step::Kind::Fallback:
@@ -1877,7 +1926,8 @@ execute(const Program &p, const LoweredFunction &fn, ExecutionContext &ctx)
             execGemm(p, fn.gemms[step.index], ctx);
             break;
           case LoweredFunction::Step::Kind::Traversal:
-            execTraversal(p, fn.traversals[step.index], ctx);
+            execTraversal(p, merged ? *merged : fn.traversals[step.index],
+                          ctx);
             break;
           case LoweredFunction::Step::Kind::Fallback:
             execFallback(p, fn.fallbacks[step.index], ctx);
@@ -1885,6 +1935,8 @@ execute(const Program &p, const LoweredFunction &fn, ExecutionContext &ctx)
         }
         if (span.active())
             span.endAt(ctx.rt->totalTimeSec());
+        if (merged)
+            ++i;
     }
 }
 

@@ -147,6 +147,16 @@ void execute(const Program &p, const LoweredFunction &fn,
 void execGemm(const Program &p, const GemmInstance &gi,
               ExecutionContext &ctx);
 
+/**
+ * The modeled launch of traversal @p ti on ctx's graph: its flops, its
+ * operand loads at their rates (TraversalInstance::loads), 4 bytes per
+ * adjacency index it reads (adjacencyReads() in core/lowering.hh), the
+ * rows it writes and reads back, and its atomics. execTraversal()
+ * launches it; DeviceModel::kernelTime() prices it without running.
+ */
+sim::KernelDesc traversalDesc(const Program &p, const TraversalInstance &ti,
+                              const ExecutionContext &ctx);
+
 /** Execute a single traversal-template instance. */
 void execTraversal(const Program &p, const TraversalInstance &ti,
                    ExecutionContext &ctx);

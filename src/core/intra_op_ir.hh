@@ -185,6 +185,18 @@ struct ScheduledStmt
      */
     int hoistLevel = 0;
 
+    /**
+     * Set by lowering on a level-0 accumulation into a row the
+     * iteration owns (its edge's row, its pair's compact row in the
+     * UniquePairs domain, its node in the Nodes domain) when no earlier
+     * instance writes the variable and no other statement of the
+     * instance does. The row is zero on entry, so the code generator
+     * emits `out = 0.f + expr` without reading it, which is the
+     * executor's in-place `out += expr` bit for bit, and the cost model
+     * prices no read of it (see readsOutputRow() in core/lowering.hh).
+     */
+    bool firstWrite = false;
+
     /** True when the level-2 store adds into the row (sumFirst). */
     bool
     addsOnStore() const
@@ -246,6 +258,38 @@ struct OperandLoad
 };
 
 /**
+ * One adjacency index a traversal walk reads to locate rows (the
+ * paper's GetSrcId / GetEType ... of Algorithm 2, specific to the
+ * adjacency encoding).
+ */
+enum class AdjIndex
+{
+    /** The edge id from the group's edge list (in_edge_ids or
+     *  unique_eids); a flat edge loop's row is the edge id itself. */
+    EdgeId,
+    /** The source node: row_idx, or unique_row_idx per pair. */
+    Src,
+    /** The destination node: col_idx. */
+    Dst,
+    /** The compact (src, etype) row of an edge: edge_to_unique. */
+    EdgeToUnique,
+    /** The edge type: a segment lookup (GetEType). */
+    Etype,
+};
+
+/**
+ * An index an instance reads, and how often (see adjacencyReads() in
+ * core/lowering.hh): LoadRate::PerEdge, once per edge (or row of a
+ * flat domain), or LoadRate::PerGroup, once per group with an edge,
+ * when the group fixes it.
+ */
+struct AdjacencyRead
+{
+    AdjIndex index = AdjIndex::EdgeId;
+    LoadRate rate = LoadRate::PerEdge;
+};
+
+/**
  * One instance derived from the node/edge traversal template.
  *
  * Edge-centric instances assign edges to blocks; grouped instances
@@ -268,8 +312,14 @@ struct TraversalInstance
      * When the losing key's accumulations write vector rows, lowering
      * splits them off into a second instance grouped by the losing
      * key, after the first, so neither scatters by atomics (HGT's
-     * `ka_grad` under UniquePair beside `q_grad` under DstNode);
-     * scalar losers stay in the run and keep their atomics. An edge
+     * `ka_grad` under UniquePair beside `q_grad` under DstNode), and
+     * marks that second instance `foldable`; scalar losers stay in the
+     * run and keep their atomics. Whether the split pays depends on
+     * the graph: a second walk re-reads the edge rows the first one
+     * wrote, which saves the atomics only where (src, etype) pairs
+     * repeat. So at launch the executor prices both shapes on the bound
+     * graph, the two halves and the merged walk (mergedTraversal() in
+     * core/lowering.hh), and runs the cheaper. An edge
      * loop that writes only its own edge's rows and reads a node row
      * through e.dst is grouped by DstNode too, so that row is loaded
      * once per node: each output is a function of its edge alone, so
@@ -288,6 +338,13 @@ struct TraversalInstance
 
     /** Aggregate per-thread/warp partial results before atomics. */
     bool partialAggregation = true;
+
+    /**
+     * The second half of a split edge loop (see `group`): it may fold
+     * back into the traversal step just before it in the lowered
+     * order (LoweredFunction::foldsIntoPrevious()).
+     */
+    bool foldable = false;
 
     /**
      * Variables that live in registers only (Materialization::Virtual,
@@ -412,6 +469,22 @@ struct LoweredFunction
      * virtualizeTemporaries() both walk the steps through this.
      */
     std::vector<StepRef> refs(std::size_t i) const;
+
+    /**
+     * True when step @p i is a foldable traversal (the second half of
+     * a split edge loop) and step i - 1 is the traversal it folds
+     * into. The executor runs the two steps, or their merged walk in
+     * place of both, by price; the memory planner keeps the two steps
+     * one liveness unit, so no arena slot is shared across them.
+     */
+    bool
+    foldsIntoPrevious(std::size_t i) const
+    {
+        return i > 0 && i < order.size() &&
+               order[i].kind == Step::Kind::Traversal &&
+               order[i - 1].kind == Step::Kind::Traversal &&
+               traversals[order[i].index].foldable;
+    }
 
     std::size_t
     kernelCount() const

@@ -153,6 +153,16 @@ ownsRow(const Program &p, const TraversalInstance &ti, const VarRef &ref)
     return ref.access == Access::Direct && ti.domain == RowDomain::Nodes;
 }
 
+/** True when @p s is the only statement of @p inst writing its output. */
+bool
+onlyWriter(const Stmt &s, const std::vector<ScheduledStmt> &inst)
+{
+    return std::count_if(inst.begin(), inst.end(),
+                         [&](const ScheduledStmt &ss) {
+                             return ss.stmt.out.name == s.out.name;
+                         }) == 1;
+}
+
 } // namespace
 
 std::vector<OperandLoad>
@@ -204,6 +214,98 @@ operandLoads(const Program &p, const TraversalInstance &ti)
             produced.insert({ss.stmt.out.name, ss.stmt.out.access});
     }
     return loads;
+}
+
+std::vector<AdjacencyRead>
+adjacencyReads(const Program &p, const TraversalInstance &ti)
+{
+    const bool by_pair = ti.group == GroupKey::UniquePair;
+    const bool pair_rows = ti.domain == RowDomain::UniquePairs;
+    auto fixedByGroup = [&](AdjIndex i) {
+        switch (i) {
+          case AdjIndex::EdgeId:
+            return false;
+          case AdjIndex::Dst:
+            return ti.group == GroupKey::DstNode;
+          case AdjIndex::EdgeToUnique:
+            return by_pair;
+          case AdjIndex::Src:
+          case AdjIndex::Etype:
+            return by_pair || pair_rows;
+        }
+        return false;
+    };
+    std::set<AdjIndex> used;
+    bool per_edge = false;
+    // The index locating the row of @p ref at an edge, if any.
+    auto locate = [&](const VarRef &ref) {
+        const auto &vi = p.varInfo(ref.name);
+        if (vi.space == VarSpace::EdgeData) {
+            if (vi.mat == Materialization::Compact && !pair_rows)
+                used.insert(AdjIndex::EdgeToUnique);
+            // A vanilla edge row is the edge's own.
+            per_edge |= vi.mat == Materialization::Vanilla;
+            return;
+        }
+        if (ref.access == Access::ViaSrc)
+            used.insert(AdjIndex::Src);
+        else if (ref.access == Access::ViaDst)
+            used.insert(AdjIndex::Dst);
+    };
+    for (const auto &ss : ti.stmts) {
+        if (ss.hoistLevel == 1)
+            continue;
+        if (ss.hoistLevel == 0 && p.vars.count(ss.stmt.out.name))
+            locate(ss.stmt.out);
+        for (const auto &in : ss.stmt.ins) {
+            const OperandLoad *l = ti.loadOf(in);
+            if (!l || ti.rateOf(*l) == LoadRate::PerEdge)
+                locate(in);
+        }
+        if (!ss.stmt.weight.empty())
+            used.insert(AdjIndex::Etype);
+    }
+    std::vector<AdjacencyRead> out;
+    for (AdjIndex i : used) {
+        const bool fixed = fixedByGroup(i);
+        per_edge |= !fixed;
+        out.push_back({i, fixed ? LoadRate::PerGroup : LoadRate::PerEdge});
+    }
+    if (ti.grouped() && per_edge)
+        out.insert(out.begin(), {AdjIndex::EdgeId, LoadRate::PerEdge});
+    return out;
+}
+
+bool
+readsOutputRow(const Program &p, const TraversalInstance &ti, std::size_t i)
+{
+    const ScheduledStmt &ss = ti.stmts[i];
+    const VarRef &out = ss.stmt.out;
+    if (ss.hoistLevel != 0 || ss.firstWrite || !isAccumulation(ss.stmt) ||
+        !p.vars.count(out.name) || isVirtual(p, out.name) ||
+        scattersAtomically(p, ss.stmt, ti.domain, ti.group))
+        return false;
+    const OperandLoad *l = ti.loadOf(out);
+    if (l && ti.rateOf(*l) == LoadRate::InRegister)
+        for (std::size_t j = 0; j < i; ++j)
+            if (ti.stmts[j].hoistLevel == 0 && ti.stmts[j].stmt.out == out)
+                return false;
+    return true;
+}
+
+TraversalInstance
+mergedTraversal(const Program &p, const TraversalInstance &first,
+                const TraversalInstance &second)
+{
+    TraversalInstance whole = first;
+    whole.name = first.name + "_" + std::to_string(second.kid);
+    for (ScheduledStmt ss : second.stmts) {
+        ss.hoistLevel = 0;
+        whole.stmts.push_back(std::move(ss));
+    }
+    whole.loads = operandLoads(p, whole);
+    whole.virtualVars = virtualOutputs(p, whole);
+    return whole;
 }
 
 bool
@@ -504,14 +606,11 @@ class Lowerer
         if (!isAccumulation(s) || !writesGroupRow(s, key) ||
             (written_.count(s.out.name) && !s.sumFirst))
             return false;
-        int writers = 0;
-        for (const auto &ss : inst) {
-            writers += ss.stmt.out.name == s.out.name;
+        for (const auto &ss : inst)
             for (const auto &in : ss.stmt.ins)
                 if (in.name == s.out.name)
                     return false;
-        }
-        return writers == 1;
+        return onlyWriter(s, inst);
     }
 
     /**
@@ -572,8 +671,10 @@ class Lowerer
             loser = GroupKey::DstNode;
         std::vector<ScheduledStmt> moved = splitLosers(run, loser);
         emitTraversal(std::move(run), RowDomain::Edges, key);
-        if (!moved.empty())
+        if (!moved.empty()) {
             emitTraversal(std::move(moved), RowDomain::Edges, loser);
+            fn_.traversals.back().foldable = true;
+        }
     }
 
     /**
@@ -666,8 +767,6 @@ class Lowerer
                     "a sum-first aggregation of " + ss.stmt.out.name +
                     " must run as a register accumulator");
         }
-        for (const auto &ss : stmts)
-            written_.insert(ss.stmt.out.name);
         TraversalInstance ti;
         ti.kid = nextKid_++;
         ti.name = "traversal_" + std::to_string(ti.kid);
@@ -675,6 +774,13 @@ class Lowerer
         ti.group = key;
         ti.domain = domain;
         ti.stmts = std::move(stmts);
+        for (auto &ss : ti.stmts)
+            ss.firstWrite = ss.hoistLevel == 0 && isAccumulation(ss.stmt) &&
+                            !written_.count(ss.stmt.out.name) &&
+                            ownsRow(p_, ti, ss.stmt.out) &&
+                            onlyWriter(ss.stmt, ti.stmts);
+        for (const auto &ss : ti.stmts)
+            written_.insert(ss.stmt.out.name);
         ti.loads = operandLoads(p_, ti);
         ti.virtualVars = virtualOutputs(p_, ti);
         fn_.order.push_back(

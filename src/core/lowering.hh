@@ -56,6 +56,46 @@ std::vector<OperandLoad> operandLoads(const Program &p,
                                       const TraversalInstance &ti);
 
 /**
+ * The adjacency indices @p ti reads, each once, in AdjIndex order: the
+ * indices that locate the rows its per-edge statements (hoist levels
+ * 0 and 2) store to and that its loads read at LoadRate::PerEdge. A
+ * per-group load, a level-2 store and a register read use the group's
+ * or the iteration's own row, and hoist-level-1 statements run before
+ * the edge loop, so none of them needs an index. An index is read per
+ * group (LoadRate::PerGroup) where the group fixes it: the
+ * destination under DstNode, the source, the etype and the compact row
+ * under UniquePair, and the source and etype in the UniquePairs
+ * domain; every other index is read per edge. A grouped walk reads
+ * the edge id from its group's edge list per edge when anything is
+ * located by edge. The executor prices 4 bytes per index read, and the
+ * code generator reads each index once into a named register, from
+ * this one rule.
+ */
+std::vector<AdjacencyRead> adjacencyReads(const Program &p,
+                                          const TraversalInstance &ti);
+
+/**
+ * True when statement @p i of @p ti reads its output row from memory
+ * before adding into it: a level-0 `+=` into a materialized row that
+ * does not scatter by atomics (priced as atomics instead), is not a
+ * ScheduledStmt::firstWrite, and is not in the register an earlier
+ * level-0 statement of the iteration filled.
+ */
+bool readsOutputRow(const Program &p, const TraversalInstance &ti,
+                    std::size_t i);
+
+/**
+ * The walk of a split edge loop as one instance (see
+ * TraversalInstance::group): @p first with the statements of the
+ * foldable @p second appended at hoist level 0, where they scatter by
+ * atomics, and its loads and virtual variables recomputed. It is
+ * named after both halves.
+ */
+TraversalInstance mergedTraversal(const Program &p,
+                                  const TraversalInstance &first,
+                                  const TraversalInstance &second);
+
+/**
  * True when statement @p s of a traversal over @p domain grouped by
  * @p group adds into a row that other iterations write too, so it
  * scatters by atomics: an e.src row, an e.dst row outside a node
@@ -96,6 +136,9 @@ LoweredFunction lower(const Program &p, const LowerOptions &opts,
  * The variable is marked in both programs' tables, so the memory
  * planner gives it no slot; the instance lists it in virtualVars and
  * its loads are recomputed (a read of it is LoadRate::InRegister).
+ * A variable both halves of a split edge loop reference sits in two
+ * instances and stays materialized, so the halves and their merged
+ * walk (mergedTraversal()) run on the same materializations.
  * Returns the number of variables virtualized.
  */
 int virtualizeTemporaries(Program &fwd, LoweredFunction &fwd_fn,

@@ -67,7 +67,13 @@ isPlannable(const Program &p, const std::string &name)
     return true;
 }
 
-/** One function's per-instruction plannable variables, in order. */
+/**
+ * One function's per-instruction plannable variables, in order. A
+ * foldable traversal's references count at the step it folds into, so
+ * the two halves of a split edge loop are one liveness unit: no slot is
+ * shared across them, and the merged walk that may run in their place
+ * finds every slot zeroed before it.
+ */
 void
 collectRefs(const Program &p, const LoweredFunction &fn,
             std::vector<std::vector<std::string>> &per_step)
@@ -75,7 +81,7 @@ collectRefs(const Program &p, const LoweredFunction &fn,
     per_step.clear();
     per_step.resize(fn.order.size());
     for (std::size_t i = 0; i < fn.order.size(); ++i) {
-        auto &v = per_step[i];
+        auto &v = per_step[fn.foldsIntoPrevious(i) ? i - 1 : i];
         for (const StepRef &r : fn.refs(i))
             if (isPlannable(p, r.name) &&
                 std::find(v.begin(), v.end(), r.name) == v.end())

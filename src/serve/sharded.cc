@@ -406,13 +406,36 @@ ShardedSession::drain()
 
     const auto plan = compiledPlan();
 
-    // Cycle timeline on the shared clock: each device's queued
-    // structure transfers serialize on its own PCIe lanes (devices
-    // overlap), then the device pulls its halo over the interconnect
-    // and computes, and every batch's outputs gather onto the
-    // all-gather root (device 0 unless it is quarantined).
+    // Cycle timeline: each device's queued structure transfers
+    // serialize on its own PCIe lanes (devices overlap), then the
+    // device pulls its halo over the interconnect and computes, and
+    // every batch's outputs gather onto the all-gather root (device 0
+    // unless it is quarantined). Times below are on the cycle's own
+    // clock, in seconds since `base` on the group clock, so a cycle
+    // reports the same timeline wherever on the group clock it starts;
+    // traces, failures and the group clock add `base` back.
     const double base = group_.nowSec();
     obs::Span drain_span("sharded.drain", "serve", base, 0, 0);
+
+    // A link carries the cycle's transfers one after another, from when
+    // it was last free; the interconnect books each on the group clock.
+    std::map<std::pair<int, int>, double> link_free;
+    const auto transfer = [&](int src, int dst, double bytes,
+                              double ready) {
+        sim::Interconnect &ic = group_.interconnect();
+        if (src == dst) {
+            ic.transfer(src, dst, bytes, base + ready); // range check
+            return ready;
+        }
+        auto [it, fresh] = link_free.try_emplace({src, dst}, 0.0);
+        if (fresh)
+            it->second =
+                std::max(0.0, ic.linkBusyUntilSec(src, dst) - base);
+        const double start = std::max(ready, it->second);
+        it->second = start + ic.transferSec(bytes);
+        ic.transfer(src, dst, bytes, base + start);
+        return it->second;
+    };
 
     const std::size_t cap =
         std::max<std::size_t>(1, cfg_.serving.maxBatch);
@@ -432,7 +455,7 @@ ShardedSession::drain()
     std::vector<double> queue_delays;
     latencies.reserve(queued());
     queue_delays.reserve(queued());
-    double cycle_end = base;
+    double cycle_end = 0.0;
     double halo_bytes = 0.0;
     double gather_bytes = 0.0;
     double primary_exec_sec = 0.0;
@@ -448,8 +471,8 @@ ShardedSession::drain()
         double tFail = 0.0;
     };
     std::vector<LostBatch> lost;
-    std::vector<double> dev_end(
-        static_cast<std::size_t>(group_.size()), base);
+    std::vector<double> dev_end(static_cast<std::size_t>(group_.size()),
+                                0.0);
 
     // Wave 1: every alive device serves its own queue.
     for (int d = 0; d < group_.size(); ++d) {
@@ -462,8 +485,7 @@ ShardedSession::drain()
         StreamScheduler sched(rt, cfg_.serving.numStreams);
         auto scope = rt.memoryScope();
 
-        const double host_end =
-            base + pendingHostSec_[static_cast<std::size_t>(d)];
+        const double host_end = pendingHostSec_[static_cast<std::size_t>(d)];
         cycle_end = std::max(cycle_end, host_end);
         const double t_fail = fi ? fi->failureTimeSec(d) : kInf;
 
@@ -485,9 +507,8 @@ ShardedSession::drain()
             double fb = 0.0;
             for (const auto &[owner, bytes] :
                  batchHaloBytes(reqs, d, &fb)) {
-                comm_done = std::max(
-                    comm_done, group_.interconnect().transfer(
-                                   owner, d, bytes, host_end));
+                comm_done = std::max(comm_done,
+                                     transfer(owner, d, bytes, host_end));
                 halo_bytes += bytes;
                 device_halo += bytes;
             }
@@ -501,7 +522,7 @@ ShardedSession::drain()
         comm_done = std::max(comm_done, host_end + fallback_sec);
         if (obs::enabled() && comm_done > host_end)
             obs::tracer().complete(
-                "halo", "comm", host_end, comm_done - host_end, d, 0,
+                "halo", "comm", base + host_end, comm_done - host_end, d, 0,
                 "\"bytes\":" + obs::jsonNum(device_halo));
 
         // Compute: this device's own driver thread and streams, on the
@@ -520,7 +541,7 @@ ShardedSession::drain()
             const bool dup = sampleDuplicate(
                 cfg_.serving.duplicationFraction * dupScale_, dupAccum_);
             const GuardedBatch g = guardBatch(
-                fi, d, host_end, dup, outs[b],
+                fi, d, base + host_end, dup, outs[b],
                 [&](std::vector<Tensor> &dst) {
                     sched.run(
                         [&]() { dst = runBatch(*plan, batches[b], d); });
@@ -533,12 +554,12 @@ ShardedSession::drain()
                 ++report.transientsDetected;
                 if (obs::enabled())
                     obs::tracer().instant(
-                        "fault.detect", "serve", host_end, d, 0,
+                        "fault.detect", "serve", base + host_end, d, 0,
                         "\"batch\":" + std::to_string(g.ordinal));
                 report.requestsReplayed += batches[b].size();
                 if (flight_)
                     for (const Request *r : batches[b])
-                        flight_->event(r->id, "replay", host_end, d,
+                        flight_->event(r->id, "replay", base + host_end, d,
                                        "why=transient");
             }
         }
@@ -558,7 +579,7 @@ ShardedSession::drain()
             for (std::size_t r = first + 1; r < first + runs[b].count; ++r)
                 compute_done =
                     std::max(compute_done, comm_done + completions[r]);
-            if (compute_done > t_fail) {
+            if (compute_done > t_fail - base) {
                 // Lost with the device: the outputs never left it.
                 LostBatch lb;
                 lb.from = d;
@@ -587,8 +608,7 @@ ShardedSession::drain()
                              dout_bytes;
             double final_done = compute_done;
             if (d != root) {
-                final_done = group_.interconnect().transfer(
-                    d, root, out_bytes, compute_done);
+                final_done = transfer(d, root, out_bytes, compute_done);
                 gather_bytes += out_bytes;
             }
             cycle_end = std::max(cycle_end, final_done);
@@ -600,42 +620,42 @@ ShardedSession::drain()
                 comm_done + completions[first] - sb.execSec;
             if (obs::enabled()) {
                 obs::tracer().complete(
-                    "batch", "serve", exec_start, sb.execSec, d,
+                    "batch", "serve", base + exec_start, sb.execSec, d,
                     sb.stream,
                     "\"requests\":" +
                         std::to_string(batches[b].size()));
                 if (d != root)
                     obs::tracer().complete(
-                        "gather", "comm", compute_done,
+                        "gather", "comm", base + compute_done,
                         final_done - compute_done, d, sb.stream,
                         "\"bytes\":" + obs::jsonNum(out_bytes));
             }
             for (std::size_t i = 0; i < batches[b].size(); ++i) {
                 const Request *r = batches[b][i];
                 const double lat =
-                    final_done - (base + r->submitSec);
+                    final_done - r->submitSec;
                 latencies.push_back(lat);
                 queue_delays.push_back(std::max(0.0, lat - service));
                 if (flight_) {
                     const std::uint64_t id = r->id;
-                    flight_->event(id, "batch-join", host_end, d,
+                    flight_->event(id, "batch-join", base + host_end, d,
                                    "batch=" + std::to_string(b) +
                                        " size=" +
                                        std::to_string(
                                            batches[b].size()));
                     if (comm_done > host_end)
                         flight_->event(
-                            id, "halo", comm_done, d,
+                            id, "halo", base + comm_done, d,
                             "bytes=" + obs::jsonNum(device_halo));
-                    flight_->event(id, "exec-start", exec_start, d,
+                    flight_->event(id, "exec-start", base + exec_start, d,
                                    "stream=" +
                                        std::to_string(sb.stream));
                     if (d != root)
                         flight_->event(
-                            id, "all-gather", final_done, d,
+                            id, "all-gather", base + final_done, d,
                             "bytes=" + obs::jsonNum(out_bytes));
                     flight_->event(
-                        id, "completion", final_done, d,
+                        id, "completion", base + final_done, d,
                         "latency_ms=" + obs::jsonNum(lat * 1e3));
                 }
             }
@@ -656,7 +676,7 @@ ShardedSession::drain()
             if (dead_[static_cast<std::size_t>(d)])
                 continue;
             const double tf = fi->failureTimeSec(d);
-            if (tf <= cycle_end) {
+            if (tf <= base + cycle_end) {
                 dead_[static_cast<std::size_t>(d)] = 1;
                 fi->markFailed(d, tf);
                 t_fail_max = std::max(t_fail_max, tf);
@@ -737,7 +757,7 @@ ShardedSession::drain()
             // the dead shard's feature rows re-gather from the host
             // store (host-fallback halo).
             double host_end = std::max(
-                t_fail_max, dev_end[static_cast<std::size_t>(s)]);
+                t_fail_max - base, dev_end[static_cast<std::size_t>(s)]);
             for (const Request &r : rq) {
                 const double t = graph::hostTransferSec(
                     static_cast<double>(
@@ -761,8 +781,7 @@ ShardedSession::drain()
                 for (const auto &[owner, bytes] :
                      batchHaloBytes(reqs, s, &fb)) {
                     comm_done = std::max(
-                        comm_done, group_.interconnect().transfer(
-                                       owner, s, bytes, host_end));
+                        comm_done, transfer(owner, s, bytes, host_end));
                     halo_bytes += bytes;
                 }
                 if (fb > 0.0) {
@@ -781,7 +800,7 @@ ShardedSession::drain()
                     outs[b] = runBatch(*plan, batches[b], s);
                 });
                 if (fi)
-                    fi->noteReplay(s, host_end, "device-failure");
+                    fi->noteReplay(s, base + host_end, "device-failure");
             }
 
             const std::vector<double> completions =
@@ -803,8 +822,7 @@ ShardedSession::drain()
                                  dout_bytes;
                 double final_done = compute_done;
                 if (s != root2) {
-                    final_done = group_.interconnect().transfer(
-                        s, root2, out_bytes, compute_done);
+                    final_done = transfer(s, root2, out_bytes, compute_done);
                     gather_bytes += out_bytes;
                 }
                 cycle_end = std::max(cycle_end, final_done);
@@ -813,15 +831,15 @@ ShardedSession::drain()
                 const double service = sb.overheadSec + sb.execSec;
                 for (const Request *r : batches[b]) {
                     const double lat =
-                        final_done - (base + r->submitSec);
+                        final_done - r->submitSec;
                     latencies.push_back(lat);
                     queue_delays.push_back(
                         std::max(0.0, lat - service));
                     if (flight_) {
-                        flight_->event(r->id, "replay", host_end, s,
+                        flight_->event(r->id, "replay", base + host_end, s,
                                        "why=device-failure");
                         flight_->event(
-                            r->id, "completion", final_done, s,
+                            r->id, "completion", base + final_done, s,
                             "latency_ms=" + obs::jsonNum(lat * 1e3));
                     }
                 }
@@ -833,15 +851,15 @@ ShardedSession::drain()
         }
     }
 
-    group_.advanceTo(cycle_end);
+    group_.advanceTo(base + cycle_end);
 
     drain_span.arg("requests",
                    static_cast<std::uint64_t>(report.requests));
     drain_span.arg("devices", static_cast<std::uint64_t>(
                                   static_cast<unsigned>(group_.size())));
-    drain_span.endAt(cycle_end);
+    drain_span.endAt(base + cycle_end);
 
-    const double makespan_sec = cycle_end - base;
+    const double makespan_sec = cycle_end;
     report.makespanMs = makespan_sec * 1e3;
     report.throughputReqPerSec =
         makespan_sec > 0.0

@@ -12,7 +12,10 @@
 #include <cmath>
 
 #include "core/compiler.hh"
+#include "core/lowering.hh"
+#include "graph/compaction.hh"
 #include "graph/datasets.hh"
+#include "graph/sampler.hh"
 #include "models/models.hh"
 #include "models/reference.hh"
 
@@ -275,6 +278,53 @@ TEST(GradCheckFoldedRgcn, MatchesNumericalGradient)
     core::CompileOptions base;
     base.training = true;
     EXPECT_FALSE(selfLoopFolded(core::compile(models::buildRgcn(4, 4, 4), base)));
+}
+
+TEST(GradCheckMergedSplit, MatchesNumericalGradient)
+{
+    // HGT C+R splits the backward edge loop writing q_grad and ka_grad
+    // in two walks. On a 128-seed am block nearly every (src, etype)
+    // pair has one edge, so the merged walk, which scatters ka_grad by
+    // atomics, prices less and runs in place of the halves.
+    std::mt19937_64 rng(7);
+    graph::SampleSpec spec;
+    spec.numSeeds = 128;
+    spec.fanout = 4;
+    const graph::HeteroGraph g =
+        graph::sampleNeighbors(
+            graph::generate(graph::datasetSpec("am"), 1.0 / 256.0), spec, rng)
+            .subgraph;
+    const GradCase c{ModelKind::Hgt, true, true, false};
+
+    core::CompileOptions opts;
+    opts.compactMaterialization = true;
+    opts.linearReorder = true;
+    opts.training = true;
+    const core::CompiledModel m =
+        core::compile(models::buildModel(c.model, g, 4, 4), opts);
+    std::string merged;
+    for (std::size_t i = 0; i < m.backwardFn.order.size(); ++i)
+        if (m.backwardFn.foldsIntoPrevious(i))
+            merged = core::mergedTraversal(
+                         m.backwardProgram,
+                         m.backwardFn.traversals[m.backwardFn.order[i - 1].index],
+                         m.backwardFn.traversals[m.backwardFn.order[i].index])
+                         .name;
+    ASSERT_FALSE(merged.empty());
+    const graph::CompactionMap cmap(g);
+    models::WeightMap weights = models::initWeights(m.forwardProgram, g, rng);
+    models::WeightMap grads;
+    sim::Runtime rt;
+    rt.setRecordLaunches(true);
+    core::ExecutionContext ctx;
+    ctx.reset(&g, &cmap, &rt, &weights, &grads);
+    core::trainStep(m, ctx, tensor::Tensor::uniform({g.numNodes(), 4}, rng));
+    bool ran = false;
+    for (const auto &r : rt.records())
+        ran |= r.name == merged;
+    EXPECT_TRUE(ran) << merged;
+
+    checkGradients(c, g, {3e-5, 1e-3});
 }
 
 } // namespace

@@ -12,6 +12,7 @@
 
 #include <map>
 #include <random>
+#include <set>
 #include <sstream>
 
 #include "core/compiler.hh"
@@ -252,7 +253,7 @@ TEST(Codegen, HoistedLoadsPrecedeTheEdgeLoop)
     ASSERT_NE(pair_loop, std::string::npos);
     EXPECT_LT(pair_load, pair_loop);
     const std::size_t edge_load = bwd.find(
-        "const float ld_dst_h_out_grad = h_out_grad[col_idx[e] * 8 + f];");
+        "const float ld_dst_h_out_grad = h_out_grad[dst * 8 + f];");
     ASSERT_NE(edge_load, std::string::npos) << bwd;
     EXPECT_GT(edge_load, pair_loop);
     EXPECT_EQ(occurrences(bwd, "h_out_grad["), 1);
@@ -364,6 +365,90 @@ TEST(Codegen, TraversalKernelUsesAdjacencySpecialization)
         << flat;
 }
 
+TEST(Codegen, EachAdjacencyIndexReadOncePerKernel)
+{
+    // Every traversal kernel, merged walks included, reads each index
+    // it uses once, into a register, and no index adjacencyReads()
+    // does not list: no GetEType in a walk that never reads the etype.
+    const std::pair<const char *, AdjIndex> needles[] = {
+        {"row_idx[", AdjIndex::Src},
+        {"col_idx[", AdjIndex::Dst},
+        {"edge_to_unique[", AdjIndex::EdgeToUnique},
+        {"GetEType<", AdjIndex::Etype},
+    };
+    int kernels = 0;
+    for (models::ModelKind mk : {models::ModelKind::Rgcn,
+                                 models::ModelKind::Rgat,
+                                 models::ModelKind::Hgt})
+        for (bool compact : {false, true})
+            for (bool reorder : {false, true})
+                for (bool training : {false, true}) {
+                    const auto m = compileModel(mk, compact, reorder, training);
+                    auto check = [&](const Program &p,
+                                     const LoweredFunction &fn) {
+                        std::vector<TraversalInstance> walks = fn.traversals;
+                        for (std::size_t i = 0; i < fn.order.size(); ++i)
+                            if (fn.foldsIntoPrevious(i))
+                                walks.push_back(mergedTraversal(
+                                    p, fn.traversals[fn.order[i - 1].index],
+                                    fn.traversals[fn.order[i].index]));
+                        for (const auto &ti : walks) {
+                            const std::string kernel =
+                                kernelText(m.code.cudaSource, ti.name);
+                            ASSERT_FALSE(kernel.empty()) << ti.name;
+                            std::set<AdjIndex> listed;
+                            for (const auto &r : adjacencyReads(p, ti))
+                                listed.insert(r.index);
+                            for (const auto &[needle, index] : needles) {
+                                const int n = occurrences(kernel, needle);
+                                EXPECT_LE(n, 1) << ti.name << " " << needle
+                                                << "\n" << kernel;
+                                EXPECT_TRUE(n == 0 || listed.count(index))
+                                    << ti.name << " " << needle << "\n"
+                                    << kernel;
+                            }
+                            // The edge id is read from the group's edge
+                            // list only when something is located by it.
+                            const bool reads_e =
+                                kernel.find("const int e = ") !=
+                                std::string::npos;
+                            EXPECT_EQ(reads_e, ti.grouped() &&
+                                                   listed.count(
+                                                       AdjIndex::EdgeId) > 0)
+                                << ti.name << "\n" << kernel;
+                            ++kernels;
+                        }
+                    };
+                    check(m.forwardProgram, m.forwardFn);
+                    if (training)
+                        check(m.backwardProgram, m.backwardFn);
+                }
+    EXPECT_GT(kernels, 60);
+}
+
+TEST(Codegen, FirstWriteAddsToZeroWithoutReadingItsRow)
+{
+    // HGT C+R backward: att_dot_grad is accumulated once, by the first
+    // walk writing it, so the kernel adds to 0.f instead of reading
+    // its zeroed row; att_exp_grad, which an earlier walk wrote, is
+    // read back before the second walk adds into it.
+    const auto m = compileModel(models::ModelKind::Hgt, true, true, true);
+    const std::string dot = kernelText(
+        m.code.cudaSource, writerName(m.backwardFn, "att_dot_grad"));
+    EXPECT_NE(dot.find("att_dot_grad_reg = 0.f + "), std::string::npos)
+        << dot;
+    EXPECT_EQ(occurrences(dot, "att_dot_grad["), 1) << dot;
+    std::string second;
+    for (const auto &ti : m.backwardFn.traversals)
+        for (std::size_t i = 0; i < ti.stmts.size(); ++i)
+            if (ti.stmts[i].stmt.out.name == "att_exp_grad" &&
+                readsOutputRow(m.backwardProgram, ti, i))
+                second = kernelText(m.code.cudaSource, ti.name);
+    ASSERT_FALSE(second.empty());
+    EXPECT_NE(second.find("att_exp_grad[e] + "), std::string::npos)
+        << second;
+}
+
 TEST(Codegen, VirtualVariablesLiveInRegisters)
 {
     // Inference fuses att_n away; the traversal kernel must declare a
@@ -457,7 +542,28 @@ TEST(Codegen, EmittedAtomicsAreThePricedAtomics)
                                      (optimized ? "/C+R" : "/base");
             const auto launches = trainLaunches(m, g);
             auto check = [&](const Program &p, const LoweredFunction &fn) {
-                for (const auto &ti : fn.traversals) {
+                // Every traversal that can launch: each lowered one, and
+                // the merged walk of each split edge loop. A split loop
+                // launches as its two halves or as its merged walk,
+                // whichever prices less, never both.
+                std::vector<TraversalInstance> walks = fn.traversals;
+                std::set<std::string> shapes;
+                for (std::size_t i = 0; i < fn.order.size(); ++i)
+                    if (fn.foldsIntoPrevious(i)) {
+                        const auto &first =
+                            fn.traversals[fn.order[i - 1].index];
+                        const auto &second = fn.traversals[fn.order[i].index];
+                        walks.push_back(mergedTraversal(p, first, second));
+                        const std::string &merged = walks.back().name;
+                        EXPECT_EQ(launches.count(first.name),
+                                  launches.count(second.name))
+                            << plan << " " << second.name;
+                        EXPECT_NE(launches.count(second.name),
+                                  launches.count(merged))
+                            << plan << " " << merged;
+                        shapes.insert({first.name, second.name, merged});
+                    }
+                for (const auto &ti : walks) {
                     const std::string kernel =
                         kernelText(m.code.cudaSource, ti.name);
                     ASSERT_FALSE(kernel.empty()) << plan << " " << ti.name;
@@ -471,6 +577,8 @@ TEST(Codegen, EmittedAtomicsAreThePricedAtomics)
                     EXPECT_EQ(occurrences(kernel, "atomicAdd("), priced)
                         << plan << " " << ti.name << "\n" << kernel;
                     const auto it = launches.find(ti.name);
+                    if (it == launches.end() && shapes.count(ti.name))
+                        continue;
                     ASSERT_NE(it, launches.end()) << plan << " " << ti.name;
                     EXPECT_EQ(it->second.atomics > 0.0, priced > 0)
                         << plan << " " << ti.name;

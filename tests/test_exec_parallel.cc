@@ -28,6 +28,7 @@
 #include "core/memory_plan.hh"
 #include "graph/compaction.hh"
 #include "graph/datasets.hh"
+#include "graph/sampler.hh"
 #include "models/models.hh"
 #include "models/model_sources.hh"
 #include "serve/session.hh"
@@ -413,6 +414,85 @@ groupedWalkGraphs()
                   {{3, 0, 3}, {1, 0, 0}, {2, 0, 1}, {4, 0, 3}, {3, 0, 1},
                    {2, 0, 3}, {4, 0, 2}, {0, 1, 1}, {2, 1, 3}}));
     return graphs;
+}
+
+/** Names of the kernels one training step of @p m launches on @p g. */
+std::set<std::string>
+launchedKernels(const core::CompiledModel &m, const graph::HeteroGraph &g)
+{
+    const graph::CompactionMap cmap(g);
+    std::mt19937_64 rng(123);
+    models::WeightMap weights =
+        models::initWeights(m.forwardProgram, g, rng);
+    const Tensor feature = Tensor::uniform({g.numNodes(), 8}, rng, 0.5f);
+    sim::Runtime rt;
+    rt.setRecordLaunches(true);
+    models::WeightMap grads;
+    core::ExecutionContext ctx;
+    ctx.reset(&g, &cmap, &rt, &weights, &grads);
+    core::trainStep(m, ctx, feature);
+    std::set<std::string> out;
+    for (const auto &r : rt.records())
+        out.insert(r.name);
+    return out;
+}
+
+TEST_F(ExecDeterminism, SplitEdgeLoopShapesMatchSeed)
+{
+    // HGT C+R training splits the edge loop writing q_grad and ka_grad
+    // in two walks. On a 128-seed am block, where nearly every (src,
+    // etype) pair has one edge, the merged walk prices less and runs;
+    // on mag, with about 16 edges per pair, the two halves do. Either
+    // shape is bit-identical to the seed interpreter at 1, 2 and 4
+    // threads, with named and with arena-backed variables.
+    std::mt19937_64 rng(7);
+    graph::SampleSpec spec;
+    spec.numSeeds = 128;
+    spec.fanout = 4;
+    const std::pair<graph::HeteroGraph, bool> cases[] = {
+        {graph::sampleNeighbors(
+             graph::generate(graph::datasetSpec("am"), 1.0 / 256.0), spec,
+             rng)
+             .subgraph,
+         false},
+        {graph::generate(graph::datasetSpec("mag"), 1.0 / 256.0), true},
+    };
+    for (const auto &[g, split] : cases) {
+        core::CompileOptions opts;
+        opts.training = true;
+        opts.compactMaterialization = true;
+        opts.linearReorder = true;
+        const core::CompiledModel m = core::compile(
+            models::buildModel(models::ModelKind::Hgt, g, 8, 8), opts);
+        const core::LoweredFunction &fn = m.backwardFn;
+        std::string first, second, merged;
+        for (std::size_t i = 0; i < fn.order.size(); ++i)
+            if (fn.foldsIntoPrevious(i)) {
+                const auto &a = fn.traversals[fn.order[i - 1].index];
+                const auto &b = fn.traversals[fn.order[i].index];
+                first = a.name;
+                second = b.name;
+                merged = core::mergedTraversal(m.backwardProgram, a, b).name;
+            }
+        ASSERT_FALSE(merged.empty());
+        const std::set<std::string> ran = launchedKernels(m, g);
+        const std::string edges = std::to_string(g.numEdges()) + " edges";
+        EXPECT_EQ(ran.count(first), split ? 1u : 0u) << edges;
+        EXPECT_EQ(ran.count(second), split ? 1u : 0u) << edges;
+        EXPECT_EQ(ran.count(merged), split ? 0u : 1u) << edges;
+
+        util::setSeedKernelMode(true);
+        const RunOutput ref = runCompiled(m, g);
+        util::setSeedKernelMode(false);
+        for (int threads : {1, 2, 4}) {
+            util::setGlobalThreads(threads);
+            const std::string what =
+                edges + ", " + std::to_string(threads) + " threads";
+            expectSame(ref, runCompiled(m, g), what.c_str());
+            expectSame(ref, runCompiled(m, g, true),
+                       (what + ", arena").c_str());
+        }
+    }
 }
 
 TEST_F(ExecDeterminism, GroupedBackwardMatchesSeed)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/compiler.hh"
@@ -97,6 +98,28 @@ TEST(MemoryPlan, OverlappingLiveRangesNeverShare)
     // The adjacent chain links overlap by construction.
     EXPECT_NE(plan.slotOf("t1"), plan.slotOf("t2"));
     EXPECT_NE(plan.slotOf("t2"), plan.slotOf("t3"));
+}
+
+TEST(MemoryPlan, SplitHalvesAreOneLivenessUnit)
+{
+    // Let the copy producing t3 be the foldable second half of the one
+    // producing t2. The merged walk that may run in place of both reads
+    // t1 while it writes t3, so t3 may not recycle t1's slot, and t3's
+    // slot is zeroed before the first half, where that walk runs.
+    const CompiledModel m = compileChain(8);
+    LoweredFunction fn = m.forwardFn;
+    ASSERT_EQ(fn.order.size(), 4u);
+    for (const auto &step : fn.order)
+        ASSERT_EQ(step.kind, LoweredFunction::Step::Kind::Traversal);
+    fn.traversals[fn.order[2].index].foldable = true;
+    ASSERT_TRUE(fn.foldsIntoPrevious(2));
+    const MemoryPlan plan = planMemory(m.forwardProgram, fn, nullptr, nullptr);
+    const std::int32_t t3 = static_cast<std::int32_t>(plan.slotOf("t3"));
+    EXPECT_NE(plan.slotOf("t1"), plan.slotOf("t3"));
+    EXPECT_NE(std::find(fn.zeroSlotsBefore[1].begin(),
+                        fn.zeroSlotsBefore[1].end(), t3),
+              fn.zeroSlotsBefore[1].end());
+    EXPECT_TRUE(fn.zeroSlotsBefore[2].empty());
 }
 
 TEST(MemoryPlan, InputIsExternalAndOutputIsPinned)

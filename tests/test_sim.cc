@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 
 #include "core/compiler.hh"
 #include "core/frontend.hh"
@@ -307,6 +308,34 @@ priceTraversal(const hector::core::Program &p,
     return rt.counters().bucket(KernelCategory::Traversal, ti.phase);
 }
 
+/**
+ * The bytes of the adjacency indices @p ti reads on @p g: 4 for each
+ * index adjacencyReads() lists, once per edge (or row of a flat
+ * domain), or once per group with an edge (per pair in the UniquePairs
+ * domain).
+ */
+double
+indexBytes(const hector::core::Program &p,
+           const hector::core::TraversalInstance &ti,
+           const hector::graph::HeteroGraph &g)
+{
+    namespace core = hector::core;
+    const hector::graph::CompactionMap cmap(g);
+    const bool pairs = ti.group == core::GroupKey::UniquePair ||
+                       ti.domain == core::RowDomain::UniquePairs;
+    const double groups = static_cast<double>(
+        pairs ? cmap.numUnique() : g.numNodesWithInEdges());
+    double rows = static_cast<double>(g.numEdges());
+    if (!ti.grouped() && ti.domain == core::RowDomain::UniquePairs)
+        rows = static_cast<double>(cmap.numUnique());
+    else if (!ti.grouped() && ti.domain == core::RowDomain::Nodes)
+        rows = static_cast<double>(g.numNodes());
+    double bytes = 0.0;
+    for (const core::AdjacencyRead &r : core::adjacencyReads(p, ti))
+        bytes += 4.0 * (r.rate == core::LoadRate::PerGroup ? groups : rows);
+    return bytes;
+}
+
 TEST(TraversalPricing, RegisterAccumulatorStoresOncePerNodeWithInEdges)
 {
     namespace core = hector::core;
@@ -338,13 +367,17 @@ TEST(TraversalPricing, RegisterAccumulatorStoresOncePerNodeWithInEdges)
 
     const CounterBucket reg = priceTraversal(m.forwardProgram, *agg, g);
     const CounterBucket edge = priceTraversal(m.forwardProgram, per_edge, g);
-    // The per-edge path writes the row once per edge; the register
-    // path once per node with an in-edge. Nothing else moves.
+    // The per-edge path reads and writes the row once per edge, with
+    // the index that locates it; the register path writes it once per
+    // node with an in-edge. Nothing else moves.
     const double row_bytes = 4.0 * 16.0;
     EXPECT_EQ(edge.bytesWritten - reg.bytesWritten,
               row_bytes * static_cast<double>(g.numEdges() - stored));
     EXPECT_LE(reg.bytesWritten, edge.bytesWritten);
-    EXPECT_EQ(reg.bytesRead, edge.bytesRead);
+    EXPECT_EQ(edge.bytesRead - reg.bytesRead,
+              row_bytes * static_cast<double>(g.numEdges()) +
+                  indexBytes(m.forwardProgram, per_edge, g) -
+                  indexBytes(m.forwardProgram, *agg, g));
     EXPECT_EQ(reg.flops, edge.flops);
     EXPECT_LE(reg.timeSec, edge.timeSec);
 }
@@ -397,7 +430,12 @@ expectGroupedBackwardPricing(hector::models::ModelKind model, bool optimized,
     EXPECT_EQ(edge.bytesWritten - reg.bytesWritten,
               row_bytes * static_cast<double>(g.numEdges() - groups))
         << var;
-    EXPECT_EQ(reg.bytesRead, edge.bytesRead) << var;
+    // Summed in place, the row is read back per edge too.
+    EXPECT_EQ(edge.bytesRead - reg.bytesRead,
+              row_bytes * static_cast<double>(g.numEdges()) +
+                  indexBytes(m.backwardProgram, in_place, g) -
+                  indexBytes(m.backwardProgram, *grouped, g))
+        << var;
     EXPECT_EQ(reg.flops, edge.flops) << var;
     // The group owns its rows: no atomics, where the flat loop
     // scatters into them atomically.
@@ -565,8 +603,10 @@ TEST(TraversalPricing, HoistedLoadReadOncePerGroup)
         const CounterBucket hoisted = priceTraversal(p, *ti, g);
         const CounterBucket edge = priceTraversal(p, per_edge, g);
         ASSERT_GT(g.numEdges(), c.groups);
+        // Read per edge, the row also needs the index locating it.
         EXPECT_EQ(edge.bytesRead - hoisted.bytesRead,
-                  4.0 * 16.0 * static_cast<double>(g.numEdges() - c.groups))
+                  4.0 * 16.0 * static_cast<double>(g.numEdges() - c.groups) +
+                      indexBytes(p, per_edge, g) - indexBytes(p, *ti, g))
             << c.var;
         expectSameButReads(hoisted, edge, c.var);
         EXPECT_LT(hoisted.timeSec, edge.timeSec) << c.var;
@@ -775,23 +815,26 @@ TEST(GemmPricing, OuterGemmReadsY2RowsAndWritesTheGradientOnce)
     EXPECT_EQ(gathered, 2);
 }
 
-TEST(TraversalPricing, SplitHalvesAreAtomicFreeAndCheaperThanTheWholeLoop)
+TEST(TraversalPricing, SplitEdgeLoopRunsItsCheaperShape)
 {
     namespace core = hector::core;
     struct Case
     {
         const char *dataset;
         int seeds;
-        /** Largest allowed price of the halves over the whole loop. */
-        double bound;
+        /** True when the two halves must run, else the merged walk. */
+        bool split;
     };
     // With 8192 seeds, (src, etype) pairs repeat (about 1.8 edges per
     // pair on am, 8 on mag) and the split saves the atomics. With 128
     // seeds nearly every pair has one edge: the atomics barely contend,
-    // and the second walk's re-reads cost the split a few percent.
+    // and the second walk's re-reads and launch cost the split more
+    // than they save.
     const std::vector<Case> cases = {
-        {"am", 8192, 1.0}, {"mag", 8192, 1.0},
-        {"am", 128, 1.1},  {"mag", 128, 1.1},
+        {"am", 8192, true},
+        {"mag", 8192, true},
+        {"am", 128, false},
+        {"mag", 128, false},
     };
     for (const auto &c : cases) {
         const std::string what =
@@ -812,15 +855,12 @@ TEST(TraversalPricing, SplitHalvesAreAtomicFreeAndCheaperThanTheWholeLoop)
         ASSERT_NE(node, nullptr);
         ASSERT_NE(pair, nullptr);
         ASSERT_NE(node, pair);
+        ASSERT_TRUE(pair->foldable);
 
-        // The loop as one node-grouped instance: ka_grad summed in
-        // place, scattering into compact rows.
-        core::TraversalInstance whole = *node;
-        for (auto ss : pair->stmts) {
-            ss.hoistLevel = 0;
-            whole.stmts.push_back(ss);
-        }
-        whole.loads = core::operandLoads(p, whole);
+        // The loop as one node-grouped walk: ka_grad summed in place,
+        // scattering into compact rows.
+        const core::TraversalInstance whole =
+            core::mergedTraversal(p, *node, *pair);
 
         // Priced on the device a 1/256-scale block is served on, whose
         // per-launch overhead shrinks with the data.
@@ -831,8 +871,120 @@ TEST(TraversalPricing, SplitHalvesAreAtomicFreeAndCheaperThanTheWholeLoop)
         EXPECT_EQ(n.atomics, 0.0) << what;
         EXPECT_EQ(u.atomics, 0.0) << what;
         EXPECT_GT(w.atomics, 0.0) << what;
-        EXPECT_LT(n.timeSec + u.timeSec, c.bound * w.timeSec) << what;
+
+        // The two steps as lowered, run through the executor.
+        core::LoweredFunction fn;
+        fn.phase = Phase::Backward;
+        fn.traversals = {*node, *pair};
+        fn.order = {{core::LoweredFunction::Step::Kind::Traversal, 0},
+                    {core::LoweredFunction::Step::Kind::Traversal, 1}};
+        ASSERT_TRUE(fn.foldsIntoPrevious(1));
+        const hector::graph::CompactionMap cmap(g);
+        Runtime rt(spec);
+        std::map<std::string, hector::tensor::Tensor> weights, grads;
+        hector::core::ExecutionContext ctx;
+        ctx.reset(&g, &cmap, &rt, &weights, &grads);
+        core::execute(p, fn, ctx);
+        const CounterBucket ran =
+            rt.counters().bucket(KernelCategory::Traversal, Phase::Backward);
+        EXPECT_LE(ran.timeSec,
+                  std::min(n.timeSec + u.timeSec, w.timeSec)) << what;
+        if (c.split) {
+            EXPECT_LT(n.timeSec + u.timeSec, w.timeSec) << what;
+            EXPECT_EQ(ran.launches, 2u) << what;
+            EXPECT_EQ(ran.atomics, 0.0) << what;
+        } else {
+            EXPECT_LT(w.timeSec, n.timeSec + u.timeSec) << what;
+            EXPECT_EQ(ran.launches, 1u) << what;
+            EXPECT_EQ(ran.atomics, w.atomics) << what;
+        }
     }
+}
+
+TEST(TraversalPricing, AdjacencyIndicesCostFourBytesPerRead)
+{
+    namespace core = hector::core;
+    using hector::models::ModelKind;
+    // Every traversal of every model and plan reads its operand rows at
+    // their load rates, the output rows its `+=` statements read back,
+    // and 4 bytes per adjacency index it reads: per edge, or per group
+    // with an edge.
+    const hector::graph::HeteroGraph g = sampledAmBlock(128);
+    const hector::graph::CompactionMap cmap(g);
+    const double edges = static_cast<double>(g.numEdges());
+    int walks = 0;
+    for (ModelKind mk : {ModelKind::Rgcn, ModelKind::Rgat, ModelKind::Hgt})
+        for (bool optimized : {false, true}) {
+            core::CompileOptions opts;
+            opts.compactMaterialization = optimized;
+            opts.linearReorder = optimized;
+            opts.training = true;
+            const core::CompiledModel m =
+                core::compile(hector::models::buildModel(mk, g, 16, 16), opts);
+            for (int dir = 0; dir < 2; ++dir) {
+                const core::Program &p =
+                    dir ? m.backwardProgram : m.forwardProgram;
+                const core::LoweredFunction &fn =
+                    dir ? m.backwardFn : m.forwardFn;
+                for (const auto &ti : fn.traversals) {
+                    const bool by_pair =
+                        ti.group == core::GroupKey::UniquePair;
+                    const double rows =
+                        ti.grouped() ? edges
+                                     : static_cast<double>(
+                                           ti.domain ==
+                                                   core::RowDomain::UniquePairs
+                                               ? cmap.numUnique()
+                                           : ti.domain ==
+                                                   core::RowDomain::Nodes
+                                               ? g.numNodes()
+                                               : g.numEdges());
+                    const double groups = static_cast<double>(
+                        by_pair ? cmap.numUnique() : g.numNodesWithInEdges());
+                    const double runs = static_cast<double>(
+                        by_pair ? cmap.numUnique() : g.numInEtypeRuns());
+                    double loads = 0.0;
+                    for (const auto &l : ti.loads) {
+                        const double cols = static_cast<double>(
+                            l.weight ? p.weightInfo(l.var).cols
+                                     : p.varInfo(l.var).cols);
+                        switch (ti.rateOf(l)) {
+                          case core::LoadRate::PerEdge:
+                            loads += 4.0 * cols * rows;
+                            break;
+                          case core::LoadRate::PerGroup:
+                            loads += 4.0 * cols * groups;
+                            break;
+                          case core::LoadRate::PerRun:
+                            loads += 4.0 * cols * runs;
+                            break;
+                          case core::LoadRate::InRegister:
+                            break;
+                        }
+                    }
+                    double read_back = 0.0;
+                    for (std::size_t i = 0; i < ti.stmts.size(); ++i) {
+                        const auto &ss = ti.stmts[i];
+                        const double cols = static_cast<double>(
+                            p.varInfo(ss.stmt.out.name).cols);
+                        if (core::readsOutputRow(p, ti, i))
+                            read_back += 4.0 * cols * rows;
+                        if (ss.addsOnStore())
+                            read_back += 4.0 * cols * groups;
+                    }
+                    const CounterBucket priced = priceTraversal(p, ti, g);
+                    EXPECT_EQ(priced.bytesRead - loads - read_back,
+                              indexBytes(p, ti, g))
+                        << hector::models::toString(mk) << " " << ti.name;
+                    // Each index is listed once.
+                    std::set<core::AdjIndex> seen;
+                    for (const auto &r : core::adjacencyReads(p, ti))
+                        EXPECT_TRUE(seen.insert(r.index).second) << ti.name;
+                    ++walks;
+                }
+            }
+        }
+    EXPECT_GT(walks, 20);
 }
 
 } // namespace
