@@ -26,7 +26,6 @@
 #include "core/jit.hh"
 #include "obs/trace.hh"
 #include "serve/session.hh"
-#include "tensor/ops.hh"
 #include "tensor/simd.hh"
 #include "util/thread_pool.hh"
 
@@ -152,11 +151,12 @@ bestMs(int reps, Fn &&fn)
 }
 
 /**
- * Roofline section: per-kernel GF/s for the SIMD and JIT backends
- * against the scalar-seed baseline, with the PR's two hard perf
- * gates (SIMD GEMM >= 1.5x scalar blocked; a JIT-attached plan never
- * slower than the generic blocked path) and bit-identity of every
- * backend against the seed interpreter at 1/2/4 threads.
+ * Roofline section: per-model forward GF/s of the JIT-specialized and
+ * generic blocked plans against the scalar seed, gated on
+ * bit-identity of both plans against the seed interpreter at 1/2/4
+ * threads and on a JIT-attached plan never being slower than the
+ * generic blocked path. The packed-panel row kernel's SIMD gate lives
+ * in bench_micro_kernels.
  */
 bool
 rooflineSection(JsonLog &log, const BenchGraph &bg, std::int64_t dim,
@@ -165,59 +165,11 @@ rooflineSection(JsonLog &log, const BenchGraph &bg, std::int64_t dim,
     namespace simd = tensor::simd;
     bool ok = true;
 
-    std::printf("-- roofline: SIMD / JIT kernels vs scalar seed "
+    std::printf("-- roofline: JIT / generic plans vs scalar seed "
                 "(isa=%s, lanes=%d) --\n",
                 simd::isaName(), simd::vectorWidth());
 
-    // (1) Raw GEMM micro-roofline: the 1.5x SIMD gate. Measured on
-    // the packed-panel kernel directly so the gate prices the kernel,
-    // not traversal/framework time. Portable builds (lane width 1)
-    // have nothing to vectorize with and are exempt.
-    util::setSeedKernelMode(false);
-    util::setGlobalThreads(1);
-    const std::int64_t rows = 8192;
-    std::mt19937_64 rng(11);
-    tensor::Tensor gx = tensor::Tensor::uniform({rows, dim}, rng, 0.5f);
-    tensor::Tensor gw = tensor::Tensor::uniform({dim, dim}, rng, 0.5f);
-    tensor::Tensor gy({rows, dim});
-    const double gemm_flops = 2.0 * static_cast<double>(rows) *
-                              static_cast<double>(dim) *
-                              static_cast<double>(dim);
-    simd::setSimdMode(simd::SimdMode::Off);
-    const double scalar_ms =
-        bestMs(reps, [&]() { tensor::gemm(gx, gw, gy); });
-    simd::setSimdMode(simd::SimdMode::On);
-    const double simd_ms =
-        bestMs(reps, [&]() { tensor::gemm(gx, gw, gy); });
-    const double simd_speedup =
-        simd_ms > 0.0 ? scalar_ms / simd_ms : 0.0;
-    const bool simd_gate =
-        simd::vectorWidth() <= 1 || simd_speedup >= 1.5;
-    ok = ok && simd_gate;
-    std::printf("  gemm %lldx%lldx%lld: scalar-blocked %.3f ms "
-                "(%.2f GF/s), simd %.3f ms (%.2f GF/s), %.2fx %s\n",
-                static_cast<long long>(rows), static_cast<long long>(dim),
-                static_cast<long long>(dim), scalar_ms,
-                gemm_flops / (scalar_ms * 1e6), simd_ms,
-                gemm_flops / (simd_ms * 1e6), simd_speedup,
-                simd_gate ? "(meets >= 1.5x)" : "(FAILS >= 1.5x gate)");
-    {
-        char json[512];
-        std::snprintf(
-            json, sizeof(json),
-            "{\"bench\":\"exec_roofline\",\"kernel\":\"gemm\","
-            "\"rows\":%lld,\"dim\":%lld,\"isa\":\"%s\",\"lanes\":%d,"
-            "\"scalar_ms\":%.4f,\"simd_ms\":%.4f,"
-            "\"gf_per_s\":%.3f,\"simd_speedup\":%.3f,"
-            "\"gate_1_5x\":%s}",
-            static_cast<long long>(rows), static_cast<long long>(dim),
-            simd::isaName(), simd::vectorWidth(), scalar_ms, simd_ms,
-            gemm_flops / (simd_ms * 1e6), simd_speedup,
-            simd_gate ? "true" : "false");
-        log.record(json);
-    }
-
-    // (2) Whole-model forward: JIT-specialized plan vs generic
+    // Whole-model forward: JIT-specialized plan vs generic
     // blocked vs the scalar seed oracle, bit-identical at every
     // thread count; GF/s from the modeled GEMM flop count over
     // measured wall time.
@@ -257,7 +209,6 @@ rooflineSection(JsonLog &log, const BenchGraph &bg, std::int64_t dim,
         const std::vector<float> oracle =
             runForward(generic, true, 1, &fwd_flops);
 
-        simd::setSimdMode(simd::SimdMode::On);
         const double seed_ms = bestMs(
             reps, [&]() { (void)runForward(generic, true, 1, nullptr); });
         const double generic_ms = bestMs(reps, [&]() {
@@ -448,11 +399,11 @@ main()
                     : "(below 2.5x target; needs >= 4 host cores)");
     std::printf("bitwise determinism across all configs: %s\n",
                 all_identical ? "PASS" : "FAIL");
-    std::printf("roofline SIMD/JIT gates: %s\n",
+    std::printf("roofline JIT gates: %s\n",
                 roofline_ok ? "PASS" : "FAIL");
 
     // CI gates: divergence between the single-threaded and any
     // multithreaded/blocked configuration is a correctness bug, and a
-    // SIMD or JIT kernel losing to its baseline is a perf regression.
+    // JIT plan losing to the generic plan is a perf regression.
     return (all_identical && roofline_ok) ? 0 : 1;
 }

@@ -115,9 +115,10 @@ main()
     JsonLog log("serving_online");
 
     for (bool adaptive : {false, true}) {
+        const char *policy = adaptive ? "adaptive" : "fixed";
         for (double frac : load_fractions) {
             serve::OnlineConfig cfg = baseConfig(dim, deadline_ms);
-            cfg.adaptive = adaptive;
+            cfg.policy = policy;
             cfg.arrivalRatePerSec = frac * capacity_rps;
             const serve::OnlineReport rep =
                 runOnce(bg, features, scale, cfg);
@@ -140,8 +141,7 @@ main()
 
             char b1[32], b2[32], b3[32], b4[32], b5[32], b6[32], b7[32],
                 b8[32], b9[32];
-            std::snprintf(b1, sizeof(b1), "%s",
-                          adaptive ? "adaptive" : "fixed");
+            std::snprintf(b1, sizeof(b1), "%s", policy);
             std::snprintf(b2, sizeof(b2), "%.2fx", frac);
             std::snprintf(b3, sizeof(b3), "%.1f", rate);
             std::snprintf(b4, sizeof(b4), "%.4f", p50);
@@ -164,7 +164,7 @@ main()
                 "\"slo_attainment\":%.4f,\"mean_batch\":%.3f,"
                 "\"peak_queue_depth\":%zu,\"throughput_rps\":%.3f,"
                 "\"ticks\":%zu,\"launches\":%llu}",
-                dataset.c_str(), adaptive ? "adaptive" : "fixed", frac,
+                dataset.c_str(), policy, frac,
                 rate, rep.requests, deadline_ms / scale, p50, p95, p99,
                 rep.meanQueueDelayMs / scale, rep.sloAttainment,
                 rep.meanBatchSize, rep.peakQueueDepth, rps, rep.ticks,

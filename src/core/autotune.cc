@@ -76,9 +76,7 @@ scheduleLabel(const GemmSchedule &sched)
 {
     return "t" + std::to_string(sched.tileSz) + "c" +
            std::to_string(sched.coarsening) +
-           (sched.launchBounds ? "b" : "") +
-           (sched.vecWidth != 0 ? "v" + std::to_string(sched.vecWidth)
-                                : "");
+           (sched.launchBounds ? "b" : "");
 }
 
 AutotuneReport
@@ -95,8 +93,7 @@ autotuneSchedules(const Program &program, const graph::HeteroGraph &g,
     for (const auto &sched : schedules) {
         if (sched.tileSz == base.sched.tileSz &&
             sched.coarsening == base.sched.coarsening &&
-            sched.launchBounds == base.sched.launchBounds &&
-            sched.vecWidth == base.sched.vecWidth)
+            sched.launchBounds == base.sched.launchBounds)
             continue;
         CompileOptions o = base;
         o.sched = sched;

@@ -58,14 +58,10 @@ struct AutotuneSpace
     bool optimizationCombos = true;
     /** Additionally sweep GEMM schedules on the winning combo. */
     bool gemmSchedules = false;
-    /** Candidates sweep blocking (tile/coarsening) x SIMD width: the
-     *  dispatcher default (0), forced scalar (1), and the widest
-     *  vector request (8; narrower machines run their native width —
-     *  identical bits, only timing differs). */
+    /** Candidates sweep blocking: tile edge, coarsening, bounds. */
     std::vector<GemmSchedule> schedules = {
-        {16, 1, false, 0}, {16, 2, false, 0}, {16, 4, true, 0},
-        {8, 1, false, 0},  {16, 1, false, 1}, {16, 4, false, 8},
-        {8, 2, false, 8}};
+        {16, 1, false}, {16, 2, false}, {16, 4, true},
+        {8, 1, false},  {16, 4, false}, {8, 2, false}};
     bool training = false;
     sim::DeviceSpec device;
 };

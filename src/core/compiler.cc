@@ -24,7 +24,6 @@ cacheSignature(const CompileOptions &options)
     s += ";coarsen=" + std::to_string(options.sched.coarsening);
     s += ";bounds=";
     s += options.sched.launchBounds ? '1' : '0';
-    s += ";vec=" + std::to_string(options.sched.vecWidth);
     return s;
 }
 

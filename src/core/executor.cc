@@ -189,7 +189,6 @@ ExecutionContext::lookup(const std::string &name) const
 namespace
 {
 
-using tensor::blocked::kBlockK;
 using tensor::blocked::packPanel;
 using tensor::blocked::panelFor;
 
@@ -311,14 +310,6 @@ gemmComputeEff(const GemmInstance &gi)
         eff *= 1.07;
     if (gi.sched.launchBounds)
         eff *= 1.02;
-    // Host SIMD width of the micro-kernel: forcing the scalar
-    // reference forfeits the vector units; pinning an explicit wide
-    // request skips the per-call dispatch. Deterministic pricing so
-    // the tuner's vecWidth sweep selects identically on every run.
-    if (gi.sched.vecWidth == 1)
-        eff *= 0.7;
-    else if (gi.sched.vecWidth >= 8)
-        eff *= 1.03;
     return eff;
 }
 
@@ -450,9 +441,8 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
                     jfn(yrow, xrow, scale, panel,
                         static_cast<long long>(kb));
                 else
-                    tensor::simd::rowPanelWith(gi.sched.vecWidth, yrow,
-                                               xrow, 1, scale, panel, kb,
-                                               dout);
+                    tensor::simd::rowPanel(yrow, xrow, scale, panel, kb,
+                                           dout);
             }
         }
     };

@@ -64,14 +64,6 @@ struct GemmSchedule
     int coarsening = 1;
     /** Apply __launch_bounds__ to cap registers for occupancy. */
     bool launchBounds = false;
-    /**
-     * SIMD lane count of the host micro-kernel: 0 = the runtime
-     * dispatcher's default, 1 = force the scalar reference, 4/8 =
-     * request that width. Every width computes identical bits (the
-     * axpy inner kernel rounds per element), so the autotuner sweeps
-     * it purely as a timing knob.
-     */
-    int vecWidth = 0;
 };
 
 /** What the GEMM instance computes. */

@@ -437,8 +437,7 @@ applyResilienceStats(OnlineReport &rep, const ResilienceManager *resil)
 void
 validatePolicyName(const OnlineConfig &cfg)
 {
-    if (!cfg.makePolicy && !cfg.policy.empty() &&
-        !schedulerPolicyRegistered(cfg.policy))
+    if (!cfg.makePolicy && !schedulerPolicyRegistered(cfg.policy))
         throw std::invalid_argument(
             "OnlineServer: unknown scheduling policy '" + cfg.policy +
             "'");
@@ -563,12 +562,7 @@ OnlineServer::buildPolicy(PolicySetup setup) const
     if (cfg_.makePolicy)
         policy = cfg_.makePolicy(setup);
     else
-        policy = makeSchedulerPolicy(
-            !cfg_.policy.empty()
-                ? cfg_.policy
-                : (cfg_.adaptive ? std::string("adaptive")
-                                 : std::string("fixed")),
-            std::move(setup));
+        policy = makeSchedulerPolicy(cfg_.policy, std::move(setup));
     if (!policy)
         throw std::runtime_error(
             "OnlineServer: policy factory returned null");

@@ -171,22 +171,18 @@ struct OnlineConfig
      * ignored). Build from a file with LoadGenerator::loadTrace().
      */
     std::vector<double> arrivalTrace;
-    /** Adaptive batch sizing; false selects wait-to-fill fixedBatch.
-     *  Consulted only when `policy` and `makePolicy` are unset. */
-    bool adaptive = true;
     /**
-     * Scheduling policy by registry name ("fixed", "adaptive", "wfq",
-     * or any policy registered via registerSchedulerPolicy). Empty
-     * falls back to the legacy `adaptive` flag above. Unknown names
-     * throw std::invalid_argument at construction.
+     * Scheduling policy by registry name ("adaptive", "fixed", "wfq",
+     * or any policy registered via registerSchedulerPolicy). Unknown
+     * names throw std::invalid_argument at construction.
      */
-    std::string policy;
+    std::string policy = "adaptive";
     /**
      * Custom policy factory; wins over `policy` when set, so a
      * scheduler is a one-file addition without touching the registry.
      */
     PolicyFactory makePolicy;
-    /** Wait-to-fill batch size when !adaptive; 0 means maxBatch, and
+    /** Wait-to-fill batch size of "fixed"; 0 means maxBatch, and
      *  larger values are clamped to maxBatch. */
     std::size_t fixedBatch = 0;
     /** EWMA smoothing factor of the adaptive batcher. */
@@ -371,8 +367,8 @@ class OnlineServer
     void keepSamples(const std::vector<double> &latencies_sec,
                      const std::vector<double> &queue_delays_sec);
 
-    /** Resolve cfg_ (makePolicy > policy name > adaptive flag) into a
-     *  policy instance over @p setup's lanes. */
+    /** Resolve cfg_ (makePolicy > policy name) into a policy
+     *  instance over @p setup's lanes. */
     std::unique_ptr<SchedulerPolicy> buildPolicy(PolicySetup setup) const;
 
     OnlineConfig cfg_;

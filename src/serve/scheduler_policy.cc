@@ -165,8 +165,7 @@ namespace
  * Wait-to-fill fixed batching: a lane becomes eligible once its queue
  * reaches fixedBatch (or its arrivals ran out); eligible lanes are
  * ordered EDF exactly like the adaptive policy, so the two differ only
- * in batch sizing — the historical !adaptive behavior of the online
- * tick loops, bit-identically.
+ * in batch sizing.
  */
 class FixedFillPolicy : public SchedulerPolicy
 {
@@ -211,8 +210,7 @@ class FixedFillPolicy : public SchedulerPolicy
  * absolute deadline (arrival + its lane's SLO) wins the tick; lanes
  * without a deadline rank behind every deadline lane and compete on
  * arrival order; ties go to the lower lane index. Batch sizes come
- * from the lane's AdaptiveBatcher. The historical adaptive behavior
- * of the online tick loops, bit-identically.
+ * from the lane's AdaptiveBatcher. The default policy.
  */
 class AdaptiveEdfPolicy : public SchedulerPolicy
 {

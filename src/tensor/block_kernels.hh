@@ -1,16 +1,14 @@
 /**
  * @file
- * Shared machinery of the cache-blocked GEMM paths.
+ * Machinery of the executor's cache-blocked GEMM path.
  *
- * Both the reference kernels (tensor/ops.cc) and the executor's
- * interpreted GEMM instances (core/executor.cc) tile the k dimension
- * in kBlockK chunks and stream rows over a packed, contiguous panel of
- * op(W). The block size, the per-thread panel buffer, the packing
- * routine, and the dispatch-grain formula live here so the two users
- * cannot drift apart — the bit-exactness argument (per output element,
- * kk blocks visited in ascending order with kk ascending inside each
- * block, zero x-values skipped) depends on every user tiling the same
- * way.
+ * The executor's GEMM instances (core/executor.cc) tile the k
+ * dimension in schedule-derived chunks and stream rows over a packed,
+ * contiguous panel of op(W). The block size, the per-thread panel
+ * buffer, the packing routine, and the dispatch-grain formula live
+ * here. The bit-exactness argument (per output element, kk blocks
+ * visited in ascending order with kk ascending inside each block, zero
+ * x-values skipped) holds at every block size.
  */
 
 #ifndef HECTOR_TENSOR_BLOCK_KERNELS_HH
@@ -25,21 +23,15 @@ namespace hector::tensor::blocked
 {
 
 /**
- * k-dimension block of the cache-blocked GEMM paths. A packed panel is
- * kBlockK x n floats (16 KB at n = 64), sized to stay resident in
- * L1/L2 while every row of an i-range streams over it.
- */
-inline constexpr std::int64_t kBlockK = 64;
-
-/**
  * k-block a GEMM schedule maps to on the host execution engine: the
  * tile edge times the per-thread coarsening factor, scaled so the
- * default schedule (tileSz 16, coarsening 1) lands exactly on the
- * historical kBlockK. Changing the block size never changes results —
+ * default schedule (tileSz 16, coarsening 1) lands on 64 (a 16 KB
+ * panel at n = 64, resident in L1/L2 while every row of an i-range
+ * streams over it). Changing the block size never changes results —
  * per output element the kk chunks are visited in ascending order with
  * kk ascending inside each chunk, so the accumulation order is the
  * seed's regardless of where the chunk boundaries fall — it only moves
- * the working-set/packing trade-off the autotuner measures.
+ * the working-set/packing trade-off.
  */
 inline std::int64_t
 kBlockFor(int tile_sz, int coarsening)
@@ -49,29 +41,15 @@ kBlockFor(int tile_sz, int coarsening)
     return std::clamp<std::int64_t>(blk, 16, 256);
 }
 
-/** Per-thread packed-weight panel, reused across kernels/launches. */
-inline std::vector<float> &
-panelBuffer()
-{
-    static thread_local std::vector<float> buf;
-    return buf;
-}
-
-/** The panel buffer, grown to hold @p kb x n floats. */
+/** The per-thread packed-weight panel, reused across kernels and
+ *  launches, grown to hold @p kb x n floats. */
 inline float *
 panelFor(std::int64_t kb, std::int64_t n)
 {
-    std::vector<float> &panel = panelBuffer();
+    static thread_local std::vector<float> panel;
     if (panel.size() < static_cast<std::size_t>(kb * n))
         panel.resize(static_cast<std::size_t>(kb * n));
     return panel.data();
-}
-
-/** The panel buffer at the default kBlockK block (tensor/ops.cc). */
-inline float *
-panelFor(std::int64_t n)
-{
-    return panelFor(kBlockK, n);
 }
 
 /**

@@ -1,17 +1,12 @@
 #include "tensor/simd.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
-
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
-#define HECTOR_SIMD_X86 1
+#define HECTOR_ISA_X86 1
 #endif
 #if defined(__aarch64__) || defined(__ARM_NEON)
 #include <arm_neon.h>
-#define HECTOR_SIMD_NEON 1
+#define HECTOR_ISA_NEON 1
 #endif
 
 namespace hector::tensor::simd
@@ -20,104 +15,23 @@ namespace hector::tensor::simd
 namespace
 {
 
-// ------------------------------------------------------- scalar reference
-//
-// The portable fallback IS the bitwise reference: every vector path
-// below computes the same per-element mul/add sequence, so these
-// loops double as the SimdMode::Off kernels.
-
-void
-rowPanelScalar(float *y, const float *xrow, std::int64_t xstride,
-               float scale, const float *panel, std::int64_t kb,
-               std::int64_t n)
-{
-    for (std::int64_t kk = 0; kk < kb; ++kk) {
-        const float xv = scale * xrow[kk * xstride];
-        if (xv == 0.0f)
-            continue;
-        const float *prow = panel + kk * n;
-        for (std::int64_t j = 0; j < n; ++j)
-            y[j] += xv * prow[j];
-    }
-}
-
-void
-axpyScalar(float *y, float a, const float *x, std::int64_t n)
-{
-    for (std::int64_t j = 0; j < n; ++j)
-        y[j] += a * x[j];
-}
-
-void
-addScalar(float *y, const float *x, std::int64_t n)
-{
-    for (std::int64_t j = 0; j < n; ++j)
-        y[j] += x[j];
-}
-
-void
-mulScalar(float *y, const float *x, std::int64_t n)
-{
-    for (std::int64_t j = 0; j < n; ++j)
-        y[j] *= x[j];
-}
-
-void
-scaleScalar(float *y, float a, std::int64_t n)
-{
-    for (std::int64_t j = 0; j < n; ++j)
-        y[j] *= a;
-}
-
-void
-reluScalar(float *y, std::int64_t n)
-{
-    for (std::int64_t j = 0; j < n; ++j)
-        y[j] = y[j] > 0.0f ? y[j] : 0.0f;
-}
-
-void
-leakyReluScalar(float *y, float slope, std::int64_t n)
-{
-    for (std::int64_t j = 0; j < n; ++j)
-        y[j] = y[j] > 0.0f ? y[j] : slope * y[j];
-}
-
-void
-leakyReluBackwardScalar(float *dy, const float *x, float slope,
-                        std::int64_t n)
-{
-    for (std::int64_t j = 0; j < n; ++j)
-        dy[j] *= x[j] > 0.0f ? 1.0f : slope;
-}
-
-float
-dotScalar(const float *a, const float *b, std::int64_t n)
-{
-    float acc = 0.0f;
-    for (std::int64_t j = 0; j < n; ++j)
-        acc += a[j] * b[j];
-    return acc;
-}
-
 // --------------------------------------------------------------- AVX2
 //
-// Compiled with target("avx2") function attributes so the translation
+// Compiled with a target("avx2") function attribute so the translation
 // unit itself stays buildable at the baseline -march (the dispatcher
-// only ever calls these after __builtin_cpu_supports("avx2")).
-// Explicit _mm256_mul_ps + _mm256_add_ps — never an FMA — keeps each
-// element's rounding sequence identical to the scalar loop.
+// only ever calls it after __builtin_cpu_supports("avx2")). Explicit
+// _mm256_mul_ps + _mm256_add_ps — never an FMA — keeps each element's
+// rounding sequence identical to the portable loop.
 
-#if defined(HECTOR_SIMD_X86) && defined(__GNUC__)
+#if defined(HECTOR_ISA_X86) && defined(__GNUC__)
 #define HECTOR_HAVE_AVX2_DISPATCH 1
 
 __attribute__((target("avx2"))) void
-rowPanelAvx2(float *y, const float *xrow, std::int64_t xstride,
-             float scale, const float *panel, std::int64_t kb,
-             std::int64_t n)
+rowPanelAvx2(float *y, const float *xrow, float scale, const float *panel,
+             std::int64_t kb, std::int64_t n)
 {
     for (std::int64_t kk = 0; kk < kb; ++kk) {
-        const float xv = scale * xrow[kk * xstride];
+        const float xv = scale * xrow[kk];
         if (xv == 0.0f)
             continue;
         const float *prow = panel + kk * n;
@@ -134,124 +48,6 @@ rowPanelAvx2(float *y, const float *xrow, std::int64_t xstride,
     }
 }
 
-__attribute__((target("avx2"))) void
-axpyAvx2(float *y, float a, const float *x, std::int64_t n)
-{
-    const __m256 va = _mm256_set1_ps(a);
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 vx = _mm256_loadu_ps(x + j);
-        const __m256 vy = _mm256_loadu_ps(y + j);
-        _mm256_storeu_ps(y + j, _mm256_add_ps(vy, _mm256_mul_ps(va, vx)));
-    }
-    for (; j < n; ++j)
-        y[j] += a * x[j];
-}
-
-__attribute__((target("avx2"))) void
-addAvx2(float *y, const float *x, std::int64_t n)
-{
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8)
-        _mm256_storeu_ps(y + j, _mm256_add_ps(_mm256_loadu_ps(y + j),
-                                              _mm256_loadu_ps(x + j)));
-    for (; j < n; ++j)
-        y[j] += x[j];
-}
-
-__attribute__((target("avx2"))) void
-mulAvx2(float *y, const float *x, std::int64_t n)
-{
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8)
-        _mm256_storeu_ps(y + j, _mm256_mul_ps(_mm256_loadu_ps(y + j),
-                                              _mm256_loadu_ps(x + j)));
-    for (; j < n; ++j)
-        y[j] *= x[j];
-}
-
-__attribute__((target("avx2"))) void
-scaleAvx2(float *y, float a, std::int64_t n)
-{
-    const __m256 va = _mm256_set1_ps(a);
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8)
-        _mm256_storeu_ps(y + j, _mm256_mul_ps(_mm256_loadu_ps(y + j), va));
-    for (; j < n; ++j)
-        y[j] *= a;
-}
-
-__attribute__((target("avx2"))) void
-reluAvx2(float *y, std::int64_t n)
-{
-    // blend on (y > 0), exactly the scalar ternary: keeps -0.0 and NaN
-    // handling identical to the reference.
-    const __m256 zero = _mm256_setzero_ps();
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 vy = _mm256_loadu_ps(y + j);
-        const __m256 keep = _mm256_cmp_ps(vy, zero, _CMP_GT_OQ);
-        _mm256_storeu_ps(y + j, _mm256_blendv_ps(zero, vy, keep));
-    }
-    for (; j < n; ++j)
-        y[j] = y[j] > 0.0f ? y[j] : 0.0f;
-}
-
-__attribute__((target("avx2"))) void
-leakyReluAvx2(float *y, float slope, std::int64_t n)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    const __m256 vs = _mm256_set1_ps(slope);
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 vy = _mm256_loadu_ps(y + j);
-        const __m256 keep = _mm256_cmp_ps(vy, zero, _CMP_GT_OQ);
-        _mm256_storeu_ps(
-            y + j, _mm256_blendv_ps(_mm256_mul_ps(vs, vy), vy, keep));
-    }
-    for (; j < n; ++j)
-        y[j] = y[j] > 0.0f ? y[j] : slope * y[j];
-}
-
-__attribute__((target("avx2"))) void
-leakyReluBackwardAvx2(float *dy, const float *x, float slope,
-                      std::int64_t n)
-{
-    const __m256 zero = _mm256_setzero_ps();
-    const __m256 one = _mm256_set1_ps(1.0f);
-    const __m256 vs = _mm256_set1_ps(slope);
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-        const __m256 vx = _mm256_loadu_ps(x + j);
-        const __m256 keep = _mm256_cmp_ps(vx, zero, _CMP_GT_OQ);
-        const __m256 g = _mm256_blendv_ps(vs, one, keep);
-        _mm256_storeu_ps(dy + j,
-                         _mm256_mul_ps(_mm256_loadu_ps(dy + j), g));
-    }
-    for (; j < n; ++j)
-        dy[j] *= x[j] > 0.0f ? 1.0f : slope;
-}
-
-__attribute__((target("avx2"))) float
-dotAvx2(const float *a, const float *b, std::int64_t n)
-{
-    __m256 acc = _mm256_setzero_ps();
-    std::int64_t j = 0;
-    for (; j + 8 <= n; j += 8)
-        acc = _mm256_add_ps(
-            acc, _mm256_mul_ps(_mm256_loadu_ps(a + j),
-                               _mm256_loadu_ps(b + j)));
-    // Horizontal reduce in a fixed lane order so the fast dot is at
-    // least deterministic, if not bit-equal to the scalar order.
-    alignas(32) float lanes[8];
-    _mm256_store_ps(lanes, acc);
-    float r = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) +
-              ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]));
-    for (; j < n; ++j)
-        r += a[j] * b[j];
-    return r;
-}
-
 bool
 avx2Supported()
 {
@@ -266,15 +62,14 @@ avx2Supported()
 // NEON is baseline on aarch64, so no target attribute or cpuid check
 // is needed. vmulq + vaddq (not vfmaq) keeps the scalar rounding.
 
-#if defined(HECTOR_SIMD_NEON)
+#if defined(HECTOR_ISA_NEON)
 
 void
-rowPanelNeon(float *y, const float *xrow, std::int64_t xstride,
-             float scale, const float *panel, std::int64_t kb,
-             std::int64_t n)
+rowPanelNeon(float *y, const float *xrow, float scale, const float *panel,
+             std::int64_t kb, std::int64_t n)
 {
     for (std::int64_t kk = 0; kk < kb; ++kk) {
-        const float xv = scale * xrow[kk * xstride];
+        const float xv = scale * xrow[kk];
         if (xv == 0.0f)
             continue;
         const float *prow = panel + kk * n;
@@ -290,273 +85,68 @@ rowPanelNeon(float *y, const float *xrow, std::int64_t xstride,
     }
 }
 
-void
-axpyNeon(float *y, float a, const float *x, std::int64_t n)
-{
-    const float32x4_t va = vdupq_n_f32(a);
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-        const float32x4_t vx = vld1q_f32(x + j);
-        const float32x4_t vy = vld1q_f32(y + j);
-        vst1q_f32(y + j, vaddq_f32(vy, vmulq_f32(va, vx)));
-    }
-    for (; j < n; ++j)
-        y[j] += a * x[j];
-}
-
-void
-addNeon(float *y, const float *x, std::int64_t n)
-{
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4)
-        vst1q_f32(y + j, vaddq_f32(vld1q_f32(y + j), vld1q_f32(x + j)));
-    for (; j < n; ++j)
-        y[j] += x[j];
-}
-
-void
-mulNeon(float *y, const float *x, std::int64_t n)
-{
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4)
-        vst1q_f32(y + j, vmulq_f32(vld1q_f32(y + j), vld1q_f32(x + j)));
-    for (; j < n; ++j)
-        y[j] *= x[j];
-}
-
-void
-scaleNeon(float *y, float a, std::int64_t n)
-{
-    const float32x4_t va = vdupq_n_f32(a);
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4)
-        vst1q_f32(y + j, vmulq_f32(vld1q_f32(y + j), va));
-    for (; j < n; ++j)
-        y[j] *= a;
-}
-
-float
-dotNeon(const float *a, const float *b, std::int64_t n)
-{
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    std::int64_t j = 0;
-    for (; j + 4 <= n; j += 4)
-        acc = vaddq_f32(acc,
-                        vmulq_f32(vld1q_f32(a + j), vld1q_f32(b + j)));
-    float lanes[4];
-    vst1q_f32(lanes, acc);
-    float r = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    for (; j < n; ++j)
-        r += a[j] * b[j];
-    return r;
-}
-
-#endif // HECTOR_SIMD_NEON
+#endif // HECTOR_ISA_NEON
 
 // ----------------------------------------------------------- dispatch
 
-struct KernelTable
+struct Dispatch
 {
-    void (*rowPanel)(float *, const float *, std::int64_t, float,
-                     const float *, std::int64_t, std::int64_t);
-    void (*axpy)(float *, float, const float *, std::int64_t);
-    void (*add)(float *, const float *, std::int64_t);
-    void (*mul)(float *, const float *, std::int64_t);
-    void (*scale)(float *, float, std::int64_t);
-    void (*relu)(float *, std::int64_t);
-    void (*leakyRelu)(float *, float, std::int64_t);
-    void (*leakyReluBackward)(float *, const float *, float, std::int64_t);
-    float (*dot)(const float *, const float *, std::int64_t);
+    void (*rowPanel)(float *, const float *, float, const float *,
+                     std::int64_t, std::int64_t);
     const char *isa;
     int lanes;
 };
 
-constexpr KernelTable kScalarTable = {
-    rowPanelScalar,   axpyScalar,  addScalar,
-    mulScalar,        scaleScalar, reluScalar,
-    leakyReluScalar,  leakyReluBackwardScalar,
-    dotScalar,        "portable",  1,
-};
-
 /** Best ISA the running CPU offers, resolved once. */
-const KernelTable &
-bestTable()
+const Dispatch &
+best()
 {
-    static const KernelTable table = []() {
+    static const Dispatch d = []() -> Dispatch {
 #if defined(HECTOR_HAVE_AVX2_DISPATCH)
-        if (avx2Supported()) {
-            KernelTable t = kScalarTable;
-            t.rowPanel = rowPanelAvx2;
-            t.axpy = axpyAvx2;
-            t.add = addAvx2;
-            t.mul = mulAvx2;
-            t.scale = scaleAvx2;
-            t.relu = reluAvx2;
-            t.leakyRelu = leakyReluAvx2;
-            t.leakyReluBackward = leakyReluBackwardAvx2;
-            t.dot = dotAvx2;
-            t.isa = "avx2";
-            t.lanes = 8;
-            return t;
-        }
+        if (avx2Supported())
+            return {rowPanelAvx2, "avx2", 8};
 #endif
-#if defined(HECTOR_SIMD_NEON)
-        {
-            KernelTable t = kScalarTable;
-            t.rowPanel = rowPanelNeon;
-            t.axpy = axpyNeon;
-            t.add = addNeon;
-            t.mul = mulNeon;
-            t.scale = scaleNeon;
-            t.dot = dotNeon;
-            t.isa = "neon";
-            t.lanes = 4;
-            return t;
-        }
+#if defined(HECTOR_ISA_NEON)
+        return {rowPanelNeon, "neon", 4};
 #endif
-        return kScalarTable;
+        return {rowPanelPortable, "portable", 1};
     }();
-    return table;
-}
-
-std::atomic<int> mode_override{-1};
-
-SimdMode
-envMode()
-{
-    static const SimdMode cached =
-        parseSimdEnv(std::getenv("HECTOR_SIMD"));
-    return cached;
-}
-
-const KernelTable &
-active()
-{
-    return simdMode() == SimdMode::Off ? kScalarTable : bestTable();
+    return d;
 }
 
 } // namespace
 
-SimdMode
-parseSimdEnv(const char *value)
-{
-    if (!value || *value == '\0')
-        return SimdMode::On;
-    const std::string v(value);
-    if (v == "off")
-        return SimdMode::Off;
-    if (v == "on")
-        return SimdMode::On;
-    if (v == "fast")
-        return SimdMode::Fast;
-    throw std::invalid_argument(
-        std::string("HECTOR_SIMD: invalid mode '") + value +
-        "' (expected one of 'off', 'on', 'fast')");
-}
-
-SimdMode
-simdMode()
-{
-    const int o = mode_override.load(std::memory_order_relaxed);
-    if (o >= 0)
-        return static_cast<SimdMode>(o);
-    return envMode();
-}
-
-void
-setSimdMode(SimdMode mode)
-{
-    mode_override.store(static_cast<int>(mode),
-                        std::memory_order_relaxed);
-}
-
 const char *
 isaName()
 {
-    return active().isa;
+    return best().isa;
 }
 
 int
 vectorWidth()
 {
-    return active().lanes;
-}
-
-bool
-fastModeActive()
-{
-    return simdMode() == SimdMode::Fast;
+    return best().lanes;
 }
 
 void
-rowPanel(float *y, const float *xrow, std::int64_t xstride, float scale,
-         const float *panel, std::int64_t kb, std::int64_t n)
+rowPanelPortable(float *y, const float *xrow, float scale,
+                 const float *panel, std::int64_t kb, std::int64_t n)
 {
-    active().rowPanel(y, xrow, xstride, scale, panel, kb, n);
+    for (std::int64_t kk = 0; kk < kb; ++kk) {
+        const float xv = scale * xrow[kk];
+        if (xv == 0.0f)
+            continue;
+        const float *prow = panel + kk * n;
+        for (std::int64_t j = 0; j < n; ++j)
+            y[j] += xv * prow[j];
+    }
 }
 
 void
-rowPanelWith(int vec_width, float *y, const float *xrow,
-             std::int64_t xstride, float scale, const float *panel,
-             std::int64_t kb, std::int64_t n)
+rowPanel(float *y, const float *xrow, float scale, const float *panel,
+         std::int64_t kb, std::int64_t n)
 {
-    // 1 forces the scalar reference; any other width runs the
-    // dispatched kernel (which is the widest the CPU offers — asking
-    // for 4 on an 8-lane machine still computes identical bits, so
-    // the tuner's sweep is a pure timing experiment).
-    if (vec_width == 1)
-        rowPanelScalar(y, xrow, xstride, scale, panel, kb, n);
-    else
-        active().rowPanel(y, xrow, xstride, scale, panel, kb, n);
-}
-
-void
-axpyRange(float *y, float a, const float *x, std::int64_t n)
-{
-    active().axpy(y, a, x, n);
-}
-
-void
-addRange(float *y, const float *x, std::int64_t n)
-{
-    active().add(y, x, n);
-}
-
-void
-mulRange(float *y, const float *x, std::int64_t n)
-{
-    active().mul(y, x, n);
-}
-
-void
-scaleRange(float *y, float a, std::int64_t n)
-{
-    active().scale(y, a, n);
-}
-
-void
-reluRange(float *y, std::int64_t n)
-{
-    active().relu(y, n);
-}
-
-void
-leakyReluRange(float *y, float slope, std::int64_t n)
-{
-    active().leakyRelu(y, slope, n);
-}
-
-void
-leakyReluBackwardRange(float *dy, const float *x, float slope,
-                       std::int64_t n)
-{
-    active().leakyReluBackward(dy, x, slope, n);
-}
-
-float
-dotFast(const float *a, const float *b, std::int64_t n)
-{
-    return active().dot(a, b, n);
+    best().rowPanel(y, xrow, scale, panel, kb, n);
 }
 
 } // namespace hector::tensor::simd

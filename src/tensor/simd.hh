@@ -1,31 +1,20 @@
 /**
  * @file
- * Portable SIMD micro-kernels behind a runtime dispatch shim.
+ * The packed-panel GEMM row kernel, vectorized behind a runtime
+ * dispatch shim.
  *
- * The hot inner bodies of the tensor kernels (packed-panel GEMM rows,
- * row axpy, elementwise maps) are one of two shapes:
- *
- *  - axpy family: y[j] (+)= f(x[j]) per output element j. Elements are
- *    independent, so vectorizing the j loop performs exactly one
- *    multiply rounding and one add rounding per element — the same
- *    bits as the scalar loop at every lane width, provided the
- *    compiler never contracts mul+add into an FMA (the build passes
- *    -ffp-contract=off, and the intrinsic paths use explicit mul/add).
- *    These kernels claim BITWISE identity with the seed and are on by
- *    default (HECTOR_SIMD=on).
- *
- *  - reduction family: acc = sum_j a[j]*b[j] (rowDot). Lane partials +
- *    a horizontal reduce re-associate the sum, which changes the bits.
- *    These kernels are gated behind HECTOR_SIMD=fast and carry a
- *    documented tolerance (|err| <= 4 * eps * sum|a[j]*b[j]|) that the
- *    bench and tests enforce; the default mode keeps the seed's
- *    left-to-right scalar order.
+ * rowPanel is the inner two loops of every blocked GEMM row the
+ * executor runs (core/executor.cc, execGemm). Its elements are
+ * independent, so vectorizing the j loop performs exactly one multiply
+ * rounding and one add rounding per element — the same bits as the
+ * scalar loop at every lane width, provided the compiler never
+ * contracts mul+add into an FMA (the build passes -ffp-contract=off,
+ * and the intrinsic paths use explicit mul/add).
  *
  * Dispatch: the best ISA (AVX2 on x86-64 via __builtin_cpu_supports,
- * NEON on aarch64, portable scalar otherwise) is resolved once per
- * process into a function-pointer table; setSimdMode(Off) flips the
- * table back to the scalar reference so benches can measure the scalar
- * blocked baseline in the same binary.
+ * NEON on aarch64, the portable kernel otherwise) is resolved once per
+ * process. The portable kernel is also callable by name, so tests and
+ * benches compare the two without a mode switch.
  */
 
 #ifndef HECTOR_TENSOR_SIMD_HH
@@ -36,89 +25,27 @@
 namespace hector::tensor::simd
 {
 
-/** HECTOR_SIMD modes. */
-enum class SimdMode
-{
-    Off,  ///< scalar reference kernels only
-    On,   ///< bitwise-safe vector kernels (default)
-    Fast, ///< additionally enable tolerance-class reductions
-};
-
-/**
- * Parse a HECTOR_SIMD value. nullptr/empty returns the default (On).
- * Anything else must be exactly "off", "on" or "fast"; malformed
- * values throw std::invalid_argument naming the variable and the
- * offending value — a typo'd mode must fail loudly, not silently
- * serve scalar.
- */
-SimdMode parseSimdEnv(const char *value);
-
-/** Active mode: setSimdMode override, else HECTOR_SIMD, else On. */
-SimdMode simdMode();
-
-/** Override the mode (benches, tests). Takes effect immediately. */
-void setSimdMode(SimdMode mode);
-
 /** Name of the dispatched ISA: "avx2", "neon" or "portable". */
 const char *isaName();
 
 /** Lane count of the dispatched ISA (8 for AVX2, 4 for NEON, 1). */
 int vectorWidth();
 
-/** True when mode is Fast (tolerance-class reductions active). */
-bool fastModeActive();
-
 /**
- * Row x packed-panel micro-kernel — the inner two loops of every
- * blocked GEMM path. For kk in [0, kb): xv = scale * xrow[kk *
- * xstride]; zero xv skipped; y[j] += xv * panel[kk * n + j] for j in
+ * Row x packed-panel micro-kernel. For kk in [0, kb): xv = scale *
+ * xrow[kk]; zero xv skipped; y[j] += xv * panel[kk * n + j] for j in
  * [0, n). kk ascends and each output element sees one mul + one add
  * per contribution: bit-identical to the seed order at any lane
- * width.
+ * width. Runs the dispatched ISA's kernel.
  */
-void rowPanel(float *y, const float *xrow, std::int64_t xstride,
-              float scale, const float *panel, std::int64_t kb,
-              std::int64_t n);
+void rowPanel(float *y, const float *xrow, float scale,
+              const float *panel, std::int64_t kb, std::int64_t n);
 
-/**
- * rowPanel with a forced vector width from a GemmSchedule: 0 = the
- * dispatched default, 1 = scalar, otherwise the requested lane count
- * when the dispatched ISA provides it (falls back to the default
- * path; results are bit-identical either way, only speed differs).
- */
-void rowPanelWith(int vec_width, float *y, const float *xrow,
-                  std::int64_t xstride, float scale, const float *panel,
-                  std::int64_t kb, std::int64_t n);
-
-/** y[j] += a * x[j] (bitwise-safe). */
-void axpyRange(float *y, float a, const float *x, std::int64_t n);
-
-/** y[j] += x[j] (bitwise-safe). */
-void addRange(float *y, const float *x, std::int64_t n);
-
-/** y[j] *= x[j] (bitwise-safe). */
-void mulRange(float *y, const float *x, std::int64_t n);
-
-/** y[j] *= a (bitwise-safe). */
-void scaleRange(float *y, float a, std::int64_t n);
-
-/** y[j] = y[j] > 0 ? y[j] : 0 (bitwise-safe). */
-void reluRange(float *y, std::int64_t n);
-
-/** y[j] = y[j] > 0 ? y[j] : slope * y[j] (bitwise-safe). */
-void leakyReluRange(float *y, float slope, std::int64_t n);
-
-/** dy[j] *= x[j] > 0 ? 1 : slope (bitwise-safe). */
-void leakyReluBackwardRange(float *dy, const float *x, float slope,
-                            std::int64_t n);
-
-/**
- * Tolerance-class dot product: lane partials + horizontal reduce.
- * Documented bound vs the seed's left-to-right order:
- * |fast - seed| <= 4 * eps * sum_j |a[j] * b[j]|. Only reachable in
- * Fast mode; callers in On mode keep the scalar reference.
- */
-float dotFast(const float *a, const float *b, std::int64_t n);
+/** rowPanel's portable scalar kernel: the bitwise reference, and the
+ *  only path on a CPU without AVX2 or NEON. */
+void rowPanelPortable(float *y, const float *xrow, float scale,
+                      const float *panel, std::int64_t kb,
+                      std::int64_t n);
 
 } // namespace hector::tensor::simd
 

@@ -11,7 +11,6 @@
 #include "core/executor.hh"
 #include "graph/datasets.hh"
 #include "models/models.hh"
-#include "tensor/ops.hh"
 
 namespace
 {

@@ -20,7 +20,6 @@
 #include "models/model_sources.hh"
 #include "models/models.hh"
 #include "serve/plan_cache.hh"
-#include "tensor/simd.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -36,7 +35,6 @@ struct KnobGuard
     {
         util::setSeedKernelMode(false);
         util::setGlobalThreads(0);
-        tensor::simd::setSimdMode(tensor::simd::SimdMode::On);
         jit::setJitMode(jit::JitMode::Auto);
     }
 };

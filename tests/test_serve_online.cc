@@ -380,7 +380,7 @@ TEST(OnlineServer, AdaptiveBeatsFixedTailAtLowLoadMatchesThroughputAtHigh)
 
     auto with_policy = [&](double rate, bool adaptive) {
         serve::OnlineConfig cfg = onlineConfig(32, rate);
-        cfg.adaptive = adaptive;
+        cfg.policy = adaptive ? "adaptive" : "fixed";
         cfg.serving.deadlineMs = 1.0;
         return runServer(g, host, cfg);
     };
@@ -405,7 +405,7 @@ TEST(OnlineServer, FixedBatchClampedToMaxBatch)
     const Tensor host = hostFeatures(g, 8, 70);
 
     serve::OnlineConfig cfg = onlineConfig(24, 1e12); // saturated
-    cfg.adaptive = false;
+    cfg.policy = "fixed";
     cfg.fixedBatch = 32; // above maxBatch: must be clamped
     std::vector<std::size_t> sizes;
     runServer(g, host, cfg, nullptr, &sizes);

@@ -7,8 +7,8 @@
  * Poisson stream when disabled), the bounded-queue AdaptiveBatcher
  * keeps its deadline cap at saturation, admission control bounds the
  * per-lane queue and sheds deterministically, the WFQ policy honors
- * priority tiers and tenant weights, policy-name runs reproduce the
- * legacy flag-selected runs bit-identically, and the whole overload
+ * priority tiers and tenant weights, an injected policy factory wins
+ * over the policy name, and the whole overload
  * path (shed decisions, per-tenant reports, MMPP arrivals) is
  * byte-identical across reruns and 1/2/4 host threads.
  */
@@ -441,49 +441,19 @@ TEST(PolicyRegistry, BuiltinsRegisteredAndUnknownNamesThrow)
                  std::invalid_argument);
 }
 
-TEST(PolicyRegistry, NamedPoliciesReproduceLegacyFlagRunsExactly)
-{
-    graph::HeteroGraph g = servingGraph();
-    const Tensor features = hostFeatures(g, 8, 3);
-
-    for (const bool adaptive : {true, false}) {
-        serve::OnlineConfig legacy = overloadConfig(48);
-        legacy.adaptive = adaptive;
-        std::vector<double> lat_legacy;
-        const serve::OnlineReport a =
-            runServer(g, features, legacy, &lat_legacy);
-        EXPECT_EQ(a.policy, adaptive ? "adaptive" : "fixed");
-
-        serve::OnlineConfig named = legacy;
-        named.adaptive = !adaptive; // must be ignored: the name wins
-        named.policy = adaptive ? "adaptive" : "fixed";
-        std::vector<double> lat_named;
-        const serve::OnlineReport b =
-            runServer(g, features, named, &lat_named);
-
-        EXPECT_EQ(lat_legacy, lat_named)
-            << "policy name must reproduce the flag-selected run "
-               "bit-identically (adaptive="
-            << adaptive << ")";
-        EXPECT_EQ(a.ticks, b.ticks);
-        EXPECT_EQ(a.policy, b.policy);
-    }
-}
-
-TEST(PolicyRegistry, CustomFactoryWinsOverNameAndFlag)
+TEST(PolicyRegistry, CustomFactoryWinsOverName)
 {
     graph::HeteroGraph g = servingGraph();
     const Tensor features = hostFeatures(g, 8, 3);
 
     serve::OnlineConfig cfg = overloadConfig(24);
-    cfg.adaptive = true;
     cfg.policy = "adaptive";
     cfg.makePolicy = [](const serve::PolicySetup &setup) {
         return serve::makeSchedulerPolicy("fixed", setup);
     };
     const serve::OnlineReport rep = runServer(g, features, cfg);
     EXPECT_EQ(rep.policy, "fixed")
-        << "an injected factory must win over name and flag";
+        << "an injected factory must win over the policy name";
 }
 
 // --------------------------------------------- empty-run deadline report

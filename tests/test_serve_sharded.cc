@@ -433,7 +433,7 @@ TEST(OnlineSharded, WaitToFillPolicyRunsToCompletion)
 
     serve::OnlineConfig cfg;
     cfg.serving = servingConfig(dim);
-    cfg.adaptive = false;
+    cfg.policy = "fixed";
     cfg.fixedBatch = 3;
     cfg.arrivalRatePerSec = 4000.0;
     cfg.numRequests = 20;

@@ -1,76 +1,25 @@
 /**
  * @file
- * Property tests for the SIMD dispatch shim (tensor/simd): env
- * parsing, tail/alignment edge cases of the vector micro-kernels
- * against the seed-mode scalar oracle, zero-row slots, unaligned
- * views, and the rowDot fast-mode tolerance contract — at 1, 2 and 4
- * threads.
+ * Tests for the packed-panel row kernel (tensor/simd): the dispatched
+ * ISA reports a consistent width, and both the dispatched and the
+ * portable kernel are bit-identical to a literal scalar loop across
+ * tail lengths, misaligned views and zero-skipped x values.
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <random>
+#include <string>
 #include <vector>
 
-#include "tensor/ops.hh"
 #include "tensor/simd.hh"
-#include "tensor/tensor.hh"
-#include "util/thread_pool.hh"
 
 namespace
 {
 
 using namespace hector;
-using tensor::Tensor;
 namespace simd = tensor::simd;
-
-/** Restores global kernel knobs however a test exits. */
-struct KnobGuard
-{
-    ~KnobGuard()
-    {
-        util::setSeedKernelMode(false);
-        util::setGlobalThreads(0);
-        simd::setSimdMode(simd::SimdMode::On);
-    }
-};
-
-bool
-bitIdentical(const Tensor &a, const Tensor &b)
-{
-    return a.numel() == b.numel() &&
-           std::memcmp(a.data(), b.data(),
-                       a.numel() * sizeof(float)) == 0;
-}
-
-TEST(SimdEnv, ParsesValidModes)
-{
-    EXPECT_EQ(simd::parseSimdEnv(nullptr), simd::SimdMode::On);
-    EXPECT_EQ(simd::parseSimdEnv(""), simd::SimdMode::On);
-    EXPECT_EQ(simd::parseSimdEnv("off"), simd::SimdMode::Off);
-    EXPECT_EQ(simd::parseSimdEnv("on"), simd::SimdMode::On);
-    EXPECT_EQ(simd::parseSimdEnv("fast"), simd::SimdMode::Fast);
-}
-
-TEST(SimdEnv, RejectsMalformedValuesNamingVariable)
-{
-    for (const char *bad : {"ON", "Fast", "1", "true", " on", "on ",
-                            "turbo"}) {
-        EXPECT_THROW(simd::parseSimdEnv(bad), std::invalid_argument)
-            << "accepted: '" << bad << "'";
-    }
-    try {
-        simd::parseSimdEnv("turbo");
-        FAIL() << "no exception";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("HECTOR_SIMD"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("turbo"),
-                  std::string::npos);
-    }
-}
 
 TEST(SimdDispatch, ReportsConsistentIsaAndWidth)
 {
@@ -80,22 +29,27 @@ TEST(SimdDispatch, ReportsConsistentIsaAndWidth)
         EXPECT_EQ(lanes, 8);
     else if (isa == "neon")
         EXPECT_EQ(lanes, 4);
-    else
+    else {
+        EXPECT_EQ(isa, "portable");
         EXPECT_EQ(lanes, 1);
+    }
 }
 
+using RowPanelFn = decltype(&simd::rowPanel);
+
 /**
- * rowPanel against a literal scalar reference across sizes that are
+ * @p kernel against a literal scalar loop across sizes that are
  * deliberately not multiples of any lane width, with offset
- * (unaligned) pointers and a strided x walk.
+ * (unaligned) pointers and a zero x value that must be skipped.
  */
-TEST(SimdRowPanel, BitwiseAcrossTailsAndAlignment)
+void
+expectBitwiseAcrossTailsAndAlignment(RowPanelFn kernel)
 {
-    KnobGuard guard;
     std::mt19937_64 rng(5);
     std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
 
-    for (std::int64_t n : {1, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33}) {
+    for (std::int64_t n :
+         {1, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 40, 64, 71}) {
         for (std::int64_t kb : {1, 2, 7, 64}) {
             for (std::int64_t off : {0, 1, 3}) { // misalign the views
                 std::vector<float> x(static_cast<std::size_t>(kb + off));
@@ -108,7 +62,7 @@ TEST(SimdRowPanel, BitwiseAcrossTailsAndAlignment)
                 x[static_cast<std::size_t>(off)] = 0.0f; // zero-skip
                 for (auto &v : panel)
                     v = dist(rng);
-                std::vector<float> y_simd = y_ref;
+                std::vector<float> y = y_ref;
 
                 // Scalar reference: the seed's exact loop.
                 for (std::int64_t kk = 0; kk < kb; ++kk) {
@@ -123,181 +77,27 @@ TEST(SimdRowPanel, BitwiseAcrossTailsAndAlignment)
                                                            off)];
                 }
 
-                simd::setSimdMode(simd::SimdMode::On);
-                simd::rowPanel(y_simd.data() + off, x.data() + off, 1,
-                               1.25f, panel.data() + off, kb, n);
-                EXPECT_EQ(std::memcmp(y_ref.data(), y_simd.data(),
+                kernel(y.data() + off, x.data() + off, 1.25f,
+                       panel.data() + off, kb, n);
+                EXPECT_EQ(std::memcmp(y_ref.data(), y.data(),
                                       y_ref.size() * sizeof(float)),
                           0)
                     << "n=" << n << " kb=" << kb << " off=" << off;
-
-                // Forced widths compute identical bits too.
-                for (int vw : {0, 1, 4, 8}) {
-                    std::vector<float> y_w(
-                        static_cast<std::size_t>(n + off), 0.5f);
-                    simd::rowPanelWith(vw, y_w.data() + off,
-                                       x.data() + off, 1, 1.25f,
-                                       panel.data() + off, kb, n);
-                    EXPECT_EQ(std::memcmp(y_ref.data(), y_w.data(),
-                                          y_ref.size() * sizeof(float)),
-                              0)
-                        << "vw=" << vw << " n=" << n << " kb=" << kb;
-                }
             }
         }
     }
 }
 
-/** Strided x (transposed GEMM walk) stays bitwise too. */
-TEST(SimdRowPanel, BitwiseWithStridedX)
+TEST(SimdRowPanel, DispatchedBitwiseAcrossTailsAndAlignment)
 {
-    KnobGuard guard;
-    std::mt19937_64 rng(6);
-    std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
-    const std::int64_t kb = 33, n = 17, stride = 5;
-    std::vector<float> x(static_cast<std::size_t>(kb * stride));
-    std::vector<float> panel(static_cast<std::size_t>(kb * n));
-    for (auto &v : x)
-        v = dist(rng);
-    for (auto &v : panel)
-        v = dist(rng);
-    std::vector<float> y_ref(static_cast<std::size_t>(n), 0.0f);
-    std::vector<float> y_simd = y_ref;
-    for (std::int64_t kk = 0; kk < kb; ++kk) {
-        const float xv = x[static_cast<std::size_t>(kk * stride)];
-        if (xv == 0.0f)
-            continue;
-        for (std::int64_t j = 0; j < n; ++j)
-            y_ref[static_cast<std::size_t>(j)] +=
-                xv * panel[static_cast<std::size_t>(kk * n + j)];
-    }
-    simd::setSimdMode(simd::SimdMode::On);
-    simd::rowPanel(y_simd.data(), x.data(), stride, 1.0f, panel.data(),
-                   kb, n);
-    EXPECT_EQ(std::memcmp(y_ref.data(), y_simd.data(),
-                          y_ref.size() * sizeof(float)),
-              0);
+    expectBitwiseAcrossTailsAndAlignment(simd::rowPanel);
 }
 
-/**
- * Full-op property sweep: GEMM / segment MM / elementwise / rowAxpy
- * outputs under SIMD at 1/2/4 threads are bit-identical to the
- * seed-mode oracle, including zero rows and ragged shapes.
- */
-TEST(SimdOps, BitwiseVsSeedOracleAtThreadCounts)
+/** The portable kernel is reachable on every host, not only on CPUs
+ *  without AVX2 or NEON. */
+TEST(SimdRowPanel, PortableBitwiseAcrossTailsAndAlignment)
 {
-    KnobGuard guard;
-    std::mt19937_64 rng(7);
-
-    for (std::int64_t rows : {1, 5, 33, 257}) {
-        for (std::int64_t cols : {1, 7, 17, 64}) {
-            Tensor x = Tensor::uniform({rows, cols}, rng, 0.5f);
-            // Zero-row slots: whole rows of zeros exercise the skip.
-            for (std::int64_t r = 0; r < rows; r += 3)
-                std::memset(x.row(r), 0,
-                            static_cast<std::size_t>(cols) *
-                                sizeof(float));
-            Tensor w = Tensor::uniform({cols, cols}, rng, 0.5f);
-            Tensor alpha = Tensor::uniform({rows}, rng, 0.5f);
-
-            util::setSeedKernelMode(true);
-            util::setGlobalThreads(1);
-            Tensor y_seed({rows, cols});
-            tensor::gemm(x, w, y_seed);
-            Tensor r_seed = x.clone();
-            tensor::reluInPlace(r_seed);
-            Tensor a_seed = x.clone();
-            tensor::rowAxpy(alpha, x, a_seed);
-
-            for (int threads : {1, 2, 4}) {
-                util::setSeedKernelMode(false);
-                util::setGlobalThreads(threads);
-                simd::setSimdMode(simd::SimdMode::On);
-
-                Tensor y({rows, cols});
-                tensor::gemm(x, w, y);
-                EXPECT_TRUE(bitIdentical(y_seed, y))
-                    << rows << "x" << cols << " t" << threads;
-
-                Tensor r = x.clone();
-                tensor::reluInPlace(r);
-                EXPECT_TRUE(bitIdentical(r_seed, r))
-                    << rows << "x" << cols << " t" << threads;
-
-                Tensor a = x.clone();
-                tensor::rowAxpy(alpha, x, a);
-                EXPECT_TRUE(bitIdentical(a_seed, a))
-                    << rows << "x" << cols << " t" << threads;
-            }
-        }
-    }
-}
-
-/** Off mode must serve exactly the scalar table. */
-TEST(SimdOps, OffModeMatchesSeedBitwise)
-{
-    KnobGuard guard;
-    std::mt19937_64 rng(8);
-    Tensor x = Tensor::uniform({129, 33}, rng, 0.5f);
-    Tensor w = Tensor::uniform({33, 33}, rng, 0.5f);
-
-    util::setSeedKernelMode(true);
-    Tensor y_seed({129, 33});
-    tensor::gemm(x, w, y_seed);
-
-    util::setSeedKernelMode(false);
-    simd::setSimdMode(simd::SimdMode::Off);
-    Tensor y({129, 33});
-    tensor::gemm(x, w, y);
-    EXPECT_TRUE(bitIdentical(y_seed, y));
-}
-
-/**
- * rowDot fast mode: not bitwise (documented), but within the stated
- * bound |fast - seed| <= 4 eps sum|a_j b_j| for every row, at every
- * thread count.
- */
-TEST(SimdRowDot, FastModeWithinDocumentedTolerance)
-{
-    KnobGuard guard;
-    std::mt19937_64 rng(9);
-    const std::int64_t rows = 64;
-    for (std::int64_t cols : {1, 7, 8, 9, 31, 64, 257}) {
-        Tensor a = Tensor::uniform({rows, cols}, rng, 2.0f);
-        Tensor b = Tensor::uniform({rows, cols}, rng, 2.0f);
-
-        util::setSeedKernelMode(true);
-        util::setGlobalThreads(1);
-        Tensor d_seed({rows});
-        tensor::rowDot(a, b, d_seed);
-
-        for (int threads : {1, 2, 4}) {
-            util::setSeedKernelMode(false);
-            util::setGlobalThreads(threads);
-            simd::setSimdMode(simd::SimdMode::Fast);
-            Tensor d({rows});
-            tensor::rowDot(a, b, d);
-            for (std::int64_t i = 0; i < rows; ++i) {
-                double mag = 0.0;
-                for (std::int64_t j = 0; j < cols; ++j)
-                    mag += std::fabs(
-                        static_cast<double>(a.data()[i * cols + j]) *
-                        static_cast<double>(b.data()[i * cols + j]));
-                const double err =
-                    std::fabs(static_cast<double>(d_seed.data()[i]) -
-                              static_cast<double>(d.data()[i]));
-                EXPECT_LE(err, 4.0 * 1.1920929e-7 * mag + 1e-12)
-                    << "cols=" << cols << " row=" << i << " t"
-                    << threads;
-            }
-
-            // On (default) mode keeps the seed's exact bits.
-            simd::setSimdMode(simd::SimdMode::On);
-            Tensor d_on({rows});
-            tensor::rowDot(a, b, d_on);
-            EXPECT_TRUE(bitIdentical(d_seed, d_on)) << "cols=" << cols;
-        }
-    }
+    expectBitwiseAcrossTailsAndAlignment(simd::rowPanelPortable);
 }
 
 } // namespace

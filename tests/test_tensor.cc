@@ -1,9 +1,7 @@
 /**
  * @file
- * Unit and property tests for the tensor substrate: storage tracking
- * and OOM semantics, tensor shape handling, and equivalences between
- * the specialized math routines (segment MM, gathered segment MM,
- * batched MM) and plain GEMM.
+ * Unit tests for the tensor substrate: storage tracking and OOM
+ * semantics, and tensor shape handling.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +9,6 @@
 #include <random>
 
 #include "tensor/memory_tracker.hh"
-#include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 
 namespace
@@ -155,265 +152,6 @@ TEST(Tensor, AllCloseAndMaxAbsDiff)
     EXPECT_FLOAT_EQ(maxAbsDiff(a, b), 0.5f);
     EXPECT_FALSE(allClose(a, b, 0.4f));
     EXPECT_FALSE(allClose(a, Tensor({5})));
-}
-
-/** Naive triple loop used as the GEMM oracle. */
-Tensor
-naiveGemm(const Tensor &x, const Tensor &w, bool tx, bool tw)
-{
-    const std::int64_t m = tx ? x.dim(1) : x.dim(0);
-    const std::int64_t k = tx ? x.dim(0) : x.dim(1);
-    const std::int64_t n = tw ? w.dim(0) : w.dim(1);
-    Tensor y({m, n});
-    for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < n; ++j) {
-            float acc = 0.0f;
-            for (std::int64_t kk = 0; kk < k; ++kk) {
-                const float xv = tx ? x.at(kk, i) : x.at(i, kk);
-                const float wv = tw ? w.at(j, kk) : w.at(kk, j);
-                acc += xv * wv;
-            }
-            y.at(i, j) = acc;
-        }
-    return y;
-}
-
-class GemmTranspose : public testing::TestWithParam<std::pair<bool, bool>>
-{
-};
-
-TEST_P(GemmTranspose, MatchesNaive)
-{
-    auto [tx, tw] = GetParam();
-    std::mt19937_64 rng(2);
-    Tensor x = Tensor::uniform(tx ? std::vector<std::int64_t>{7, 9}
-                                  : std::vector<std::int64_t>{9, 7},
-                               rng);
-    Tensor w = Tensor::uniform(tw ? std::vector<std::int64_t>{5, 7}
-                                  : std::vector<std::int64_t>{7, 5},
-                               rng);
-    Tensor y({9, 5});
-    gemm(x, w, y, tx, tw);
-    EXPECT_TRUE(allClose(y, naiveGemm(x, w, tx, tw), 1e-5f));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllTransposes, GemmTranspose,
-    testing::Values(std::pair{false, false}, std::pair{true, false},
-                    std::pair{false, true}, std::pair{true, true}));
-
-TEST(Gemm, AlphaBetaSemantics)
-{
-    std::mt19937_64 rng(3);
-    Tensor x = Tensor::uniform({4, 4}, rng);
-    Tensor w = Tensor::uniform({4, 4}, rng);
-    Tensor y = Tensor::full({4, 4}, 1.0f);
-    gemm(x, w, y, false, false, 2.0f, 3.0f);
-    Tensor expect = naiveGemm(x, w, false, false);
-    for (std::int64_t i = 0; i < 4; ++i)
-        for (std::int64_t j = 0; j < 4; ++j)
-            EXPECT_NEAR(y.at(i, j), 2.0f * expect.at(i, j) + 3.0f, 1e-4f);
-}
-
-TEST(Gemm, RejectsBadShapes)
-{
-    Tensor x({3, 4});
-    Tensor w({5, 6});
-    Tensor y({3, 6});
-    EXPECT_THROW(gemm(x, w, y), TensorError);
-}
-
-class SegmentMmProperty : public testing::TestWithParam<int>
-{
-};
-
-TEST_P(SegmentMmProperty, EqualsPerSegmentGemm)
-{
-    const int types = GetParam();
-    std::mt19937_64 rng(4 + static_cast<unsigned>(types));
-    const std::int64_t rows = 64;
-    const std::int64_t k = 8;
-    const std::int64_t n = 6;
-    Tensor x = Tensor::uniform({rows, k}, rng);
-    Tensor w = Tensor::uniform({types, k, n}, rng);
-    // Random monotone segment pointer (some segments empty).
-    std::vector<std::int64_t> seg(static_cast<std::size_t>(types) + 1, 0);
-    std::uniform_int_distribution<std::int64_t> cut(0, rows);
-    for (int t = 1; t < types; ++t)
-        seg[static_cast<std::size_t>(t)] = cut(rng);
-    seg.back() = rows;
-    std::sort(seg.begin(), seg.end());
-
-    Tensor y({rows, n});
-    segmentMm(x, w, y, seg);
-
-    for (int t = 0; t < types; ++t) {
-        const std::int64_t lo = seg[static_cast<std::size_t>(t)];
-        const std::int64_t hi = seg[static_cast<std::size_t>(t) + 1];
-        for (std::int64_t r = lo; r < hi; ++r)
-            for (std::int64_t j = 0; j < n; ++j) {
-                float acc = 0.0f;
-                for (std::int64_t kk = 0; kk < k; ++kk)
-                    acc += x.at(r, kk) * w.at(t, kk, j);
-                EXPECT_NEAR(y.at(r, j), acc, 1e-5f)
-                    << "row " << r << " col " << j;
-            }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(TypeCounts, SegmentMmProperty,
-                         testing::Values(1, 2, 5, 16, 33));
-
-TEST(GatherSegmentMm, IdentityListsEqualSegmentMm)
-{
-    std::mt19937_64 rng(6);
-    Tensor x = Tensor::uniform({20, 4}, rng);
-    Tensor w = Tensor::uniform({4, 4, 3}, rng);
-    std::vector<std::int64_t> seg = {0, 5, 9, 16, 20};
-    Tensor y1({20, 3});
-    Tensor y2({20, 3});
-    segmentMm(x, w, y1, seg);
-    gatherSegmentMm(x, w, y2, seg, {}, {});
-    EXPECT_TRUE(allClose(y1, y2, 1e-6f));
-}
-
-TEST(GatherSegmentMm, GatherEqualsExplicitCopyThenMm)
-{
-    std::mt19937_64 rng(7);
-    Tensor x = Tensor::uniform({10, 4}, rng);
-    Tensor w = Tensor::uniform({2, 4, 4}, rng);
-    std::vector<std::int64_t> seg = {0, 6, 12};
-    std::vector<std::int64_t> gather = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8};
-    Tensor gathered({12, 4});
-    gatherRows(x, gathered, gather);
-    Tensor y1({12, 4});
-    segmentMm(gathered, w, y1, seg);
-    Tensor y2({12, 4});
-    gatherSegmentMm(x, w, y2, seg, gather, {});
-    EXPECT_TRUE(allClose(y1, y2, 1e-6f));
-}
-
-TEST(GatherSegmentMm, ScatterAccumulatesCollisions)
-{
-    std::mt19937_64 rng(8);
-    Tensor x = Tensor::uniform({4, 2}, rng);
-    Tensor w = Tensor::full({1, 2, 2}, 1.0f);
-    std::vector<std::int64_t> seg = {0, 4};
-    std::vector<std::int64_t> scatter = {0, 0, 1, 1};
-    Tensor y({2, 2});
-    gatherSegmentMm(x, w, y, seg, {}, scatter, /*accumulate=*/true);
-    for (std::int64_t j = 0; j < 2; ++j) {
-        const float row01 = x.at(0, 0) + x.at(0, 1) + x.at(1, 0) +
-                            x.at(1, 1);
-        EXPECT_NEAR(y.at(0, j), row01, 1e-5f);
-    }
-}
-
-TEST(Bmm, MatchesPerBatchGemm)
-{
-    std::mt19937_64 rng(9);
-    Tensor x = Tensor::uniform({3, 4, 5}, rng);
-    Tensor w = Tensor::uniform({3, 5, 2}, rng);
-    Tensor y({3, 4, 2});
-    bmm(x, w, y);
-    for (std::int64_t b = 0; b < 3; ++b)
-        for (std::int64_t i = 0; i < 4; ++i)
-            for (std::int64_t j = 0; j < 2; ++j) {
-                float acc = 0.0f;
-                for (std::int64_t k = 0; k < 5; ++k)
-                    acc += x.at(b, i, k) * w.at(b, k, j);
-                EXPECT_NEAR(y.at(b, i, j), acc, 1e-5f);
-            }
-}
-
-TEST(SegmentOuterProduct, MatchesNaiveAccumulation)
-{
-    std::mt19937_64 rng(10);
-    Tensor x = Tensor::uniform({6, 3}, rng);
-    Tensor y = Tensor::uniform({6, 2}, rng);
-    Tensor dw({2, 3, 2});
-    std::vector<std::int64_t> seg = {0, 4, 6};
-    segmentOuterProduct(x, y, dw, seg, {}, {});
-    for (int t = 0; t < 2; ++t)
-        for (std::int64_t i = 0; i < 3; ++i)
-            for (std::int64_t j = 0; j < 2; ++j) {
-                float acc = 0.0f;
-                for (std::int64_t r = seg[static_cast<std::size_t>(t)];
-                     r < seg[static_cast<std::size_t>(t) + 1]; ++r)
-                    acc += x.at(r, i) * y.at(r, j);
-                EXPECT_NEAR(dw.at(t, i, j), acc, 1e-5f);
-            }
-}
-
-TEST(Elementwise, UnaryOpsMatchStd)
-{
-    std::mt19937_64 rng(11);
-    Tensor t = Tensor::uniform({64}, rng, 2.0f);
-    Tensor e = t.clone();
-    expInPlace(e);
-    Tensor l = t.clone();
-    leakyReluInPlace(l, 0.1f);
-    Tensor r = t.clone();
-    reluInPlace(r);
-    for (std::int64_t i = 0; i < 64; ++i) {
-        EXPECT_NEAR(e.at(i), std::exp(t.at(i)), 1e-4f);
-        EXPECT_NEAR(l.at(i), t.at(i) > 0 ? t.at(i) : 0.1f * t.at(i),
-                    1e-6f);
-        EXPECT_NEAR(r.at(i), std::max(0.0f, t.at(i)), 1e-6f);
-    }
-}
-
-TEST(Elementwise, LeakyReluBackwardMasks)
-{
-    Tensor x({4});
-    x.at(0) = 1.0f;
-    x.at(1) = -1.0f;
-    x.at(2) = 2.0f;
-    x.at(3) = -2.0f;
-    Tensor dy = Tensor::full({4}, 1.0f);
-    leakyReluBackwardInPlace(dy, x, 0.25f);
-    EXPECT_FLOAT_EQ(dy.at(0), 1.0f);
-    EXPECT_FLOAT_EQ(dy.at(1), 0.25f);
-    EXPECT_FLOAT_EQ(dy.at(2), 1.0f);
-    EXPECT_FLOAT_EQ(dy.at(3), 0.25f);
-}
-
-TEST(RowOps, DotAndAxpy)
-{
-    std::mt19937_64 rng(12);
-    Tensor a = Tensor::uniform({5, 3}, rng);
-    Tensor b = Tensor::uniform({5, 3}, rng);
-    Tensor d({5});
-    rowDot(a, b, d);
-    for (std::int64_t i = 0; i < 5; ++i) {
-        float acc = 0.0f;
-        for (std::int64_t j = 0; j < 3; ++j)
-            acc += a.at(i, j) * b.at(i, j);
-        EXPECT_NEAR(d.at(i), acc, 1e-5f);
-    }
-    Tensor y({5, 3});
-    rowAxpy(d, a, y);
-    for (std::int64_t i = 0; i < 5; ++i)
-        for (std::int64_t j = 0; j < 3; ++j)
-            EXPECT_NEAR(y.at(i, j), d.at(i) * a.at(i, j), 1e-5f);
-}
-
-TEST(ScatterGather, RoundTrip)
-{
-    std::mt19937_64 rng(13);
-    Tensor x = Tensor::uniform({8, 4}, rng);
-    std::vector<std::int64_t> idx = {7, 6, 5, 4, 3, 2, 1, 0};
-    Tensor g({8, 4});
-    gatherRows(x, g, idx);
-    Tensor back({8, 4});
-    scatterAddRows(g, back, idx);
-    EXPECT_TRUE(allClose(back, x, 1e-6f));
-}
-
-TEST(Sum, AccumulatesDouble)
-{
-    Tensor t = Tensor::full({1000}, 0.1f);
-    EXPECT_NEAR(sum(t), 100.0, 1e-3);
 }
 
 } // namespace
