@@ -19,6 +19,7 @@
 
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 
@@ -132,22 +133,15 @@ bitIdentical(const std::vector<float> &a, const std::vector<float> &b)
             std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-/** Best-of-@p reps wall milliseconds of @p fn(). */
+/** Wall milliseconds of one call of @p fn(). */
 template <typename Fn>
 double
-bestMs(int reps, Fn &&fn)
+wallMs(Fn &&fn)
 {
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        fn();
-        const auto t1 = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (r == 0 || ms < best)
-            best = ms;
-    }
-    return best;
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
 /**
@@ -209,13 +203,29 @@ rooflineSection(JsonLog &log, const BenchGraph &bg, std::int64_t dim,
         const std::vector<float> oracle =
             runForward(generic, true, 1, &fwd_flops);
 
-        const double seed_ms = bestMs(
-            reps, [&]() { (void)runForward(generic, true, 1, nullptr); });
-        const double generic_ms = bestMs(reps, [&]() {
-            (void)runForward(generic, false, 1, nullptr);
-        });
-        const double jit_ms = bestMs(
-            reps, [&]() { (void)runForward(jplan, false, 1, nullptr); });
+        // 3 * reps alternating passes of the three plans: the times
+        // reported are each plan's best, and the JIT gate reads the
+        // median of the per-pass jit / generic ratios, so a step in
+        // host speed between passes moves neither.
+        double seed_ms = 0.0;
+        double generic_ms = 0.0;
+        double jit_ms = 0.0;
+        std::vector<double> ratios;
+        for (int r = 0; r < 3 * reps; ++r) {
+            const double s = wallMs(
+                [&]() { (void)runForward(generic, true, 1, nullptr); });
+            const double g = wallMs(
+                [&]() { (void)runForward(generic, false, 1, nullptr); });
+            const double j = wallMs(
+                [&]() { (void)runForward(jplan, false, 1, nullptr); });
+            seed_ms = r == 0 ? s : std::min(seed_ms, s);
+            generic_ms = r == 0 ? g : std::min(generic_ms, g);
+            jit_ms = r == 0 ? j : std::min(jit_ms, j);
+            ratios.push_back(j / g);
+        }
+        std::nth_element(ratios.begin(),
+                         ratios.begin() + ratios.size() / 2, ratios.end());
+        const double jit_ratio = ratios[ratios.size() / 2];
 
         bool identical = true;
         for (int threads : {1, 2, 4}) {
@@ -227,22 +237,22 @@ rooflineSection(JsonLog &log, const BenchGraph &bg, std::int64_t dim,
                                                         threads, nullptr));
         }
         // The JIT gate: a specialized plan must never lose to the
-        // generic blocked path (10% margin absorbs timer noise on
-        // shared CI runners). Only enforced when a module attached —
+        // generic blocked path (the median per-pass ratio at most
+        // 1.10; the margin absorbs timer noise on shared CI runners). Only enforced when a module attached —
         // no-toolchain environments run the fallback by design.
-        const bool jit_gate =
-            !attached || jit_ms <= generic_ms * 1.10;
+        const bool jit_gate = !attached || jit_ratio <= 1.10;
         ok = ok && identical && jit_gate;
 
         const core::jit::JitStats js = core::jit::jitStats();
         std::printf("  %s forward: seed %.3f ms, generic %.3f ms, jit%s "
                     "%.3f ms (%.2f GF/s, %.1f%% of seed pace), "
-                    "identical@t1/2/4=%s, jit<=generic=%s\n",
+                    "identical@t1/2/4=%s, jit/generic median %.3f, "
+                    "jit<=generic=%s\n",
                     models::toString(m), seed_ms, generic_ms,
                     attached ? "" : "(fallback)", jit_ms,
                     fwd_flops / (jit_ms * 1e6),
                     jit_ms > 0.0 ? 100.0 * seed_ms / jit_ms : 0.0,
-                    identical ? "yes" : "NO",
+                    identical ? "yes" : "NO", jit_ratio,
                     jit_gate ? "yes" : "NO");
 
         char json[640];
@@ -250,13 +260,15 @@ rooflineSection(JsonLog &log, const BenchGraph &bg, std::int64_t dim,
             json, sizeof(json),
             "{\"bench\":\"exec_roofline\",\"kernel\":\"%s_forward\","
             "\"isa\":\"%s\",\"lanes\":%d,\"seed_ms\":%.4f,"
-            "\"generic_ms\":%.4f,\"jit_ms\":%.4f,\"gf_per_s\":%.3f,"
+            "\"generic_ms\":%.4f,\"jit_ms\":%.4f,"
+            "\"jit_over_generic\":%.4f,\"gf_per_s\":%.3f,"
             "\"pct_of_scalar_seed\":%.1f,\"jit_attached\":%s,"
             "\"jit_compiles\":%llu,\"jit_cache_hits\":%llu,"
             "\"jit_fallbacks\":%llu,\"bit_identical\":%s,"
             "\"jit_not_slower\":%s}",
             models::toString(m), simd::isaName(), simd::vectorWidth(),
-            seed_ms, generic_ms, jit_ms, fwd_flops / (jit_ms * 1e6),
+            seed_ms, generic_ms, jit_ms, jit_ratio,
+            fwd_flops / (jit_ms * 1e6),
             jit_ms > 0.0 ? 100.0 * seed_ms / jit_ms : 0.0,
             attached ? "true" : "false",
             static_cast<unsigned long long>(js.compiles),

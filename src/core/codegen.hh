@@ -44,9 +44,10 @@ std::string emitGemmKernel(const Program &p, const GemmInstance &gi);
 /**
  * Emit the host C++ row micro-kernel for one GEMM-template instance:
  * the inner (kk, j) loops of the blocked path with dout a constant,
- * in the seed's kk-ascending zero-skipping accumulation order. The
- * JIT compile line passes -ffp-contract=off, so the compiled kernel
- * is bit-identical to the interpreter at any vector width.
+ * in the seed's kk-ascending zero-skipping accumulation order, each
+ * column strip held in vector registers across kk. The JIT compile
+ * line passes -ffp-contract=off, so the compiled kernel is
+ * bit-identical to the interpreter at any vector width.
  */
 std::string emitCpuGemmKernel(const GemmInstance &gi, bool backward);
 

@@ -8,8 +8,11 @@
  * independent, so vectorizing the j loop performs exactly one multiply
  * rounding and one add rounding per element — the same bits as the
  * scalar loop at every lane width, provided the compiler never
- * contracts mul+add into an FMA (the build passes -ffp-contract=off,
- * and the intrinsic paths use explicit mul/add).
+ * contracts mul+add into an FMA (the build passes -ffp-contract=off).
+ * The vector kernels also hold each column strip of y in registers
+ * while kk walks the panel, so y is read and written once per strip
+ * rather than once per kk; the order of each element's additions is
+ * unchanged.
  *
  * Dispatch: the best ISA (AVX2 on x86-64 via __builtin_cpu_supports,
  * NEON on aarch64, the portable kernel otherwise) is resolved once per

@@ -66,62 +66,70 @@ TEST(JitEnv, RejectsMalformedValuesNamingVariable)
 }
 
 /** Forward outputs of a JIT-attached plan vs the seed interpreter. */
+/**
+ * Forward of @p m at width @p dim with a JIT module attached, against
+ * the seed interpreter, at 1/2/4 threads.
+ */
+void
+expectJitForwardMatchesSeed(models::ModelKind m, std::int64_t dim)
+{
+    graph::HeteroGraph g = graph::toyCitationGraph();
+    graph::CompactionMap cmap(g);
+    std::mt19937_64 rng(21);
+
+    core::Program prog = models::buildModel(m, g, dim, dim);
+    models::WeightMap weights = models::initWeights(prog, g, rng);
+    Tensor feature = Tensor::uniform({g.numNodes(), dim}, rng, 0.5f);
+    core::CompileOptions opts;
+    core::CompiledModel plan = core::compile(prog, opts);
+
+    auto runForward = [&](const core::CompiledModel &p, bool seed_mode,
+                          int threads) {
+        util::setSeedKernelMode(seed_mode);
+        util::setGlobalThreads(threads);
+        sim::Runtime rt;
+        models::WeightMap grads;
+        core::ExecutionContext ctx;
+        ctx.g = &g;
+        ctx.cmap = &cmap;
+        ctx.rt = &rt;
+        ctx.weights = &weights;
+        ctx.weightGrads = &grads;
+        core::bindInputs(p, ctx, feature);
+        Tensor out = p.forward(ctx);
+        return std::vector<float>(out.data(), out.data() + out.numel());
+    };
+
+    const std::vector<float> oracle = runForward(plan, true, 1);
+
+    jit::setJitMode(jit::JitMode::On);
+    core::CompiledModel jplan = plan;
+    ASSERT_TRUE(jit::attach(jplan));
+    ASSERT_NE(jplan.jit, nullptr);
+    EXPECT_GT(jplan.jit->kernelCount(), 0u);
+    EXPECT_GT(jplan.jit->artifactBytes(), 0u);
+
+    for (int threads : {1, 2, 4}) {
+        const std::vector<float> got = runForward(jplan, false, threads);
+        ASSERT_EQ(oracle.size(), got.size());
+        EXPECT_EQ(std::memcmp(oracle.data(), got.data(),
+                              oracle.size() * sizeof(float)),
+                  0)
+            << models::toString(m) << " dim=" << dim << " t" << threads;
+    }
+}
+
+/** Widths 75, 120 and 136 take every column-strip width of the
+ *  emitted kernel (8, 4, 2 and 1 vectors) and a scalar tail. */
 TEST(JitExecute, BitIdenticalToSeedOracle)
 {
     if (!jit::toolchainAvailable())
         GTEST_SKIP() << "no host compiler";
     KnobGuard guard;
-
-    graph::HeteroGraph g = graph::toyCitationGraph();
-    graph::CompactionMap cmap(g);
-    std::mt19937_64 rng(21);
-
-    for (models::ModelKind m :
-         {models::ModelKind::Rgcn, models::ModelKind::Rgat}) {
-        core::Program prog = models::buildModel(m, g, 16, 16);
-        models::WeightMap weights = models::initWeights(prog, g, rng);
-        Tensor feature =
-            Tensor::uniform({g.numNodes(), 16}, rng, 0.5f);
-        core::CompileOptions opts;
-        core::CompiledModel plan = core::compile(prog, opts);
-
-        auto runForward = [&](const core::CompiledModel &p,
-                              bool seed_mode, int threads) {
-            util::setSeedKernelMode(seed_mode);
-            util::setGlobalThreads(threads);
-            sim::Runtime rt;
-            models::WeightMap grads;
-            core::ExecutionContext ctx;
-            ctx.g = &g;
-            ctx.cmap = &cmap;
-            ctx.rt = &rt;
-            ctx.weights = &weights;
-            ctx.weightGrads = &grads;
-            core::bindInputs(p, ctx, feature);
-            Tensor out = p.forward(ctx);
-            return std::vector<float>(out.data(),
-                                      out.data() + out.numel());
-        };
-
-        const std::vector<float> oracle = runForward(plan, true, 1);
-
-        jit::setJitMode(jit::JitMode::On);
-        core::CompiledModel jplan = plan;
-        ASSERT_TRUE(jit::attach(jplan));
-        ASSERT_NE(jplan.jit, nullptr);
-        EXPECT_GT(jplan.jit->kernelCount(), 0u);
-        EXPECT_GT(jplan.jit->artifactBytes(), 0u);
-
-        for (int threads : {1, 2, 4}) {
-            const std::vector<float> got =
-                runForward(jplan, false, threads);
-            ASSERT_EQ(oracle.size(), got.size());
-            EXPECT_EQ(std::memcmp(oracle.data(), got.data(),
-                                  oracle.size() * sizeof(float)),
-                      0)
-                << models::toString(m) << " t" << threads;
-        }
-    }
+    expectJitForwardMatchesSeed(models::ModelKind::Rgcn, 16);
+    expectJitForwardMatchesSeed(models::ModelKind::Rgat, 16);
+    for (std::int64_t dim : {75, 120, 136})
+        expectJitForwardMatchesSeed(models::ModelKind::Rgcn, dim);
 }
 
 TEST(JitStats, OffModeCountsFallbacks)

@@ -49,7 +49,7 @@ expectBitwiseAcrossTailsAndAlignment(RowPanelFn kernel)
     std::uniform_real_distribution<float> dist(-1.0f, 1.0f);
 
     for (std::int64_t n :
-         {1, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 40, 64, 71}) {
+         {1, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 40, 64, 71, 136, 200}) {
         for (std::int64_t kb : {1, 2, 7, 64}) {
             for (std::int64_t off : {0, 1, 3}) { // misalign the views
                 std::vector<float> x(static_cast<std::size_t>(kb + off));
