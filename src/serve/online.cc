@@ -21,16 +21,6 @@ namespace hector::serve
 // ------------------------------------------------------------ LoadGenerator
 
 LoadGenerator::LoadGenerator(double rate_per_sec, std::size_t count,
-                             std::uint64_t seed)
-    : LoadGenerator(rate_per_sec, count, seed, MmppSpec{})
-{}
-
-LoadGenerator::LoadGenerator(double rate_per_sec, std::size_t count,
-                             std::uint64_t seed, const MmppSpec &mmpp)
-    : LoadGenerator(rate_per_sec, count, seed, mmpp, DiurnalSpec{})
-{}
-
-LoadGenerator::LoadGenerator(double rate_per_sec, std::size_t count,
                              std::uint64_t seed, const MmppSpec &mmpp,
                              const DiurnalSpec &diurnal)
     : ratePerSec_(rate_per_sec), left_(count), rng_(seed), mmpp_(mmpp),
@@ -163,13 +153,6 @@ LoadGenerator::next()
 
 std::vector<double>
 LoadGenerator::arrivals(double rate_per_sec, std::size_t count,
-                        std::uint64_t seed)
-{
-    return arrivals(rate_per_sec, count, seed, MmppSpec{});
-}
-
-std::vector<double>
-LoadGenerator::arrivals(double rate_per_sec, std::size_t count,
                         std::uint64_t seed, const MmppSpec &mmpp)
 {
     LoadGenerator gen(rate_per_sec, count, seed, mmpp);
@@ -185,9 +168,8 @@ LoadGenerator::arrivals(double rate_per_sec, std::size_t count,
 namespace
 {
 
-/** Arrival time and request id of one queued arrival (FIFO entries of
- *  the tick loops; the id attributes flight-recorder lifecycle events
- *  to the engine-assigned request). */
+/** One queued arrival: its time and the request id its flight events
+ *  are recorded under. */
 struct QueuedArrival
 {
     double arrivalSec = 0.0;
@@ -198,160 +180,105 @@ struct QueuedArrival
     double notBeforeSec = 0.0;
 };
 
-/**
- * Per-request completion bookkeeping shared by the two tick loops: the
- * run's latency and queue-delay samples, the deadline tally, the
- * resilience latency EWMA, the exec-start/completion flight events and
- * the latency histogram.
- */
-struct Completions
+/** One FIFO on one device: a variant's queue on one device, or a
+ *  device's queue in a group. */
+struct Lane
 {
-    ResilienceManager *resil;
-    obs::FlightRecorder *flight;
-    std::vector<double> latenciesSec;
-    std::vector<double> queueDelaysSec;
-    /** Served requests that met their own lane's deadline. */
-    std::size_t met = 0;
+    int device = 0;
+    int variant = 0;
+    /** Empty on a device lane, which gets no per-variant report row. */
+    std::string variantName{};
+    /** Trace span of the lane's batches: "tick/<variant>" or "tick". */
+    std::string span{};
+    double deadlineMs = 0.0;
+    /** Index of the arrival process feeding the lane. */
+    std::size_t feed = 0;
+    std::deque<QueuedArrival> queued{};
+    std::vector<double> latencies{}; ///< seconds, completion order
+    std::size_t shed = 0;
+};
 
-    Completions(ResilienceManager *r, obs::FlightRecorder *f)
-        : resil(r), flight(f)
-    {}
+/** One open-loop arrival process: it owns a lane (a variant), or the
+ *  session routes each of its arrivals to one (lane -1, a group). */
+struct Arrivals
+{
+    LoadGenerator gen;
+    int lane = -1;
+    double ratePerSec = 0.0;
+    double deadlineMs = 0.0;
+    /** Queue bound its arrivals are admitted against. */
+    std::size_t bound = 0;
+};
 
-    /**
-     * Record @p req, whose batch started executing at @p exec_start on
-     * @p device / @p stream and which completed at @p done_at. @p hop,
-     * when set, is a flight event between exec-start and completion
-     * (the sharded all-gather). Returns the latency in seconds.
-     */
-    double
-    complete(const QueuedArrival &req, double exec_start, double done_at,
-             double deadline_ms, int device, int stream,
-             const obs::FlightEvent *hop = nullptr)
-    {
-        const double lat = done_at - req.arrivalSec;
-        latenciesSec.push_back(lat);
-        queueDelaysSec.push_back(
-            std::max(0.0, exec_start - req.arrivalSec));
-        if (metDeadline(lat, deadline_ms))
-            ++met;
-        if (resil)
-            resil->observeLatency(lat);
-        if (flight) {
-            flight->event(req.id, "exec-start", exec_start, device,
-                          "stream=" + std::to_string(stream));
-            if (hop)
-                flight->event(req.id, hop->what, hop->tSec, hop->device,
-                              hop->detail);
-            flight->event(req.id, "completion", done_at, device,
-                          "latency_ms=" + obs::jsonNum(lat * 1e3));
-        }
-        if (obs::enabled())
-            obs::metrics().histogram("online.latency_ms").observe(lat * 1e3);
-        return lat;
-    }
+/** The lanes, arrival processes and policy lanes of one run. */
+struct RunSetup
+{
+    std::vector<Lane> lanes;
+    std::vector<Arrivals> arrivals;
+    PolicySetup policy;
 };
 
 /**
- * Shared finalization tail of the two tick loops: rate and batch-size
- * metrics, the per-request latency statistics via fillLatencyStats (so
- * the drain and online paths cannot drift), and the shedding
- * statistics. With @p judged (some lane has a deadline), attainment is
- * c.met over the served requests; admittedSloAttainment keeps that,
- * while sloAttainment counts shed arrivals as misses (denominator =
- * offered), which reduces to the admitted value whenever nothing was
- * shed.
+ * One device's open-loop clocks: its issue thread (issueFree), each
+ * stream running one batch at a time (streamFree), and the serialized
+ * fraction of every kernel occupying a device-wide shared resource
+ * (contendFree) — Runtime::makespanSec's overlap rule, applied per
+ * batch.
  */
-void
-finalizeOnlineReport(OnlineReport &rep, double last_completion_sec,
-                     const Completions &c, bool judged, std::size_t shed,
-                     std::size_t failed)
-{
-    const std::size_t served = c.latenciesSec.size();
-    rep.requests = served;
-    rep.batches = rep.ticks;
-    rep.makespanMs = last_completion_sec * 1e3;
-    rep.throughputReqPerSec =
-        last_completion_sec > 0.0
-            ? static_cast<double>(served) / last_completion_sec
-            : 0.0;
-    rep.msPerRequest =
-        served ? rep.makespanMs / static_cast<double>(served) : 0.0;
-    rep.meanBatchSize =
-        rep.ticks ? static_cast<double>(served) /
-                        static_cast<double>(rep.ticks)
-                  : 0.0;
-    fillLatencyStats(rep, c.latenciesSec, c.queueDelaysSec, 0.0);
-    if (judged && served > 0)
-        rep.sloAttainment =
-            static_cast<double>(c.met) / static_cast<double>(served);
-
-    rep.requestsShed = shed;
-    rep.admittedSloAttainment = rep.sloAttainment;
-    // Resilience-failed requests (timeouts, exhausted retries) were
-    // admitted, so they stay out of shedFraction but count as misses
-    // in the offered-denominator sloAttainment, exactly like sheds.
-    const std::size_t offered = served + shed + failed;
-    rep.shedFraction =
-        offered > 0
-            ? static_cast<double>(shed) / static_cast<double>(offered)
-            : 0.0;
-    if ((shed > 0 || failed > 0) && judged)
-        rep.sloAttainment =
-            static_cast<double>(c.met) / static_cast<double>(offered);
-}
-
-/**
- * Single-device open-loop clocks of the lane loop: one host thread
- * admits arrivals and issues launches (hostFree), each stream runs one
- * batch at a time (streamFree), and the serialized fraction of every
- * kernel occupies a device-wide shared resource (contendFree) —
- * Runtime::makespanSec's overlap rule, applied per batch.
- */
-struct OpenLoopClock
+struct DeviceClock
 {
     std::vector<double> streamFree;
-    double hostFree = 0.0;
+    double issueFree = 0.0;
     double contendFree = 0.0;
-    double serialFrac = 0.0;
 
-    OpenLoopClock(int num_streams, double serial_frac)
-        : streamFree(static_cast<std::size_t>(num_streams), 0.0),
-          serialFrac(serial_frac)
-    {}
-
-    /** Least-loaded stream (ties to the lower id). */
+    /** Least-loaded stream other than @p except (ties to the lower
+     *  id); -1 when there is none. */
     int
-    pickStream() const
+    pickStream(int except = -1) const
     {
-        int s = 0;
-        for (std::size_t i = 1; i < streamFree.size(); ++i)
-            if (streamFree[i] < streamFree[static_cast<std::size_t>(s)])
+        int s = -1;
+        for (std::size_t i = 0; i < streamFree.size(); ++i)
+            if (static_cast<int>(i) != except &&
+                (s < 0 ||
+                 streamFree[i] < streamFree[static_cast<std::size_t>(s)]))
                 s = static_cast<int>(i);
         return s;
     }
+};
 
-    struct Issued
-    {
-        double execStart = 0.0;
-        double done = 0.0;
-    };
+/** Clock points of one batch issued on a device. */
+struct BatchTimes
+{
+    double issueDone = 0.0, commDone = 0.0, execStart = 0.0, execDone = 0.0,
+           done = 0.0;
+};
 
-    /** Advance all three clocks for one batch issued to @p stream. */
-    Issued
-    issue(const BatchCost &cost, int stream)
-    {
-        const double issue_done = hostFree + cost.overheadSec;
-        Issued t;
-        t.execStart = std::max(
-            issue_done,
-            std::max(streamFree[static_cast<std::size_t>(stream)],
-                     contendFree));
-        t.done = t.execStart + cost.execSec;
-        hostFree = issue_done;
-        streamFree[static_cast<std::size_t>(stream)] = t.done;
-        contendFree = t.execStart + serialFrac * cost.execSec;
-        return t;
-    }
+/** What the tick loop shares with the device hooks. */
+struct TickState
+{
+    OnlineReport &rep;
+    ResilienceManager *resil;
+    std::vector<Lane> lanes;
+    std::vector<DeviceClock> clocks;
+    /** The host thread: admits arrivals and pays their transfers. */
+    double hostFree = 0.0;
+    /** Admitted requests failed (timed out or out of retries). */
+    std::size_t failed = 0;
+};
+
+/** Device and stream a hedge copy runs on; device -1 is none. */
+struct Backup
+{
+    int device = -1;
+    int stream = 0;
+};
+
+/** An admitted request: its id, its lane and the transfer it paid. */
+struct Admitted
+{
+    std::uint64_t id = 0;
+    std::size_t lane = 0;
+    double transferSec = 0.0;
 };
 
 /** One lane's LaneSpec from its ServingConfig + the run's OnlineConfig
@@ -371,9 +298,20 @@ laneSpecFrom(const std::string &name, const ServingConfig &scfg,
     spec.tier = scfg.tenantTier;
     spec.maxQueueDepth = scfg.maxQueueDepth;
     spec.shed = scfg.shed;
-    spec.ewmaAlpha = cfg.ewmaAlpha;
-    spec.budgetFraction = cfg.deadlineBudgetFraction;
     return spec;
+}
+
+/** The run's own arrival process (single device and group): its
+ *  recorded trace, or a Poisson draw from its rate, count and seed
+ *  shaped by the serving config's MMPP and diurnal knobs. */
+LoadGenerator
+runArrivals(const OnlineConfig &cfg)
+{
+    if (!cfg.arrivalTrace.empty() || cfg.numRequests == 0)
+        return LoadGenerator(cfg.arrivalTrace);
+    return LoadGenerator(cfg.arrivalRatePerSec, cfg.numRequests,
+                         cfg.arrivalSeed, cfg.serving.mmpp,
+                         cfg.serving.diurnal);
 }
 
 /** Lane with the oldest head-of-line arrival — the forced-progress
@@ -393,45 +331,6 @@ oldestLane(const std::vector<LaneView> &views)
     return best;
 }
 
-/** Record one shed arrival: flight-recorder lifecycle ("arrival" ->
- *  "shed" with the policy's reason), metrics counter, trace instant. */
-void
-recordShed(obs::FlightRecorder *flight, std::uint64_t id,
-           double arrival_sec, int device, const char *reason,
-           const std::string &variant)
-{
-    if (flight) {
-        flight->event(id, "arrival", arrival_sec, device,
-                      variant.empty() ? std::string()
-                                      : "variant=" + variant);
-        flight->event(id, "shed", arrival_sec, device,
-                      std::string("reason=") + reason);
-    }
-    if (obs::enabled()) {
-        obs::metrics().counter("online.requests_shed").inc();
-        obs::tracer().instant("shed", "online", arrival_sec, device, 0,
-                              std::string("\"reason\":\"") + reason +
-                                  "\"");
-    }
-}
-
-/** Copy a run's resilience counters into its report (no-op without a
- *  manager, keeping the no-resilience report bytes untouched). */
-void
-applyResilienceStats(OnlineReport &rep, const ResilienceManager *resil)
-{
-    if (!resil)
-        return;
-    const ResilienceStats &s = resil->stats();
-    rep.requestsRetried = s.requestsRetried;
-    rep.requestsHedged = s.requestsHedged;
-    rep.hedgeWins = s.hedgeWins;
-    rep.requestsTimedOut = s.requestsTimedOut;
-    rep.requestsFailed = s.requestsFailed;
-    rep.breakerOpens = s.breakerOpens;
-    rep.brownoutTicks = s.brownoutTicks;
-}
-
 /** Throw early (at construction) on a policy name the registry cannot
  *  resolve, instead of failing mid-run. */
 void
@@ -445,6 +344,362 @@ validatePolicyName(const OnlineConfig &cfg)
 
 } // namespace
 
+/**
+ * What differs between serving on one device and on a device group,
+ * behind the one seam the tick loop calls. The defaults describe one
+ * device: the host thread admits arrivals and issues launches, and a
+ * batch has no halo and gathers nowhere. Devices are indexed
+ * [0, count()); runtime(d).deviceId() labels events and spans.
+ */
+class OnlineServer::Devices
+{
+  public:
+    Devices() = default;
+    Devices(const Devices &) = delete;
+    Devices &operator=(const Devices &) = delete;
+    virtual ~Devices() = default;
+
+    /** This run's lanes and arrival processes; lanes that share one
+     *  cost model share @p batcher. */
+    virtual RunSetup setup(const OnlineConfig &cfg,
+                           AdaptiveBatcher &batcher) = 0;
+    virtual int count() const { return 1; }
+    virtual int numStreams() const = 0;
+    virtual sim::Runtime &runtime(int dev) = 0;
+    /** The clock arrivals are admitted and decisions taken against. */
+    virtual double now(double host_free) const { return host_free; }
+    /** The issue thread of a device. */
+    virtual double &issueClock(TickState &st, int) { return st.hostFree; }
+    /** The device a batch served on @p dev gathers onto. */
+    virtual int root(int dev) const { return dev; }
+    /** Arrival time of @p bytes sent from @p from to @p to at @p at. */
+    virtual double transfer(int, int, double, double at) { return at; }
+    virtual double linkBusySec() const { return 0.0; }
+
+    /** An id for a shed arrival, which is never sampled or queued. */
+    virtual std::uint64_t reserveId() = 0;
+    /** Sample, transfer and enqueue one arrival of @p p. */
+    virtual Admitted submit(const Arrivals &p,
+                            const std::vector<Lane> &lanes) = 0;
+    virtual std::size_t queued() const = 0;
+    virtual void dropOldest(const Lane &lane) = 0;
+    virtual ShardBatch serve(const Lane &lane, std::size_t n,
+                             int stream) = 0;
+    /** Where a hedge of @p lane's head runs while its primary batch
+     *  runs on @p stream. */
+    virtual Backup backup(const TickState &st, const Lane &lane,
+                          int stream) const = 0;
+    /** Run @p lane's head once more on @p b, storing no result. */
+    virtual ShardBatch hedge(const Lane &lane, const Backup &b) = 0;
+    virtual void advanceTo(double t) = 0;
+    virtual void clearResults() = 0;
+    virtual void setDuplicationScale(double scale) = 0;
+    virtual PlanCache &planCache() = 0;
+    virtual void setFlightRecorder(obs::FlightRecorder *fr) = 0;
+
+    /** Group-only step before each tick's scheduling decision. */
+    virtual void beforeTick(TickState &) {}
+    /** Group-only trace span of a hedge copy. */
+    virtual void traceHedge(const BatchTimes &, const ShardBatch &,
+                            const Backup &)
+    {}
+};
+
+namespace
+{
+
+/** One device: an Engine on one Runtime, one lane per served variant,
+ *  a hedge on the least-loaded other stream. */
+class EngineDevice : public OnlineServer::Devices
+{
+  public:
+    explicit EngineDevice(Engine &engine) : e_(engine) {}
+
+    RunSetup
+    setup(const OnlineConfig &cfg, AdaptiveBatcher &) override
+    {
+        RunSetup s;
+        for (const VariantLoad &l : cfg.variants) {
+            const int v = e_.variantIndex(l.variant);
+            const ServingConfig &vcfg = e_.variantConfig(v);
+            addLane(s, v, cfg, l.ratePerSec,
+                    LoadGenerator(l.ratePerSec, l.numRequests,
+                                  l.arrivalSeed, vcfg.mmpp, vcfg.diurnal));
+        }
+        return s;
+    }
+    int numStreams() const override { return e_.config().numStreams; }
+    sim::Runtime &runtime(int) override { return e_.runtime(); }
+
+    std::uint64_t reserveId() override { return e_.reserveId(); }
+    Admitted
+    submit(const Arrivals &p, const std::vector<Lane> &lanes) override
+    {
+        const std::size_t lane = static_cast<std::size_t>(p.lane);
+        const double before = e_.runtime().hostTimeMs() * 1e-3;
+        const std::uint64_t id = e_.submit(lanes[lane].variant);
+        return {id, lane, e_.runtime().hostTimeMs() * 1e-3 - before};
+    }
+    std::size_t queued() const override { return e_.queued(); }
+    void dropOldest(const Lane &l) override { e_.dropOldest(l.variant, 1); }
+    ShardBatch
+    serve(const Lane &l, std::size_t n, int stream) override
+    {
+        return {e_.serveOldest(l.variant, n, stream)};
+    }
+    Backup
+    backup(const TickState &st, const Lane &, int stream) const override
+    {
+        const int s = st.clocks[0].pickStream(stream);
+        return {s < 0 ? -1 : 0, s};
+    }
+    ShardBatch
+    hedge(const Lane &l, const Backup &b) override
+    {
+        return {e_.hedgeOldest(l.variant, b.stream)};
+    }
+    void advanceTo(double t) override { e_.runtime().advanceTo(t); }
+    void clearResults() override { e_.clearResults(); }
+    void setDuplicationScale(double x) override { e_.setDuplicationScale(x); }
+    PlanCache &planCache() override { return e_.planCache(); }
+    void
+    setFlightRecorder(obs::FlightRecorder *fr) override
+    {
+        e_.setFlightRecorder(fr);
+    }
+
+  protected:
+    /** Variant @p v's lane, owned by the arrival process @p gen. */
+    void
+    addLane(RunSetup &s, int v, const OnlineConfig &cfg, double rate,
+            LoadGenerator gen)
+    {
+        const ServingConfig &vcfg = e_.variantConfig(v);
+        const std::string &name = e_.variantName(v);
+        s.policy.lanes.push_back(laneSpecFrom(name, vcfg, cfg));
+        s.lanes.push_back({.variant = v, .variantName = name,
+                           .span = "tick/" + name,
+                           .deadlineMs = vcfg.deadlineMs,
+                           .feed = s.arrivals.size()});
+        s.arrivals.push_back({std::move(gen),
+                              static_cast<int>(s.lanes.size() - 1), rate,
+                              vcfg.deadlineMs, vcfg.maxQueueDepth});
+    }
+
+    Engine &e_;
+};
+
+/** Single-device mode: one lane fed from the run's own arrival knobs,
+ *  costed by the server's batcher(). */
+class SessionDevice : public EngineDevice
+{
+  public:
+    using EngineDevice::EngineDevice;
+
+    RunSetup
+    setup(const OnlineConfig &cfg, AdaptiveBatcher &batcher) override
+    {
+        RunSetup s;
+        addLane(s, 0, cfg, cfg.arrivalRatePerSec, runArrivals(cfg));
+        s.policy.sharedBatcher = &batcher;
+        return s;
+    }
+};
+
+/**
+ * A device group through a ShardedSession: one lane per device, fed by
+ * one arrival process the session routes to a home shard, all lanes
+ * costed by the server's batcher(). Each device issues on its own
+ * driver thread while the host thread admits, so arrivals are admitted
+ * against the later of the host and group clocks — queue depth builds
+ * under load and the adaptive batcher actually batches. A batch waits
+ * for its halo and gathers its outputs onto the root. A hedge runs on
+ * the alive other device with the shallowest queue (ties to the lowest
+ * id), on its least-loaded stream.
+ */
+class GroupDevices : public OnlineServer::Devices
+{
+  public:
+    explicit GroupDevices(ShardedSession &s) : s_(s), g_(s.group()) {}
+
+    RunSetup
+    setup(const OnlineConfig &cfg, AdaptiveBatcher &batcher) override
+    {
+        RunSetup s;
+        for (int d = 0; d < g_.size(); ++d) {
+            s.lanes.push_back({.device = d, .span = "tick",
+                               .deadlineMs = cfg.serving.deadlineMs});
+            s.policy.lanes.push_back(laneSpecFrom(
+                "dev" + std::to_string(d), cfg.serving, cfg));
+        }
+        s.policy.sharedBatcher = &batcher;
+        s.arrivals.push_back({runArrivals(cfg), -1, cfg.arrivalRatePerSec,
+                              cfg.serving.deadlineMs,
+                              cfg.serving.maxQueueDepth});
+        return s;
+    }
+    int count() const override { return g_.size(); }
+    int numStreams() const override { return s_.config().serving.numStreams; }
+    sim::Runtime &runtime(int dev) override { return g_.device(dev); }
+    double now(double t) const override { return std::max(t, g_.nowSec()); }
+    double &
+    issueClock(TickState &st, int dev) override
+    {
+        return st.clocks[static_cast<std::size_t>(dev)].issueFree;
+    }
+    int
+    root(int dev) const override
+    {
+        // Device 0 unless quarantined, then the lowest survivor.
+        for (int d = 0; d < g_.size(); ++d)
+            if (!s_.isDead(d))
+                return d;
+        return dev;
+    }
+    double
+    transfer(int from, int to, double bytes, double at) override
+    {
+        return g_.interconnect().transfer(from, to, bytes, at);
+    }
+    double
+    linkBusySec() const override
+    {
+        return g_.interconnect().totalBusySec();
+    }
+
+    std::uint64_t reserveId() override { return s_.reserveId(); }
+    Admitted
+    submit(const Arrivals &, const std::vector<Lane> &) override
+    {
+        const ShardedSession::SubmitInfo info = s_.submitRouted();
+        return {info.id, static_cast<std::size_t>(info.device),
+                info.transferSec};
+    }
+    std::size_t queued() const override { return s_.queued(); }
+    void dropOldest(const Lane &l) override { s_.dropOldestOn(l.device, 1); }
+    ShardBatch
+    serve(const Lane &l, std::size_t n, int stream) override
+    {
+        return s_.serveOldestOn(l.device, n, stream);
+    }
+    Backup
+    backup(const TickState &st, const Lane &l, int) const override
+    {
+        int dev = -1;
+        for (int d = 0; d < g_.size(); ++d)
+            if (d != l.device && !s_.isDead(d) &&
+                (dev < 0 ||
+                 st.lanes[static_cast<std::size_t>(d)].queued.size() <
+                     st.lanes[static_cast<std::size_t>(dev)].queued.size()))
+                dev = d;
+        if (dev < 0)
+            return {};
+        return {dev, st.clocks[static_cast<std::size_t>(dev)].pickStream()};
+    }
+    ShardBatch
+    hedge(const Lane &l, const Backup &b) override
+    {
+        return s_.hedgeOldestOn(l.device, b.device, b.stream);
+    }
+    void advanceTo(double t) override { g_.advanceTo(t); }
+    void clearResults() override { s_.clearResults(); }
+    void setDuplicationScale(double x) override { s_.setDuplicationScale(x); }
+    PlanCache &planCache() override { return s_.planCache(); }
+    void
+    setFlightRecorder(obs::FlightRecorder *fr) override
+    {
+        s_.setFlightRecorder(fr);
+    }
+
+    void
+    beforeTick(TickState &st) override
+    {
+        quarantineFailed(st);
+        // Circuit breakers steer the router: homeShard avoids
+        // open-breaker devices while an unmasked alive device remains.
+        if (!st.resil)
+            return;
+        std::vector<char> avoid(static_cast<std::size_t>(g_.size()), 0);
+        bool any = false;
+        for (std::size_t d = 0; d < avoid.size(); ++d)
+            if (st.resil->blocked(d, now(st.hostFree))) {
+                avoid[d] = 1;
+                any = true;
+            }
+        s_.setRouteAvoid(any ? std::move(avoid) : std::vector<char>{});
+    }
+    void
+    traceHedge(const BatchTimes &t, const ShardBatch &b,
+               const Backup &at) override
+    {
+        if (obs::enabled())
+            obs::tracer().complete("tick/hedge", "online", t.execStart,
+                                   b.cost.execSec, at.device, at.stream,
+                                   "\"batch\":1");
+    }
+
+  private:
+    /**
+     * Scheduled device failures fire against the open-loop clock: the
+     * session quarantines the device and re-routes its queue (charging
+     * the structure re-sends on the host thread), and the lanes mirror
+     * the move — the session's re-route order IS the lane order, both
+     * FIFO by admission. Under resilience a re-route is a retry with
+     * seeded capped backoff; an exhausted budget fails the request,
+     * and its re-routed copy leaves the destination queue.
+     */
+    void
+    quarantineFailed(TickState &st)
+    {
+        sim::FaultInjector *fi = g_.faultInjector();
+        if (!fi)
+            return;
+        for (int d = 0; d < g_.size(); ++d) {
+            if (s_.isDead(d) || !fi->failureDue(d, now(st.hostFree)))
+                continue;
+            const double t_fail = fi->failureTimeSec(d);
+            const std::vector<ShardedSession::Rerouted> moved =
+                s_.quarantine(d, t_fail);
+            auto &dq = st.lanes[static_cast<std::size_t>(d)].queued;
+            for (const ShardedSession::Rerouted &rr : moved) {
+                QueuedArrival qa{0.0, rr.id};
+                if (!dq.empty()) {
+                    qa = dq.front();
+                    dq.pop_front();
+                }
+                st.hostFree += rr.transferSec;
+                if (st.resil) {
+                    const ResilienceManager::RetryDecision rd =
+                        st.resil->onFailure(
+                            rr.id, static_cast<std::size_t>(rr.from),
+                            rr.from, t_fail, "quarantine", qa.attempts);
+                    if (!rd.retry) {
+                        s_.dropQueued(rr.id);
+                        ++st.failed;
+                        continue;
+                    }
+                    qa.attempts = rd.attempt;
+                    qa.notBeforeSec = rd.notBeforeSec;
+                }
+                st.lanes[static_cast<std::size_t>(rr.to)].queued.push_back(
+                    qa);
+            }
+            dq.clear();
+            st.rep.requestsRerouted += moved.size();
+            if (obs::enabled())
+                obs::tracer().instant(
+                    "device.failure", "online", t_fail, d, 0,
+                    "\"rerouted\":" + std::to_string(moved.size()));
+        }
+        st.rep.devicesFailed = g_.size() - s_.aliveCount();
+    }
+
+    ShardedSession &s_;
+    sim::DeviceGroup &g_;
+};
+
+} // namespace
+
 OnlineServer::OnlineServer(const graph::HeteroGraph &g,
                            tensor::Tensor host_features,
                            std::string model_source, OnlineConfig cfg,
@@ -453,11 +708,8 @@ OnlineServer::OnlineServer(const graph::HeteroGraph &g,
       session_(std::make_unique<ServingSession>(
           g, std::move(host_features), std::move(model_source),
           cfg.serving, rt)),
-      batcher_(std::max<std::size_t>(1, cfg.serving.maxBatch),
-               cfg.serving.deadlineMs * 1e-3, cfg.ewmaAlpha,
-               cfg.deadlineBudgetFraction,
-               cfg.serving.maxQueueDepth > 0 &&
-                   cfg.serving.shed != ShedMode::None)
+      batcher_(laneSpecFrom("", cfg.serving, cfg)),
+      devices_(std::make_unique<SessionDevice>(session_->engine()))
 {
     validatePolicyName(cfg_);
 }
@@ -466,29 +718,19 @@ OnlineServer::OnlineServer(const graph::HeteroGraph &g,
                            tensor::Tensor host_features,
                            std::string model_source, OnlineConfig cfg,
                            sim::DeviceGroup &group)
-    : cfg_(cfg), group_(&group),
-      batcher_(std::max<std::size_t>(1, cfg.serving.maxBatch),
-               cfg.serving.deadlineMs * 1e-3, cfg.ewmaAlpha,
-               cfg.deadlineBudgetFraction,
-               cfg.serving.maxQueueDepth > 0 &&
-                   cfg.serving.shed != ShedMode::None)
+    : cfg_(cfg), batcher_(laneSpecFrom("", cfg.serving, cfg))
 {
     validatePolicyName(cfg_);
-    ShardedConfig scfg;
-    scfg.serving = cfg.serving;
-    scfg.partition = cfg.partition;
     sharded_ = std::make_unique<ShardedSession>(
-        g, std::move(host_features), std::move(model_source), scfg,
-        group);
+        g, std::move(host_features), std::move(model_source),
+        ShardedConfig{cfg.serving, cfg.partition}, group);
+    devices_ = std::make_unique<GroupDevices>(*sharded_);
 }
 
 OnlineServer::OnlineServer(Engine &engine, OnlineConfig cfg)
     : cfg_(cfg), engine_(&engine),
-      batcher_(std::max<std::size_t>(1, cfg.serving.maxBatch),
-               cfg.serving.deadlineMs * 1e-3, cfg.ewmaAlpha,
-               cfg.deadlineBudgetFraction,
-               cfg.serving.maxQueueDepth > 0 &&
-                   cfg.serving.shed != ShedMode::None)
+      batcher_(laneSpecFrom("", cfg.serving, cfg)),
+      devices_(std::make_unique<EngineDevice>(engine))
 {
     validatePolicyName(cfg_);
     if (cfg_.variants.empty())
@@ -513,6 +755,8 @@ OnlineServer::OnlineServer(Engine &engine, OnlineConfig cfg)
                 load.variant + "'");
     }
 }
+
+OnlineServer::~OnlineServer() = default;
 
 ServingSession &
 OnlineServer::session()
@@ -547,26 +791,7 @@ void
 OnlineServer::setFlightRecorder(obs::FlightRecorder *fr)
 {
     flight_ = fr;
-    if (engine_)
-        engine_->setFlightRecorder(fr);
-    if (session_)
-        session_->engine().setFlightRecorder(fr);
-    if (sharded_)
-        sharded_->setFlightRecorder(fr);
-}
-
-std::unique_ptr<SchedulerPolicy>
-OnlineServer::buildPolicy(PolicySetup setup) const
-{
-    std::unique_ptr<SchedulerPolicy> policy;
-    if (cfg_.makePolicy)
-        policy = cfg_.makePolicy(setup);
-    else
-        policy = makeSchedulerPolicy(cfg_.policy, std::move(setup));
-    if (!policy)
-        throw std::runtime_error(
-            "OnlineServer: policy factory returned null");
-    return policy;
+    devices_->setFlightRecorder(fr);
 }
 
 OnlineReport
@@ -575,84 +800,30 @@ OnlineServer::run()
     latenciesMs_.clear();
     queueDelaysMs_.clear();
     batchSizes_.clear();
-    return sharded_ ? runSharded() : runLanes();
-}
+    Devices &dev = *devices_;
+    RunSetup setup = dev.setup(cfg_, batcher_);
+    std::vector<Arrivals> &arrivals = setup.arrivals;
 
-void
-OnlineServer::keepSamples(const std::vector<double> &latencies_sec,
-                          const std::vector<double> &queue_delays_sec)
-{
-    for (double l : latencies_sec)
-        latenciesMs_.push_back(l * 1e3);
-    for (double d : queue_delays_sec)
-        queueDelaysMs_.push_back(d * 1e3);
-}
-
-OnlineReport
-OnlineServer::runLanes()
-{
-    // Single-device mode is a one-lane run over its session's engine.
-    Engine &engine = engine_ ? *engine_ : session_->engine();
-    sim::Runtime &rt = engine.runtime();
     OnlineReport rep;
+    rep.devices = dev.count();
     // Lanes with their own SLOs below can only raise the base deadline.
     rep.deadlineMs = cfg_.serving.deadlineMs;
-
-    /** One open-loop arrival process + queue per variant (batch sizing
-     *  and lane ordering live in the SchedulerPolicy). */
-    struct Lane
-    {
-        int variant;
-        std::string name;
-        double deadlineMs;
-        LoadGenerator gen;
-        std::deque<QueuedArrival> queued;
-        std::vector<double> latencies; ///< seconds, completion order
-        std::size_t shed = 0;
-
-        Lane(int v, std::string n, double deadline_ms, LoadGenerator g)
-            : variant(v), name(std::move(n)), deadlineMs(deadline_ms),
-              gen(std::move(g))
-        {}
-    };
-
-    std::vector<Lane> lanes;
-    PolicySetup setup;
     std::size_t total = 0;
-    bool judged = false; // some lane with arrivals has a deadline
-    auto add_lane = [&](int v, double rate, LoadGenerator gen) {
-        const ServingConfig &vcfg = engine.variantConfig(v);
-        const std::string &name = engine.variantName(v);
-        setup.lanes.push_back(laneSpecFrom(name, vcfg, cfg_));
-        rep.offeredRatePerSec += rate;
-        rep.deadlineMs = std::max(rep.deadlineMs, vcfg.deadlineMs);
-        total += gen.remaining();
-        judged = judged || (vcfg.deadlineMs > 0.0 && !gen.done());
-        lanes.emplace_back(v, name, vcfg.deadlineMs, std::move(gen));
-    };
-    if (session_) {
-        // Fed from the run's own arrival knobs, or its recorded trace;
-        // the lane shares the server's batcher, which batcher() reports.
-        const ServingConfig &scfg = cfg_.serving;
-        add_lane(0, cfg_.arrivalRatePerSec,
-                 cfg_.arrivalTrace.empty() && cfg_.numRequests > 0
-                     ? LoadGenerator(cfg_.arrivalRatePerSec,
-                                     cfg_.numRequests, cfg_.arrivalSeed,
-                                     scfg.mmpp, scfg.diurnal)
-                     : LoadGenerator(cfg_.arrivalTrace));
-        setup.sharedBatcher = &batcher_;
-    } else {
-        for (const VariantLoad &load : cfg_.variants) {
-            const int v = engine.variantIndex(load.variant);
-            const ServingConfig &vcfg = engine.variantConfig(v);
-            add_lane(v, load.ratePerSec,
-                     LoadGenerator(load.ratePerSec, load.numRequests,
-                                   load.arrivalSeed, vcfg.mmpp,
-                                   vcfg.diurnal));
-        }
+    bool judged = false; // some process with arrivals has a deadline
+    for (const Arrivals &p : arrivals) {
+        rep.offeredRatePerSec += p.ratePerSec;
+        rep.deadlineMs = std::max(rep.deadlineMs, p.deadlineMs);
+        total += p.gen.remaining();
+        judged = judged || (p.deadlineMs > 0.0 && !p.gen.done());
     }
+    // makePolicy wins over the policy name.
     const std::unique_ptr<SchedulerPolicy> policy =
-        buildPolicy(std::move(setup));
+        cfg_.makePolicy
+            ? cfg_.makePolicy(setup.policy)
+            : makeSchedulerPolicy(cfg_.policy, std::move(setup.policy));
+    if (!policy)
+        throw std::runtime_error(
+            "OnlineServer: policy factory returned null");
     rep.policy = policy->name();
     if (total == 0)
         return rep;
@@ -660,100 +831,110 @@ OnlineServer::runLanes()
     std::unique_ptr<ResilienceManager> resil;
     if (cfg_.serving.resilience.enabled) {
         resil = std::make_unique<ResilienceManager>(
-            cfg_.serving.resilience, lanes.size());
+            cfg_.serving.resilience, setup.lanes.size());
         resil->setFlightRecorder(flight_);
     }
-    std::size_t brownout_bound = 0;
-    for (const Lane &ln : lanes)
-        brownout_bound =
-            std::max(brownout_bound,
-                     engine.variantConfig(ln.variant).maxQueueDepth);
-
-    const int num_streams = std::max(1, engine.config().numStreams);
-    OpenLoopClock clock(num_streams, rt.spec().streamSerialFraction);
-
-    const std::uint64_t launches_before = rt.counters().total().launches;
+    TickState st{rep, resil.get(), std::move(setup.lanes), {}};
+    std::vector<Lane> &lanes = st.lanes;
+    st.clocks.assign(
+        static_cast<std::size_t>(dev.count()),
+        {std::vector<double>(
+            static_cast<std::size_t>(std::max(1, dev.numStreams())), 0.0)});
+    const double serial_frac = dev.runtime(0).spec().streamSerialFraction;
+    auto device_id = [&](int d) { return dev.runtime(d).deviceId(); };
+    auto launches = [&]() {
+        std::uint64_t n = 0;
+        for (int d = 0; d < dev.count(); ++d)
+            n += dev.runtime(d).counters().total().launches;
+        return n;
+    };
+    const std::uint64_t launches_before = launches();
+    const double link_busy_before = dev.linkBusySec();
     std::size_t shed_total = 0;
-    std::size_t failed_total = 0;
 
-    // Admit (or shed) every arrival the host clock has passed, across
-    // lanes in global time order; each admitted request pays its
-    // modeled host-to-device transfer on the serialized host clock,
-    // while shed arrivals never sample, never transfer, and never
-    // touch a queue.
+    // A process that owns a lane is judged against that lane's queue;
+    // a routed one against the devices' whole backlog, before routing.
+    auto backlog = [&](const Arrivals &p) {
+        return p.lane >= 0 ? lanes[static_cast<std::size_t>(p.lane)]
+                                 .queued.size()
+                           : dev.queued();
+    };
+
+    // Admit (or shed) every arrival the admission clock has passed,
+    // across processes in global time order. An admitted request pays
+    // its modeled host-to-device transfer on the host thread; a shed
+    // arrival never samples, never transfers and never touches a
+    // queue, and counts against a lane's breaker only when its process
+    // owns that lane.
     auto admit = [&]() {
         while (true) {
-            std::size_t next = lanes.size();
-            for (std::size_t i = 0; i < lanes.size(); ++i)
-                if (!lanes[i].gen.done() &&
-                    lanes[i].gen.peekSec() <= clock.hostFree &&
-                    (next == lanes.size() ||
-                     lanes[i].gen.peekSec() < lanes[next].gen.peekSec()))
-                    next = i;
-            if (next == lanes.size())
+            const double now = dev.now(st.hostFree);
+            Arrivals *p = nullptr;
+            for (Arrivals &a : arrivals)
+                if (!a.gen.done() && a.gen.peekSec() <= now &&
+                    (!p || a.gen.peekSec() < p->gen.peekSec()))
+                    p = &a;
+            if (!p)
                 break;
-            Lane &ln = lanes[next];
-            const double arr = ln.gen.next();
+            Lane *own = p->lane >= 0
+                            ? &lanes[static_cast<std::size_t>(p->lane)]
+                            : nullptr;
+            const double arr = p->gen.next();
             rep.lastArrivalMs = std::max(rep.lastArrivalMs, arr * 1e3);
             LaneView view;
-            view.queueDepth = ln.queued.size();
-            view.headArrivalSec =
-                ln.queued.empty() ? arr : ln.queued.front().arrivalSec;
-            view.moreArrivals = !ln.gen.done();
-            const AdmitDecision dec =
-                policy->admit(next, view, arr, clock.hostFree);
+            view.queueDepth = backlog(*p);
+            view.headArrivalSec = own && !own->queued.empty()
+                                      ? own->queued.front().arrivalSec
+                                      : arr;
+            view.moreArrivals = !p->gen.done();
+            // A routed process is judged by lane 0's spec, which every
+            // device lane shares.
+            const std::size_t li = own ? static_cast<std::size_t>(p->lane)
+                                       : 0;
+            const AdmitDecision dec = policy->admit(li, view, arr, now);
             if (!dec.admit) {
-                ++ln.shed;
                 ++shed_total;
-                recordShed(flight_, engine.reserveId(), arr,
-                           rt.deviceId(), dec.reason, ln.name);
-                if (resil)
-                    resil->noteFailure(next, clock.hostFree, "shed");
+                const std::uint64_t id = dev.reserveId();
+                const int d = own ? device_id(own->device) : -1;
+                if (flight_) {
+                    flight_->event(id, "arrival", arr, d,
+                                   own && !own->variantName.empty()
+                                       ? "variant=" + own->variantName
+                                       : std::string());
+                    flight_->event(id, "shed", arr, d,
+                                   std::string("reason=") + dec.reason);
+                }
+                if (obs::enabled()) {
+                    obs::metrics().counter("online.requests_shed").inc();
+                    obs::tracer().instant("shed", "online", arr, d, 0,
+                                          std::string("\"reason\":\"") +
+                                              dec.reason + "\"");
+                }
+                if (own)
+                    ++own->shed;
+                if (resil && own)
+                    resil->noteFailure(li, now, "shed");
                 continue;
             }
+            const Admitted a = dev.submit(*p, lanes);
+            Lane &lane = lanes[a.lane];
             if (resil)
-                resil->noteAdmit(next);
-            const double host_before = rt.hostTimeMs() * 1e-3;
-            const std::uint64_t id = engine.submit(ln.variant);
-            const double transfer = rt.hostTimeMs() * 1e-3 - host_before;
-            clock.hostFree = std::max(clock.hostFree, arr) + transfer;
+                resil->noteAdmit(a.lane);
+            st.hostFree = std::max(st.hostFree, arr) + a.transferSec;
             if (flight_) {
-                flight_->event(id, "arrival", arr, rt.deviceId(),
-                               "variant=" + ln.name);
-                flight_->event(id, "admission", clock.hostFree,
-                               rt.deviceId(),
+                const int id = device_id(lane.device);
+                flight_->event(a.id, "arrival", arr, id,
+                               lane.variantName.empty()
+                                   ? std::string()
+                                   : "variant=" + lane.variantName);
+                flight_->event(a.id, "admission", st.hostFree, id,
                                "transfer_ms=" +
-                                   obs::jsonNum(transfer * 1e3));
+                                   obs::jsonNum(a.transferSec * 1e3));
             }
-            ln.queued.push_back(QueuedArrival{arr, id});
+            lane.queued.push_back(QueuedArrival{arr, a.id});
             rep.peakLaneQueueDepth =
-                std::max(rep.peakLaneQueueDepth, ln.queued.size());
+                std::max(rep.peakLaneQueueDepth, lane.queued.size());
         }
-    };
-
-    /** Earliest pending arrival across lanes; +inf when exhausted. */
-    auto next_arrival = [&]() {
-        double t = std::numeric_limits<double>::infinity();
-        for (Lane &ln : lanes)
-            if (!ln.gen.done())
-                t = std::min(t, ln.gen.peekSec());
-        return t;
-    };
-
-    /** Per-lane dynamic state for the policy's decision points. */
-    auto lane_views = [&]() {
-        std::vector<LaneView> views(lanes.size());
-        for (std::size_t i = 0; i < lanes.size(); ++i) {
-            views[i].queueDepth = lanes[i].queued.size();
-            views[i].headArrivalSec =
-                lanes[i].queued.empty()
-                    ? 0.0
-                    : lanes[i].queued.front().arrivalSec;
-            views[i].moreArrivals = !lanes[i].gen.done();
-            views[i].blocked =
-                resil && resil->blocked(i, clock.hostFree);
-        }
-        return views;
     };
 
     // Timeout cancellation: fail a lane's queue head fast while its
@@ -763,44 +944,110 @@ OnlineServer::runLanes()
     auto failfast = [&]() {
         if (!resil)
             return;
+        const double now = dev.now(st.hostFree);
         for (std::size_t i = 0; i < lanes.size(); ++i) {
             Lane &ln = lanes[i];
-            if (ln.deadlineMs <= 0.0)
-                continue;
-            while (!ln.queued.empty()) {
+            while (ln.deadlineMs > 0.0 && !ln.queued.empty()) {
                 const QueuedArrival head = ln.queued.front();
                 const double est = policy->estimateServiceSec(i, 1);
                 if (!resil->deadlineExpired(head.arrivalSec,
-                                            ln.deadlineMs * 1e-3,
-                                            clock.hostFree, est))
+                                            ln.deadlineMs * 1e-3, now, est))
                     break;
-                engine.dropOldest(ln.variant, 1);
+                dev.dropOldest(ln);
                 ln.queued.pop_front();
-                resil->recordTimeout(head.id, i, rt.deviceId(),
-                                     head.arrivalSec, clock.hostFree);
-                ++failed_total;
+                resil->recordTimeout(head.id, i, device_id(ln.device),
+                                     head.arrivalSec, now);
+                ++st.failed;
             }
         }
     };
 
-    Completions served(resil.get(), flight_);
-    served.latenciesSec.reserve(total);
-    served.queueDelaysSec.reserve(total);
+    /** Per-lane dynamic state for the policy's decision points. */
+    auto lane_views = [&]() {
+        const double now = dev.now(st.hostFree);
+        std::vector<LaneView> views(lanes.size());
+        for (std::size_t i = 0; i < lanes.size(); ++i) {
+            const std::deque<QueuedArrival> &q = lanes[i].queued;
+            views[i].queueDepth = q.size();
+            views[i].headArrivalSec = q.empty() ? 0.0 : q.front().arrivalSec;
+            views[i].moreArrivals = !arrivals[lanes[i].feed].gen.done();
+            // An open breaker blocks the lane, and so does a head still
+            // inside its retry-backoff hold.
+            views[i].blocked =
+                resil && (resil->blocked(i, now) ||
+                          (!q.empty() && q.front().notBeforeSec > now));
+        }
+        return views;
+    };
+
+    // One batch through @p d's clocks: its issue thread issues the
+    // launches, the halo becomes resident, the stream and the
+    // contention floor free up, and the outputs gather onto @p root.
+    auto issue = [&](int d, int stream, const ShardBatch &b, int root) {
+        DeviceClock &c = st.clocks[static_cast<std::size_t>(d)];
+        double &issue_free = dev.issueClock(st, d);
+        BatchTimes t;
+        t.issueDone = std::max(issue_free, st.hostFree) + b.cost.overheadSec;
+        issue_free = t.issueDone;
+        // Halo rows must be resident before the batch's kernels start;
+        // rows owned by failed shards re-gather from the host store
+        // over this device's PCIe lanes instead of the interconnect.
+        t.commDone = t.issueDone;
+        for (const auto &[owner, bytes] : b.haloBytesByOwner) {
+            t.commDone = std::max(
+                t.commDone, dev.transfer(owner, d, bytes, t.issueDone));
+            rep.haloBytes += bytes;
+        }
+        if (b.hostFallbackBytes > 0.0) {
+            sim::Runtime &drt = dev.runtime(d);
+            const double ht =
+                graph::hostTransferSec(b.hostFallbackBytes, drt.spec());
+            drt.hostOverhead(ht);
+            t.commDone = std::max(t.commDone, t.issueDone + ht);
+        }
+        double &stream_at = c.streamFree[static_cast<std::size_t>(stream)];
+        t.execStart =
+            std::max(t.commDone, std::max(stream_at, c.contendFree));
+        t.execDone = t.execStart + b.cost.execSec;
+        stream_at = t.execDone;
+        c.contendFree = t.execStart + serial_frac * b.cost.execSec;
+        t.done = d != root
+                     ? dev.transfer(d, root, b.gatherBytes, t.execDone)
+                     : t.execDone;
+        return t;
+    };
+
+    std::vector<double> latencies;
+    std::vector<double> queue_delays;
+    latencies.reserve(total);
+    queue_delays.reserve(total);
+    std::size_t met = 0; // served within their own lane's deadline
     double last_completion = 0.0;
 
-    while (served.latenciesSec.size() + shed_total + failed_total <
-           total) {
+    while (latencies.size() + shed_total + st.failed < total) {
         admit();
+        dev.beforeTick(st);
         failfast();
         const std::vector<LaneView> views = lane_views();
         int li = policy->pickLane(views);
         if (li < 0) {
-            const double na = next_arrival();
-            if (std::isfinite(na)) {
-                // Idle, wait-to-fill still filling, or an open breaker:
-                // jump the host clock to the next arrival.
-                clock.hostFree = std::max(clock.hostFree, na);
-                rt.advanceTo(clock.hostFree);
+            // Idle, wait-to-fill still filling or an open breaker: jump
+            // the host clock to the next arrival. Once arrivals run
+            // out, heads may still be backoff-held: jump to the
+            // earliest hold expiry and re-evaluate.
+            double wake = std::numeric_limits<double>::infinity();
+            for (const Arrivals &p : arrivals)
+                if (!p.gen.done())
+                    wake = std::min(wake, p.gen.peekSec());
+            const double now = dev.now(st.hostFree);
+            if (!std::isfinite(wake))
+                for (const Lane &ln : lanes)
+                    if (!ln.queued.empty() &&
+                        ln.queued.front().notBeforeSec > now)
+                        wake = std::min(wake, ln.queued.front().notBeforeSec);
+            if (std::isfinite(wake)) {
+                st.hostFree = std::max(st.hostFree, wake);
+                dev.advanceTo(st.hostFree);
                 continue;
             }
             li = oldestLane(views); // forced progress (breaker probe)
@@ -809,606 +1056,180 @@ OnlineServer::runLanes()
         }
         const std::size_t lane_idx = static_cast<std::size_t>(li);
         Lane &lane = lanes[lane_idx];
+        const double now = dev.now(st.hostFree);
 
         const std::size_t depth = lane.queued.size();
-        rep.peakQueueDepth = std::max(rep.peakQueueDepth, engine.queued());
+        rep.peakQueueDepth = std::max(rep.peakQueueDepth, dev.queued());
         rep.peakLaneQueueDepth = std::max(rep.peakLaneQueueDepth, depth);
 
         if (resil) {
-            std::size_t max_depth = 0;
-            for (const Lane &ln : lanes)
-                max_depth = std::max(max_depth, ln.queued.size());
-            resil->tickBrownout(max_depth, brownout_bound,
-                                clock.hostFree);
-            engine.setDuplicationScale(resil->duplicationScale());
+            // Brownout pressure: the largest process backlog against
+            // the largest queue bound. A group's one process counts its
+            // total backlog: a per-lane max would never cross the
+            // watermark once the bound spreads across devices.
+            std::size_t pressure = 0;
+            std::size_t bound = 0;
+            for (const Arrivals &p : arrivals) {
+                pressure = std::max(pressure, backlog(p));
+                bound = std::max(bound, p.bound);
+            }
+            resil->tickBrownout(pressure, bound, now);
+            dev.setDuplicationScale(resil->duplicationScale());
         }
 
         std::size_t batch = policy->pickBatch(lane_idx, views[lane_idx]);
         batch = std::max<std::size_t>(1, std::min(batch, depth));
 
         if (!cfg_.retainResults)
-            engine.clearResults();
+            dev.clearResults();
 
         // Hedge: the head request has waited past the EWMA-derived
-        // delay, so a backup copy runs on a second stream; the first
-        // completion wins. The primary result stays authoritative
-        // (hedgeOldest stores nothing), so outputs are bit-identical
-        // to the unhedged run by construction.
-        const int s = clock.pickStream();
+        // delay, so a backup copy runs on a second stream or device;
+        // the first completion wins. The primary result stays
+        // authoritative (a hedge stores nothing), so outputs are
+        // bit-identical to the unhedged run by construction.
+        const int s = st.clocks[static_cast<std::size_t>(lane.device)]
+                          .pickStream();
         const QueuedArrival head = lane.queued.front();
-        bool hedged = false;
-        BatchCost hedge_cost;
-        int hs = -1;
-        if (resil && resil->hedgeReady() && num_streams > 1) {
-            const double waited = clock.hostFree - head.arrivalSec;
-            if (waited > resil->hedgeDelaySec()) {
-                hs = s == 0 ? 1 : 0;
-                for (int i = 0; i < num_streams; ++i)
-                    if (i != s &&
-                        clock.streamFree[static_cast<std::size_t>(i)] <
-                            clock.streamFree[static_cast<std::size_t>(
-                                hs)])
-                        hs = i;
-                hedge_cost = engine.hedgeOldest(lane.variant, hs);
-                hedged = hedge_cost.requests > 0;
-                if (hedged)
-                    resil->recordHedge(head.id, lane_idx, rt.deviceId(),
-                                       clock.hostFree, waited);
-            }
+        Backup backup;
+        ShardBatch hb;
+        const double waited = now - head.arrivalSec;
+        if (resil && resil->hedgeReady() && waited > resil->hedgeDelaySec()) {
+            backup = dev.backup(st, lane, s);
+            if (backup.device >= 0)
+                hb = dev.hedge(lane, backup);
+            if (hb.cost.requests > 0)
+                resil->recordHedge(head.id, lane_idx,
+                                   device_id(backup.device), now, waited);
         }
 
-        const BatchCost cost = engine.serveOldest(lane.variant, batch, s);
-        const OpenLoopClock::Issued t = clock.issue(cost, s);
+        const int root = dev.root(lane.device);
+        const ShardBatch sb = dev.serve(lane, batch, s);
+        const BatchTimes t = issue(lane.device, s, sb, root);
         double head_done = t.done;
-        if (hedged) {
-            const OpenLoopClock::Issued th =
-                clock.issue(hedge_cost, hs);
-            const bool hedge_won = th.done < t.done;
+        if (hb.cost.requests > 0) {
+            const BatchTimes th = issue(backup.device, backup.stream, hb,
+                                        root);
             head_done = std::min(t.done, th.done);
-            resil->recordHedgeOutcome(head.id, rt.deviceId(),
-                                      head_done, hedge_won);
+            resil->recordHedgeOutcome(head.id, device_id(backup.device),
+                                      head_done, th.done < t.done);
+            dev.traceHedge(th, hb, backup);
             last_completion = std::max(last_completion, th.done);
         }
-        rt.advanceTo(std::max(t.done, last_completion));
+        dev.advanceTo(std::max(t.done, last_completion));
 
-        if (obs::enabled())
-            obs::tracer().complete(
-                "tick/" + lane.name, "online", t.execStart,
-                cost.execSec, rt.deviceId(), s,
-                "\"batch\":" + std::to_string(batch));
+        const int id = device_id(lane.device);
+        double halo_total = 0.0;
+        for (const auto &[owner, bytes] : sb.haloBytesByOwner)
+            halo_total += bytes;
+        if (obs::enabled()) {
+            if (t.commDone > t.issueDone)
+                obs::tracer().complete(
+                    "halo", "comm", t.issueDone, t.commDone - t.issueDone,
+                    id, s, "\"bytes\":" + obs::jsonNum(halo_total));
+            obs::tracer().complete(lane.span, "online", t.execStart,
+                                   sb.cost.execSec, id, s,
+                                   "\"batch\":" + std::to_string(batch));
+            if (lane.device != root)
+                obs::tracer().complete(
+                    "gather", "comm", t.execDone, t.done - t.execDone, id,
+                    s, "\"bytes\":" + obs::jsonNum(sb.gatherBytes));
+        }
 
-        policy->observe(lane_idx, cost);
+        policy->observe(lane_idx, sb.cost);
         batchSizes_.push_back(batch);
         ++rep.ticks;
 
         for (std::size_t i = 0; i < batch; ++i) {
-            lane.latencies.push_back(served.complete(
-                lane.queued.front(), t.execStart,
-                i == 0 ? head_done : t.done, lane.deadlineMs,
-                rt.deviceId(), s));
+            const QueuedArrival req = lane.queued.front();
             lane.queued.pop_front();
+            const double done_at = i == 0 ? head_done : t.done;
+            const double lat = done_at - req.arrivalSec;
+            latencies.push_back(lat);
+            lane.latencies.push_back(lat);
+            queue_delays.push_back(
+                std::max(0.0, t.execStart - req.arrivalSec));
+            if (metDeadline(lat, lane.deadlineMs))
+                ++met;
+            if (resil)
+                resil->observeLatency(lat);
+            if (flight_) {
+                if (t.commDone > t.issueDone)
+                    flight_->event(req.id, "halo", t.commDone, id,
+                                   "bytes=" + obs::jsonNum(halo_total));
+                flight_->event(req.id, "exec-start", t.execStart, id,
+                               "stream=" + std::to_string(s));
+                if (lane.device != root)
+                    flight_->event(req.id, "all-gather", t.done, id,
+                                   "bytes=" + obs::jsonNum(sb.gatherBytes));
+                flight_->event(req.id, "completion", done_at, id,
+                               "latency_ms=" + obs::jsonNum(lat * 1e3));
+            }
+            if (obs::enabled())
+                obs::metrics().histogram("online.latency_ms").observe(
+                    lat * 1e3);
         }
         if (resil)
             resil->noteSuccess(lane_idx, t.done);
         last_completion = std::max(last_completion, t.done);
     }
 
-    // Each request was judged against its own lane's deadline.
-    finalizeOnlineReport(rep, last_completion, served, judged, shed_total,
-                         failed_total);
-    applyResilienceStats(rep, resil.get());
-    keepSamples(served.latenciesSec, served.queueDelaysSec);
-
+    // The report tail. fillLatencyStats keeps the drain and online
+    // latency statistics from drifting. Each request was judged against
+    // its own lane's deadline: admittedSloAttainment over the served
+    // requests, sloAttainment over the offered ones, counting shed and
+    // failed arrivals as misses. Resilience-failed requests were
+    // admitted, so they stay out of shedFraction.
+    const std::size_t served = latencies.size();
+    const std::size_t offered = served + shed_total + st.failed;
+    rep.requests = served;
+    rep.batches = rep.ticks;
+    rep.makespanMs = last_completion * 1e3;
+    rep.throughputReqPerSec =
+        last_completion > 0.0 ? static_cast<double>(served) / last_completion
+                              : 0.0;
+    rep.msPerRequest =
+        served ? rep.makespanMs / static_cast<double>(served) : 0.0;
+    rep.meanBatchSize = rep.ticks ? static_cast<double>(served) /
+                                        static_cast<double>(rep.ticks)
+                                  : 0.0;
+    fillLatencyStats(rep, latencies, queue_delays, 0.0);
+    if (judged && served > 0)
+        rep.sloAttainment =
+            static_cast<double>(met) / static_cast<double>(served);
+    rep.requestsShed = shed_total;
+    rep.admittedSloAttainment = rep.sloAttainment;
+    rep.shedFraction = offered > 0 ? static_cast<double>(shed_total) /
+                                         static_cast<double>(offered)
+                                   : 0.0;
+    if ((shed_total > 0 || st.failed > 0) && judged)
+        rep.sloAttainment =
+            static_cast<double>(met) / static_cast<double>(offered);
+    if (resil) {
+        const ResilienceStats &rs = resil->stats();
+        rep.requestsRetried = rs.requestsRetried;
+        rep.requestsHedged = rs.requestsHedged;
+        rep.hedgeWins = rs.hedgeWins;
+        rep.requestsTimedOut = rs.requestsTimedOut;
+        rep.requestsFailed = rs.requestsFailed;
+        rep.breakerOpens = rs.breakerOpens;
+        rep.brownoutTicks = rs.brownoutTicks;
+    }
+    for (double l : latencies)
+        latenciesMs_.push_back(l * 1e3);
+    for (double d : queue_delays)
+        queueDelaysMs_.push_back(d * 1e3);
     for (Lane &ln : lanes) {
-        if (ln.latencies.empty() && ln.shed == 0)
+        if (ln.variantName.empty() || (ln.latencies.empty() && ln.shed == 0))
             continue;
         VariantReport vr =
-            makeVariantReport(ln.name, ln.latencies, ln.deadlineMs);
+            makeVariantReport(ln.variantName, ln.latencies, ln.deadlineMs);
         vr.requestsShed = ln.shed;
         rep.perVariant.push_back(std::move(vr));
     }
-
-    fillCacheStats(rep, engine.planCache().stats());
-    rep.launches = rt.counters().total().launches - launches_before;
-    return rep;
-}
-
-OnlineReport
-OnlineServer::runSharded()
-{
-    OnlineReport rep;
-    rep.offeredRatePerSec = cfg_.arrivalRatePerSec;
-    rep.deadlineMs = cfg_.serving.deadlineMs;
-    rep.devices = group_->size();
-
-    const int devices = group_->size();
-
-    // One lane per home shard, all sharing the run's ServingConfig —
-    // and one shared cost model (the server's batcher), exactly the
-    // pre-policy behavior where every device fed the same EWMAs.
-    PolicySetup setup;
-    setup.lanes.reserve(static_cast<std::size_t>(devices));
-    for (int d = 0; d < devices; ++d)
-        setup.lanes.push_back(laneSpecFrom(
-            "dev" + std::to_string(d), cfg_.serving, cfg_));
-    setup.sharedBatcher = &batcher_;
-    const std::unique_ptr<SchedulerPolicy> policy =
-        buildPolicy(std::move(setup));
-    rep.policy = policy->name();
-    const std::size_t total_requests = cfg_.arrivalTrace.empty()
-                                           ? cfg_.numRequests
-                                           : cfg_.arrivalTrace.size();
-    if (total_requests == 0)
-        return rep;
-
-    LoadGenerator gen =
-        cfg_.arrivalTrace.empty()
-            ? LoadGenerator(cfg_.arrivalRatePerSec, cfg_.numRequests,
-                            cfg_.arrivalSeed, cfg_.serving.mmpp,
-                            cfg_.serving.diurnal)
-            : LoadGenerator(cfg_.arrivalTrace);
-
-    std::unique_ptr<ResilienceManager> resil;
-    if (cfg_.serving.resilience.enabled) {
-        resil = std::make_unique<ResilienceManager>(
-            cfg_.serving.resilience,
-            static_cast<std::size_t>(devices));
-        resil->setFlightRecorder(flight_);
-    }
-    const double deadline_sec = cfg_.serving.deadlineMs * 1e-3;
-
-    const int num_streams = std::max(1, cfg_.serving.numStreams);
-    const double serial_frac =
-        group_->device(0).spec().streamSerialFraction;
-
-    // Multi-device open-loop timeline. The shared pieces stay shared:
-    // one PCIe link admits arrivals (host_free) and the interconnect
-    // serializes per directed link. Per device, an own driver thread
-    // issues launches (issue_free), each stream runs one batch at a
-    // time (stream_free), and the device's contention floor gates
-    // overlapped execution (contend_free) — the same per-batch overlap
-    // rule as the lane loop, instantiated per device.
-    std::vector<std::vector<double>> stream_free(
-        static_cast<std::size_t>(devices),
-        std::vector<double>(static_cast<std::size_t>(num_streams), 0.0));
-    std::vector<double> issue_free(static_cast<std::size_t>(devices),
-                                   0.0);
-    std::vector<double> contend_free(static_cast<std::size_t>(devices),
-                                     0.0);
-    double host_free = 0.0;
-
-    /** Arrival time and id of each queued request, FIFO per home
-     *  device. */
-    std::vector<std::deque<QueuedArrival>> queued_arrivals(
-        static_cast<std::size_t>(devices));
-
-    const std::uint64_t launches_before = group_->totalLaunches();
-    const double ic_busy_before =
-        group_->interconnect().totalBusySec();
-    std::size_t shed_total = 0;
-    std::size_t failed_total = 0;
-
-    // Admit (or shed) arrivals the simulation has reached. Unlike the
-    // lane loop — whose one host thread both admits and
-    // issues, so admission stalls behind issue overheads — the group's
-    // admission thread is free while devices execute: anything that
-    // arrived by the group clock (advanced to each batch completion)
-    // is admitted, which is what lets queue depth build under load and
-    // the adaptive batcher actually batch. The admission bound applies
-    // to the whole session's backlog (one variant, one bound), judged
-    // BEFORE routing — shed arrivals never sample and never route.
-    auto admit = [&]() {
-        while (!gen.done() &&
-               gen.peekSec() <= std::max(host_free, group_->nowSec())) {
-            const double arr = gen.next();
-            rep.lastArrivalMs = arr * 1e3;
-            LaneView view;
-            view.queueDepth = sharded_->queued();
-            view.headArrivalSec = arr;
-            view.moreArrivals = !gen.done();
-            const AdmitDecision dec = policy->admit(
-                0, view, arr, std::max(host_free, group_->nowSec()));
-            if (!dec.admit) {
-                ++shed_total;
-                recordShed(flight_, sharded_->reserveId(), arr, -1,
-                           dec.reason, std::string());
-                continue;
-            }
-            const ShardedSession::SubmitInfo info =
-                sharded_->submitRouted();
-            if (resil)
-                resil->noteAdmit(
-                    static_cast<std::size_t>(info.device));
-            host_free = std::max(host_free, arr) + info.transferSec;
-            if (flight_) {
-                flight_->event(info.id, "arrival", arr, info.device);
-                flight_->event(
-                    info.id, "admission", host_free, info.device,
-                    "transfer_ms=" +
-                        obs::jsonNum(info.transferSec * 1e3));
-            }
-            queued_arrivals[static_cast<std::size_t>(info.device)]
-                .push_back(QueuedArrival{arr, info.id});
-            rep.peakLaneQueueDepth = std::max(
-                rep.peakLaneQueueDepth,
-                queued_arrivals[static_cast<std::size_t>(info.device)]
-                    .size());
-        }
-    };
-
-    // Scheduled device failures fire against the open-loop clock: the
-    // session quarantines the device and re-routes its queue (charging
-    // the structure re-sends on the admission thread), and this loop's
-    // per-device arrival deque mirrors the move — the session's
-    // re-route order IS the deque order, both FIFO by admission.
-    sim::FaultInjector *fi = group_->faultInjector();
-    auto check_failures = [&]() {
-        if (!fi)
-            return;
-        for (int d = 0; d < devices; ++d) {
-            if (sharded_->isDead(d) ||
-                !fi->failureDue(
-                    d, std::max(host_free, group_->nowSec())))
-                continue;
-            const double t_fail = fi->failureTimeSec(d);
-            const std::vector<ShardedSession::Rerouted> moved =
-                sharded_->quarantine(d, t_fail);
-            auto &dq = queued_arrivals[static_cast<std::size_t>(d)];
-            for (const ShardedSession::Rerouted &rr : moved) {
-                QueuedArrival qa{};
-                qa.id = rr.id;
-                if (!dq.empty()) {
-                    qa = dq.front();
-                    dq.pop_front();
-                }
-                host_free += rr.transferSec;
-                if (resil) {
-                    // Retry with seeded capped backoff: a quarantine
-                    // is a transient per-request failure. Exhausted
-                    // budgets fail the request outright — its
-                    // re-routed copy leaves the destination queue.
-                    const ResilienceManager::RetryDecision rd =
-                        resil->onFailure(
-                            rr.id, static_cast<std::size_t>(rr.from),
-                            rr.from, t_fail, "quarantine",
-                            qa.attempts);
-                    if (!rd.retry) {
-                        sharded_->dropQueued(rr.id);
-                        ++failed_total;
-                        continue;
-                    }
-                    qa.attempts = rd.attempt;
-                    qa.notBeforeSec = rd.notBeforeSec;
-                }
-                queued_arrivals[static_cast<std::size_t>(rr.to)]
-                    .push_back(qa);
-            }
-            dq.clear();
-            rep.requestsRerouted += moved.size();
-            if (obs::enabled())
-                obs::tracer().instant(
-                    "device.failure", "online", t_fail, d, 0,
-                    "\"rerouted\":" + std::to_string(moved.size()));
-        }
-        rep.devicesFailed = group_->size() - sharded_->aliveCount();
-    };
-
-    /** Per-device dynamic state for the policy (dead devices hold no
-     *  queue — quarantine re-routed it — so they are never picked). */
-    auto lane_views = [&]() {
-        const double now = std::max(host_free, group_->nowSec());
-        std::vector<LaneView> views(static_cast<std::size_t>(devices));
-        for (int d = 0; d < devices; ++d) {
-            const auto &q =
-                queued_arrivals[static_cast<std::size_t>(d)];
-            views[static_cast<std::size_t>(d)].queueDepth = q.size();
-            views[static_cast<std::size_t>(d)].headArrivalSec =
-                q.empty() ? 0.0 : q.front().arrivalSec;
-            views[static_cast<std::size_t>(d)].moreArrivals =
-                !gen.done();
-            // An open breaker blocks the lane, and so does a head
-            // still inside its retry-backoff hold.
-            views[static_cast<std::size_t>(d)].blocked =
-                resil &&
-                (resil->blocked(static_cast<std::size_t>(d), now) ||
-                 (!q.empty() && q.front().notBeforeSec > now));
-        }
-        return views;
-    };
-
-    // Timeout cancellation per device lane (see runLanes' failfast).
-    auto failfast = [&]() {
-        if (!resil || deadline_sec <= 0.0)
-            return;
-        const double now = std::max(host_free, group_->nowSec());
-        for (int d = 0; d < devices; ++d) {
-            if (sharded_->isDead(d))
-                continue;
-            auto &q = queued_arrivals[static_cast<std::size_t>(d)];
-            while (!q.empty()) {
-                const QueuedArrival head = q.front();
-                const double est = policy->estimateServiceSec(
-                    static_cast<std::size_t>(d), 1);
-                if (!resil->deadlineExpired(head.arrivalSec,
-                                            deadline_sec, now, est))
-                    break;
-                sharded_->dropOldestOn(d, 1);
-                q.pop_front();
-                resil->recordTimeout(head.id,
-                                     static_cast<std::size_t>(d), d,
-                                     head.arrivalSec, now);
-                ++failed_total;
-            }
-        }
-    };
-
-    // Circuit breakers steer the router: open-breaker devices are
-    // avoided by homeShard while any unmasked alive device remains.
-    auto update_route_avoid = [&]() {
-        if (!resil)
-            return;
-        const double now = std::max(host_free, group_->nowSec());
-        std::vector<char> avoid(static_cast<std::size_t>(devices), 0);
-        bool any = false;
-        for (int d = 0; d < devices; ++d)
-            if (resil->blocked(static_cast<std::size_t>(d), now)) {
-                avoid[static_cast<std::size_t>(d)] = 1;
-                any = true;
-            }
-        sharded_->setRouteAvoid(any ? std::move(avoid)
-                                    : std::vector<char>{});
-    };
-
-    /** Least-loaded stream of @p dev (ties to the lower id). */
-    auto pick_stream = [&](int dev) {
-        const auto &streams = stream_free[static_cast<std::size_t>(dev)];
-        int s = 0;
-        for (int i = 1; i < num_streams; ++i)
-            if (streams[static_cast<std::size_t>(i)] <
-                streams[static_cast<std::size_t>(s)])
-                s = i;
-        return s;
-    };
-
-    /** Clock points of one batch issued on a device. */
-    struct DeviceTimes
-    {
-        double issueDone, commDone, execStart, execDone, done;
-    };
-    // One batch through @p dev's clocks: its driver thread issues the
-    // launches, the halo becomes resident, the stream and the
-    // contention floor free up, and the outputs gather onto @p root.
-    auto issue_on = [&](int dev, int stream, const ShardBatch &b,
-                        int root) {
-        const std::size_t di = static_cast<std::size_t>(dev);
-        DeviceTimes t;
-        t.issueDone =
-            std::max(issue_free[di], host_free) + b.cost.overheadSec;
-        issue_free[di] = t.issueDone;
-        // Halo rows must be resident before the batch's kernels start;
-        // rows owned by failed shards re-gather from the host store
-        // over this device's PCIe lanes instead of the interconnect.
-        t.commDone = t.issueDone;
-        for (const auto &[owner, bytes] : b.haloBytesByOwner) {
-            t.commDone = std::max(t.commDone,
-                                  group_->interconnect().transfer(
-                                      owner, dev, bytes, t.issueDone));
-            rep.haloBytes += bytes;
-        }
-        if (b.hostFallbackBytes > 0.0) {
-            sim::Runtime &drt = group_->device(dev);
-            const double ht =
-                graph::hostTransferSec(b.hostFallbackBytes, drt.spec());
-            drt.hostOverhead(ht);
-            t.commDone = std::max(t.commDone, t.issueDone + ht);
-        }
-        double &stream_at = stream_free[di][static_cast<std::size_t>(stream)];
-        t.execStart =
-            std::max(t.commDone, std::max(stream_at, contend_free[di]));
-        t.execDone = t.execStart + b.cost.execSec;
-        stream_at = t.execDone;
-        contend_free[di] = t.execStart + serial_frac * b.cost.execSec;
-        t.done = dev != root ? group_->interconnect().transfer(
-                                   dev, root, b.gatherBytes, t.execDone)
-                             : t.execDone;
-        return t;
-    };
-
-    Completions served(resil.get(), flight_);
-    served.latenciesSec.reserve(total_requests);
-    served.queueDelaysSec.reserve(total_requests);
-    double last_completion = 0.0;
-
-    while (served.latenciesSec.size() + shed_total + failed_total <
-           total_requests) {
-        admit();
-        check_failures();
-        update_route_avoid();
-        failfast();
-        const std::vector<LaneView> views = lane_views();
-        int d = policy->pickLane(views);
-        if (d < 0) {
-            if (!gen.done()) {
-                // Idle (or wait-to-fill still filling): jump the host
-                // clock to the next arrival.
-                host_free = std::max(host_free, gen.peekSec());
-                group_->advanceTo(host_free);
-                continue;
-            }
-            if (resil) {
-                // Arrivals exhausted but heads may be backoff-held:
-                // jump to the earliest hold expiry, then re-evaluate.
-                const double now =
-                    std::max(host_free, group_->nowSec());
-                double wake = std::numeric_limits<double>::infinity();
-                for (int dd = 0; dd < devices; ++dd) {
-                    const auto &q =
-                        queued_arrivals[static_cast<std::size_t>(dd)];
-                    if (!q.empty() && q.front().notBeforeSec > now)
-                        wake =
-                            std::min(wake, q.front().notBeforeSec);
-                }
-                if (std::isfinite(wake)) {
-                    host_free = std::max(host_free, wake);
-                    group_->advanceTo(host_free);
-                    continue;
-                }
-            }
-            d = oldestLane(views); // forced progress (breaker probe)
-            if (d < 0)
-                break; // nothing queued, nothing arriving
-        }
-        auto &q = queued_arrivals[static_cast<std::size_t>(d)];
-        const std::size_t depth = q.size();
-        rep.peakQueueDepth =
-            std::max(rep.peakQueueDepth, sharded_->queued());
-        rep.peakLaneQueueDepth =
-            std::max(rep.peakLaneQueueDepth, depth);
-
-        if (resil) {
-            // Admission bounds the whole session's backlog (judged
-            // before routing), so brownout pressure is the TOTAL
-            // queued fraction — a per-lane max would never cross the
-            // watermark once the bound spreads across devices.
-            std::size_t total_depth = 0;
-            for (const auto &dq : queued_arrivals)
-                total_depth += dq.size();
-            resil->tickBrownout(total_depth, cfg_.serving.maxQueueDepth,
-                                std::max(host_free, group_->nowSec()));
-            sharded_->setDuplicationScale(resil->duplicationScale());
-        }
-
-        std::size_t batch =
-            policy->pickBatch(static_cast<std::size_t>(d),
-                              views[static_cast<std::size_t>(d)]);
-        batch = std::max<std::size_t>(1, std::min(batch, depth));
-
-        if (!cfg_.retainResults)
-            sharded_->clearResults();
-
-        const int s = pick_stream(d);
-
-        // Hedge: re-issue the waiting head on a second alive device
-        // before serving the primary batch; the first completion wins
-        // and the loser is an audited discard. hedgeOldestOn stores no
-        // result, so outputs are bit-identical to the unhedged run.
-        const QueuedArrival head = q.front();
-        bool hedged = false;
-        ShardBatch hb;
-        int hedge_dev = -1;
-        int hedge_stream = 0;
-        if (resil && resil->hedgeReady() &&
-            sharded_->aliveCount() > 1) {
-            const double now = std::max(host_free, group_->nowSec());
-            const double waited = now - head.arrivalSec;
-            if (waited > resil->hedgeDelaySec()) {
-                // Deterministic backup pick: alive, not the primary,
-                // shallowest queue, ties to the lowest device id.
-                for (int dd = 0; dd < devices; ++dd) {
-                    if (dd == d || sharded_->isDead(dd))
-                        continue;
-                    if (hedge_dev < 0 ||
-                        queued_arrivals[static_cast<std::size_t>(dd)]
-                                .size() <
-                            queued_arrivals[static_cast<std::size_t>(
-                                                hedge_dev)]
-                                .size())
-                        hedge_dev = dd;
-                }
-                if (hedge_dev >= 0) {
-                    hedge_stream = pick_stream(hedge_dev);
-                    hb = sharded_->hedgeOldestOn(d, hedge_dev,
-                                                 hedge_stream);
-                    hedged = hb.cost.requests > 0;
-                    if (hedged)
-                        resil->recordHedge(head.id,
-                                           static_cast<std::size_t>(d),
-                                           hedge_dev, now, waited);
-                }
-            }
-        }
-
-        // All-gather onto the root: device 0 unless it has been
-        // quarantined, then the lowest survivor.
-        int root = 0;
-        while (root < devices && sharded_->isDead(root))
-            ++root;
-        if (root >= devices)
-            root = d;
-        const ShardBatch sb = sharded_->serveOldestOn(d, batch, s);
-        const DeviceTimes t = issue_on(d, s, sb, root);
-        const double done = t.done;
-
-        // The hedge copy runs through the SAME per-device clock
-        // machinery on its backup device. First completion wins.
-        double head_done = done;
-        if (hedged) {
-            const DeviceTimes th = issue_on(hedge_dev, hedge_stream, hb,
-                                            root);
-            const bool hedge_won = th.done < done;
-            head_done = std::min(done, th.done);
-            resil->recordHedgeOutcome(head.id, hedge_dev, head_done,
-                                      hedge_won);
-            if (obs::enabled())
-                obs::tracer().complete(
-                    "tick/hedge", "online", th.execStart,
-                    hb.cost.execSec, hedge_dev, hedge_stream,
-                    "\"batch\":1");
-            last_completion = std::max(last_completion, th.done);
-        }
-        group_->advanceTo(std::max(done, last_completion));
-
-        const double halo_total = [&] {
-            double b = 0.0;
-            for (const auto &[owner, bytes] : sb.haloBytesByOwner)
-                b += bytes;
-            return b;
-        }();
-        if (obs::enabled()) {
-            if (t.commDone > t.issueDone)
-                obs::tracer().complete(
-                    "halo", "comm", t.issueDone, t.commDone - t.issueDone,
-                    d, s, "\"bytes\":" + obs::jsonNum(halo_total));
-            obs::tracer().complete(
-                "tick", "online", t.execStart, sb.cost.execSec, d, s,
-                "\"batch\":" + std::to_string(batch));
-            if (d != root)
-                obs::tracer().complete(
-                    "gather", "comm", t.execDone, done - t.execDone, d, s,
-                    "\"bytes\":" + obs::jsonNum(sb.gatherBytes));
-        }
-
-        policy->observe(static_cast<std::size_t>(d), sb.cost);
-        batchSizes_.push_back(batch);
-        ++rep.ticks;
-
-        obs::FlightEvent gather{"all-gather", done, d,
-                                "bytes=" + obs::jsonNum(sb.gatherBytes)};
-        for (std::size_t i = 0; i < batch; ++i) {
-            if (flight_ && t.commDone > t.issueDone)
-                flight_->event(q.front().id, "halo", t.commDone, d,
-                               "bytes=" + obs::jsonNum(halo_total));
-            served.complete(q.front(), t.execStart,
-                              i == 0 ? head_done : done,
-                              cfg_.serving.deadlineMs, d, s,
-                              d != root ? &gather : nullptr);
-            q.pop_front();
-        }
-        if (resil)
-            resil->noteSuccess(static_cast<std::size_t>(d), done);
-        last_completion = std::max(last_completion, done);
-    }
-
-    finalizeOnlineReport(rep, last_completion, served,
-                         cfg_.serving.deadlineMs > 0.0, shed_total,
-                         failed_total);
-    applyResilienceStats(rep, resil.get());
-    keepSamples(served.latenciesSec, served.queueDelaysSec);
-
-    rep.interconnectMs =
-        (group_->interconnect().totalBusySec() - ic_busy_before) * 1e3;
-    fillCacheStats(rep, sharded_->planCache().stats());
-    rep.launches = group_->totalLaunches() - launches_before;
+    rep.interconnectMs = (dev.linkBusySec() - link_busy_before) * 1e3;
+    fillCacheStats(rep, dev.planCache().stats());
+    rep.launches = launches() - launches_before;
     return rep;
 }
 

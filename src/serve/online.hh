@@ -39,7 +39,9 @@
  * (PCIe) host clock and routed to their home shard, each device issues
  * batches on its own driver thread and streams, batch execution is
  * additionally gated on the halo exchange over the modeled
- * interconnect, and results all-gather onto device 0.
+ * interconnect, and results all-gather onto device 0. All three modes
+ * run one tick loop; what differs between one device and a group sits
+ * behind one seam, OnlineServer::Devices.
  */
 
 #ifndef HECTOR_SERVE_ONLINE_HH
@@ -85,12 +87,8 @@ class LoadGenerator
 {
   public:
     LoadGenerator(double rate_per_sec, std::size_t count,
-                  std::uint64_t seed);
-    LoadGenerator(double rate_per_sec, std::size_t count,
-                  std::uint64_t seed, const MmppSpec &mmpp);
-    LoadGenerator(double rate_per_sec, std::size_t count,
-                  std::uint64_t seed, const MmppSpec &mmpp,
-                  const DiurnalSpec &diurnal);
+                  std::uint64_t seed, const MmppSpec &mmpp = {},
+                  const DiurnalSpec &diurnal = {});
 
     /** Trace replay: arrivals at exactly @p times_sec (non-decreasing,
      *  non-negative; throws std::invalid_argument otherwise). */
@@ -117,11 +115,8 @@ class LoadGenerator
     /** The whole arrival sequence, for tests and sweeps. */
     static std::vector<double> arrivals(double rate_per_sec,
                                         std::size_t count,
-                                        std::uint64_t seed);
-    static std::vector<double> arrivals(double rate_per_sec,
-                                        std::size_t count,
                                         std::uint64_t seed,
-                                        const MmppSpec &mmpp);
+                                        const MmppSpec &mmpp = {});
 
   private:
     double ratePerSec_;
@@ -185,10 +180,6 @@ struct OnlineConfig
     /** Wait-to-fill batch size of "fixed"; 0 means maxBatch, and
      *  larger values are clamped to maxBatch. */
     std::size_t fixedBatch = 0;
-    /** EWMA smoothing factor of the adaptive batcher. */
-    double ewmaAlpha = 0.25;
-    /** Deadline fraction one batch's service time may consume. */
-    double deadlineBudgetFraction = 0.5;
     /** Keep every request's output tensor (tests); default bounded. */
     bool retainResults = false;
     /**
@@ -278,9 +269,9 @@ struct OnlineReport : ServingReport
 
 /**
  * Open-loop server: LoadGenerators feeding an Engine (or a
- * ShardedSession) in timed ticks on the simulated clock. The
- * single-device and multi-tenant modes run one tick loop over lanes,
- * one lane per served variant; the sharded mode has its own loop.
+ * ShardedSession) in timed ticks on the simulated clock. One tick loop
+ * serves every mode over lanes: one lane per served variant on one
+ * device, or one lane per device of a group.
  */
 class OnlineServer
 {
@@ -311,6 +302,8 @@ class OnlineServer
      */
     OnlineServer(Engine &engine, OnlineConfig cfg);
 
+    ~OnlineServer();
+
     /** Serve all configured arrivals to completion. */
     OnlineReport run();
 
@@ -339,12 +332,15 @@ class OnlineServer
     /**
      * Attach a per-request flight recorder to the whole serving path:
      * forwarded to the wrapped engine/session/sharded session (their
-     * enqueue/plan/batch events) and used by the tick loops for
+     * enqueue/plan/batch events) and used by the tick loop for
      * arrival/admission/exec/completion lifecycle events. nullptr
      * detaches. The recorder must outlive the server or be detached.
      */
     void setFlightRecorder(obs::FlightRecorder *fr);
     obs::FlightRecorder *flightRecorder() const { return flight_; }
+
+    /** The tick loop's device seam (defined in online.cc). */
+    class Devices;
 
     /** Per-request arrival-relative latencies of the last run, ms. */
     const std::vector<double> &latenciesMs() const { return latenciesMs_; }
@@ -360,25 +356,14 @@ class OnlineServer
     }
 
   private:
-    /** The lane loop: single-device and multi-tenant modes. */
-    OnlineReport runLanes();
-    OnlineReport runSharded();
-    /** Append a finished run's samples to the ms accessors above. */
-    void keepSamples(const std::vector<double> &latencies_sec,
-                     const std::vector<double> &queue_delays_sec);
-
-    /** Resolve cfg_ (makePolicy > policy name) into a policy
-     *  instance over @p setup's lanes. */
-    std::unique_ptr<SchedulerPolicy> buildPolicy(PolicySetup setup) const;
-
     OnlineConfig cfg_;
-    /** Exactly one of session_ (single device), group_ + sharded_
-     *  (sharded) and engine_ (multi-tenant) is set. */
-    sim::DeviceGroup *group_ = nullptr;
+    /** Exactly one of session_ (single device), sharded_ (device
+     *  group) and engine_ (multi-tenant) is set. */
     Engine *engine_ = nullptr;
     std::unique_ptr<ServingSession> session_;
     std::unique_ptr<ShardedSession> sharded_;
     AdaptiveBatcher batcher_;
+    std::unique_ptr<Devices> devices_;
 
     std::vector<double> latenciesMs_;
     std::vector<double> queueDelaysMs_;

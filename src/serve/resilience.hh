@@ -7,7 +7,7 @@
  * (bounded queues, shedding); this module defends the *individual
  * request* end to end. It sits between arrival generation and the
  * Engine / ShardedSession, entirely on the virtual clock, and owns
- * four mechanisms the tick loops in online.cc consult per tick:
+ * four mechanisms the tick loop in online.cc consults per tick:
  *
  *  - deadline fail-fast: a queued request whose remaining budget
  *    cannot cover the policy's calibrated service estimate is failed
@@ -81,11 +81,10 @@ struct ResilienceStats
 
 /**
  * Per-run state machine of the resilience layer. One instance per
- * OnlineServer::run() when ResilienceConfig::enabled; the tick loops
- * call into it at admission, scheduling, and completion points. All
+ * OnlineServer::run() when ResilienceConfig::enabled; the tick loop
+ * calls into it at admission, scheduling, and completion points. All
  * event emission (flight recorder, tracer instants carrying
- * args.reason, metrics counters) funnels through here so the two
- * loops cannot drift.
+ * args.reason, metrics counters) funnels through here.
  */
 class ResilienceManager
 {

@@ -22,6 +22,12 @@ AdaptiveBatcher::AdaptiveBatcher(std::size_t max_batch, double deadline_sec,
         throw std::runtime_error("AdaptiveBatcher: alpha must be in (0, 1]");
 }
 
+AdaptiveBatcher::AdaptiveBatcher(const LaneSpec &lane)
+    : AdaptiveBatcher(lane.maxBatch, lane.deadlineSec)
+{
+    boundedQueue_ = lane.maxQueueDepth > 0 && lane.shed != ShedMode::None;
+}
+
 std::size_t
 AdaptiveBatcher::pick(std::size_t queue_depth) const
 {
@@ -84,10 +90,7 @@ SchedulerPolicy::SchedulerPolicy(PolicySetup setup)
     if (!shared_) {
         owned_.reserve(lanes_.size());
         for (const LaneSpec &spec : lanes_)
-            owned_.emplace_back(
-                spec.maxBatch, spec.deadlineSec, spec.ewmaAlpha,
-                spec.budgetFraction,
-                spec.maxQueueDepth > 0 && spec.shed != ShedMode::None);
+            owned_.emplace_back(spec);
     }
 }
 

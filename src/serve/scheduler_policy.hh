@@ -6,8 +6,8 @@
  * an unbounded queue every policy degenerates to wait-to-fill, SLO
  * attainment collapses to 0%, and p99 grows with the backlog. Fixing
  * that is not one patch but a policy space — admission control, shed
- * rules, batching, lane ordering — so the tick loops in online.cc are
- * refactored around the SchedulerPolicy interface below. A scheduler
+ * rules, batching, lane ordering — so the tick loop in online.cc is
+ * built around the SchedulerPolicy interface below. A scheduler
  * is now a one-file addition: derive from SchedulerPolicy, register a
  * factory under a name, select it via OnlineConfig::policy (or inject
  * a factory directly through OnlineConfig::makePolicy).
@@ -48,6 +48,8 @@
 namespace hector::serve
 {
 
+struct LaneSpec;
+
 /**
  * Per-tick micro-batch sizing from queue depth + cost EWMAs.
  *
@@ -77,6 +79,10 @@ class AdaptiveBatcher
     AdaptiveBatcher(std::size_t max_batch, double deadline_sec,
                     double alpha = 0.25, double budget_fraction = 0.5,
                     bool bounded_queue = false);
+
+    /** The default-smoothed batcher of @p lane: its maxBatch and
+     *  deadline, its queue bounded when it sheds at a maxQueueDepth. */
+    explicit AdaptiveBatcher(const LaneSpec &lane);
 
     /** Batch size for a tick that sees @p queue_depth queued requests. */
     std::size_t pick(std::size_t queue_depth) const;
@@ -122,10 +128,6 @@ struct LaneSpec
     /** Admission bound on the lane's queue; 0 = unbounded. */
     std::size_t maxQueueDepth = 0;
     ShedMode shed = ShedMode::None;
-    /** AdaptiveBatcher EWMA smoothing factor. */
-    double ewmaAlpha = 0.25;
-    /** AdaptiveBatcher deadline budget fraction. */
-    double budgetFraction = 0.5;
 };
 
 /** Dynamic state of one lane at a decision point. */
@@ -166,7 +168,7 @@ struct PolicySetup
 };
 
 /**
- * The scheduling policy interface the online tick loops delegate to.
+ * The scheduling policy interface the online tick loop delegates to.
  * Implementations must be deterministic: same construction + same
  * call sequence => same decisions, at any host thread count.
  */

@@ -96,6 +96,29 @@ ShardedSession::compiledPlan()
 int
 ShardedSession::homeShard(const graph::Minibatch &mb) const
 {
+    const std::int64_t alive = aliveCount();
+    if (alive == 0)
+        throw std::runtime_error(
+            "ShardedSession: no surviving devices to route to");
+    const std::int64_t total =
+        static_cast<std::int64_t>(queued()) + 1;
+    // The breaker mask is advisory: honored only while some alive
+    // device is unmasked, so routing always makes progress.
+    bool use_avoid = false;
+    if (!routeAvoid_.empty())
+        for (int s = 0; s < group_.size(); ++s)
+            if (!dead_[static_cast<std::size_t>(s)] &&
+                !routeAvoid_[static_cast<std::size_t>(s)])
+                use_avoid = true;
+    return pickShard(mb, queues_, (total + alive - 1) / alive + 1,
+                     use_avoid);
+}
+
+int
+ShardedSession::pickShard(const graph::Minibatch &mb,
+                          const std::vector<std::vector<Request>> &loads,
+                          std::int64_t cap, bool use_avoid) const
+{
     // Affinity x headroom routing. Placement cannot change any output
     // bit (per-request arithmetic is batch- and device-invariant), so
     // the router trades the two things placement *does* change: halo
@@ -108,36 +131,23 @@ ShardedSession::homeShard(const graph::Minibatch &mb) const
     // devices are never candidates; with every device alive the math
     // is exactly the pre-fault-tolerance formula, so routing (and the
     // whole timeline) stays bit-identical on fault-free runs.
-    const std::int64_t k = group_.size();
-    const std::int64_t alive = aliveCount();
-    if (alive == 0)
-        throw std::runtime_error(
-            "ShardedSession: no surviving devices to route to");
+    const int k = group_.size();
     std::vector<std::int64_t> owned(static_cast<std::size_t>(k), 0);
     for (std::int64_t v : mb.nodeMap)
         ++owned[static_cast<std::size_t>(
             partition_.shardOf[static_cast<std::size_t>(v)])];
-    const std::int64_t total =
-        static_cast<std::int64_t>(queued()) + 1;
-    const std::int64_t cap = (total + alive - 1) / alive + 1;
-    // The breaker mask is advisory: honored only while some alive
-    // device is unmasked, so routing always makes progress.
-    bool use_avoid = false;
-    if (!routeAvoid_.empty())
-        for (int s = 0; s < k; ++s)
-            if (!dead_[static_cast<std::size_t>(s)] &&
-                !routeAvoid_[static_cast<std::size_t>(s)])
-                use_avoid = true;
+    auto eligible = [&](int s) {
+        return !dead_[static_cast<std::size_t>(s)] &&
+               (!use_avoid || !routeAvoid_[static_cast<std::size_t>(s)]);
+    };
     int best = -1;
     std::int64_t best_score = -1;
     for (int s = 0; s < k; ++s) {
-        if (dead_[static_cast<std::size_t>(s)])
+        if (!eligible(s))
             continue;
-        if (use_avoid && routeAvoid_[static_cast<std::size_t>(s)])
-            continue;
-        const std::int64_t load = static_cast<std::int64_t>(
-            queues_[static_cast<std::size_t>(s)].size());
-        const std::int64_t headroom = cap - load;
+        const std::int64_t headroom =
+            cap - static_cast<std::int64_t>(
+                      loads[static_cast<std::size_t>(s)].size());
         if (headroom <= 0)
             continue;
         const std::int64_t score =
@@ -150,8 +160,7 @@ ShardedSession::homeShard(const graph::Minibatch &mb) const
     if (best >= 0)
         return best;
     for (int s = 0; s < k; ++s)
-        if (!dead_[static_cast<std::size_t>(s)] &&
-            (!use_avoid || !routeAvoid_[static_cast<std::size_t>(s)]))
+        if (eligible(s))
             return s;
     for (int s = 0; s < k; ++s)
         if (!dead_[static_cast<std::size_t>(s)])
@@ -692,8 +701,8 @@ ShardedSession::drain()
                 "survivors to replay on");
         const int root2 = lowest_alive();
 
-        // Route each lost request to a survivor by the same
-        // affinity x headroom rule, over the replay load alone.
+        // Route each lost request to a survivor through homeShard's
+        // scoring, over the replay load alone with its own cap.
         std::vector<std::vector<Request>> replay_q(
             static_cast<std::size_t>(group_.size()));
         std::size_t n_lost = 0;
@@ -704,34 +713,7 @@ ShardedSession::drain()
             (static_cast<std::int64_t>(n_lost) + alive - 1) / alive + 1;
         for (LostBatch &lb : lost)
             for (Request &r : lb.reqs) {
-                std::vector<std::int64_t> owned(
-                    static_cast<std::size_t>(group_.size()), 0);
-                for (std::int64_t v : r.mb.nodeMap)
-                    ++owned[static_cast<std::size_t>(
-                        partition_.shardOf[static_cast<std::size_t>(
-                            v)])];
-                int best = -1;
-                std::int64_t best_score = -1;
-                for (int s = 0; s < group_.size(); ++s) {
-                    if (dead_[static_cast<std::size_t>(s)])
-                        continue;
-                    const std::int64_t headroom =
-                        rcap - static_cast<std::int64_t>(
-                                   replay_q[static_cast<std::size_t>(
-                                                s)]
-                                       .size());
-                    if (headroom <= 0)
-                        continue;
-                    const std::int64_t score =
-                        (owned[static_cast<std::size_t>(s)] + 1) *
-                        headroom;
-                    if (score > best_score) {
-                        best = s;
-                        best_score = score;
-                    }
-                }
-                if (best < 0)
-                    best = root2;
+                const int best = pickShard(r.mb, replay_q, rcap, false);
                 if (fi)
                     fi->noteReroute(r.id, lb.from, best, lb.tFail);
                 ++report.requestsRerouted;

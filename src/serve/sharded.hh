@@ -28,8 +28,8 @@
  * each device's queued structure transfers serialize on its own DMA
  * path while devices overlap (pendingHostSec_); the online loop
  * instead admits every arrival on the host's single admission thread,
- * so there structure transfers serialize globally (see
- * OnlineServer::runSharded).
+ * so there structure transfers serialize globally (see OnlineServer's
+ * GroupDevices in online.cc).
  *
  * Compute parallelizes the same way: each device runs its own
  * StreamScheduler (own driver thread, own streams) on the shared
@@ -108,7 +108,7 @@ struct ShardBatch
     /** Halo bytes owed per owner shard: (owner, bytes) pairs. Only
      *  surviving owners appear; rows owned by failed shards fall back
      *  to the host store (hostFallbackBytes). */
-    std::vector<std::pair<int, double>> haloBytesByOwner;
+    std::vector<std::pair<int, double>> haloBytesByOwner{};
     /** Output bytes to all-gather onto device 0 (0 when home is 0). */
     double gatherBytes = 0.0;
     /** Halo rows whose owner shard has failed, re-gathered from the
@@ -292,6 +292,12 @@ class ShardedSession
     /** One cached-plan lookup through the shared PlanCompiler. */
     std::shared_ptr<const core::CompiledModel> compiledPlan();
     int homeShard(const graph::Minibatch &mb) const;
+    /** Affinity x headroom pick for @p mb among alive devices (with
+     *  @p use_avoid, those the breaker mask leaves open), scoring
+     *  (owned vertices + 1) x (@p cap - queue length in @p loads). */
+    int pickShard(const graph::Minibatch &mb,
+                  const std::vector<std::vector<Request>> &loads,
+                  std::int64_t cap, bool use_avoid) const;
     SubmitInfo enqueue(int home, graph::Minibatch mb,
                        tensor::Tensor feature, double submit_sec);
     /**

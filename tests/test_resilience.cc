@@ -20,6 +20,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -747,6 +748,66 @@ TEST(ResilienceUnderFaults, QuarantineRetriesAreThreadDeterministic)
         EXPECT_EQ(got.rep.requestsRerouted, ref.rep.requestsRerouted);
         EXPECT_EQ(got.rep.breakerOpens, ref.rep.breakerOpens);
     }
+}
+
+/** maxRetries = 0: a mid-run device failure fails every request it
+ *  re-routes, each leaves its destination queue, and every request
+ *  that is still served keeps the fault-free run's output bits. */
+TEST(ResilienceUnderFaults, RetryExhaustionFailsEveryRerouted)
+{
+    graph::HeteroGraph g = servingGraph();
+    const Tensor features = hostFeatures(g, 8, 3);
+
+    serve::OnlineConfig cfg = baseConfig(64, 100000.0);
+    cfg.serving.resilience.enabled = true;
+    cfg.serving.resilience.maxRetries = 0;
+    cfg.retainResults = true;
+
+    // Fault-free oracle; it also anchors the failure instant mid-run.
+    sim::DeviceGroup oracle_group(4);
+    serve::OnlineServer oracle(g, features, models::kRgatSource, cfg,
+                               oracle_group);
+    const double start = oracle_group.nowSec();
+    oracle.run();
+    const double t_fail = start + 0.5 * (oracle_group.nowSec() - start);
+
+    sim::FaultSchedule sched;
+    sched.events.push_back({sim::FaultKind::DeviceFailure, 3, t_fail, 1});
+    sim::FaultInjector fi(sched);
+    sim::DeviceGroup group(4);
+    group.setFaultInjector(&fi);
+    serve::OnlineServer server(g, features, models::kRgatSource, cfg,
+                               group);
+    const serve::OnlineReport rep = server.run();
+
+    EXPECT_EQ(rep.devicesFailed, 1);
+    EXPECT_GT(rep.requestsRerouted, 0u)
+        << "the failure must strike a device with queued work";
+    EXPECT_EQ(rep.requestsFailed, rep.requestsRerouted)
+        << "with no retry budget every re-routed request fails";
+    EXPECT_EQ(rep.requestsRetried, 0u);
+    EXPECT_EQ(server.sharded().queued(), 0u)
+        << "a failed request must leave its destination queue";
+    EXPECT_EQ(rep.requests + rep.requestsShed + rep.requestsTimedOut +
+                  rep.requestsFailed,
+              cfg.numRequests)
+        << "offered arrivals must partition exactly";
+
+    std::size_t compared = 0;
+    for (std::uint64_t id = 1; id <= cfg.numRequests; ++id) {
+        const Tensor *got = server.sharded().result(id);
+        if (!got)
+            continue; // failed after the re-route
+        const Tensor *want = oracle.sharded().result(id);
+        ASSERT_NE(want, nullptr) << "id " << id;
+        ASSERT_EQ(got->shape(), want->shape()) << "id " << id;
+        EXPECT_EQ(std::memcmp(got->data(), want->data(),
+                              got->numel() * sizeof(float)),
+                  0)
+            << "id " << id;
+        ++compared;
+    }
+    EXPECT_EQ(compared, rep.requests);
 }
 
 } // namespace
