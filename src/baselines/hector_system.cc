@@ -79,6 +79,8 @@ class HectorSystemImpl : public System
             WeightMap grads;
             ctx.weights = &weights;
             ctx.weightGrads = &grads;
+            // The product's allocator: the compiled plan's packed arena.
+            ctx.adoptPlan(&compiled.memoryPlan);
             try {
                 if (training) {
                     res.output = core::trainStep(compiled, ctx, feature);

@@ -66,8 +66,9 @@ struct CompiledModel
     PassStats passStats;
     GeneratedCode code;
     /**
-     * Arena memory plan over the lowered functions (slot assignments
-     * stamped into the instances). Adopted opt-in per
+     * Arena memory plan over the lowered functions (slot indices
+     * stamped into the instances, packed per bound graph). Adopted
+     * opt-in per
      * ExecutionContext (ExecutionContext::adoptPlan): the serving
      * runtime pools arena-backed contexts across requests, while
      * contexts that never adopt keep the legacy allocate-on-first-use

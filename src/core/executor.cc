@@ -58,8 +58,8 @@ ExecutionContext::adoptPlan(const MemoryPlan *plan)
 {
     if (plan_ != plan) {
         plan_ = plan;
+        layoutValid_ = false;
         const std::size_t n = plan_ ? plan_->slots.size() : 0;
-        arenaBufs_.assign(n, Tensor());
         slotViews_.assign(n, Tensor());
         slotBound_.assign(n, 0);
     }
@@ -81,23 +81,63 @@ ExecutionContext::reset(const graph::HeteroGraph *graph,
     std::fill(slotViews_.begin(), slotViews_.end(), Tensor());
 }
 
+const ArenaLayout &
+ExecutionContext::layout()
+{
+    const ArenaRows rows{g->numNodes(), g->numEdges(),
+                         cmap ? cmap->numUnique() : 0};
+    if (!layoutValid_ || !(layout_.rows == rows)) {
+        layout_ = plan_->pack(rows);
+        layoutValid_ = true;
+    }
+    return layout_;
+}
+
+namespace
+{
+
+/** Grow @p buf to hold @p bytes: release, then allocate, so the memory
+ *  tracker never counts the old and the new buffer at once. */
+Tensor &
+growTo(Tensor &buf, std::size_t bytes)
+{
+    const std::size_t n = bytes / sizeof(float);
+    // !defined() matters for the zero-row case: an empty-graph slot
+    // needs 0 elements, but a view still needs backing storage.
+    if (!buf.defined() || buf.capacity() < n) {
+        buf = Tensor();
+        buf = Tensor({static_cast<std::int64_t>(n)});
+    }
+    return buf;
+}
+
+} // namespace
+
 Tensor &
 ExecutionContext::materializeSlot(int slot)
 {
     const MemoryPlan::Slot &s =
         plan_->slots[static_cast<std::size_t>(slot)];
-    if (s.external)
+    if (s.backing == MemoryPlan::Backing::External)
         throw std::runtime_error(
             "materializeSlot: external slot must be bound by the caller");
     const std::int64_t rows = rowsOf(s.rows);
     const std::size_t needed =
         static_cast<std::size_t>(rows) * static_cast<std::size_t>(s.cols);
-    Tensor &buf = arenaBufs_[static_cast<std::size_t>(slot)];
-    // !defined() matters for the zero-row case: an empty-graph slot
-    // needs 0 elements, but a view still needs backing storage.
-    if (!buf.defined() || buf.capacity() < needed)
-        buf = Tensor({rows, s.cols});
-    Tensor view = buf.viewPrefix({rows, s.cols});
+    Tensor view;
+    if (s.backing == MemoryPlan::Backing::Own) {
+        view = growTo(ownBuf_, needed * sizeof(float))
+                   .viewAt(0, {rows, s.cols});
+    } else {
+        const ArenaLayout &lay = layout();
+        const std::size_t off = lay.offset[static_cast<std::size_t>(slot)];
+        const bool past = off >= lay.forwardBytes && needed != 0;
+        const std::size_t base = past ? lay.forwardBytes : 0;
+        Tensor &region = growTo(regions_[past ? 1 : 0],
+                                past ? lay.totalBytes - lay.forwardBytes
+                                     : lay.forwardBytes);
+        view = region.viewAt((off - base) / sizeof(float), {rows, s.cols});
+    }
     if (needed != 0)
         std::memset(view.data(), 0, needed * sizeof(float));
     slotViews_[static_cast<std::size_t>(slot)] = std::move(view);
@@ -112,7 +152,8 @@ ExecutionContext::slotTensor(int slot)
         static_cast<std::size_t>(slot) >= slotViews_.size())
         throw std::logic_error("slotTensor: no such slot");
     if (!slotBound_[static_cast<std::size_t>(slot)]) {
-        if (plan_->slots[static_cast<std::size_t>(slot)].external)
+        if (plan_->slots[static_cast<std::size_t>(slot)].backing ==
+            MemoryPlan::Backing::External)
             throw std::runtime_error(
                 "slotTensor: external input was never bound");
         return materializeSlot(slot);

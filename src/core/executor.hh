@@ -13,7 +13,7 @@
  * over the util::ThreadPool wherever every output row has exactly one
  * owning thread, keeping results bit-identical to the sequential
  * reference at any thread count. When a MemoryPlan is adopted, the
- * context backs variables with pooled arena slot buffers (reused
+ * context backs variables with byte ranges of a pooled arena (reused
  * across requests, re-zeroed per live range) and instances resolve
  * operands through stamped slot indices instead of string-keyed maps;
  * without a plan the context behaves exactly like the seed
@@ -75,22 +75,26 @@ struct ExecutionContext
     std::int64_t rowsOf(SlotRows r) const;
 
     /**
-     * Adopt (or drop, with nullptr) an arena memory plan. Pooled slot
-     * buffers survive re-adoption of the same plan across requests;
-     * adopting a different plan resizes the pool. The plan must
-     * outlive the context's use of it (it lives in the CompiledModel,
-     * which the serving PlanCache keeps alive).
+     * Adopt (or drop, with nullptr) an arena memory plan. The pooled
+     * arena survives re-adoption and plan changes alike; it is packed
+     * for the bound graph on first use (MemoryPlan::pack, cached per
+     * node/edge/pair count triple). The plan must outlive the
+     * context's use of it (it lives in the CompiledModel, which the
+     * serving PlanCache keeps alive).
      */
     void adoptPlan(const MemoryPlan *plan);
 
     const MemoryPlan *plan() const { return plan_; }
 
+    /** The adopted plan's packing for the bound graph. */
+    const ArenaLayout &layout();
+
     /**
      * Rebind the context to a new request: swap the graph/runtime/
      * weight pointers, drop all per-request state (named tensors,
      * slot views and their zero-initialization marks) but KEEP the
-     * pooled arena buffers — the whole point of pooling contexts in
-     * the serving sessions.
+     * pooled arena — the whole point of pooling contexts in the
+     * serving sessions.
      */
     void reset(const graph::HeteroGraph *g, const graph::CompactionMap *cm,
                sim::Runtime *rt, std::map<std::string, tensor::Tensor> *w,
@@ -104,8 +108,10 @@ struct ExecutionContext
     tensor::Tensor &slotTensor(int slot);
 
     /**
-     * Size slot @p slot for the bound graph, (re)using the pooled
-     * buffer when its capacity suffices, and zero its contents.
+     * View slot @p slot at its packed offset for the bound graph and
+     * zero it. The arena region (or, for the output, its own buffer)
+     * it lies in grows first when too small: the old buffer is
+     * released before the new one is allocated.
      */
     tensor::Tensor &materializeSlot(int slot);
 
@@ -131,9 +137,14 @@ struct ExecutionContext
 
   private:
     const MemoryPlan *plan_ = nullptr;
-    /** Pooled high-water buffers, one per plan slot. */
-    std::vector<tensor::Tensor> arenaBufs_;
-    /** Per-request views into the buffers (or external aliases). */
+    /** plan_->pack() for layout_.rows; stale when !layoutValid_. */
+    ArenaLayout layout_;
+    bool layoutValid_ = false;
+    /** Pooled arena: the forward region and the bytes past it. */
+    tensor::Tensor regions_[2];
+    /** Pooled buffer of the Own-backed output slot. */
+    tensor::Tensor ownBuf_;
+    /** Per-request views into the arena (or external aliases). */
     std::vector<tensor::Tensor> slotViews_;
     std::vector<std::uint8_t> slotBound_;
 };

@@ -445,12 +445,12 @@ struct LoweredFunction
 
     /**
      * Arena slots to materialize-and-zero before each step (parallel
-     * to `order`), filled by the memory planner. A slot appears at the
-     * first use of *each* variable assigned to it, which both gives a
-     * freshly-ensured variable the zero contents the executor's
-     * allocate-on-first-use path used to guarantee and re-initializes
-     * slots reused across disjoint live ranges. Empty when no plan
-     * was computed (hand-built lowered functions).
+     * to `order`), filled by the memory planner. A slot appears at its
+     * variable's first use, which both gives a freshly-ensured
+     * variable the zero contents the executor's allocate-on-first-use
+     * path used to guarantee and re-initializes arena bytes an earlier,
+     * dead variable held. Empty when no plan was computed (hand-built
+     * lowered functions).
      */
     std::vector<std::vector<std::int32_t>> zeroSlotsBefore;
 
@@ -467,7 +467,7 @@ struct LoweredFunction
      * a split edge loop) and step i - 1 is the traversal it folds
      * into. The executor runs the two steps, or their merged walk in
      * place of both, by price; the memory planner keeps the two steps
-     * one liveness unit, so no arena slot is shared across them.
+     * one liveness unit, so no arena byte is shared across them.
      */
     bool
     foldsIntoPrevious(std::size_t i) const

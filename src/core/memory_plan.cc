@@ -22,6 +22,97 @@ toString(SlotRows r)
     return "?";
 }
 
+std::int64_t
+ArenaRows::of(SlotRows r) const
+{
+    switch (r) {
+      case SlotRows::Nodes:
+        return nodes;
+      case SlotRows::Edges:
+        return edges;
+      case SlotRows::UniquePairs:
+        return pairs;
+    }
+    throw std::logic_error("ArenaRows::of: invalid SlotRows enum value");
+}
+
+int
+MemoryPlan::slotOf(const std::string &name) const
+{
+    auto it = index_.find(name);
+    return it == index_.end() ? -1 : it->second;
+}
+
+ArenaLayout
+MemoryPlan::pack(const ArenaRows &rows) const
+{
+    ArenaLayout lay;
+    lay.rows = rows;
+    lay.offset.assign(slots.size(), 0);
+
+    // Arena slots of one pass, largest first (ties: earlier first use,
+    // then slot order), each placed at the lowest offset whose bytes no
+    // placed slot with an overlapping live range holds.
+    std::vector<int> placed;
+    auto packPass = [&](bool backward) {
+        std::vector<int> order;
+        for (std::size_t i = 0; i < slots.size(); ++i)
+            if (slots[i].backing == Backing::Arena &&
+                (slots[i].firstUse >= forwardSteps) == backward)
+                order.push_back(static_cast<int>(i));
+        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+            const std::size_t sa = slots[a].bytes(rows);
+            const std::size_t sb = slots[b].bytes(rows);
+            if (sa != sb)
+                return sa > sb;
+            return slots[a].firstUse < slots[b].firstUse;
+        });
+        for (int i : order) {
+            const Slot &s = slots[static_cast<std::size_t>(i)];
+            const std::size_t size = s.bytes(rows);
+            // Byte ranges of placed slots live at the same time as s.
+            std::vector<std::pair<std::size_t, std::size_t>> busy;
+            for (int j : placed) {
+                const Slot &o = slots[static_cast<std::size_t>(j)];
+                const std::size_t lo = lay.offset[static_cast<std::size_t>(j)];
+                if (s.overlaps(o) && o.bytes(rows) != 0)
+                    busy.emplace_back(lo, lo + o.bytes(rows));
+            }
+            std::sort(busy.begin(), busy.end());
+            // A backward slot lies wholly inside the forward region or
+            // wholly past it, so the two regions can be backed (and
+            // grown) separately.
+            std::size_t off = 0;
+            auto clearOfRegionEnd = [&]() {
+                if (backward && off < lay.forwardBytes &&
+                    off + size > lay.forwardBytes)
+                    off = lay.forwardBytes;
+            };
+            clearOfRegionEnd();
+            for (const auto &[lo, hi] : busy) {
+                if (lo >= off + size)
+                    break;
+                if (hi > off) {
+                    off = hi;
+                    clearOfRegionEnd();
+                }
+            }
+            lay.offset[static_cast<std::size_t>(i)] = off;
+            placed.push_back(i);
+            lay.totalBytes = std::max(lay.totalBytes, off + size);
+        }
+        if (!backward)
+            lay.forwardBytes = lay.totalBytes;
+    };
+    packPass(false);
+    packPass(true);
+
+    for (const Slot &s : slots)
+        if (s.backing == Backing::Own)
+            lay.ownBytes += s.bytes(rows);
+    return lay;
+}
+
 namespace
 {
 
@@ -129,119 +220,73 @@ planMemory(const Program &fwd, LoweredFunction &fwdFn, const Program *bwd,
         collectRefs(*bwd, *bwdFn, bwd_refs);
     const std::size_t n_fwd = fwd_refs.size();
     const std::size_t n_total = n_fwd + bwd_refs.size();
+    plan.forwardSteps = static_cast<int>(n_fwd);
 
     auto refsAt = [&](std::size_t i) -> const std::vector<std::string> & {
         return i < n_fwd ? fwd_refs[i] : bwd_refs[i - n_fwd];
     };
     auto infoOf = [&](const std::string &name) -> const VarInfo & {
-        // Prefer the program that owns the instruction space the var
-        // first appears in; variable names are unique across the pair
-        // except for forward intermediates the backward also declares
-        // with identical info.
+        // Variable names are unique across the pair except for forward
+        // intermediates the backward also declares with identical info.
         auto it = fwd.vars.find(name);
         if (it != fwd.vars.end())
             return it->second;
         return bwd->varInfo(name);
     };
 
-    // Liveness: first and last instruction referencing each variable.
+    // Liveness: one slot per variable, in first-use order, spanning the
+    // first and last instruction that references it.
     for (std::size_t i = 0; i < n_total; ++i) {
         for (const auto &name : refsAt(i)) {
-            auto [it, inserted] = plan.vars.try_emplace(name);
-            if (inserted)
-                it->second.firstUse = static_cast<int>(i);
-            it->second.lastUse = static_cast<int>(i);
+            auto [it, inserted] = plan.index_.try_emplace(
+                name, static_cast<int>(plan.slots.size()));
+            if (inserted) {
+                const VarInfo &vi = infoOf(name);
+                MemoryPlan::Slot s;
+                s.var = name;
+                s.rows = rowsClassOf(vi);
+                s.cols = vi.cols;
+                s.firstUse = static_cast<int>(i);
+                plan.slots.push_back(std::move(s));
+            }
+            plan.slots[static_cast<std::size_t>(it->second)].lastUse =
+                static_cast<int>(i);
         }
     }
 
-    // External inputs are bound by the caller and never arena-backed;
-    // pinned variables are read by the caller after execution and
-    // never share.
-    auto markExternal = [&](const std::string &name) {
-        auto it = plan.vars.find(name);
-        if (it != plan.vars.end())
-            it->second.external = true;
+    // External inputs are bound by the caller. The caller reads the
+    // output and the input-feature gradient after execution: the
+    // output keeps a buffer of its own, the gradient stays live to the
+    // end.
+    auto slotNamed = [&](const std::string &name) -> MemoryPlan::Slot * {
+        const int i = plan.slotOf(name);
+        return i < 0 ? nullptr : &plan.slots[static_cast<std::size_t>(i)];
     };
-    auto markPinned = [&](const std::string &name) {
-        auto it = plan.vars.find(name);
-        if (it != plan.vars.end())
-            it->second.pinned = true;
-    };
-    markExternal(fwd.inputVar);
-    markExternal("norm");
-    markPinned(fwd.outputVar);
-    if (bwd) {
-        markExternal(gradOf(fwd.outputVar));
-        markPinned(gradOf(fwd.inputVar));
-        // Gradients of weights-adjacent node data read by optimizers /
-        // tests after the step: keep every gradient variable pinned so
-        // nothing the caller may inspect is recycled mid-execution of
-        // a later request... gradients die with the context instead.
-        for (const auto &[name, vi] : bwd->vars) {
-            (void)vi;
-            if (name.size() > 5 &&
-                name.compare(name.size() - 5, 5, "_grad") == 0)
-                markPinned(name);
-        }
-    }
+    for (const std::string &name :
+         {fwd.inputVar, std::string("norm"),
+          bwd ? gradOf(fwd.outputVar) : std::string()})
+        if (MemoryPlan::Slot *s = slotNamed(name))
+            s->backing = MemoryPlan::Backing::External;
+    if (MemoryPlan::Slot *s = slotNamed(fwd.outputVar))
+        s->backing = MemoryPlan::Backing::Own;
+    if (bwd)
+        if (MemoryPlan::Slot *s = slotNamed(gradOf(fwd.inputVar)))
+            s->lastUse = static_cast<int>(n_total) - 1;
 
-    // Linear-scan slot assignment with per-(rows, cols) free lists.
-    std::map<std::pair<int, std::int64_t>, std::vector<int>> free_slots;
-    auto newSlot = [&](SlotRows rows, std::int64_t cols, bool external) {
-        plan.slots.push_back({rows, cols, external});
-        return static_cast<int>(plan.slots.size() - 1);
-    };
-    for (std::size_t i = 0; i < n_total; ++i) {
-        for (const auto &name : refsAt(i)) {
-            MemoryPlan::VarPlan &vp = plan.vars.at(name);
-            if (vp.slot >= 0)
-                continue;
-            const VarInfo &vi = infoOf(name);
-            const SlotRows rows = rowsClassOf(vi);
-            if (vp.external || vp.pinned) {
-                vp.slot = newSlot(rows, vi.cols, vp.external);
-                continue;
-            }
-            const auto key = std::make_pair(static_cast<int>(rows),
-                                            vi.cols);
-            auto fit = free_slots.find(key);
-            if (fit != free_slots.end() && !fit->second.empty()) {
-                vp.slot = fit->second.back();
-                fit->second.pop_back();
-            } else {
-                vp.slot = newSlot(rows, vi.cols, false);
-            }
-        }
-        for (const auto &name : refsAt(i)) {
-            const MemoryPlan::VarPlan &vp = plan.vars.at(name);
-            if (vp.external || vp.pinned)
-                continue;
-            if (vp.lastUse == static_cast<int>(i)) {
-                const MemoryPlan::Slot &s =
-                    plan.slots[static_cast<std::size_t>(vp.slot)];
-                free_slots[{static_cast<int>(s.rows), s.cols}].push_back(
-                    vp.slot);
-            }
-        }
-    }
-
-    // Zero-initialization lists: every non-external variable's slot is
-    // zeroed at the variable's first use, reproducing the fresh-zero
-    // guarantee of allocate-on-first-use and re-initializing slots
-    // reused across disjoint live ranges.
+    // Zero-initialization lists: every non-external slot is zeroed at
+    // its first use, reproducing the fresh-zero guarantee of
+    // allocate-on-first-use over arena bytes other variables held.
     fwdFn.zeroSlotsBefore.assign(fwdFn.order.size(), {});
     if (bwdFn)
         bwdFn->zeroSlotsBefore.assign(bwdFn->order.size(), {});
-    for (const auto &[name, vp] : plan.vars) {
-        if (vp.external)
+    for (std::size_t k = 0; k < plan.slots.size(); ++k) {
+        const MemoryPlan::Slot &s = plan.slots[k];
+        if (s.backing == MemoryPlan::Backing::External)
             continue;
-        const auto i = static_cast<std::size_t>(vp.firstUse);
-        if (i < n_fwd)
-            fwdFn.zeroSlotsBefore[i].push_back(
-                static_cast<std::int32_t>(vp.slot));
-        else
-            bwdFn->zeroSlotsBefore[i - n_fwd].push_back(
-                static_cast<std::int32_t>(vp.slot));
+        const auto i = static_cast<std::size_t>(s.firstUse);
+        auto &list = i < n_fwd ? fwdFn.zeroSlotsBefore[i]
+                               : bwdFn->zeroSlotsBefore[i - n_fwd];
+        list.push_back(static_cast<std::int32_t>(k));
     }
 
     stampFunction(fwd, fwdFn, plan);

@@ -339,8 +339,9 @@ PlanCompiler::compile(const PlanKey &key, const Tensor &host_features,
     out.plan = std::move(plan);
     out.scheduleKey = scheduleKey_;
 
-    // Modeled resident cost: generated plan text + arena slots sized
-    // for a nominal maximal micro-batch + this variant's weights,
+    // Modeled resident cost: generated plan text + the arena packed
+    // for a nominal maximal micro-batch (its unique pairs bounded by
+    // its edges) + the output buffer + this variant's weights,
     // plus the dlopened JIT artifact when one is attached.
     std::size_t bytes = out.plan->code.cudaSource.size() +
                         out.plan->code.hostSource.size() +
@@ -358,12 +359,8 @@ PlanCompiler::compile(const PlanKey &key, const Tensor &host_features,
         static_cast<std::int64_t>(cfg_.maxBatch) * cfg_.sample.numSeeds *
             cfg_.sample.fanout *
             std::max(1, g_->numEdgeTypes()));
-    for (const core::MemoryPlan::Slot &slot : out.plan->memoryPlan.slots) {
-        const std::int64_t rows =
-            slot.rows == core::SlotRows::Nodes ? nodes : edges;
-        bytes += static_cast<std::size_t>(rows) *
-                 static_cast<std::size_t>(slot.cols) * sizeof(float);
-    }
+    bytes += out.plan->memoryPlan.pack({nodes, edges, edges})
+                 .residentBytes();
     for (const auto &[name, w] : weights)
         bytes += w.bytes();
     out.costBytes = bytes;

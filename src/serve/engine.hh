@@ -18,7 +18,7 @@
  * Two policies ride on the registry:
  *
  *  - bounded plan memory: each cached plan is priced at its modeled
- *    resident cost (generated plan + arena slots + variant weights)
+ *    resident cost (generated plan + packed arena + variant weights)
  *    and the cache evicts least-recently-used unpinned plans past the
  *    byte budget (PlanCache); evicted variants recompile
  *    deterministically on their next request, counted separately from
@@ -445,7 +445,7 @@ guardBatch(sim::FaultInjector *fi, int device, double t_sec,
  * representative sampled subgraph (memoized, so an evicted plan
  * recompiles to the identical schedule without re-tuning), compiles
  * with the effective schedule, and prices the plan's modeled resident
- * cost (generated plan + arena slot + weight bytes) for the bounded
+ * cost (generated plan + packed arena + weight bytes) for the bounded
  * PlanCache.
  */
 class PlanCompiler
@@ -639,7 +639,7 @@ class Engine
         ServingConfig cfg;
         models::WeightMap weights;
         std::mt19937_64 rng;
-        /** Pooled execution context: arena slot buffers survive
+        /** Pooled execution context: arena buffers survive
          *  across cycles, so steady-state serving never allocates. */
         core::ExecutionContext ctx;
         models::WeightMap grads;

@@ -970,7 +970,15 @@ OnlineServer::run()
             const std::deque<QueuedArrival> &q = lanes[i].queued;
             views[i].queueDepth = q.size();
             views[i].headArrivalSec = q.empty() ? 0.0 : q.front().arrivalSec;
-            views[i].moreArrivals = !arrivals[lanes[i].feed].gen.done();
+            // Admission sheds once the lane's process reaches its queue
+            // bound, so only arrivals below it can still grow the lane.
+            const Arrivals &feed = arrivals[lanes[i].feed];
+            const LaneSpec &spec = policy->lane(
+                feed.lane >= 0 ? static_cast<std::size_t>(feed.lane) : 0);
+            const bool at_bound = spec.shed != ShedMode::None &&
+                                  spec.maxQueueDepth > 0 &&
+                                  backlog(feed) >= spec.maxQueueDepth;
+            views[i].moreArrivals = !feed.gen.done() && !at_bound;
             // An open breaker blocks the lane, and so does a head still
             // inside its retry-backoff hold.
             views[i].blocked =
@@ -1063,16 +1071,20 @@ OnlineServer::run()
         rep.peakLaneQueueDepth = std::max(rep.peakLaneQueueDepth, depth);
 
         if (resil) {
-            // Brownout pressure: the largest process backlog against
-            // the largest queue bound. A group's one process counts its
-            // total backlog: a per-lane max would never cross the
-            // watermark once the bound spreads across devices.
+            // Brownout pressure: the largest process backlog relative
+            // to that process's own queue bound, so one tenant's bound
+            // never decides whether another's overload browns out. A
+            // group's one process counts its total backlog: a per-lane
+            // max would never cross the watermark once the bound
+            // spreads across devices.
             std::size_t pressure = 0;
             std::size_t bound = 0;
-            for (const Arrivals &p : arrivals) {
-                pressure = std::max(pressure, backlog(p));
-                bound = std::max(bound, p.bound);
-            }
+            for (const Arrivals &p : arrivals)
+                if (p.bound > 0 &&
+                    (bound == 0 || backlog(p) * bound > pressure * p.bound)) {
+                    pressure = backlog(p);
+                    bound = p.bound;
+                }
             resil->tickBrownout(pressure, bound, now);
             dev.setDuplicationScale(resil->duplicationScale());
         }

@@ -14,7 +14,7 @@
  *
  * Multi-tenant serving (serve::Engine) keeps many plans resident at
  * once, so the cache is byte-budgeted: every entry carries a modeled
- * resident cost (generated plan + arena slots + variant weights, as
+ * resident cost (generated plan + packed arena + variant weights, as
  * priced by the caller's CompileFn) and, when a budget is set,
  * least-recently-used unpinned entries are evicted until the resident
  * total fits. A plan is pinned while in flight — the cache never drops

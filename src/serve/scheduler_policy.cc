@@ -166,7 +166,9 @@ namespace
 
 /**
  * Wait-to-fill fixed batching: a lane becomes eligible once its queue
- * reaches fixedBatch (or its arrivals ran out); eligible lanes are
+ * reaches fixedBatch, or once arrivals can no longer grow it (they ran
+ * out, or admission holds its backlog at the queue bound); eligible
+ * lanes are
  * ordered EDF exactly like the adaptive policy, so the two differ only
  * in batch sizing.
  */

@@ -136,7 +136,8 @@ struct LaneView
     std::size_t queueDepth = 0;
     /** Oldest queued arrival time; meaningful when queueDepth > 0. */
     double headArrivalSec = 0.0;
-    /** The lane's arrival process has arrivals left. */
+    /** Arrivals can still grow the lane: its arrival process has
+     *  arrivals left and its backlog is below the admission bound. */
     bool moreArrivals = true;
     /** The resilience layer blocks this lane (open circuit breaker or
      *  backoff-held head); built-in policies skip blocked lanes. */

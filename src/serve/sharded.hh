@@ -328,7 +328,7 @@ class ShardedSession
     models::WeightMap weights_;
     std::mt19937_64 rng_;
 
-    /** Pooled per-device execution contexts: each device's arena slot
+    /** Pooled per-device execution contexts: each device's arena
      *  buffers survive across cycles (zero steady-state allocation),
      *  and its tracked memory stays on its own runtime. */
     std::vector<core::ExecutionContext> execCtxs_;

@@ -141,8 +141,8 @@ class Tensor
     {
         if (!storage_)
             return 0;
-        // Shape-derived so a view over a larger arena buffer (see
-        // viewPrefix) reports its logical element count, not the
+        // Shape-derived so a view into a larger arena buffer (see
+        // viewAt) reports its logical element count, not the
         // backing capacity. For ordinarily constructed tensors the two
         // are identical.
         std::size_t n = 1;
@@ -151,17 +151,22 @@ class Tensor
         return n;
     }
 
-    /** Elements the backing storage can hold (>= numel for views). */
+    /** Elements the backing storage holds from this tensor's first
+     *  element on (>= numel for views). */
     std::size_t
     capacity() const
     {
-        return storage_ ? storage_->size() : 0;
+        return storage_ ? storage_->size() - offset_ : 0;
     }
 
     std::size_t bytes() const { return numel() * sizeof(float); }
 
-    float *data() { return storage_ ? storage_->data() : nullptr; }
-    const float *data() const { return storage_ ? storage_->data() : nullptr; }
+    float *data() { return storage_ ? storage_->data() + offset_ : nullptr; }
+    const float *
+    data() const
+    {
+        return storage_ ? storage_->data() + offset_ : nullptr;
+    }
 
     float &
     at(std::int64_t i)
@@ -244,29 +249,32 @@ class Tensor
         checkThat(n == numel(), "reshape changes element count");
         Tensor t;
         t.storage_ = storage_;
+        t.offset_ = offset_;
         t.shape_ = std::move(shape);
         return t;
     }
 
     /**
-     * Shares the first product(shape) elements of this tensor's
-     * storage under a new shape. Unlike reshape(), the view may be
-     * *smaller* than the backing storage — this is how the executor's
-     * arena hands out per-request tensors from pooled high-water
-     * buffers without reallocating.
+     * Shares elements [offset, offset + product(shape)) of this
+     * tensor's storage under a new shape. Unlike reshape(), the view
+     * may cover only part of the backing storage — this is how the
+     * executor's arena hands out per-request tensors at packed offsets
+     * of pooled buffers without reallocating.
      */
     Tensor
-    viewPrefix(std::vector<std::int64_t> shape) const
+    viewAt(std::size_t offset, std::vector<std::int64_t> shape) const
     {
         std::size_t n = 1;
         for (std::int64_t d : shape) {
-            checkThat(d >= 0, "viewPrefix: negative dimension");
+            checkThat(d >= 0, "viewAt: negative dimension");
             n *= static_cast<std::size_t>(d);
         }
-        checkThat(storage_ != nullptr && n <= storage_->size(),
-                  "viewPrefix exceeds storage capacity");
+        checkThat(storage_ != nullptr &&
+                      offset_ + offset + n <= storage_->size(),
+                  "viewAt exceeds storage capacity");
         Tensor t;
         t.storage_ = storage_;
+        t.offset_ = offset_ + offset;
         t.shape_ = std::move(shape);
         return t;
     }
@@ -281,6 +289,8 @@ class Tensor
 
   private:
     std::shared_ptr<Storage> storage_;
+    /** First element of this tensor in storage_ (views). */
+    std::size_t offset_ = 0;
     std::vector<std::int64_t> shape_;
 };
 

@@ -1,10 +1,13 @@
 /**
  * @file
- * Arena memory-planner tests: liveness/slot-assignment invariants
- * (overlapping live ranges never share a slot, disjoint same-shape
- * ranges do), external/pinned handling, pooled execution contexts
- * fully reinitialized between requests, the hardened rowsOf, and the
- * zero-row (empty-graph) path through the arena.
+ * Arena memory-planner tests: liveness covers every reference,
+ * packing invariants (overlapping live ranges never share a byte,
+ * disjoint ones may; the forward region is the forward slots packed
+ * alone), external/pinned handling, the tracker footprint of a
+ * forward-only run and of a pooled context re-packed for a larger
+ * block, pooled execution contexts fully reinitialized between
+ * requests, the hardened rowsOf, and the zero-row (empty-graph) path
+ * through the arena.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +18,7 @@
 #include "core/compiler.hh"
 #include "core/memory_plan.hh"
 #include "graph/datasets.hh"
+#include "graph/sampler.hh"
 #include "models/models.hh"
 #include "models/model_sources.hh"
 #include "serve/session.hh"
@@ -66,45 +70,50 @@ compileChain(std::int64_t cols)
     return compile(chainProgram(cols), opts);
 }
 
-TEST(MemoryPlan, DisjointLiveRangesShareASlot)
+/** The packed byte range of arena slot @p i. */
+std::pair<std::size_t, std::size_t>
+bytesOf(const MemoryPlan &plan, const ArenaLayout &lay, int i)
 {
-    const CompiledModel m = compileChain(8);
-    const MemoryPlan &plan = m.memoryPlan;
-    ASSERT_GE(plan.slotOf("t1"), 0);
-    ASSERT_GE(plan.slotOf("t2"), 0);
-    ASSERT_GE(plan.slotOf("t3"), 0);
-    // t1 is last read when t3 is produced... t1's last use is the
-    // loop producing t2, so the loop producing t3 can recycle it.
-    EXPECT_EQ(plan.slotOf("t1"), plan.slotOf("t3"))
-        << "disjoint same-shape live ranges must share";
-    EXPECT_LT(plan.slots.size(), plan.vars.size())
-        << "the arena must be smaller than one-buffer-per-variable";
+    const std::size_t lo = lay.offset[static_cast<std::size_t>(i)];
+    return {lo, lo + plan.slots[static_cast<std::size_t>(i)].bytes(lay.rows)};
 }
 
-TEST(MemoryPlan, OverlappingLiveRangesNeverShare)
+bool
+shareBytes(const MemoryPlan &plan, const ArenaLayout &lay, int a, int b)
+{
+    const auto [alo, ahi] = bytesOf(plan, lay, a);
+    const auto [blo, bhi] = bytesOf(plan, lay, b);
+    return alo < ahi && blo < bhi && alo < bhi && blo < ahi;
+}
+
+TEST(MemoryPlan, DisjointLiveRangesShareBytes)
 {
     const CompiledModel m = compileChain(8);
     const MemoryPlan &plan = m.memoryPlan;
-    // Pairwise invariant over the recorded liveness.
-    for (const auto &[na, va] : plan.vars)
-        for (const auto &[nb, vb] : plan.vars) {
-            if (na == nb || va.slot != vb.slot)
-                continue;
-            const bool disjoint =
-                va.lastUse < vb.firstUse || vb.lastUse < va.firstUse;
-            EXPECT_TRUE(disjoint)
-                << na << " and " << nb << " overlap in slot " << va.slot;
-        }
-    // The adjacent chain links overlap by construction.
-    EXPECT_NE(plan.slotOf("t1"), plan.slotOf("t2"));
-    EXPECT_NE(plan.slotOf("t2"), plan.slotOf("t3"));
+    const int t1 = plan.slotOf("t1");
+    const int t2 = plan.slotOf("t2");
+    const int t3 = plan.slotOf("t3");
+    ASSERT_GE(t1, 0);
+    ASSERT_GE(t2, 0);
+    ASSERT_GE(t3, 0);
+    // t1's last use is the loop producing t2, so the loop producing t3
+    // can recycle its bytes.
+    const ArenaLayout lay = plan.pack({4, 10, 10});
+    EXPECT_TRUE(shareBytes(plan, lay, t1, t3))
+        << "disjoint live ranges must share";
+    EXPECT_FALSE(shareBytes(plan, lay, t1, t2));
+    EXPECT_FALSE(shareBytes(plan, lay, t2, t3));
+    // t4 is the output, in a buffer of its own: the arena holds two
+    // live edge rows at a time.
+    EXPECT_EQ(lay.totalBytes, 2u * 10 * 8 * sizeof(float));
+    EXPECT_EQ(lay.ownBytes, 10u * 8 * sizeof(float));
 }
 
 TEST(MemoryPlan, SplitHalvesAreOneLivenessUnit)
 {
     // Let the copy producing t3 be the foldable second half of the one
     // producing t2. The merged walk that may run in place of both reads
-    // t1 while it writes t3, so t3 may not recycle t1's slot, and t3's
+    // t1 while it writes t3, so t3 may not recycle t1's bytes, and t3's
     // slot is zeroed before the first half, where that walk runs.
     const CompiledModel m = compileChain(8);
     LoweredFunction fn = m.forwardFn;
@@ -114,27 +123,28 @@ TEST(MemoryPlan, SplitHalvesAreOneLivenessUnit)
     fn.traversals[fn.order[2].index].foldable = true;
     ASSERT_TRUE(fn.foldsIntoPrevious(2));
     const MemoryPlan plan = planMemory(m.forwardProgram, fn, nullptr, nullptr);
-    const std::int32_t t3 = static_cast<std::int32_t>(plan.slotOf("t3"));
-    EXPECT_NE(plan.slotOf("t1"), plan.slotOf("t3"));
+    const int t3 = plan.slotOf("t3");
+    EXPECT_FALSE(shareBytes(plan, plan.pack({4, 10, 10}), plan.slotOf("t1"),
+                            t3));
     EXPECT_NE(std::find(fn.zeroSlotsBefore[1].begin(),
                         fn.zeroSlotsBefore[1].end(), t3),
               fn.zeroSlotsBefore[1].end());
     EXPECT_TRUE(fn.zeroSlotsBefore[2].empty());
 }
 
-TEST(MemoryPlan, InputIsExternalAndOutputIsPinned)
+TEST(MemoryPlan, InputIsExternalAndOutputHasItsOwnBuffer)
 {
     const CompiledModel m = compileChain(8);
     const MemoryPlan &plan = m.memoryPlan;
-    const auto &feat = plan.vars.at("feature");
-    EXPECT_TRUE(feat.external);
-    EXPECT_TRUE(plan.slots[static_cast<std::size_t>(feat.slot)].external);
-    const auto &out = plan.vars.at("t4");
-    EXPECT_TRUE(out.pinned);
-    for (const auto &[name, vp] : plan.vars)
-        if (name != "t4") {
-            EXPECT_NE(vp.slot, out.slot)
-                << "pinned output slot must not be shared";
+    const MemoryPlan::Slot &feat =
+        plan.slots[static_cast<std::size_t>(plan.slotOf("feature"))];
+    EXPECT_EQ(feat.backing, MemoryPlan::Backing::External);
+    const MemoryPlan::Slot &out =
+        plan.slots[static_cast<std::size_t>(plan.slotOf("t4"))];
+    EXPECT_EQ(out.backing, MemoryPlan::Backing::Own);
+    for (const MemoryPlan::Slot &s : plan.slots)
+        if (s.var != "t4") {
+            EXPECT_NE(s.backing, MemoryPlan::Backing::Own) << s.var;
         }
 }
 
@@ -151,9 +161,12 @@ TEST(MemoryPlan, RealModelsPlanEveryMaterializedVariable)
                 vi.mat == Materialization::Virtual)
                 continue;
             // Unreferenced variables may legitimately be unplanned;
-            // referenced ones must resolve to a slot.
-            if (m.memoryPlan.vars.count(name)) {
-                EXPECT_GE(m.memoryPlan.slotOf(name), 0) << name;
+            // referenced ones resolve to their own slot.
+            const int slot = m.memoryPlan.slotOf(name);
+            if (slot >= 0) {
+                EXPECT_EQ(m.memoryPlan.slots[static_cast<std::size_t>(slot)]
+                              .var,
+                          name);
             }
         }
         // Stamped instances agree with the plan.
@@ -302,5 +315,292 @@ TEST(ExecutionContext, ZeroEdgeGraphRunsThroughTheArena)
     EXPECT_EQ(out.dim(0), 0);
     EXPECT_EQ(out.dim(1), 8);
 }
+
+/// @name Packing the real models
+/// @{
+
+const std::vector<models::ModelKind> kModels = {
+    models::ModelKind::Rgcn, models::ModelKind::Rgat, models::ModelKind::Hgt};
+
+/** Base and C+R, inference and training (with the feature gradient). */
+std::vector<std::pair<std::string, CompileOptions>>
+optionMatrix()
+{
+    std::vector<std::pair<std::string, CompileOptions>> out;
+    for (bool cr : {false, true})
+        for (bool training : {false, true}) {
+            CompileOptions o;
+            o.compactMaterialization = cr;
+            o.linearReorder = cr;
+            o.training = training;
+            o.featureGrad = training;
+            out.emplace_back(std::string(cr ? "C+R" : "base") +
+                                 (training ? "/train" : "/infer"),
+                             o);
+        }
+    return out;
+}
+
+/** A sampled block of @p seeds seeds of am (1/256). */
+graph::HeteroGraph
+amBlock(std::int64_t seeds)
+{
+    static const graph::HeteroGraph am =
+        graph::generate(graph::datasetSpec("am"), 1.0 / 256.0);
+    std::mt19937_64 rng(5);
+    graph::SampleSpec spec;
+    spec.numSeeds = seeds;
+    return graph::sampleNeighbors(am, spec, rng).subgraph;
+}
+
+/** mag (1/256), a 128-seed am block, an edgeless and an empty graph. */
+const std::vector<std::pair<std::string, graph::HeteroGraph>> &
+packGraphs()
+{
+    static const std::vector<std::pair<std::string, graph::HeteroGraph>>
+        graphs = [] {
+            std::vector<std::pair<std::string, graph::HeteroGraph>> v;
+            v.emplace_back("mag",
+                           graph::generate(graph::datasetSpec("mag"),
+                                           1.0 / 256.0));
+            v.emplace_back("am-block-128", amBlock(128));
+            v.emplace_back("edgeless",
+                           graph::HeteroGraph({0, 0, 1, 1}, 2, 2, {0, 1},
+                                              {1, 0}, {}));
+            v.emplace_back("empty",
+                           graph::HeteroGraph({}, 1, 1, {0}, {0}, {}));
+            return v;
+        }();
+    return graphs;
+}
+
+ArenaRows
+rowsOf(const graph::HeteroGraph &g)
+{
+    return {g.numNodes(), g.numEdges(), graph::CompactionMap(g).numUnique()};
+}
+
+/** Names each step of the joint forward[+backward] order references,
+ *  with a foldable half's references at the step it folds into. */
+std::vector<std::vector<std::string>>
+jointRefs(const CompiledModel &m)
+{
+    std::vector<std::vector<std::string>> steps;
+    auto add = [&](const LoweredFunction &fn) {
+        const std::size_t base = steps.size();
+        steps.resize(base + fn.order.size());
+        for (std::size_t i = 0; i < fn.order.size(); ++i)
+            for (const StepRef &r : fn.refs(i))
+                steps[base + (fn.foldsIntoPrevious(i) ? i - 1 : i)]
+                    .push_back(r.name);
+    };
+    add(m.forwardFn);
+    if (m.options.training)
+        add(m.backwardFn);
+    return steps;
+}
+
+TEST(MemoryPlan, LiveRangesCoverEveryReference)
+{
+    const graph::HeteroGraph &g = packGraphs().front().second;
+    for (models::ModelKind mk : kModels)
+        for (const auto &[tag, opts] : optionMatrix()) {
+            const CompiledModel m =
+                compile(models::buildModel(mk, g, 16, 16), opts);
+            const MemoryPlan &plan = m.memoryPlan;
+            const auto steps = jointRefs(m);
+            for (std::size_t i = 0; i < steps.size(); ++i)
+                for (const std::string &name : steps[i]) {
+                    const int k = plan.slotOf(name);
+                    if (k < 0)
+                        continue; // a parameter or a register value
+                    const MemoryPlan::Slot &s =
+                        plan.slots[static_cast<std::size_t>(k)];
+                    EXPECT_LE(s.firstUse, static_cast<int>(i))
+                        << models::toString(mk) << " " << tag << " " << name;
+                    EXPECT_GE(s.lastUse, static_cast<int>(i))
+                        << models::toString(mk) << " " << tag << " " << name;
+                }
+        }
+}
+
+TEST(MemoryPlan, PackedSlotsNeverShareBytesWhileLive)
+{
+    for (models::ModelKind mk : kModels)
+        for (const auto &[tag, opts] : optionMatrix()) {
+            const graph::HeteroGraph &mag = packGraphs().front().second;
+            const CompiledModel m =
+                compile(models::buildModel(mk, mag, 64, 64), opts);
+            const MemoryPlan &plan = m.memoryPlan;
+            const int steps = static_cast<int>(jointRefs(m).size());
+
+            // The caller reads the output and the feature gradient after
+            // execution: the output lives outside the arena, the
+            // gradient stays live to the last instruction.
+            const int out = plan.slotOf(m.forwardProgram.outputVar);
+            ASSERT_GE(out, 0);
+            EXPECT_EQ(plan.slots[static_cast<std::size_t>(out)].backing,
+                      MemoryPlan::Backing::Own);
+            const int fg = plan.slotOf(gradOf(m.forwardProgram.inputVar));
+            EXPECT_EQ(fg >= 0, opts.training);
+            if (fg >= 0) {
+                const MemoryPlan::Slot &s =
+                    plan.slots[static_cast<std::size_t>(fg)];
+                EXPECT_EQ(s.backing, MemoryPlan::Backing::Arena);
+                EXPECT_EQ(s.lastUse, steps - 1);
+            }
+
+            for (const auto &[gname, g] : packGraphs()) {
+                const std::string what = std::string(models::toString(mk)) +
+                                         " " + tag + " on " + gname;
+                const ArenaLayout lay = plan.pack(rowsOf(g));
+                std::size_t fwd_extent = 0;
+                std::size_t extent = 0;
+                for (std::size_t a = 0; a < plan.slots.size(); ++a) {
+                    const MemoryPlan::Slot &sa = plan.slots[a];
+                    if (sa.backing != MemoryPlan::Backing::Arena)
+                        continue;
+                    const auto [lo, hi] =
+                        bytesOf(plan, lay, static_cast<int>(a));
+                    extent = std::max(extent, hi);
+                    if (sa.firstUse < plan.forwardSteps) {
+                        fwd_extent = std::max(fwd_extent, hi);
+                    } else if (lo < hi) {
+                        // Wholly on one side of the region end.
+                        EXPECT_TRUE(hi <= lay.forwardBytes ||
+                                    lo >= lay.forwardBytes)
+                            << what << ": " << sa.var;
+                    }
+                    for (std::size_t b = a + 1; b < plan.slots.size(); ++b) {
+                        const MemoryPlan::Slot &sb = plan.slots[b];
+                        if (sb.backing != MemoryPlan::Backing::Arena)
+                            continue;
+                        const bool live_together =
+                            sa.firstUse <= sb.lastUse &&
+                            sb.firstUse <= sa.lastUse;
+                        if (live_together) {
+                            EXPECT_FALSE(shareBytes(plan, lay,
+                                                    static_cast<int>(a),
+                                                    static_cast<int>(b)))
+                                << what << ": " << sa.var << " and "
+                                << sb.var;
+                        }
+                    }
+                }
+                EXPECT_EQ(lay.forwardBytes, fwd_extent) << what;
+                EXPECT_EQ(lay.totalBytes, extent) << what;
+
+                // The forward region is the forward slots packed alone:
+                // no backward slot widens what a forward-only run holds.
+                MemoryPlan fwd_only = plan;
+                for (MemoryPlan::Slot &s : fwd_only.slots)
+                    if (s.firstUse >= plan.forwardSteps)
+                        s.backing = MemoryPlan::Backing::External;
+                EXPECT_EQ(fwd_only.pack(lay.rows).totalBytes,
+                          lay.forwardBytes)
+                    << what;
+            }
+        }
+}
+
+/** Peak tracked bytes of @p body under @p rt's tracker, counted from
+ *  what is live when it starts (a pooled arena from earlier runs). */
+template <typename F>
+std::size_t
+peakOf(sim::Runtime &rt, F &&body)
+{
+    auto scope = rt.memoryScope();
+    rt.tracker().resetStats();
+    body();
+    return rt.tracker().peakBytes();
+}
+
+TEST(MemoryPlan, ForwardOnlyRunOfATrainingPlanAllocatesOnlyTheForwardRegion)
+{
+    const graph::HeteroGraph &g = packGraphs().front().second;
+    const graph::CompactionMap cmap(g);
+    for (models::ModelKind mk : kModels)
+        for (const auto &[tag, opts] : optionMatrix()) {
+            if (!opts.training)
+                continue;
+            const CompiledModel m =
+                compile(models::buildModel(mk, g, 16, 16), opts);
+            std::mt19937_64 rng(3);
+            models::WeightMap weights =
+                models::initWeights(m.forwardProgram, g, rng);
+            models::WeightMap grads;
+            const Tensor feature =
+                Tensor::uniform({g.numNodes(), 16}, rng, 0.5f);
+            sim::Runtime rt;
+            ExecutionContext ctx;
+            ctx.reset(&g, &cmap, &rt, &weights, &grads);
+            ctx.adoptPlan(&m.memoryPlan);
+            bindInputs(m, ctx, feature); // externals stay untracked
+            const std::size_t peak =
+                peakOf(rt, [&] { (void)m.forward(ctx); });
+            const ArenaLayout &lay = ctx.layout();
+            EXPECT_LT(lay.forwardBytes, lay.totalBytes)
+                << models::toString(mk) << " " << tag;
+            EXPECT_EQ(peak, lay.forwardBytes + lay.ownBytes)
+                << models::toString(mk) << " " << tag;
+        }
+}
+
+TEST(MemoryPlan, PooledContextRepackedForALargerBlockPeaksAtTheNewArena)
+{
+    const graph::HeteroGraph small = amBlock(4);
+    const graph::HeteroGraph &large = packGraphs()[1].second;
+    ASSERT_LT(small.numEdges(), large.numEdges());
+    const graph::CompactionMap small_cmap(small);
+    const graph::CompactionMap large_cmap(large);
+    for (models::ModelKind mk : kModels)
+        for (const auto &[tag, opts] : optionMatrix()) {
+            if (!opts.training)
+                continue;
+            const std::string what =
+                std::string(models::toString(mk)) + " " + tag;
+            const CompiledModel m =
+                compile(models::buildModel(mk, large, 16, 16), opts);
+            std::mt19937_64 rng(3);
+            models::WeightMap weights =
+                models::initWeights(m.forwardProgram, large, rng);
+            models::WeightMap grads;
+            const Tensor small_feature =
+                Tensor::uniform({small.numNodes(), 16}, rng, 0.5f);
+            const Tensor large_feature =
+                Tensor::uniform({large.numNodes(), 16}, rng, 0.5f);
+
+            sim::Runtime rt;
+            ExecutionContext ctx;
+            auto step = [&](const graph::HeteroGraph &g,
+                            const graph::CompactionMap &cmap,
+                            const Tensor &feature) {
+                grads.clear();
+                ctx.reset(&g, &cmap, &rt, &weights, &grads);
+                ctx.adoptPlan(&m.memoryPlan);
+                (void)trainStep(m, ctx, feature);
+            };
+            // The small block sizes the pool; the large one re-packs it.
+            (void)peakOf(rt, [&] { step(small, small_cmap, small_feature); });
+            const std::size_t small_arena = ctx.layout().residentBytes();
+            const std::size_t peak =
+                peakOf(rt, [&] { step(large, large_cmap, large_feature); });
+            const ArenaLayout &lay = ctx.layout();
+            ASSERT_LT(small_arena, lay.residentBytes()) << what;
+            // Besides the arena and the output, a train step holds the
+            // seed gradient and (RGCN) the edge norm.
+            const std::size_t seed_bytes = lay.ownBytes;
+            const std::size_t norm_bytes =
+                m.forwardProgram.vars.count("norm")
+                    ? static_cast<std::size_t>(large.numEdges()) *
+                          sizeof(float)
+                    : 0;
+            EXPECT_EQ(peak, lay.residentBytes() + seed_bytes + norm_bytes)
+                << what << ": growing the arena must release the old "
+                << "buffers before allocating the new ones";
+        }
+}
+
+/// @}
 
 } // namespace

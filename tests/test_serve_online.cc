@@ -24,6 +24,7 @@
 #include "graph/datasets.hh"
 #include "models/model_sources.hh"
 #include "serve/online.hh"
+#include "sim/device_group.hh"
 
 namespace
 {
@@ -633,6 +634,81 @@ TEST(OnlineServer, SingleDeviceEqualsOneLaneEngineRun)
             EXPECT_GT(single.rep.brownoutTicks, 0u);
         }
     }
+}
+
+// ------------------------------------------------------ overload handling
+
+/**
+ * Brownout ticks of a two-tenant run: "hot" offers 96 RGCN requests at
+ * 200k req/s against a queue bound of 4, while "cold" idles under
+ * @p cold_bound.
+ */
+std::size_t
+brownoutTicksBesideIdleBound(std::size_t cold_bound)
+{
+    const graph::HeteroGraph g = servingGraph();
+    const Tensor host = hostFeatures(g, 8, 72);
+    sim::Runtime rt;
+    serve::Engine engine(g, serve::EngineConfig{}, rt);
+    serve::OnlineConfig cfg = onlineConfig();
+    cfg.serving.shed = serve::ShedMode::RejectNewest;
+    cfg.serving.resilience.enabled = true;
+    for (const auto &[name, bound] :
+         {std::pair<const char *, std::size_t>{"hot", 4},
+          std::pair<const char *, std::size_t>{"cold", cold_bound}}) {
+        serve::ServingConfig scfg = cfg.serving;
+        scfg.maxQueueDepth = bound;
+        engine.registerVariant(name, host, models::kRgcnSource, scfg);
+    }
+    serve::VariantLoad hot;
+    hot.variant = "hot";
+    hot.ratePerSec = 200000.0;
+    hot.numRequests = 96;
+    serve::VariantLoad cold;
+    cold.variant = "cold";
+    cold.numRequests = 0;
+    cfg.variants = {hot, cold};
+    serve::OnlineServer server(engine, cfg);
+    const serve::OnlineReport rep = server.run();
+    EXPECT_GT(rep.perVariant.at(0).requestsShed, 0u)
+        << "the hot tenant must overload its queue";
+    return rep.brownoutTicks;
+}
+
+TEST(OnlineServer, BrownoutJudgesEachTenantAgainstItsOwnQueueBound)
+{
+    const std::size_t tight = brownoutTicksBesideIdleBound(4);
+    const std::size_t loose = brownoutTicksBesideIdleBound(64);
+    EXPECT_GT(tight, 0u);
+    EXPECT_EQ(tight, loose)
+        << "an idle tenant's queue bound must not mask another "
+           "tenant's overload";
+}
+
+TEST(OnlineServer, FixedFillOnAGroupStopsWaitingAtTheAdmissionBound)
+{
+    // Admission bounds the group's whole backlog at 8, below 4 devices
+    // x fixedBatch 8: no device lane can fill, so "fixed" must serve
+    // what admission lets in rather than hold it until arrivals end.
+    const graph::HeteroGraph g = servingGraph();
+    const Tensor host = hostFeatures(g, 8, 73);
+    auto run = [&](const char *policy) {
+        serve::OnlineConfig cfg = onlineConfig(64, 100000.0);
+        cfg.policy = policy;
+        cfg.serving.deadlineMs = 0.6;
+        cfg.serving.maxQueueDepth = 8;
+        cfg.serving.shed = serve::ShedMode::RejectNewest;
+        sim::DeviceGroup group(4);
+        serve::OnlineServer server(g, host, models::kRgatSource, cfg, group);
+        return server.run();
+    };
+    const serve::OnlineReport adaptive = run("adaptive");
+    const serve::OnlineReport fixed = run("fixed");
+    ASSERT_EQ(adaptive.admittedSloAttainment, 1.0);
+    EXPECT_GT(fixed.requests, 8u);
+    EXPECT_EQ(fixed.admittedSloAttainment, adaptive.admittedSloAttainment)
+        << "served " << fixed.requests << ", shed "
+        << fixed.requestsShed;
 }
 
 // ----------------------------------------------------------- deadline test

@@ -11,7 +11,16 @@
  *    "category":"Traversal","model_ms":...,"flops":...,
  *    "bytes_read":...,"bytes_written":...,"atomics":...}
  *
- * plus one "total" row per model. `model_ms` is the modeled clock
+ * plus one "total" row per model, and one "memory" row per model:
+ *
+ *   {"model":"RGAT","phase":"step","kernel":"memory",
+ *    "category":"memory","forward_region_bytes":...,
+ *    "arena_bytes":...,"peak_bytes":...}
+ *
+ * the planned forward region (what a forward-only run holds), the
+ * step's packed arena, and the modeled device's tracker peak over the
+ * step (arena, output, seed gradient and RGCN's edge norm).
+ * `model_ms` is the modeled clock
  * scaled to the full-size dataset (launch time / 1/256), as the
  * repository benchmark reports `model_latency_*`; the counts are those
  * of the 1/256 graph. Everything is modeled and deterministic, so the
@@ -54,6 +63,20 @@ row(const char *model, const char *phase, const char *category,
                   model, phase, r.name.c_str(), category,
                   r.timeSec * 1e3 / kScale, r.flops, r.bytesRead,
                   r.bytesWritten, r.atomics);
+    return buf;
+}
+
+/** The memory row: @p lay's regions and the tracker's @p peak. */
+std::string
+memoryRow(const char *model, const core::ArenaLayout &lay, std::size_t peak)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{\"model\":\"%s\",\"phase\":\"step\","
+                  "\"kernel\":\"memory\",\"category\":\"memory\","
+                  "\"forward_region_bytes\":%zu,\"arena_bytes\":%zu,"
+                  "\"peak_bytes\":%zu}",
+                  model, lay.forwardBytes, lay.totalBytes, peak);
     return buf;
 }
 
@@ -106,6 +129,7 @@ main()
         // any launch (fallback dispatch).
         total.timeSec = rt.totalTimeSec();
         log.record(row(model, "step", "all", total));
+        log.record(memoryRow(model, ctx.layout(), rt.tracker().peakBytes()));
     }
     return log.write() ? 0 : 1;
 }
