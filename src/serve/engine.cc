@@ -525,6 +525,14 @@ Engine::planKey(int v) const
     return key;
 }
 
+void
+Engine::enforcePlanBudget()
+{
+    const PlanCache::Stats before = cache_.stats();
+    cache_.enforceBudget();
+    recordPlanEvents(rt_.planEvents(), before, cache_.stats());
+}
+
 std::shared_ptr<const core::CompiledModel>
 Engine::planFor(int v)
 {
@@ -763,11 +771,7 @@ Engine::drain()
     // Release the cycle's plan pins, then re-enforce the byte budget
     // so residentBytes is bounded at every cycle boundary.
     plans.clear();
-    {
-        const PlanCache::Stats before = cache_.stats();
-        cache_.enforceBudget();
-        recordPlanEvents(rt_.planEvents(), before, cache_.stats());
-    }
+    enforcePlanBudget();
 
     fillCacheStats(report, cache_.stats());
     report.launches = rt_.counters().total().launches - launches_before;
@@ -843,11 +847,7 @@ Engine::serveOldest(int v, std::size_t n, int stream)
                     var.queue.begin() + static_cast<std::ptrdiff_t>(n));
 
     plan.reset();
-    {
-        const PlanCache::Stats before = cache_.stats();
-        cache_.enforceBudget();
-        recordPlanEvents(rt_.planEvents(), before, cache_.stats());
-    }
+    enforcePlanBudget();
     return cost;
 }
 
@@ -899,11 +899,7 @@ Engine::hedgeOldest(int v, int stream)
     // on the modeled timeline. No fault injection / ASPIS sandwich —
     // the hedge is itself the backup path.
     plan.reset();
-    {
-        const PlanCache::Stats before = cache_.stats();
-        cache_.enforceBudget();
-        recordPlanEvents(rt_.planEvents(), before, cache_.stats());
-    }
+    enforcePlanBudget();
     return cost;
 }
 

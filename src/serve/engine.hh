@@ -661,6 +661,9 @@ class Engine
     /** One plan-cache lookup for variant @p v (compiling through its
      *  PlanCompiler on a miss) with sim::PlanEvents recorded. */
     std::shared_ptr<const core::CompiledModel> planFor(int v);
+    /** Re-enforce the plan cache's byte budget, recording the
+     *  evictions; called once the caller has dropped its plan pins. */
+    void enforcePlanBudget();
 
     const graph::HeteroGraph &g_;
     EngineConfig cfg_;

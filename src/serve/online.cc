@@ -547,15 +547,7 @@ class GroupDevices : public OnlineServer::Devices
     {
         return st.clocks[static_cast<std::size_t>(dev)].issueFree;
     }
-    int
-    root(int dev) const override
-    {
-        // Device 0 unless quarantined, then the lowest survivor.
-        for (int d = 0; d < g_.size(); ++d)
-            if (!s_.isDead(d))
-                return d;
-        return dev;
-    }
+    int root(int) const override { return s_.root(); }
     double
     transfer(int from, int to, double bytes, double at) override
     {

@@ -188,6 +188,15 @@ ShardedSession::isDead(int device) const
 }
 
 int
+ShardedSession::root() const
+{
+    for (int d = 0; d < group_.size(); ++d)
+        if (!dead_[static_cast<std::size_t>(d)])
+            return d;
+    return 0;
+}
+
+int
 ShardedSession::aliveCount() const
 {
     int n = 0;
@@ -195,6 +204,16 @@ ShardedSession::aliveCount() const
         if (!d)
             ++n;
     return n;
+}
+
+double
+ShardedSession::sendStructure(const graph::Minibatch &mb, int device)
+{
+    sim::Runtime &rt = group_.device(device);
+    const double t = graph::hostTransferSec(
+        static_cast<double>(mb.subgraph.structureBytes()), rt.spec());
+    rt.hostOverhead(t);
+    return t;
 }
 
 std::vector<Tensor>
@@ -234,11 +253,7 @@ ShardedSession::quarantine(int device, double t_sec)
         // like a fresh submit (features re-gather at serve time, the
         // dead shard's rows via the host-fallback halo path).
         const int to = homeShard(r.mb);
-        sim::Runtime &rt = group_.device(to);
-        const double transfer = graph::hostTransferSec(
-            static_cast<double>(r.mb.subgraph.structureBytes()),
-            rt.spec());
-        rt.hostOverhead(transfer);
+        const double transfer = sendStructure(r.mb, to);
         pendingHostSec_[static_cast<std::size_t>(to)] += transfer;
         Rerouted rr;
         rr.id = r.id;
@@ -300,9 +315,7 @@ ShardedSession::submitRouted()
         auto scope = rt.memoryScope();
         feature = graph::gatherFeatures(mb, hostFeatures_);
     }
-    const double transfer = graph::hostTransferSec(
-        static_cast<double>(mb.subgraph.structureBytes()), rt.spec());
-    rt.hostOverhead(transfer);
+    const double transfer = sendStructure(mb, home);
     pendingHostSec_[static_cast<std::size_t>(home)] += transfer;
     SubmitInfo info = enqueue(
         home, std::move(mb), std::move(feature),
@@ -418,11 +431,11 @@ ShardedSession::drain()
     // Cycle timeline: each device's queued structure transfers
     // serialize on its own PCIe lanes (devices overlap), then the
     // device pulls its halo over the interconnect and computes, and
-    // every batch's outputs gather onto the all-gather root (device 0
-    // unless it is quarantined). Times below are on the cycle's own
-    // clock, in seconds since `base` on the group clock, so a cycle
-    // reports the same timeline wherever on the group clock it starts;
-    // traces, failures and the group clock add `base` back.
+    // every batch's outputs gather onto the all-gather root (root()).
+    // Times below are on the cycle's own clock, in seconds since `base`
+    // on the group clock, so a cycle reports the same timeline wherever
+    // on the group clock it starts; traces, failures and the group
+    // clock add `base` back.
     const double base = group_.nowSec();
     obs::Span drain_span("sharded.drain", "serve", base, 0, 0);
 
@@ -450,15 +463,6 @@ ShardedSession::drain()
         std::max<std::size_t>(1, cfg_.serving.maxBatch);
     const double dout_bytes =
         static_cast<double>(cfg_.serving.dout) * sizeof(float);
-    const double kInf = std::numeric_limits<double>::infinity();
-
-    const auto lowest_alive = [&]() {
-        for (int d = 0; d < group_.size(); ++d)
-            if (!dead_[static_cast<std::size_t>(d)])
-                return d;
-        return 0;
-    };
-    const int root = lowest_alive();
 
     std::vector<double> latencies;
     std::vector<double> queue_delays;
@@ -472,365 +476,284 @@ ShardedSession::drain()
 
     // A batch whose modeled compute finishes after its device's
     // failure instant is lost with the device; copies of its requests
-    // replay on survivors in wave 2.
-    struct LostBatch
+    // replay on survivors in the next wave.
+    struct Lost
     {
-        std::vector<Request> reqs;
+        Request req;
         int from = 0;
         double tFail = 0.0;
     };
-    std::vector<LostBatch> lost;
+    std::vector<Lost> lost;
     std::vector<double> dev_end(static_cast<std::size_t>(group_.size()),
                                 0.0);
 
-    // Wave 1: every alive device serves its own queue.
-    for (int d = 0; d < group_.size(); ++d) {
-        if (dead_[static_cast<std::size_t>(d)])
-            continue;
-        auto &q = queues_[static_cast<std::size_t>(d)];
-        if (q.empty())
-            continue;
-        sim::Runtime &rt = group_.device(d);
-        StreamScheduler sched(rt, cfg_.serving.numStreams);
-        auto scope = rt.memoryScope();
-
-        const double host_end = pendingHostSec_[static_cast<std::size_t>(d)];
-        cycle_end = std::max(cycle_end, host_end);
-        const double t_fail = fi ? fi->failureTimeSec(d) : kInf;
-
-        // Halo exchange for everything this device is about to serve:
-        // surviving owners charge the owner -> home links per batch,
-        // rows of failed owners re-gather from the host store over
-        // this device's PCIe lanes (serialized after its structure
-        // transfers).
-        double comm_done = host_end;
-        double device_halo = 0.0;
-        double fallback_sec = 0.0;
-        std::vector<std::vector<const Request *>> batches;
-        for (std::size_t lo = 0; lo < q.size(); lo += cap) {
-            const std::size_t hi = std::min(q.size(), lo + cap);
-            std::vector<const Request *> reqs;
-            reqs.reserve(hi - lo);
-            for (std::size_t i = lo; i < hi; ++i)
-                reqs.push_back(&q[i]);
-            double fb = 0.0;
-            for (const auto &[owner, bytes] :
-                 batchHaloBytes(reqs, d, &fb)) {
-                comm_done = std::max(comm_done,
-                                     transfer(owner, d, bytes, host_end));
-                halo_bytes += bytes;
-                device_halo += bytes;
-            }
-            if (fb > 0.0) {
-                const double t = graph::hostTransferSec(fb, rt.spec());
-                rt.hostOverhead(t);
-                fallback_sec += t;
-            }
-            batches.push_back(std::move(reqs));
-        }
-        comm_done = std::max(comm_done, host_end + fallback_sec);
-        if (obs::enabled() && comm_done > host_end)
-            obs::tracer().complete(
-                "halo", "comm", base + host_end, comm_done - host_end, d, 0,
-                "\"bytes\":" + obs::jsonNum(device_halo));
-
-        // Compute: this device's own driver thread and streams, on the
-        // shared overlap rule, starting once the halo is resident. Each
-        // batch is ASPIS-guarded (guardBatch): the primary run, and the
-        // sampled duplicate and the replay when they run.
-        struct Runs
-        {
-            std::size_t first = 0;
-            std::size_t count = 1;
-        };
-        std::vector<Runs> runs(batches.size());
-        std::vector<std::vector<Tensor>> outs(batches.size());
-        std::size_t run_idx = 0;
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            const bool dup = sampleDuplicate(
-                cfg_.serving.duplicationFraction * dupScale_, dupAccum_);
-            const GuardedBatch g = guardBatch(
-                fi, d, base + host_end, dup, outs[b],
-                [&](std::vector<Tensor> &dst) {
-                    sched.run(
-                        [&]() { dst = runBatch(*plan, batches[b], d); });
-                });
-            runs[b] = {run_idx, g.runs};
-            run_idx += g.runs;
-            if (dup)
-                ++report.duplicatesIssued;
-            if (g.detected) {
-                ++report.transientsDetected;
-                if (obs::enabled())
-                    obs::tracer().instant(
-                        "fault.detect", "serve", base + host_end, d, 0,
-                        "\"batch\":" + std::to_string(g.ordinal));
-                report.requestsReplayed += batches[b].size();
-                if (flight_)
-                    for (const Request *r : batches[b])
-                        flight_->event(r->id, "replay", base + host_end, d,
-                                       "why=transient");
-            }
-        }
-
-        const std::vector<double> completions = sched.completionTimes();
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            const std::size_t first = runs[b].first;
-            primary_exec_sec += sched.batches()[first].execSec;
-            for (std::size_t r = first + 1; r < first + runs[b].count; ++r)
-                redundant_exec_sec += sched.batches()[r].execSec;
-        }
-
-        double device_end = host_end;
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-            const std::size_t first = runs[b].first;
-            double compute_done = comm_done + completions[first];
-            for (std::size_t r = first + 1; r < first + runs[b].count; ++r)
-                compute_done =
-                    std::max(compute_done, comm_done + completions[r]);
-            if (compute_done > t_fail - base) {
-                // Lost with the device: the outputs never left it.
-                LostBatch lb;
-                lb.from = d;
-                lb.tFail = t_fail;
-                lb.reqs.reserve(batches[b].size());
-                for (const Request *r : batches[b]) {
-                    lb.reqs.push_back(*r);
-                    if (flight_)
-                        flight_->event(r->id, "lost", t_fail, d,
-                                       "batch=" + std::to_string(b));
-                }
-                lost.push_back(std::move(lb));
-                continue;
-            }
-            {
-                tensor::TrackerScope untracked(nullptr);
-                for (std::size_t i = 0; i < batches[b].size(); ++i)
-                    results_.insert_or_assign(batches[b][i]->id,
-                                              outs[b][i].clone());
-            }
-            // All-gather this batch's outputs onto the root.
-            double out_bytes = 0.0;
-            for (const Request *r : batches[b])
-                out_bytes += static_cast<double>(
-                                 r->mb.subgraph.numNodes()) *
-                             dout_bytes;
-            double final_done = compute_done;
-            if (d != root) {
-                final_done = transfer(d, root, out_bytes, compute_done);
-                gather_bytes += out_bytes;
-            }
-            cycle_end = std::max(cycle_end, final_done);
-            device_end = std::max(device_end, final_done);
-
-            const ScheduledBatch &sb = sched.batches()[first];
-            const double service = sb.overheadSec + sb.execSec;
-            const double exec_start =
-                comm_done + completions[first] - sb.execSec;
-            if (obs::enabled()) {
-                obs::tracer().complete(
-                    "batch", "serve", base + exec_start, sb.execSec, d,
-                    sb.stream,
-                    "\"requests\":" +
-                        std::to_string(batches[b].size()));
-                if (d != root)
-                    obs::tracer().complete(
-                        "gather", "comm", base + compute_done,
-                        final_done - compute_done, d, sb.stream,
-                        "\"bytes\":" + obs::jsonNum(out_bytes));
-            }
-            for (std::size_t i = 0; i < batches[b].size(); ++i) {
-                const Request *r = batches[b][i];
-                const double lat =
-                    final_done - r->submitSec;
-                latencies.push_back(lat);
-                queue_delays.push_back(std::max(0.0, lat - service));
-                if (flight_) {
-                    const std::uint64_t id = r->id;
-                    flight_->event(id, "batch-join", base + host_end, d,
-                                   "batch=" + std::to_string(b) +
-                                       " size=" +
-                                       std::to_string(
-                                           batches[b].size()));
-                    if (comm_done > host_end)
-                        flight_->event(
-                            id, "halo", base + comm_done, d,
-                            "bytes=" + obs::jsonNum(device_halo));
-                    flight_->event(id, "exec-start", base + exec_start, d,
-                                   "stream=" +
-                                       std::to_string(sb.stream));
-                    if (d != root)
-                        flight_->event(
-                            id, "all-gather", base + final_done, d,
-                            "bytes=" + obs::jsonNum(out_bytes));
-                    flight_->event(
-                        id, "completion", base + final_done, d,
-                        "latency_ms=" + obs::jsonNum(lat * 1e3));
-                }
-            }
-            report.perDeviceRequests[static_cast<std::size_t>(d)] +=
-                batches[b].size();
-            report.batches += 1;
-            report.requests += batches[b].size();
-        }
-        dev_end[static_cast<std::size_t>(d)] = device_end;
-    }
-
-    // Fire failures that struck inside this cycle's window: the device
-    // is quarantined for the cycles to come (phase 0 above handles
-    // failures that were already due at entry).
-    double t_fail_max = base;
-    if (fi)
+    // One wave: every alive device serves its queue in @p queues from
+    // its start time in @p start (cycle clock). A replay wave serves
+    // work an earlier wave lost and differs from the first in three
+    // ways only: no ASPIS guard and no dual-issue sampling, a
+    // device-failure replay noted per batch, and its execution time
+    // booked as redundant.
+    const auto serve_wave = [&](std::vector<std::vector<Request>> &queues,
+                                const std::vector<double> &start,
+                                bool replay) {
+        const int gather_root = root();
         for (int d = 0; d < group_.size(); ++d) {
-            if (dead_[static_cast<std::size_t>(d)])
+            auto &q = queues[static_cast<std::size_t>(d)];
+            if (dead_[static_cast<std::size_t>(d)] || q.empty())
                 continue;
-            const double tf = fi->failureTimeSec(d);
-            if (tf <= base + cycle_end) {
-                dead_[static_cast<std::size_t>(d)] = 1;
-                fi->markFailed(d, tf);
-                t_fail_max = std::max(t_fail_max, tf);
-            }
-        }
-    report.devicesFailed = group_.size() - aliveCount();
-
-    // Wave 2: replay batches the failure lost, on the survivors.
-    if (!lost.empty()) {
-        if (aliveCount() == 0)
-            throw std::runtime_error(
-                "ShardedSession::drain: device failure with no "
-                "survivors to replay on");
-        const int root2 = lowest_alive();
-
-        // Route each lost request to a survivor through homeShard's
-        // scoring, over the replay load alone with its own cap.
-        std::vector<std::vector<Request>> replay_q(
-            static_cast<std::size_t>(group_.size()));
-        std::size_t n_lost = 0;
-        for (const LostBatch &lb : lost)
-            n_lost += lb.reqs.size();
-        const std::int64_t alive = aliveCount();
-        const std::int64_t rcap =
-            (static_cast<std::int64_t>(n_lost) + alive - 1) / alive + 1;
-        for (LostBatch &lb : lost)
-            for (Request &r : lb.reqs) {
-                const int best = pickShard(r.mb, replay_q, rcap, false);
-                if (fi)
-                    fi->noteReroute(r.id, lb.from, best, lb.tFail);
-                ++report.requestsRerouted;
-                if (flight_)
-                    flight_->event(r.id, "reroute", lb.tFail, best,
-                                   "from=" + std::to_string(lb.from));
-                replay_q[static_cast<std::size_t>(best)].push_back(
-                    std::move(r));
-            }
-        report.requestsReplayed += n_lost;
-
-        for (int s = 0; s < group_.size(); ++s) {
-            auto &rq = replay_q[static_cast<std::size_t>(s)];
-            if (rq.empty())
-                continue;
-            sim::Runtime &rt = group_.device(s);
+            sim::Runtime &rt = group_.device(d);
             StreamScheduler sched(rt, cfg_.serving.numStreams);
             auto scope = rt.memoryScope();
 
-            // The survivor starts once the failure has happened and
-            // its own wave-1 work is done; the lost requests' subgraph
-            // structures re-send serialized on its PCIe lanes, and
-            // the dead shard's feature rows re-gather from the host
-            // store (host-fallback halo).
-            double host_end = std::max(
-                t_fail_max - base, dev_end[static_cast<std::size_t>(s)]);
-            for (const Request &r : rq) {
-                const double t = graph::hostTransferSec(
-                    static_cast<double>(
-                        r.mb.subgraph.structureBytes()),
-                    rt.spec());
-                rt.hostOverhead(t);
-                host_end += t;
-            }
+            const double host_end = start[static_cast<std::size_t>(d)];
             cycle_end = std::max(cycle_end, host_end);
+            const double t_fail =
+                fi ? fi->failureTimeSec(d)
+                   : std::numeric_limits<double>::infinity();
 
+            // Halo exchange for everything this device is about to
+            // serve: surviving owners charge the owner -> home links
+            // per batch, rows of failed owners re-gather from the host
+            // store over this device's PCIe lanes (serialized after its
+            // structure transfers).
             double comm_done = host_end;
+            double device_halo = 0.0;
             double fallback_sec = 0.0;
             std::vector<std::vector<const Request *>> batches;
-            for (std::size_t lo = 0; lo < rq.size(); lo += cap) {
-                const std::size_t hi = std::min(rq.size(), lo + cap);
+            for (std::size_t lo = 0; lo < q.size(); lo += cap) {
+                const std::size_t hi = std::min(q.size(), lo + cap);
                 std::vector<const Request *> reqs;
                 reqs.reserve(hi - lo);
                 for (std::size_t i = lo; i < hi; ++i)
-                    reqs.push_back(&rq[i]);
+                    reqs.push_back(&q[i]);
                 double fb = 0.0;
                 for (const auto &[owner, bytes] :
-                     batchHaloBytes(reqs, s, &fb)) {
+                     batchHaloBytes(reqs, d, &fb)) {
                     comm_done = std::max(
-                        comm_done, transfer(owner, s, bytes, host_end));
+                        comm_done, transfer(owner, d, bytes, host_end));
                     halo_bytes += bytes;
+                    device_halo += bytes;
                 }
                 if (fb > 0.0) {
-                    const double t =
-                        graph::hostTransferSec(fb, rt.spec());
+                    const double t = graph::hostTransferSec(fb, rt.spec());
                     rt.hostOverhead(t);
                     fallback_sec += t;
                 }
                 batches.push_back(std::move(reqs));
             }
             comm_done = std::max(comm_done, host_end + fallback_sec);
+            if (obs::enabled() && comm_done > host_end)
+                obs::tracer().complete(
+                    "halo", "comm", base + host_end, comm_done - host_end,
+                    d, 0, "\"bytes\":" + obs::jsonNum(device_halo));
 
+            // Compute: this device's own driver thread and streams, on
+            // the shared overlap rule, starting once the halo is
+            // resident. A primary batch is ASPIS-guarded (guardBatch):
+            // the primary run, and the sampled duplicate and the replay
+            // when they run. Batch b's runs are scheduled batches
+            // first[b] to first[b + 1] - 1.
+            std::vector<std::size_t> first(batches.size() + 1, 0);
             std::vector<std::vector<Tensor>> outs(batches.size());
             for (std::size_t b = 0; b < batches.size(); ++b) {
-                sched.run([&, b]() {
-                    outs[b] = runBatch(*plan, batches[b], s);
-                });
-                if (fi)
-                    fi->noteReplay(s, base + host_end, "device-failure");
+                const auto run = [&](std::vector<Tensor> &dst) {
+                    sched.run(
+                        [&]() { dst = runBatch(*plan, batches[b], d); });
+                };
+                std::size_t count = 1;
+                if (replay) {
+                    run(outs[b]);
+                    if (fi)
+                        fi->noteReplay(d, base + host_end,
+                                       "device-failure");
+                    if (flight_)
+                        for (const Request *r : batches[b])
+                            flight_->event(r->id, "replay",
+                                           base + host_end, d,
+                                           "why=device-failure");
+                } else {
+                    const bool dup = sampleDuplicate(
+                        cfg_.serving.duplicationFraction * dupScale_,
+                        dupAccum_);
+                    const GuardedBatch g = guardBatch(
+                        fi, d, base + host_end, dup, outs[b], run);
+                    count = g.runs;
+                    if (dup)
+                        ++report.duplicatesIssued;
+                    if (g.detected) {
+                        ++report.transientsDetected;
+                        if (obs::enabled())
+                            obs::tracer().instant(
+                                "fault.detect", "serve", base + host_end,
+                                d, 0,
+                                "\"batch\":" + std::to_string(g.ordinal));
+                        report.requestsReplayed += batches[b].size();
+                        if (flight_)
+                            for (const Request *r : batches[b])
+                                flight_->event(r->id, "replay",
+                                               base + host_end, d,
+                                               "why=transient");
+                    }
+                }
+                first[b + 1] = first[b] + count;
             }
 
             const std::vector<double> completions =
                 sched.completionTimes();
+            double device_end = host_end;
             for (std::size_t b = 0; b < batches.size(); ++b) {
-                redundant_exec_sec += sched.batches()[b].execSec;
-                const double compute_done = comm_done + completions[b];
+                const ScheduledBatch &sb = sched.batches()[first[b]];
+                (replay ? redundant_exec_sec : primary_exec_sec) +=
+                    sb.execSec;
+                double compute_done = comm_done + completions[first[b]];
+                for (std::size_t r = first[b] + 1; r < first[b + 1]; ++r) {
+                    redundant_exec_sec += sched.batches()[r].execSec;
+                    compute_done =
+                        std::max(compute_done, comm_done + completions[r]);
+                }
+                if (compute_done > t_fail - base) {
+                    // Lost with the device: the outputs never left it,
+                    // and the failure falls inside this cycle.
+                    cycle_end = std::max(cycle_end, t_fail - base);
+                    for (const Request *r : batches[b]) {
+                        lost.push_back({*r, d, t_fail});
+                        if (flight_)
+                            flight_->event(r->id, "lost", t_fail, d,
+                                           "batch=" + std::to_string(b));
+                    }
+                    continue;
+                }
                 {
                     tensor::TrackerScope untracked(nullptr);
-                    for (std::size_t i = 0; i < batches[b].size();
-                         ++i)
-                        results_.insert_or_assign(
-                            batches[b][i]->id, outs[b][i].clone());
+                    for (std::size_t i = 0; i < batches[b].size(); ++i)
+                        results_.insert_or_assign(batches[b][i]->id,
+                                                  outs[b][i].clone());
                 }
+                // All-gather this batch's outputs onto the root.
                 double out_bytes = 0.0;
                 for (const Request *r : batches[b])
                     out_bytes += static_cast<double>(
                                      r->mb.subgraph.numNodes()) *
                                  dout_bytes;
                 double final_done = compute_done;
-                if (s != root2) {
-                    final_done = transfer(s, root2, out_bytes, compute_done);
+                if (d != gather_root) {
+                    final_done =
+                        transfer(d, gather_root, out_bytes, compute_done);
                     gather_bytes += out_bytes;
                 }
                 cycle_end = std::max(cycle_end, final_done);
+                device_end = std::max(device_end, final_done);
 
-                const ScheduledBatch &sb = sched.batches()[b];
                 const double service = sb.overheadSec + sb.execSec;
-                for (const Request *r : batches[b]) {
-                    const double lat =
-                        final_done - r->submitSec;
-                    latencies.push_back(lat);
-                    queue_delays.push_back(
-                        std::max(0.0, lat - service));
-                    if (flight_) {
-                        flight_->event(r->id, "replay", base + host_end, s,
-                                       "why=device-failure");
-                        flight_->event(
-                            r->id, "completion", base + final_done, s,
-                            "latency_ms=" + obs::jsonNum(lat * 1e3));
-                    }
+                const double exec_start =
+                    comm_done + completions[first[b]] - sb.execSec;
+                if (obs::enabled()) {
+                    obs::tracer().complete(
+                        "batch", "serve", base + exec_start, sb.execSec, d,
+                        sb.stream,
+                        "\"requests\":" +
+                            std::to_string(batches[b].size()));
+                    if (d != gather_root)
+                        obs::tracer().complete(
+                            "gather", "comm", base + compute_done,
+                            final_done - compute_done, d, sb.stream,
+                            "\"bytes\":" + obs::jsonNum(out_bytes));
                 }
-                report.perDeviceRequests[static_cast<std::size_t>(
-                    s)] += batches[b].size();
+                for (const Request *r : batches[b]) {
+                    const double lat = final_done - r->submitSec;
+                    latencies.push_back(lat);
+                    queue_delays.push_back(std::max(0.0, lat - service));
+                    if (!flight_)
+                        continue;
+                    flight_->event(r->id, "batch-join", base + host_end, d,
+                                   "batch=" + std::to_string(b) +
+                                       " size=" +
+                                       std::to_string(batches[b].size()));
+                    if (comm_done > host_end)
+                        flight_->event(
+                            r->id, "halo", base + comm_done, d,
+                            "bytes=" + obs::jsonNum(device_halo));
+                    flight_->event(r->id, "exec-start", base + exec_start,
+                                   d,
+                                   "stream=" + std::to_string(sb.stream));
+                    if (d != gather_root)
+                        flight_->event(r->id, "all-gather",
+                                       base + final_done, d,
+                                       "bytes=" + obs::jsonNum(out_bytes));
+                    flight_->event(r->id, "completion", base + final_done,
+                                   d,
+                                   "latency_ms=" + obs::jsonNum(lat * 1e3));
+                }
+                report.perDeviceRequests[static_cast<std::size_t>(d)] +=
+                    batches[b].size();
                 report.batches += 1;
                 report.requests += batches[b].size();
             }
+            dev_end[static_cast<std::size_t>(d)] = device_end;
         }
+    };
+
+    // Wave 1 serves every alive device's own queue. After each wave,
+    // failures that struck inside the cycle window so far fire (the
+    // device is quarantined for the waves and cycles to come; phase 0
+    // above handles failures already due at entry), and the batches the
+    // wave lost replay on the survivors in another wave.
+    serve_wave(queues_, pendingHostSec_, false);
+    double t_fail_max = base;
+    for (;;) {
+        for (int d = 0; fi && d < group_.size(); ++d) {
+            const double tf = fi->failureTimeSec(d);
+            if (dead_[static_cast<std::size_t>(d)] || tf > base + cycle_end)
+                continue;
+            dead_[static_cast<std::size_t>(d)] = 1;
+            fi->markFailed(d, tf);
+            t_fail_max = std::max(t_fail_max, tf);
+        }
+        report.devicesFailed = group_.size() - aliveCount();
+        if (lost.empty())
+            break;
+        if (aliveCount() == 0)
+            throw std::runtime_error(
+                "ShardedSession::drain: device failure with no "
+                "survivors to replay on");
+
+        // Route each lost request to a survivor through homeShard's
+        // scoring, over the replay load alone with its own cap.
+        std::vector<Lost> wave_lost;
+        wave_lost.swap(lost);
+        std::vector<std::vector<Request>> replay_q(
+            static_cast<std::size_t>(group_.size()));
+        const std::int64_t alive = aliveCount();
+        const auto n_lost = static_cast<std::int64_t>(wave_lost.size());
+        const std::int64_t rcap = (n_lost + alive - 1) / alive + 1;
+        for (Lost &l : wave_lost) {
+            const int best = pickShard(l.req.mb, replay_q, rcap, false);
+            if (fi)
+                fi->noteReroute(l.req.id, l.from, best, l.tFail);
+            ++report.requestsRerouted;
+            if (flight_)
+                flight_->event(l.req.id, "reroute", l.tFail, best,
+                               "from=" + std::to_string(l.from));
+            replay_q[static_cast<std::size_t>(best)].push_back(
+                std::move(l.req));
+        }
+        report.requestsReplayed += wave_lost.size();
+
+        // A survivor starts once the last failure has happened and its
+        // own earlier work is done; the lost requests' subgraph
+        // structures re-send serialized on its PCIe lanes, and the dead
+        // shards' feature rows re-gather from the host store
+        // (host-fallback halo).
+        std::vector<double> start(static_cast<std::size_t>(group_.size()),
+                                  0.0);
+        for (int s = 0; s < group_.size(); ++s) {
+            double &t0 = start[static_cast<std::size_t>(s)];
+            t0 = std::max(t_fail_max - base,
+                          dev_end[static_cast<std::size_t>(s)]);
+            for (const Request &r : replay_q[static_cast<std::size_t>(s)])
+                t0 += sendStructure(r.mb, s);
+        }
+        serve_wave(replay_q, start, true);
     }
 
     group_.advanceTo(base + cycle_end);
@@ -909,7 +832,7 @@ ShardedSession::serveOldestOn(int device, std::size_t n, int stream)
         batchHaloBytes(reqs, device, &out.hostFallbackBytes);
     const double dout_bytes =
         static_cast<double>(cfg_.serving.dout) * sizeof(float);
-    if (device != 0)
+    if (device != root())
         for (const Request *r : reqs)
             out.gatherBytes += static_cast<double>(
                                    r->mb.subgraph.numNodes()) *
@@ -941,20 +864,26 @@ ShardedSession::serveOldestOn(int device, std::size_t n, int stream)
         for (std::size_t i = 0; i < n; ++i)
             results_.insert_or_assign(q[i].id, outs[i].clone());
     }
+    popOldest(device, n);
+    return out;
+}
 
+void
+ShardedSession::popOldest(int device, std::size_t n)
+{
     // Rebase this device's transfer bookkeeping exactly like
-    // ServingSession::serveOldest: the served requests' cumulative
+    // ServingSession::serveOldest: the popped requests' cumulative
     // transfer time leaves this submit epoch with them, so a later
     // drain() only charges the transfers of the requests it actually
     // serves. submitSec is non-decreasing along the queue, so the
     // remaining entries stay non-negative.
+    auto &q = queues_[static_cast<std::size_t>(device)];
     const double served_host_sec = q[n - 1].submitSec;
     q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(n));
     double &pending = pendingHostSec_[static_cast<std::size_t>(device)];
     pending = std::max(0.0, pending - served_host_sec);
     for (Request &r : q)
         r.submitSec = std::max(0.0, r.submitSec - served_host_sec);
-    return out;
 }
 
 std::vector<std::uint64_t>
@@ -970,14 +899,9 @@ ShardedSession::dropOldestOn(int device, std::size_t n)
     ids.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
         ids.push_back(q[i].id);
-    // Rebase exactly like serveOldestOn: the cancelled requests'
-    // submit transfers already happened and leave with them.
-    const double served_host_sec = q[n - 1].submitSec;
-    q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(n));
-    double &pending = pendingHostSec_[static_cast<std::size_t>(device)];
-    pending = std::max(0.0, pending - served_host_sec);
-    for (Request &r : q)
-        r.submitSec = std::max(0.0, r.submitSec - served_host_sec);
+    // The cancelled requests' submit transfers already happened and
+    // leave with them.
+    popOldest(device, n);
     return ids;
 }
 
@@ -1024,14 +948,11 @@ ShardedSession::hedgeOldestOn(int from, int to, int stream)
     // like a quarantine re-route; charged as batch overhead, not as a
     // queued submit — the hedge never joins a queue.
     sim::Runtime &rt = group_.device(to);
-    const double transfer = graph::hostTransferSec(
-        static_cast<double>(head.mb.subgraph.structureBytes()),
-        rt.spec());
-    rt.hostOverhead(transfer);
+    const double transfer = sendStructure(head.mb, to);
 
     out.haloBytesByOwner =
         batchHaloBytes(reqs, to, &out.hostFallbackBytes);
-    if (to != 0)
+    if (to != root())
         out.gatherBytes += static_cast<double>(
                                head.mb.subgraph.numNodes()) *
                            static_cast<double>(cfg_.serving.dout) *

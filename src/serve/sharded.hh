@@ -17,8 +17,8 @@
  *  - halo exchange: feature rows of subgraph vertices the home shard
  *    does not own travel owner -> home over the interconnect before
  *    the batch's kernels may start;
- *  - result gather: every batch's outputs travel home -> device 0
- *    (the all-gather root) after execution.
+ *  - result gather: every batch's outputs travel home -> the
+ *    all-gather root (root()) after execution.
  *
  * The feature store is *sharded and device-resident*: at construction
  * each device bulk-loads its shard's feature rows over its own PCIe
@@ -34,6 +34,11 @@
  * Compute parallelizes the same way: each device runs its own
  * StreamScheduler (own driver thread, own streams) on the shared
  * virtual clock, which is where the multi-device speedup comes from.
+ *
+ * drain() serves a cycle in waves of one per-device routine: wave 1
+ * serves each device's own queue; after every wave the failures that
+ * struck so far are quarantined and the batches it lost replay on the
+ * survivors in another wave, until a wave loses nothing.
  */
 
 #ifndef HECTOR_SERVE_SHARDED_HH
@@ -78,7 +83,7 @@ struct ShardedReport : ServingReport
     double cutRatio = 0.0;
     /** Halo-exchange bytes moved for this cycle's batches. */
     double haloBytes = 0.0;
-    /** Result all-gather bytes moved to device 0 this cycle. */
+    /** Result all-gather bytes moved onto the root this cycle. */
     double gatherBytes = 0.0;
     /** Link-seconds the interconnect was busy this cycle, as ms. */
     double interconnectMs = 0.0;
@@ -109,7 +114,7 @@ struct ShardBatch
      *  surviving owners appear; rows owned by failed shards fall back
      *  to the host store (hostFallbackBytes). */
     std::vector<std::pair<int, double>> haloBytesByOwner{};
-    /** Output bytes to all-gather onto device 0 (0 when home is 0). */
+    /** Output bytes to all-gather onto root() (0 on the root). */
     double gatherBytes = 0.0;
     /** Halo rows whose owner shard has failed, re-gathered from the
      *  host feature store over PCIe instead of the interconnect. */
@@ -225,11 +230,12 @@ class ShardedSession
     /// and at serve time any halo row the dead shard owned is
     /// re-gathered from the host feature store instead of the
     /// interconnect — and drain() replays work the failure lost
-    /// mid-cycle on the survivors. Recovered outputs are bit-identical
-    /// to the fault-free run (re-execution of the same requests with
-    /// the same weights; the batch-invariance property). With every
-    /// device failed, serving throws rather than hanging or dividing
-    /// by zero.
+    /// mid-cycle on the survivors, in as many waves as it takes (a
+    /// survivor that fails in a replay wave loses its replays to the
+    /// next). Recovered outputs are bit-identical to the fault-free run
+    /// (re-execution of the same requests with the same weights; the
+    /// batch-invariance property). With every device failed, serving
+    /// throws rather than hanging or dividing by zero.
     /// @{
 
     /** One re-routed request of a quarantine. */
@@ -253,6 +259,9 @@ class ShardedSession
 
     bool isDead(int device) const;
     int aliveCount() const;
+    /** The all-gather root: the lowest alive device (0 when none
+     *  survives). Every batch's outputs gather onto it. */
+    int root() const;
 
     /// @}
 
@@ -308,6 +317,12 @@ class ShardedSession
     std::vector<std::pair<int, double>>
     batchHaloBytes(const std::vector<const Request *> &reqs, int home,
                    double *host_fallback_bytes) const;
+    /** Pop the @p n (>= 1) oldest requests of @p device's queue and
+     *  rebase its transfer bookkeeping onto what remains. */
+    void popOldest(int device, std::size_t n);
+    /** Charge @p mb's subgraph structure over @p device's PCIe lanes;
+     *  returns the transfer seconds. */
+    double sendStructure(const graph::Minibatch &mb, int device);
     /** Execute @p reqs as one micro-batch on device @p d. */
     std::vector<tensor::Tensor>
     runBatch(const core::CompiledModel &plan,

@@ -13,13 +13,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <map>
 
 #include "graph/datasets.hh"
 #include "graph/partition.hh"
 #include "models/model_sources.hh"
+#include "obs/flight_recorder.hh"
+#include "obs/trace.hh"
 #include "serve/online.hh"
 #include "serve/plan_cache.hh"
 #include "serve/sharded.hh"
@@ -34,9 +38,9 @@ using namespace hector;
 using tensor::Tensor;
 
 graph::HeteroGraph
-servingGraph(double scale = 1.0 / 16.0)
+servingGraph(double scale = 1.0 / 16.0, const char *dataset = "aifb")
 {
-    return graph::generate(graph::datasetSpec("aifb"), scale, 11);
+    return graph::generate(graph::datasetSpec(dataset), scale, 11);
 }
 
 Tensor
@@ -71,7 +75,7 @@ expectBitIdentical(const Tensor &a, const Tensor &b)
 }
 
 /** Serve @p requests on @p devices shards and return output clones by
- *  id, optionally under a fault injector. */
+ *  id, optionally under a fault injector and into a flight recorder. */
 struct DrainRun
 {
     std::map<std::uint64_t, Tensor> outputs;
@@ -80,9 +84,11 @@ struct DrainRun
 
 DrainRun
 runDrain(const char *source, int devices, std::size_t requests,
-         double duplication_fraction, sim::FaultInjector *fi)
+         double duplication_fraction, sim::FaultInjector *fi,
+         obs::FlightRecorder *flight = nullptr,
+         const char *dataset = "aifb")
 {
-    const graph::HeteroGraph g = servingGraph();
+    const graph::HeteroGraph g = servingGraph(1.0 / 16.0, dataset);
     const Tensor feats = hostFeatures(g, 8);
     serve::ShardedConfig cfg;
     cfg.serving = servingConfig(8);
@@ -91,6 +97,7 @@ runDrain(const char *source, int devices, std::size_t requests,
     if (fi)
         group.setFaultInjector(fi);
     serve::ShardedSession session(g, feats, source, cfg, group);
+    session.setFlightRecorder(flight);
     std::vector<std::uint64_t> ids;
     for (std::size_t i = 0; i < requests; ++i)
         ids.push_back(session.submit());
@@ -574,6 +581,195 @@ TEST(FaultEdgeCases, ReportFiniteWhenAllReplaysMissDeadline)
     EXPECT_TRUE(std::isfinite(rep.meanQueueDelayMs));
     EXPECT_GE(rep.sloAttainment, 0.0);
     EXPECT_LE(rep.sloAttainment, 1.0);
+}
+
+/** Time of the last event named @p what in @p id's timeline on
+ *  @p device (-1 when there is none). */
+double
+lastEventSec(const obs::FlightRecorder &fr, std::uint64_t id,
+             const char *what, int device)
+{
+    double t = -1.0;
+    if (const auto *tl = fr.timeline(id))
+        for (const obs::FlightEvent &e : *tl)
+            if (e.what == what && e.device == device)
+                t = std::max(t, e.tSec);
+    return t;
+}
+
+bool
+wasReplayed(const obs::FlightRecorder &fr, std::uint64_t id)
+{
+    if (const auto *tl = fr.timeline(id))
+        for (const obs::FlightEvent &e : *tl)
+            if (e.what == "replay")
+                return true;
+    return false;
+}
+
+/** A survivor that fails while it serves replays loses them to a
+ *  further wave. Device 3 of a bgs RGAT drain fails at half the
+ *  fault-free makespan; a survivor that takes replays fails inside
+ *  its replay wave, after every first-wave batch has finished. No
+ *  request may complete on a device after its failure, both failures
+ *  are counted, and outputs and the fault log stay deterministic. */
+TEST(FaultEdgeCases, SurvivorFailingInTheReplayWaveLosesItsReplays)
+{
+    const char *source = models::kRgatSource;
+    const int devices = 4;
+    const std::size_t requests = 32;
+    obs::FlightRecorder clean_fr(4096);
+    const DrainRun oracle = runDrain(source, devices, requests, 0.0,
+                                     nullptr, &clean_fr, "bgs");
+    ASSERT_EQ(oracle.outputs.size(), requests);
+    const std::uint64_t first_id = oracle.outputs.begin()->first;
+    const double base = clean_fr.timeline(first_id)->front().tSec;
+    const double t3 = base + oracle.report.makespanMs * 1e-3 / 2.0;
+
+    // Locate the replay wave of a one-failure run: the first wave ends
+    // with its last completion, and the survivor with the latest
+    // replay completion serves replays from its `replay` event on.
+    sim::FaultSchedule one;
+    one.events.push_back({sim::FaultKind::DeviceFailure, 3, t3, 1});
+    sim::FaultInjector one_fi(one);
+    obs::FlightRecorder one_fr(4096);
+    const DrainRun probe = runDrain(source, devices, requests, 0.0,
+                                    &one_fi, &one_fr, "bgs");
+    ASSERT_EQ(probe.report.devicesFailed, 1);
+    double wave1_end = t3;
+    int survivor = -1;
+    double replay_start = 0.0;
+    double replay_end = 0.0;
+    for (const auto &[id, out] : probe.outputs) {
+        const bool replayed = wasReplayed(one_fr, id);
+        for (int d = 0; d < devices - 1; ++d) {
+            const double done = lastEventSec(one_fr, id, "completion", d);
+            if (done < 0.0)
+                continue;
+            if (!replayed) {
+                wave1_end = std::max(wave1_end, done);
+            } else if (done > replay_end) {
+                replay_end = done;
+                survivor = d;
+                replay_start = lastEventSec(one_fr, id, "replay", d);
+            }
+        }
+    }
+    ASSERT_GE(survivor, 0) << "no request replayed";
+    const double lo = std::max(wave1_end, replay_start);
+    ASSERT_LT(lo, replay_end) << "replay wave overlaps the first wave";
+    const double t_second = lo + (replay_end - lo) / 2.0;
+
+    sim::FaultSchedule two = one;
+    two.events.push_back(
+        {sim::FaultKind::DeviceFailure, survivor, t_second, 1});
+    std::map<int, double> fail_at{{3, t3}, {survivor, t_second}};
+    std::string first_log;
+    for (int threads : {1, 2, 4}) {
+        util::setGlobalThreads(threads);
+        sim::FaultInjector fi(two);
+        obs::FlightRecorder fr(4096);
+        const DrainRun run =
+            runDrain(source, devices, requests, 0.0, &fi, &fr, "bgs");
+
+        EXPECT_EQ(run.report.devicesFailed, 2);
+        EXPECT_EQ(fi.stats().failuresInjected, 2u);
+        EXPECT_EQ(run.report.requests, requests);
+        for (const auto &[id, out] : oracle.outputs) {
+            for (const auto &[d, tf] : fail_at) {
+                const double done = lastEventSec(fr, id, "completion", d);
+                EXPECT_LE(done, tf) << "request " << id
+                                    << " completed on dead device " << d;
+            }
+            ASSERT_EQ(run.outputs.count(id), 1u) << "id " << id;
+            expectBitIdentical(out, run.outputs.at(id));
+        }
+
+        if (first_log.empty())
+            first_log = fi.logText();
+        else
+            EXPECT_EQ(first_log, fi.logText())
+                << "event log diverged at " << threads << " threads";
+    }
+    util::setGlobalThreads(0);
+}
+
+/** A request lost mid-cycle reads reroute -> replay -> batch-join ->
+ *  exec-start -> (all-gather off the root) -> completion after its
+ *  `lost` event, and a traced drain shows its batch span on the
+ *  survivor. */
+TEST(FaultEdgeCases, ReplayedRequestHasTheFullLifecycle)
+{
+    const graph::HeteroGraph g = servingGraph();
+    const Tensor feats = hostFeatures(g, 8);
+    serve::ShardedConfig cfg;
+    cfg.serving = servingConfig(8);
+    const DrainRun oracle =
+        runDrain(models::kRgcnSource, 4, 16, 0.0, nullptr);
+
+    sim::FaultSchedule sched;
+    sched.events.push_back({sim::FaultKind::DeviceFailure, 3, 1.0e-9, 1});
+    sim::FaultInjector fi(sched);
+    sim::DeviceGroup group(4);
+    group.setFaultInjector(&fi);
+    serve::ShardedSession session(g, feats, models::kRgcnSource, cfg,
+                                  group);
+    obs::FlightRecorder fr(4096);
+    session.setFlightRecorder(&fr);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 16; ++i)
+        ids.push_back(session.submit());
+
+    obs::setEnabled(true);
+    obs::setDeterministic(true);
+    obs::tracer().clear();
+    const serve::ShardedReport rep = session.drain();
+    obs::setEnabled(false);
+    const std::string trace = obs::tracer().exportJson();
+    obs::tracer().clear();
+    ASSERT_EQ(rep.requests, ids.size());
+    ASSERT_EQ(rep.devicesFailed, 1);
+
+    std::size_t replayed = 0;
+    for (std::uint64_t id : ids) {
+        const std::vector<obs::FlightEvent> &tl = *fr.timeline(id);
+        auto lost = std::find_if(tl.begin(), tl.end(),
+                                 [](const obs::FlightEvent &e) {
+                                     return e.what == "lost";
+                                 });
+        if (lost == tl.end())
+            continue;
+        ++replayed;
+        std::vector<std::string> steps;
+        for (auto it = lost + 1; it != tl.end(); ++it)
+            if (it->what != "halo")
+                steps.push_back(it->what);
+        const int survivor = tl.back().device;
+        EXPECT_NE(survivor, 3);
+        std::vector<std::string> want{"reroute", "replay", "batch-join",
+                                      "exec-start"};
+        if (survivor != session.root())
+            want.push_back("all-gather");
+        want.push_back("completion");
+        EXPECT_EQ(steps, want) << "request " << id;
+
+        for (auto it = lost + 1; it != tl.end(); ++it) {
+            EXPECT_EQ(it->device, survivor) << it->what;
+            if (it->what != "exec-start")
+                continue;
+            char span[160];
+            std::snprintf(span, sizeof span,
+                          "{\"name\":\"batch\",\"cat\":\"serve\",\"ph\":"
+                          "\"X\",\"pid\":%d,\"tid\":%s,\"ts\":%.3f,",
+                          survivor, it->detail.substr(7).c_str(),
+                          it->tSec * 1e6);
+            EXPECT_NE(trace.find(span), std::string::npos)
+                << "no batch span " << span;
+        }
+        expectBitIdentical(oracle.outputs.at(id), *session.result(id));
+    }
+    EXPECT_GT(replayed, 0u);
+    EXPECT_EQ(rep.requestsReplayed, replayed);
 }
 
 // -------------------------------------------------- duplication sampling
