@@ -95,6 +95,8 @@ CompiledModel::forward(ExecutionContext &ctx) const
 {
     ctx.jit = jit.get();
     execute(forwardProgram, forwardFn, ctx);
+    if (ctx.rowTable(forwardProgram.outputVar))
+        return tensor::Tensor();
     return ctx.ensureTensor(forwardProgram, forwardProgram.outputVar);
 }
 
@@ -112,6 +114,12 @@ bindInputs(const CompiledModel &m, ExecutionContext &ctx,
            const tensor::Tensor &feature)
 {
     ctx.bindExternal(m.forwardProgram.inputVar, feature);
+    bindGraphInputs(m, ctx);
+}
+
+void
+bindGraphInputs(const CompiledModel &m, ExecutionContext &ctx)
+{
     if (m.forwardProgram.vars.count("norm")) {
         const auto norm = ctx.g->rgcnNorm();
         tensor::Tensor t({ctx.g->numEdges(), 1});

@@ -88,8 +88,10 @@ struct CompiledModel
 
     /**
      * Run forward propagation. ctx.tensors must hold the program's
-     * input variables (feature, and norm for RGCN); returns the
-     * output tensor (also left in ctx.tensors).
+     * input variables (feature, and norm for RGCN), or ctx a row
+     * table for the feature; returns the output tensor (also left in
+     * ctx.tensors), or an empty tensor when ctx addresses the output
+     * through a row table (the rows are written in place).
      */
     tensor::Tensor forward(ExecutionContext &ctx) const;
 
@@ -126,6 +128,13 @@ CompiledModel compile(Program program, const CompileOptions &options);
  */
 void bindInputs(const CompiledModel &m, ExecutionContext &ctx,
                 const tensor::Tensor &feature);
+
+/**
+ * The graph-derived half of bindInputs(): the RGCN per-edge
+ * normalization data, when the program uses it. For a context that
+ * addresses the feature through a row table.
+ */
+void bindGraphInputs(const CompiledModel &m, ExecutionContext &ctx);
 
 /**
  * Convenience: one full training step (forward, loss-style seed

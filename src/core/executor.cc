@@ -77,6 +77,7 @@ ExecutionContext::reset(const graph::HeteroGraph *graph,
     weights = w;
     weightGrads = wg;
     tensors.clear();
+    rowTables_.clear();
     std::fill(slotBound_.begin(), slotBound_.end(), 0);
     std::fill(slotViews_.begin(), slotViews_.end(), Tensor());
 }
@@ -177,6 +178,9 @@ ExecutionContext::bindExternal(const std::string &name, Tensor t)
 Tensor &
 ExecutionContext::ensureTensor(const Program &p, const std::string &var)
 {
+    if (rowTable(var))
+        throw std::logic_error("ensureTensor: " + var +
+                               " is addressed through a row table");
     if (plan_) {
         const int slot = plan_->slotOf(var);
         if (slot >= 0)
@@ -224,6 +228,29 @@ ExecutionContext::lookup(const std::string &name) const
         if (slot >= 0 && slotBound_[static_cast<std::size_t>(slot)])
             return &slotViews_[static_cast<std::size_t>(slot)];
     }
+    return nullptr;
+}
+
+void
+ExecutionContext::bindRowTable(const std::string &var, RowTable rows)
+{
+    if (static_cast<std::int64_t>(rows.size()) != g->numNodes())
+        throw std::runtime_error("bindRowTable: " + var +
+                                 " needs one row per node");
+    for (auto &[name, table] : rowTables_)
+        if (name == var) {
+            table = std::move(rows);
+            return;
+        }
+    rowTables_.emplace_back(var, std::move(rows));
+}
+
+const RowTable *
+ExecutionContext::rowTable(const std::string &var) const
+{
+    for (const auto &[name, table] : rowTables_)
+        if (name == var)
+            return &table;
     return nullptr;
 }
 
@@ -335,6 +362,21 @@ usesIndexArray(AccessScheme s)
     return s != AccessScheme::Identity;
 }
 
+/** The rows of one GEMM operand: a tensor's, or a row table's. */
+struct OperandRows
+{
+    float *base = nullptr;
+    std::int64_t stride = 0;
+    const RowTable *table = nullptr;
+
+    float *
+    row(std::int64_t i) const
+    {
+        return table ? (*table)[static_cast<std::size_t>(i)]
+                     : base + i * stride;
+    }
+};
+
 /** Schedule-derated compute efficiency of a GEMM instance. */
 double
 gemmComputeEff(const GemmInstance &gi)
@@ -404,23 +446,33 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
     const std::int64_t din = gi.din;
     const std::int64_t dout = gi.dout;
 
-    auto operand = [&](const std::string &name,
-                       std::int32_t slot) -> Tensor & {
+    auto tensorOf = [&](const std::string &name,
+                        std::int32_t slot) -> Tensor & {
         if (ctx.plan() && slot >= 0)
             return ctx.slotTensor(slot);
         return ctx.ensureTensor(p, name);
     };
+    auto operand = [&](const std::string &name,
+                       std::int32_t slot) -> OperandRows {
+        if (const RowTable *table = ctx.rowTable(name))
+            return {nullptr, 0, table};
+        Tensor &t = tensorOf(name, slot);
+        std::int64_t stride = 1;
+        for (int d = 1; d < t.ndim(); ++d)
+            stride *= t.dim(d);
+        return {t.data(), stride, nullptr};
+    };
 
-    Tensor &x = operand(gi.xVar, gi.xSlot);
+    const OperandRows x = operand(gi.xVar, gi.xSlot);
 
     const float *scalar = nullptr;
     if (!gi.perRowScalarVar.empty())
-        scalar = operand(gi.perRowScalarVar, gi.scalarSlot).data();
+        scalar = tensorOf(gi.perRowScalarVar, gi.scalarSlot).data();
 
     /** Rows [r0, r1) of segment t in the seed's exact loop order;
      *  handles every access scheme including colliding scatters. */
-    auto seedRows = [&](Tensor &y, std::int64_t t, std::int64_t r0,
-                        std::int64_t r1) {
+    auto seedRows = [&](const OperandRows &y, std::int64_t t,
+                        std::int64_t r0, std::int64_t r1) {
         const float *wslice = w.data() + t * wr * wc;
         for (std::int64_t r = r0; r < r1; ++r) {
             const float *xrow =
@@ -462,8 +514,8 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
     const jit::GemmRowFn jfn =
         ctx.jit ? ctx.jit->kernel(gi.phase == sim::Phase::Backward, gi.kid)
                 : nullptr;
-    auto blockedRows = [&](Tensor &y, std::int64_t t, std::int64_t r0,
-                           std::int64_t r1) {
+    auto blockedRows = [&](const OperandRows &y, std::int64_t t,
+                           std::int64_t r0, std::int64_t r1) {
         const float *wslice = w.data() + t * wr * wc;
         if (!gi.yAccumulate)
             for (std::int64_t r = r0; r < r1; ++r)
@@ -490,7 +542,7 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
 
     auto body = [&]() {
         if (gi.kind == GemmKind::Outer) {
-            Tensor &y2 = operand(gi.y2Var, gi.y2Slot);
+            const OperandRows y2 = operand(gi.y2Var, gi.y2Slot);
             Tensor &grad =
                 untrackedParam(*ctx.weightGrads, gi.yVar, w.shape());
             // Every row of a segment accumulates into the same grad
@@ -515,7 +567,7 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
             }
             return;
         }
-        Tensor &y = operand(gi.yVar, gi.ySlot);
+        const OperandRows y = operand(gi.yVar, gi.ySlot);
 
         // Walk the segments overlapping [lo, hi), dispatching each
         // sub-range to the blocked or seed-order row kernel.
@@ -573,18 +625,24 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
     const double weight_bytes = static_cast<double>(w.numel()) * 4.0 *
                                 ctx.rt->spec().datasetScale;
     const double out_rows_bytes = rows_d * static_cast<double>(dout) * 4.0;
+    // A row resolved through a row table reads its 8-byte address.
+    auto tableBytes = [&](const std::string &var) {
+        return ctx.rowTable(var) ? rows_d * 8.0 : 0.0;
+    };
     desc.bytesRead = rows_d * static_cast<double>(din) * 4.0 +
                      (usesIndexArray(gi.xAccess) ? rows_d * 8.0 : 0.0) +
-                     (scalar ? rows_d * 4.0 : 0.0);
+                     tableBytes(gi.xVar) + (scalar ? rows_d * 4.0 : 0.0);
     if (gi.kind == GemmKind::Outer) {
         // The y2 rows are read (through their index array when
         // gathered); the weight gradient is written once per type.
         desc.bytesRead += out_rows_bytes +
-                          (usesIndexArray(gi.y2Access) ? rows_d * 8.0 : 0.0);
+                          (usesIndexArray(gi.y2Access) ? rows_d * 8.0 : 0.0) +
+                          tableBytes(gi.y2Var);
         desc.bytesWritten = weight_bytes;
     } else {
         desc.bytesRead += weight_bytes +
-                          (usesIndexArray(gi.yAccess) ? rows_d * 8.0 : 0.0);
+                          (usesIndexArray(gi.yAccess) ? rows_d * 8.0 : 0.0) +
+                          tableBytes(gi.yVar);
         desc.bytesWritten = out_rows_bytes;
     }
     if (isAtomicScatter(gi.yAccess)) {
@@ -720,23 +778,25 @@ class OperandResolver
             }
             return t.row(pt.e);
         }
-        // Node-space variable.
-        Tensor &t = ctx_.ensureTensor(p_, ref.name);
+        // Node-space variable: node n's row, in place when the
+        // variable is addressed through a row table.
+        std::int64_t n = pt.v;
         switch (ref.access) {
-          case Access::ViaSrc: {
-            const std::int64_t n =
-                domain == RowDomain::UniquePairs
+          case Access::ViaSrc:
+            n = domain == RowDomain::UniquePairs
                     ? ctx_.cmap->uniqueRowIdx()[
                           static_cast<std::size_t>(pt.u)]
                     : ctx_.g->src()[static_cast<std::size_t>(pt.e)];
-            return t.row(n);
-          }
+            break;
           case Access::ViaDst:
-            return t.row(ctx_.g->dst()[static_cast<std::size_t>(pt.e)]);
+            n = ctx_.g->dst()[static_cast<std::size_t>(pt.e)];
+            break;
           case Access::Direct:
-            return t.row(pt.v);
+            break;
         }
-        return nullptr;
+        if (const RowTable *table = ctx_.rowTable(ref.name))
+            return (*table)[static_cast<std::size_t>(n)];
+        return ctx_.ensureTensor(p_, ref.name).row(n);
     }
 
   private:
@@ -933,6 +993,11 @@ enum class RowMode : std::uint8_t
     SrcNodeFromUnique, ///< row uniqueRowIdx[pt.u]
     DstNode,           ///< row dst[pt.e]
     Node,              ///< row pt.v
+    /// The node modes through a row table: table[n] for the same n.
+    SrcNodeTable,
+    SrcNodeFromUniqueTable,
+    DstNodeTable,
+    NodeTable,
 };
 
 /** Graph index arrays used by per-point row resolution. */
@@ -947,9 +1012,35 @@ struct PointIndex
 struct PreparedOperand
 {
     float *base = nullptr;
+    /** Row table of a node variable addressed in place, else null. */
+    float *const *table = nullptr;
     std::int64_t cols = 0;
     std::int32_t scratch = -1;
     RowMode mode = RowMode::Edge;
+
+    /** Locate rows by node mode @p m, through the table if any. */
+    void
+    atNode(RowMode m)
+    {
+        if (table)
+            switch (m) {
+              case RowMode::SrcNode:
+                m = RowMode::SrcNodeTable;
+                break;
+              case RowMode::SrcNodeFromUnique:
+                m = RowMode::SrcNodeFromUniqueTable;
+                break;
+              case RowMode::DstNode:
+                m = RowMode::DstNodeTable;
+                break;
+              case RowMode::Node:
+                m = RowMode::NodeTable;
+                break;
+              default:
+                throw std::logic_error("atNode: not a node row mode");
+            }
+        mode = m;
+    }
 };
 
 struct PreparedStmt
@@ -1006,6 +1097,14 @@ opPtr(const PreparedOperand &o, const EvalPoint &pt, const PointIndex &ix,
         return o.base + ix.dst[pt.e] * o.cols;
       case RowMode::Node:
         return o.base + pt.v * o.cols;
+      case RowMode::SrcNodeTable:
+        return o.table[ix.src[pt.e]];
+      case RowMode::SrcNodeFromUniqueTable:
+        return o.table[ix.uri[pt.u]];
+      case RowMode::DstNodeTable:
+        return o.table[ix.dst[pt.e]];
+      case RowMode::NodeTable:
+        return o.table[pt.v];
     }
     return nullptr;
 }
@@ -1046,21 +1145,32 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
                          : RowMode::Edge;
             return o;
         }
-        o.base = operandTensor(ref).data();
+        if (const RowTable *table = ctx.rowTable(ref.name))
+            o.table = table->data();
+        else
+            o.base = operandTensor(ref).data();
         switch (ref.access) {
           case Access::ViaSrc:
-            o.mode = ti.domain == RowDomain::UniquePairs
+            o.atNode(ti.domain == RowDomain::UniquePairs
                          ? RowMode::SrcNodeFromUnique
-                         : RowMode::SrcNode;
+                         : RowMode::SrcNode);
             break;
           case Access::ViaDst:
-            o.mode = RowMode::DstNode;
+            o.atNode(RowMode::DstNode);
             break;
           case Access::Direct:
-            o.mode = RowMode::Node;
+            o.atNode(RowMode::Node);
             break;
         }
         return o;
+    };
+
+    // Locate @p o's rows at the group's own row: node v, or pair u.
+    auto atGroupRow = [&](PreparedOperand &o) {
+        if (ti.group == GroupKey::DstNode)
+            o.atNode(RowMode::Node);
+        else
+            o.mode = RowMode::Unique;
     };
 
     // Ownership predicate. A statement's output row must be owned by
@@ -1129,8 +1239,7 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
         if (ss.hoistLevel == 2) {
             // Stored to the group's own row: node v or compact row u.
             ps.store = ps.out;
-            ps.store.mode = ti.group == GroupKey::DstNode ? RowMode::Node
-                                                          : RowMode::Unique;
+            atGroupRow(ps.store);
             ps.out.mode = RowMode::Scratch;
             ps.out.scratch =
                 static_cast<std::int32_t>(prep.scratchCols.size());
@@ -1142,9 +1251,7 @@ prepareTraversal(const Program &p, const TraversalInstance &ti,
             // edge of the group reaches: node v, or pair u.
             const OperandLoad *load = ti.loadOf(s.ins[i]);
             if (load && ti.hoisted(*load))
-                ps.ins[i].mode = ti.group == GroupKey::DstNode
-                                     ? RowMode::Node
-                                     : RowMode::Unique;
+                atGroupRow(ps.ins[i]);
             if (i == 0)
                 ps.dIn0 = p.varInfo(s.ins[0].name).cols;
             if (i == 1)
@@ -1432,6 +1539,10 @@ traversalDesc(const Program &p, const TraversalInstance &ti,
             break;
         }
         desc.bytesRead += 4.0 * cols * rows;
+        // A row resolved through a row table reads its 8-byte address
+        // at the load's own rate.
+        if (!l.weight && ctx.rowTable(l.var))
+            desc.bytesRead += 8.0 * rows;
     }
     // Adjacency indices: 4 bytes each, once per edge (or row of a flat
     // domain), or once per group with an edge (per pair in the
@@ -1446,8 +1557,12 @@ traversalDesc(const Program &p, const TraversalInstance &ti,
         const StmtCost c = stmtCost(p, ss.stmt, ti.domain, ti.group, ctx);
         const double n = ss.hoistLevel == 1 ? group_iters : iters;
         desc.flops += c.flops * n;
-        desc.bytesWritten +=
-            c.bytesWritten * (ss.hoistLevel == 2 ? edged_groups : n);
+        const double stored = ss.hoistLevel == 2 ? edged_groups : n;
+        desc.bytesWritten += c.bytesWritten * stored;
+        // So does each row stored through a row table (once: an adding
+        // store reads back the row at the address it writes).
+        if (ctx.rowTable(ss.stmt.out.name))
+            desc.bytesRead += 8.0 * stored;
         // An adding store, and a `+=` that reads its row from memory,
         // read the row they add into.
         if (ss.addsOnStore())
@@ -1911,13 +2026,17 @@ execute(const Program &p, const LoweredFunction &fn, ExecutionContext &ctx)
     // With an adopted plan, materialize-and-zero each variable's slot
     // at the variable's first use — the arena counterpart of the
     // legacy allocate-on-first-use zero guarantee, and the reset point
-    // for slots shared across disjoint live ranges.
+    // for slots shared across disjoint live ranges. A variable
+    // addressed through a row table has no slot storage: its rows are
+    // zero on entry already.
     const bool planned =
         ctx.plan() && fn.zeroSlotsBefore.size() == fn.order.size();
     for (std::size_t i = 0; i < fn.order.size(); ++i) {
         if (planned)
             for (std::int32_t slot : fn.zeroSlotsBefore[i])
-                ctx.materializeSlot(slot);
+                if (!ctx.rowTable(
+                        ctx.plan()->slots[static_cast<std::size_t>(slot)].var))
+                    ctx.materializeSlot(slot);
         const auto &step = fn.order[i];
         // A split edge loop runs as its two halves, or as one merged
         // walk in place of both where that prices less on this graph.

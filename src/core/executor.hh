@@ -18,6 +18,25 @@
  * operands through stamped slot indices instead of string-keyed maps;
  * without a plan the context behaves exactly like the seed
  * (allocate-on-first-use into the `tensors` map).
+ *
+ * Row tables: a context may address a node-space variable (the model
+ * input, the model output) through a per-node *row table* instead of
+ * a tensor: entry v holds the address of node v's row, wherever that
+ * row lives. Serving binds the input table into each request's own
+ * feature tensor and the output table into each request's result
+ * tensor, so a micro-batch runs over its union graph without a
+ * gathered feature tensor, a union output buffer or the two copy
+ * kernels that filled and drained them. Every row resolution of such
+ * a variable goes through the table: the GEMM X and Y rows on the
+ * seed, blocked and JIT row paths, the traversal's prepared operands
+ * and its level-2 and adding stores, and the seed OperandResolver.
+ * The arithmetic is unchanged, so results stay bit-identical. The
+ * cost model charges the table honestly: each row resolved through a
+ * table reads one 8-byte address more, wherever that row is priced
+ * (per GEMM row, at a traversal load's own rate, per stored row).
+ * The generated CUDA text does not change: its kernels already take
+ * each operand as a row pointer computed by the launch, and the
+ * serving host code binds the tables when it launches them.
  */
 
 #ifndef HECTOR_CORE_EXECUTOR_HH
@@ -43,6 +62,13 @@ namespace jit
 {
 class JitModule;
 }
+
+/**
+ * Per-node row addresses of a variable the kernels address in place:
+ * entry v is node v's row. The rows are not owned; they must outlive
+ * every execution until the context's next reset().
+ */
+using RowTable = std::vector<float *>;
 
 /** All state one forward/backward execution reads and writes. */
 struct ExecutionContext
@@ -92,9 +118,9 @@ struct ExecutionContext
     /**
      * Rebind the context to a new request: swap the graph/runtime/
      * weight pointers, drop all per-request state (named tensors,
-     * slot views and their zero-initialization marks) but KEEP the
-     * pooled arena — the whole point of pooling contexts in the
-     * serving sessions.
+     * slot views and their zero-initialization marks, row tables) but
+     * KEEP the pooled arena — the whole point of pooling contexts in
+     * the serving sessions.
      */
     void reset(const graph::HeteroGraph *g, const graph::CompactionMap *cm,
                sim::Runtime *rt, std::map<std::string, tensor::Tensor> *w,
@@ -135,6 +161,19 @@ struct ExecutionContext
      *  the plan's slot (post-execution inspection). */
     const tensor::Tensor *lookup(const std::string &name) const;
 
+    /**
+     * Address node-space variable @p var through @p rows (one entry
+     * per node of the bound graph) until the next reset(). The
+     * variable then has no tensor: the planner's slot for it is
+     * neither bound nor materialized, ensureTensor() refuses it, and
+     * every kernel reads and writes its rows in place. An output
+     * bound this way must be zero on entry, as its slot would be.
+     */
+    void bindRowTable(const std::string &var, RowTable rows);
+
+    /** The row table bound to @p var, or nullptr. */
+    const RowTable *rowTable(const std::string &var) const;
+
   private:
     const MemoryPlan *plan_ = nullptr;
     /** plan_->pack() for layout_.rows; stale when !layoutValid_. */
@@ -147,6 +186,8 @@ struct ExecutionContext
     /** Per-request views into the arena (or external aliases). */
     std::vector<tensor::Tensor> slotViews_;
     std::vector<std::uint8_t> slotBound_;
+    /** Variables addressed through row tables (bindRowTable). */
+    std::vector<std::pair<std::string, RowTable>> rowTables_;
 };
 
 /** Execute every instance of @p fn in order (honoring the plan's

@@ -341,8 +341,10 @@ PlanCompiler::compile(const PlanKey &key, const Tensor &host_features,
 
     // Modeled resident cost: generated plan text + the arena packed
     // for a nominal maximal micro-batch (its unique pairs bounded by
-    // its edges) + the output buffer + this variant's weights,
-    // plus the dlopened JIT artifact when one is attached.
+    // its edges) + this variant's weights, plus the dlopened JIT
+    // artifact when one is attached. A serving context writes the
+    // output into the per-request results through a row table, so it
+    // never allocates the plan's output buffer.
     std::size_t bytes = out.plan->code.cudaSource.size() +
                         out.plan->code.hostSource.size() +
                         out.plan->code.pythonSource.size() +
@@ -359,8 +361,7 @@ PlanCompiler::compile(const PlanKey &key, const Tensor &host_features,
         static_cast<std::int64_t>(cfg_.maxBatch) * cfg_.sample.numSeeds *
             cfg_.sample.fanout *
             std::max(1, g_->numEdgeTypes()));
-    bytes += out.plan->memoryPlan.pack({nodes, edges, edges})
-                 .residentBytes();
+    bytes += out.plan->memoryPlan.pack({nodes, edges, edges}).totalBytes;
     for (const auto &[name, w] : weights)
         bytes += w.bytes();
     out.costBytes = bytes;

@@ -1,10 +1,7 @@
 #include "serve/micro_batch.hh"
 
-#include <cstring>
 #include <stdexcept>
 #include <string>
-
-#include "util/thread_pool.hh"
 
 namespace hector::serve
 {
@@ -13,7 +10,7 @@ using graph::HeteroGraph;
 using tensor::Tensor;
 
 MicroBatch
-coalesce(const std::vector<const Request *> &requests, sim::Runtime &rt)
+coalesce(const std::vector<const Request *> &requests, sim::Runtime &)
 {
     if (requests.empty())
         throw std::runtime_error("coalesce: empty request set");
@@ -31,6 +28,10 @@ coalesce(const std::vector<const Request *> &requests, sim::Runtime &rt)
         if (r->feature.dim(1) != din)
             throw std::runtime_error(
                 "coalesce: requests have mismatched feature dims");
+        if (r->feature.dim(0) != r->mb.subgraph.numNodes())
+            throw std::runtime_error(
+                "coalesce: a request's feature rows do not match its "
+                "subgraph's nodes");
     }
 
     // Disjoint union. Union node ids are assigned per node type, then
@@ -101,40 +102,16 @@ coalesce(const std::vector<const Request *> &requests, sim::Runtime &rt)
     batch.requests = requests;
     batch.localToUnion = std::move(l2u);
 
-    // Gather every request's features into the batched input tensor;
-    // charged as one device-side index/copy kernel. Each union row is
-    // written by exactly one (request, local row) pair, so the
-    // per-request row ranges parallelize with bit-stable results.
-    batch.feature = Tensor({total_nodes, din});
-    auto gatherRange = [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t ri = lo; ri < hi; ++ri) {
-            const Tensor &f = requests[static_cast<std::size_t>(ri)]
-                                  ->feature;
-            const auto &l2un =
-                batch.localToUnion[static_cast<std::size_t>(ri)];
-            for (std::int64_t v = 0; v < f.dim(0); ++v)
-                std::memcpy(
-                    batch.feature.row(l2un[static_cast<std::size_t>(v)]),
-                    f.row(v),
-                    static_cast<std::size_t>(din) * sizeof(float));
-        }
-    };
-    if (util::seedKernelMode())
-        gatherRange(0, static_cast<std::int64_t>(requests.size()));
-    else
-        util::globalPool().parallelFor(
-            0, static_cast<std::int64_t>(requests.size()), gatherRange, 1);
-    sim::KernelDesc gather;
-    gather.name = "batch_gather_features";
-    gather.category = sim::KernelCategory::Index;
-    gather.bytesRead =
-        4.0 * static_cast<double>(total_nodes) * static_cast<double>(din) +
-        8.0 * static_cast<double>(total_nodes);
-    gather.bytesWritten =
-        4.0 * static_cast<double>(total_nodes) * static_cast<double>(din);
-    gather.workItems =
-        static_cast<double>(total_nodes) * static_cast<double>(din);
-    rt.launch(gather, nullptr);
+    // The input table: union node u's feature row is its request's
+    // own row, read in place by the kernels.
+    batch.featureRows.resize(static_cast<std::size_t>(total_nodes));
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        Tensor f = requests[i]->feature;
+        const auto &l2un = batch.localToUnion[i];
+        for (std::size_t v = 0; v < l2un.size(); ++v)
+            batch.featureRows[static_cast<std::size_t>(l2un[v])] =
+                f.row(static_cast<std::int64_t>(v));
+    }
 
     return batch;
 }
@@ -158,45 +135,27 @@ executeBatch(const core::CompiledModel &plan, const MicroBatch &batch,
     ctx.reset(&batch.unionGraph, &batch.cmap, &rt, &weights, &grads);
     ctx.adoptPlan(use_arena ? &plan.memoryPlan : nullptr);
 
-    core::bindInputs(plan, ctx, batch.feature);
-    const Tensor out = plan.forward(ctx);
-    const std::int64_t dout = out.dim(1);
-
-    // Scatter the batched output back into one tensor per request;
-    // charged as one device-side index/copy kernel. One result tensor
-    // per request: the copy loops parallelize per request with each
-    // output row written exactly once.
+    // One zeroed result tensor per request; the output table points
+    // union node u at its request's row, which the kernels write in
+    // place.
+    const std::int64_t dout =
+        plan.forwardProgram.varInfo(plan.forwardProgram.outputVar).cols;
     std::vector<Tensor> results;
     results.reserve(batch.requests.size());
-    for (std::size_t i = 0; i < batch.requests.size(); ++i)
-        results.emplace_back(std::vector<std::int64_t>{
+    core::RowTable out_rows(batch.featureRows.size());
+    for (std::size_t i = 0; i < batch.requests.size(); ++i) {
+        Tensor &o = results.emplace_back(std::vector<std::int64_t>{
             batch.requests[i]->mb.subgraph.numNodes(), dout});
-    auto scatterRange = [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t ri = lo; ri < hi; ++ri) {
-            Tensor &o = results[static_cast<std::size_t>(ri)];
-            const auto &l2un =
-                batch.localToUnion[static_cast<std::size_t>(ri)];
-            for (std::int64_t v = 0; v < o.dim(0); ++v)
-                std::memcpy(
-                    o.row(v),
-                    out.row(l2un[static_cast<std::size_t>(v)]),
-                    static_cast<std::size_t>(dout) * sizeof(float));
-        }
-    };
-    if (util::seedKernelMode())
-        scatterRange(0, static_cast<std::int64_t>(results.size()));
-    else
-        util::globalPool().parallelFor(
-            0, static_cast<std::int64_t>(results.size()), scatterRange, 1);
-    sim::KernelDesc scatter;
-    scatter.name = "batch_scatter_outputs";
-    scatter.category = sim::KernelCategory::Index;
-    scatter.bytesRead = 4.0 * static_cast<double>(out.numel()) +
-                        8.0 * static_cast<double>(out.dim(0));
-    scatter.bytesWritten = 4.0 * static_cast<double>(out.numel());
-    scatter.workItems = static_cast<double>(out.numel());
-    rt.launch(scatter, nullptr);
+        const auto &l2un = batch.localToUnion[i];
+        for (std::size_t v = 0; v < l2un.size(); ++v)
+            out_rows[static_cast<std::size_t>(l2un[v])] =
+                o.row(static_cast<std::int64_t>(v));
+    }
 
+    ctx.bindRowTable(plan.forwardProgram.inputVar, batch.featureRows);
+    ctx.bindRowTable(plan.forwardProgram.outputVar, std::move(out_rows));
+    core::bindGraphInputs(plan, ctx);
+    plan.forward(ctx);
     return results;
 }
 

@@ -14,6 +14,12 @@
  * kernels large enough to occupy the modeled device (the same
  * batching-over-independent-queries route to throughput as GPU-based
  * ASP solving takes; see PAPERS.md).
+ *
+ * Batching copies no rows. The kernels read each request's feature
+ * rows in place and write each request's result rows in place,
+ * through per-node row tables over the union graph (see
+ * core::ExecutionContext::bindRowTable); no union feature tensor or
+ * union output buffer exists, and no copy kernel is launched.
  */
 
 #ifndef HECTOR_SERVE_MICRO_BATCH_HH
@@ -62,8 +68,9 @@ struct MicroBatch
 {
     graph::HeteroGraph unionGraph;
     graph::CompactionMap cmap;
-    /** Gathered features, [union nodes, din]. */
-    tensor::Tensor feature;
+    /** Input row table: union node u's feature row, in its request's
+     *  own feature tensor. */
+    core::RowTable featureRows;
     /** The coalesced requests, in submission order. */
     std::vector<const Request *> requests;
     /** Per request: union row of each subgraph-local node. */
@@ -75,18 +82,21 @@ struct MicroBatch
 };
 
 /**
- * Coalesce @p requests (all sharing one graph schema; throws
- * otherwise) into a micro-batch. Charges the simulated device one
- * Index kernel for assembling the batched feature tensor.
+ * Coalesce @p requests (all sharing one graph schema and feature
+ * width, each with one feature row per subgraph node; throws
+ * otherwise) into a micro-batch: the union graph and the input row
+ * table into the requests' feature tensors, which must outlive the
+ * batch. Launches nothing on the simulated device @p rt.
  */
 MicroBatch coalesce(const std::vector<const Request *> &requests,
                     sim::Runtime &rt);
 
 /**
- * Run one batched forward pass of @p plan over @p batch and scatter
- * the batched output back into per-request tensors (charged as one
- * Index kernel). Results are ordered like batch.requests; each tensor
- * is [request subgraph nodes, dout].
+ * Run one batched forward pass of @p plan over @p batch, writing each
+ * request's output rows in place into a zeroed result tensor of its
+ * own through the output row table. Results are ordered like
+ * batch.requests; each tensor is [request subgraph nodes, dout]. The
+ * forward's launches are the only ones.
  */
 std::vector<tensor::Tensor> executeBatch(const core::CompiledModel &plan,
                                          const MicroBatch &batch,

@@ -303,9 +303,10 @@ ShardedSession::submitRouted()
 {
     // Sample first (advancing the shared request stream), then route.
     // With the feature store device-resident, PCIe only carries the
-    // subgraph structure; the gathered feature tensor is the batch
-    // assembly's working set (its kernel cost is charged by
-    // coalesce()), not a host transfer.
+    // subgraph structure; the request's feature tensor stands for the
+    // device-resident store rows, which the batch's kernels read in
+    // place through its input row table (coalesce()), so it is
+    // neither a host transfer nor a copy kernel.
     graph::Minibatch mb =
         graph::sampleNeighbors(g_, cfg_.serving.sample, rng_);
     const int home = homeShard(mb);

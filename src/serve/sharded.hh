@@ -23,8 +23,8 @@
  * The feature store is *sharded and device-resident*: at construction
  * each device bulk-loads its shard's feature rows over its own PCIe
  * lanes (charged once), so a request's PCIe cost is only its subgraph
- * structure — home-owned rows are gathered from device memory by the
- * batch-assembly kernel, remote rows are the halo above. In drain()
+ * structure — the batch's kernels read home-owned rows in place from
+ * device memory, remote rows are the halo above. In drain()
  * each device's queued structure transfers serialize on its own DMA
  * path while devices overlap (pendingHostSec_); the online loop
  * instead admits every arrival on the host's single admission thread,

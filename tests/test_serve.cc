@@ -13,17 +13,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <utility>
 
 #include "core/frontend.hh"
+#include "core/jit.hh"
 #include "graph/datasets.hh"
 #include "models/model_sources.hh"
 #include "serve/micro_batch.hh"
 #include "serve/plan_cache.hh"
 #include "serve/session.hh"
 #include "serve/stream_scheduler.hh"
+#include "util/thread_pool.hh"
 
 namespace
 {
@@ -399,6 +402,124 @@ TEST(MicroBatch, SingleRequestBatchMatchesStandalone)
             << "a batch of one must equal standalone execution";
     }
 }
+
+/** Same shape and the same bits (memcmp, so -0.f != +0.f). */
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/**
+ * Zero-copy micro-batches: the kernels read each request's feature
+ * rows and write each request's result rows in place through row
+ * tables. Over every kernel tier a batch can run on, each result must
+ * equal the request's standalone seed-interpreter output bit for bit,
+ * no Index (copy) kernel may launch, and the device may hold no union
+ * feature or union output tensor.
+ */
+class ZeroCopyMicroBatch : public testing::TestWithParam<const char *>
+{
+  protected:
+    void
+    TearDown() override
+    {
+        util::setSeedKernelMode(false);
+        util::setGlobalThreads(0);
+        core::jit::setJitMode(core::jit::JitMode::Auto);
+    }
+};
+
+TEST_P(ZeroCopyMicroBatch, BitIdenticalToStandaloneWithoutCopies)
+{
+    graph::HeteroGraph g = servingGraph();
+    const Tensor host = hostFeatures(g, 8, 31);
+    core::CompileOptions opts;
+    opts.compactMaterialization = true;
+    opts.linearReorder = true;
+    const core::CompiledModel plain =
+        core::compile(core::parseModel(GetParam(), 8, 8), opts);
+    core::CompiledModel jitted =
+        core::compile(core::parseModel(GetParam(), 8, 8), opts);
+    core::jit::setJitMode(core::jit::JitMode::On);
+    if (core::jit::toolchainAvailable()) {
+        ASSERT_TRUE(core::jit::attach(jitted));
+    }
+    std::mt19937_64 wrng(12);
+    models::WeightMap weights =
+        models::initWeights(core::parseModel(GetParam(), 8, 8), g, wrng);
+
+    sim::Runtime rt_prep;
+    std::vector<serve::Request> reqs = makeRequests(g, host, 8, rt_prep);
+    std::vector<Tensor> alone;
+    util::setSeedKernelMode(true);
+    for (const serve::Request &r : reqs) {
+        sim::Runtime rt;
+        alone.push_back(runAlone(plain, r, weights, rt));
+    }
+
+    const std::string &in_var = plain.forwardProgram.inputVar;
+    const std::string &out_var = plain.forwardProgram.outputVar;
+    for (std::size_t n : {1, 3, 8})
+        for (int threads : {1, 2, 4})
+            for (bool seed : {true, false})
+                for (bool jit : {false, true}) {
+                    const std::string what =
+                        "batch " + std::to_string(n) + ", " +
+                        std::to_string(threads) + " threads, " +
+                        (seed ? "seed" : "fast") +
+                        (jit ? ", JIT" : ", no JIT");
+                    util::setGlobalThreads(threads);
+                    util::setSeedKernelMode(seed);
+                    std::vector<const serve::Request *> ptrs;
+                    for (std::size_t i = 0; i < n; ++i)
+                        ptrs.push_back(&reqs[i]);
+
+                    sim::Runtime rt;
+                    core::ExecutionContext ctx;
+                    models::WeightMap grads;
+                    std::vector<Tensor> outs;
+                    {
+                        auto scope = rt.memoryScope();
+                        const serve::MicroBatch batch =
+                            serve::coalesce(ptrs, rt);
+                        outs = serve::executeBatch(jit ? jitted : plain,
+                                                   batch, weights, rt, ctx,
+                                                   grads);
+                        EXPECT_EQ(ctx.lookup(in_var), nullptr) << what;
+                        EXPECT_EQ(ctx.lookup(out_var), nullptr) << what;
+                        // The device held the forward arena, the
+                        // results and RGCN's edge norm: nothing else.
+                        std::size_t want = ctx.layout().forwardBytes;
+                        for (const Tensor &o : outs)
+                            want += o.bytes();
+                        if (plain.forwardProgram.vars.count("norm"))
+                            want += static_cast<std::size_t>(
+                                        batch.unionGraph.numEdges()) *
+                                    sizeof(float);
+                        EXPECT_EQ(rt.tracker().peakBytes(), want) << what;
+                    }
+                    EXPECT_EQ(rt.counters()
+                                  .bucket(sim::KernelCategory::Index,
+                                          sim::Phase::Forward)
+                                  .launches,
+                              0u)
+                        << what;
+                    EXPECT_EQ(rt.counters().total().launches,
+                              (jit ? jitted : plain).forwardKernels())
+                        << what;
+                    ASSERT_EQ(outs.size(), n) << what;
+                    for (std::size_t i = 0; i < n; ++i)
+                        EXPECT_TRUE(sameBits(outs[i], alone[i]))
+                            << what << ": request " << i;
+                }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, ZeroCopyMicroBatch,
+                         testing::Values(models::kRgcnSource,
+                                         models::kRgatSource,
+                                         models::kHgtSource));
 
 TEST(ServingSession, MaxBatchVariantsServeIdenticalResults)
 {

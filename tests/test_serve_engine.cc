@@ -18,11 +18,13 @@
 #include <vector>
 
 #include "core/frontend.hh"
+#include "core/jit.hh"
 #include "graph/datasets.hh"
 #include "models/model_sources.hh"
 #include "serve/engine.hh"
 #include "serve/online.hh"
 #include "serve/session.hh"
+#include "serve/sharded.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -321,6 +323,134 @@ TEST_F(EngineDeterminism, MixedVariantOnlineMatchesDedicated)
                            "online rgcn64 t" + std::to_string(threads));
     }
 }
+
+// ---------------------------------------------------- zero-copy paths
+
+/** Index (copy) kernels @p rt launched, in either phase. */
+std::uint64_t
+indexLaunches(const sim::Runtime &rt)
+{
+    return rt.counters()
+               .bucket(sim::KernelCategory::Index, sim::Phase::Forward)
+               .launches +
+           rt.counters()
+               .bucket(sim::KernelCategory::Index, sim::Phase::Backward)
+               .launches;
+}
+
+/**
+ * Every serving path assembles its micro-batches with coalesce() and
+ * executeBatch(), whose kernels read request features and write
+ * request results in place: an Engine drain, an OnlineServer run and a
+ * ShardedSession drain launch no Index kernel on any kernel tier, and
+ * serve the same bits as the seed interpreter on one thread.
+ */
+class ZeroCopyServing : public testing::TestWithParam<const char *>
+{
+  protected:
+    void
+    TearDown() override
+    {
+        util::setSeedKernelMode(false);
+        util::setGlobalThreads(0);
+        core::jit::setJitMode(core::jit::JitMode::Auto);
+    }
+};
+
+TEST_P(ZeroCopyServing, NoPathLaunchesACopyKernel)
+{
+    graph::HeteroGraph g = servingGraph();
+    const Tensor host = hostFeatures(g, 8, 41);
+    for (std::size_t n : {1, 3, 8}) {
+        serve::ServingConfig cfg;
+        cfg.maxBatch = n;
+        cfg.din = 8;
+        cfg.dout = 8;
+        cfg.sample.numSeeds = 12;
+        cfg.sample.fanout = 4;
+        cfg.seed = 0x2c0 + n;
+        cfg.compile.compactMaterialization = true;
+        cfg.compile.linearReorder = true;
+
+        // Requests 1..n of one seeded stream: the outputs of a path.
+        auto collect = [&](auto &&resultOf) {
+            std::vector<std::vector<float>> outs;
+            for (std::uint64_t id = 1; id <= n; ++id) {
+                const Tensor *o = resultOf(id);
+                EXPECT_NE(o, nullptr) << "request " << id;
+                if (o)
+                    outs.emplace_back(o->data(), o->data() + o->numel());
+            }
+            return outs;
+        };
+        std::vector<std::vector<float>> want;
+        for (int threads : {1, 2, 4})
+            for (bool seed : {true, false})
+                for (bool jit : {false, true}) {
+                    const std::string what =
+                        "batch " + std::to_string(n) + ", " +
+                        std::to_string(threads) + " threads, " +
+                        (seed ? "seed" : "fast") +
+                        (jit ? ", JIT" : ", no JIT");
+                    util::setGlobalThreads(threads);
+                    util::setSeedKernelMode(seed);
+                    core::jit::setJitMode(jit ? core::jit::JitMode::On
+                                              : core::jit::JitMode::Off);
+
+                    sim::Runtime rt_engine;
+                    serve::Engine engine(g, serve::EngineConfig{},
+                                         rt_engine);
+                    const int v =
+                        engine.registerVariant("v", host, GetParam(), cfg);
+                    for (std::size_t i = 0; i < n; ++i)
+                        engine.submit(v);
+                    EXPECT_EQ(engine.drain().requests, n) << what;
+                    EXPECT_EQ(indexLaunches(rt_engine), 0u) << what;
+                    const auto got_engine = collect(
+                        [&](std::uint64_t id) { return engine.result(id); });
+                    if (want.empty())
+                        want = got_engine;
+                    expectBitIdentical(want, got_engine, "drain " + what);
+
+                    sim::Runtime rt_online;
+                    serve::OnlineConfig ocfg;
+                    ocfg.serving = cfg;
+                    ocfg.numRequests = n;
+                    ocfg.retainResults = true;
+                    serve::OnlineServer server(g, host, GetParam(), ocfg,
+                                               rt_online);
+                    EXPECT_EQ(server.run().requests, n) << what;
+                    EXPECT_EQ(indexLaunches(rt_online), 0u) << what;
+                    expectBitIdentical(
+                        want, collect([&](std::uint64_t id) {
+                            return server.session().result(id);
+                        }),
+                        "online " + what);
+
+                    sim::DeviceGroup group(2);
+                    serve::ShardedConfig scfg;
+                    scfg.serving = cfg;
+                    serve::ShardedSession sharded(g, host, GetParam(), scfg,
+                                                  group);
+                    for (std::size_t i = 0; i < n; ++i)
+                        sharded.submit();
+                    EXPECT_EQ(sharded.drain().requests, n) << what;
+                    for (int d = 0; d < group.size(); ++d)
+                        EXPECT_EQ(indexLaunches(group.device(d)), 0u)
+                            << what << ", device " << d;
+                    expectBitIdentical(
+                        want, collect([&](std::uint64_t id) {
+                            return sharded.result(id);
+                        }),
+                        "sharded " + what);
+                }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Models, ZeroCopyServing,
+                         testing::Values(models::kRgcnSource,
+                                         models::kRgatSource,
+                                         models::kHgtSource));
 
 // --------------------------------------------------- bounded PlanCache
 

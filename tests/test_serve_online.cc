@@ -601,10 +601,11 @@ TEST(OnlineServer, SingleDeviceEqualsOneLaneEngineRun)
     cases.emplace_back("shed", shed);
 
     // Deadline fail-fast and hedging both fire on the 2-stream device;
-    // at twice the load brownout engages as well.
+    // at 5/3 of the load brownout engages as well. (The rates sit above
+    // the modeled capacity of a micro-batch that copies no rows.)
     serve::OnlineConfig resil = base("adaptive");
     resil.numRequests = 96;
-    resil.arrivalRatePerSec = 40000.0;
+    resil.arrivalRatePerSec = 60000.0;
     resil.serving.deadlineMs = 0.2;
     resil.serving.maxQueueDepth = 16;
     resil.serving.shed = serve::ShedMode::RejectNewest;
@@ -612,7 +613,7 @@ TEST(OnlineServer, SingleDeviceEqualsOneLaneEngineRun)
     resil.serving.resilience.hedge = true;
     resil.serving.resilience.hedgeDelayFactor = 0.5;
     cases.emplace_back("resilience", resil);
-    resil.arrivalRatePerSec = 80000.0;
+    resil.arrivalRatePerSec = 100000.0;
     resil.serving.deadlineMs = 0.3;
     cases.emplace_back("resilience-brownout", resil);
 

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <random>
 #include <set>
 
@@ -23,6 +24,7 @@
 #include "graph/sampler.hh"
 #include "models/model_sources.hh"
 #include "models/models.hh"
+#include "serve/micro_batch.hh"
 #include "sim/counters.hh"
 #include "sim/device.hh"
 #include "sim/runtime.hh"
@@ -985,6 +987,152 @@ TEST(TraversalPricing, AdjacencyIndicesCostFourBytesPerRead)
             }
         }
     EXPECT_GT(walks, 20);
+}
+
+/**
+ * Rows that launch @p kernel of @p fn resolves on @p g through the row
+ * tables of the variables in @p tabled: one per GEMM row for each
+ * tabled X, Y (or Y2) operand; for a traversal, each tabled load at its
+ * rate and each row a statement stores to a tabled variable.
+ */
+double
+tableRows(const hector::core::LoweredFunction &fn, const std::string &kernel,
+          const std::set<std::string> &tabled,
+          const hector::graph::HeteroGraph &g,
+          const hector::graph::CompactionMap &cmap)
+{
+    namespace core = hector::core;
+    auto domainRows = [&](core::RowDomain d) {
+        return static_cast<double>(
+            d == core::RowDomain::Edges         ? g.numEdges()
+            : d == core::RowDomain::UniquePairs ? cmap.numUnique()
+                                                : g.numNodes());
+    };
+    for (const auto &gi : fn.gemms)
+        if (gi.name == kernel)
+            return domainRows(gi.rows) *
+                   static_cast<double>(
+                       tabled.count(gi.xVar) +
+                       tabled.count(gi.kind == core::GemmKind::Outer
+                                        ? gi.y2Var
+                                        : gi.yVar));
+    for (const auto &ti : fn.traversals) {
+        if (ti.name != kernel)
+            continue;
+        const bool by_pair = ti.group == core::GroupKey::UniquePair;
+        const double iters = ti.grouped() ? static_cast<double>(g.numEdges())
+                                          : domainRows(ti.domain);
+        const double groups = static_cast<double>(
+            by_pair ? cmap.numUnique() : g.numNodesWithInEdges());
+        double rows = 0.0;
+        for (const auto &l : ti.loads)
+            if (!l.weight && tabled.count(l.var))
+                rows += ti.rateOf(l) == core::LoadRate::PerEdge    ? iters
+                        : ti.rateOf(l) == core::LoadRate::PerGroup ? groups
+                                                                   : 0.0;
+        for (const auto &ss : ti.stmts)
+            if (tabled.count(ss.stmt.out.name))
+                rows += ss.hoistLevel == 2 ? groups
+                        : ss.hoistLevel == 1
+                            ? static_cast<double>(by_pair ? cmap.numUnique()
+                                                          : g.numNodes())
+                            : iters;
+        return rows;
+    }
+    return 0.0;
+}
+
+TEST(TablePricing, RowTablesCostEightBytesPerResolvedRow)
+{
+    namespace core = hector::core;
+    namespace graph = hector::graph;
+    namespace serve = hector::serve;
+    using hector::tensor::Tensor;
+    // One coalesced union graph of eight sampled `am` requests runs each
+    // C+R inference plan twice: with the gathered feature tensor and
+    // the plan's own output buffer bound, and through the row tables of
+    // serve::executeBatch. The launches are the same kernels doing the
+    // same work; only the 8-byte row addresses are new.
+    const graph::HeteroGraph g =
+        graph::generate(graph::datasetSpec("am"), 1.0 / 256.0);
+    graph::SampleSpec spec;
+    spec.numSeeds = 16;
+    spec.fanout = 4;
+    for (auto mk : {hector::models::ModelKind::Rgcn,
+                    hector::models::ModelKind::Rgat,
+                    hector::models::ModelKind::Hgt}) {
+        const char *what = hector::models::toString(mk);
+        std::mt19937_64 rng(1);
+        core::Program prog = hector::models::buildModel(mk, g, 16, 16);
+        hector::models::WeightMap weights =
+            hector::models::initWeights(prog, g, rng);
+        const Tensor host = Tensor::uniform({g.numNodes(), 16}, rng, 0.5f);
+        core::CompileOptions opts;
+        opts.compactMaterialization = true;
+        opts.linearReorder = true;
+        const core::CompiledModel m = core::compile(std::move(prog), opts);
+
+        Runtime rt_prep;
+        std::vector<serve::Request> reqs;
+        for (std::uint64_t id = 1; id <= 8; ++id) {
+            graph::Minibatch mb = graph::sampleNeighbors(g, spec, rng);
+            Tensor f = graph::transferFeatures(mb, host, rt_prep);
+            reqs.emplace_back(id, std::move(mb), std::move(f));
+        }
+        std::vector<const serve::Request *> ptrs;
+        for (const serve::Request &r : reqs)
+            ptrs.push_back(&r);
+        const serve::MicroBatch batch = serve::coalesce(ptrs, rt_prep);
+        const graph::HeteroGraph &u = batch.unionGraph;
+        Tensor feature({u.numNodes(), 16});
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+            for (std::size_t v = 0; v < batch.localToUnion[i].size(); ++v)
+                std::memcpy(feature.row(batch.localToUnion[i][v]),
+                            reqs[i].feature.row(static_cast<std::int64_t>(v)),
+                            16 * sizeof(float));
+
+        Runtime rt_plain;
+        rt_plain.setRecordLaunches(true);
+        hector::models::WeightMap grads;
+        core::ExecutionContext ctx;
+        ctx.reset(&u, &batch.cmap, &rt_plain, &weights, &grads);
+        ctx.adoptPlan(&m.memoryPlan);
+        core::bindInputs(m, ctx, feature);
+        const Tensor out = m.forward(ctx);
+
+        Runtime rt_table;
+        rt_table.setRecordLaunches(true);
+        const std::vector<Tensor> outs =
+            serve::executeBatch(m, batch, weights, rt_table);
+
+        const std::set<std::string> tabled = {m.forwardProgram.inputVar,
+                                              m.forwardProgram.outputVar};
+        const auto &plain = rt_plain.records();
+        const auto &table = rt_table.records();
+        ASSERT_EQ(plain.size(), table.size()) << what;
+        double rows = 0.0;
+        for (std::size_t k = 0; k < plain.size(); ++k) {
+            const std::string at = std::string(what) + " " + plain[k].name;
+            EXPECT_EQ(plain[k].name, table[k].name) << at;
+            EXPECT_EQ(plain[k].flops, table[k].flops) << at;
+            EXPECT_EQ(plain[k].atomics, table[k].atomics) << at;
+            EXPECT_EQ(plain[k].bytesWritten, table[k].bytesWritten) << at;
+            const double r = tableRows(m.forwardFn, plain[k].name, tabled,
+                                       u, batch.cmap);
+            EXPECT_EQ(table[k].bytesRead - plain[k].bytesRead, 8.0 * r) << at;
+            rows += r;
+        }
+        // Every model reads the feature and stores the output.
+        EXPECT_GE(rows, static_cast<double>(u.numNodesWithInEdges())) << what;
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+            for (std::size_t v = 0; v < batch.localToUnion[i].size(); ++v)
+                EXPECT_EQ(std::memcmp(
+                              outs[i].row(static_cast<std::int64_t>(v)),
+                              out.row(batch.localToUnion[i][v]),
+                              16 * sizeof(float)),
+                          0)
+                    << what << ": request " << i << " node " << v;
+    }
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-launch modeled profile of one training step.
+ * Per-launch modeled profiles of one training step and of one serving
+ * micro-batch.
  *
  * Runs one C+R core::trainStep of RGCN, RGAT and HGT on the `mag`
  * stand-in (scale 1/256, fixed generator seed, dim 64) on the scaled
@@ -27,17 +28,29 @@
  * file regenerates byte-identically on any host and any thread count;
  * CI regenerates it and diffs it exactly.
  *
+ * It also writes BENCH_serve_launches.json: every launch of one
+ * 8-request RGCN, RGAT and HGT micro-batch (serve::coalesce +
+ * serve::executeBatch) on the `am` stand-in (1/256, fixed generator
+ * seed, dim 64, C+R inference), each request sampled like the
+ * repository benchmark's serve-drain workload (16 seeds, fanout 4),
+ * in the same row format, plus one "host_transfer" row per model (the
+ * modeled host-to-device time of the batch's eight feature transfers)
+ * and one "total" row (transfers and launches).
+ *
  * Usage: launch_profile   (from the repository root)
  */
 
 #include <cstdio>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "core/compiler.hh"
 #include "graph/compaction.hh"
 #include "graph/datasets.hh"
+#include "graph/sampler.hh"
 #include "models/models.hh"
+#include "serve/micro_batch.hh"
 #include "sim/runtime.hh"
 #include "util/json_log.hh"
 
@@ -80,6 +93,76 @@ memoryRow(const char *model, const core::ArenaLayout &lay, std::size_t peak)
     return buf;
 }
 
+/** @p rt's launches as rows of @p log, then its "total" row. */
+void
+recordLaunches(util::JsonLog &log, const char *model,
+               const sim::Runtime &rt, const char *total_phase)
+{
+    sim::LaunchRecord total{"total", sim::KernelCategory::Gemm,
+                            sim::Phase::Forward, 0.0};
+    for (const auto &r : rt.records()) {
+        log.record(row(model, sim::toString(r.phase),
+                       sim::toString(r.category), r));
+        total.flops += r.flops;
+        total.bytesRead += r.bytesRead;
+        total.bytesWritten += r.bytesWritten;
+        total.atomics += r.atomics;
+    }
+    // The modeled time also holds host time outside any launch
+    // (fallback dispatch, feature transfers).
+    total.timeSec = rt.totalTimeSec();
+    log.record(row(model, total_phase, "all", total));
+}
+
+/** One 8-request micro-batch per model on am: BENCH_serve_launches. */
+bool
+serveProfile()
+{
+    const graph::HeteroGraph g =
+        graph::generate(graph::datasetSpec("am"), kScale);
+    core::CompileOptions opts;
+    opts.compactMaterialization = true;
+    opts.linearReorder = true;
+    graph::SampleSpec spec;
+    spec.numSeeds = 16;
+    spec.fanout = 4;
+
+    util::JsonLog log("serve_launches");
+    for (models::ModelKind mk :
+         {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+          models::ModelKind::Hgt}) {
+        std::mt19937_64 rng(1);
+        core::Program p = models::buildModel(mk, g, kDim, kDim);
+        models::WeightMap weights = models::initWeights(p, g, rng);
+        const tensor::Tensor host =
+            tensor::Tensor::uniform({g.numNodes(), kDim}, rng, 0.5f);
+        const core::CompiledModel m = core::compile(std::move(p), opts);
+
+        sim::Runtime rt(sim::makeScaledSpec(kScale));
+        rt.setRecordLaunches(true);
+        auto scope = rt.memoryScope();
+        std::vector<serve::Request> reqs;
+        for (std::uint64_t id = 1; id <= 8; ++id) {
+            graph::Minibatch mb = graph::sampleNeighbors(g, spec, rng);
+            tensor::Tensor f = graph::transferFeatures(mb, host, rt);
+            reqs.emplace_back(id, std::move(mb), std::move(f));
+        }
+        const sim::LaunchRecord transfer{
+            "host_transfer", sim::KernelCategory::Gemm, sim::Phase::Forward,
+            rt.totalTimeSec()};
+        std::vector<const serve::Request *> ptrs;
+        for (const serve::Request &r : reqs)
+            ptrs.push_back(&r);
+        const serve::MicroBatch batch = serve::coalesce(ptrs, rt);
+        serve::executeBatch(m, batch, weights, rt);
+
+        const char *model = models::toString(mk);
+        log.record(row(model, "host", "Host", transfer));
+        recordLaunches(log, model, rt, "batch");
+    }
+    return log.write();
+}
+
 } // namespace
 
 int
@@ -115,21 +198,9 @@ main()
             core::trainStep(m, ctx, feature);
         }
         const char *model = models::toString(mk);
-        sim::LaunchRecord total{"total", sim::KernelCategory::Gemm,
-                                sim::Phase::Forward, 0.0};
-        for (const auto &r : rt.records()) {
-            log.record(row(model, sim::toString(r.phase),
-                           sim::toString(r.category), r));
-            total.flops += r.flops;
-            total.bytesRead += r.bytesRead;
-            total.bytesWritten += r.bytesWritten;
-            total.atomics += r.atomics;
-        }
-        // The step's modeled time also holds host overheads outside
-        // any launch (fallback dispatch).
-        total.timeSec = rt.totalTimeSec();
-        log.record(row(model, "step", "all", total));
+        recordLaunches(log, model, rt, "step");
         log.record(memoryRow(model, ctx.layout(), rt.tracker().peakBytes()));
     }
-    return log.write() ? 0 : 1;
+    const bool train_ok = log.write();
+    return train_ok && serveProfile() ? 0 : 1;
 }
