@@ -16,6 +16,23 @@ namespace hector::serve
 
 using tensor::Tensor;
 
+namespace
+{
+
+/** Accumulate the (after - before) plan-cache stat deltas into the
+ *  device's plan-lifecycle counters — the one delta-bookkeeping path
+ *  for every cache lookup and budget re-enforcement. */
+void
+recordPlanEvents(sim::PlanEvents &events, const PlanCache::Stats &before,
+                 const PlanCache::Stats &after)
+{
+    events.compiles += after.misses - before.misses;
+    events.recompiles += after.recompiles - before.recompiles;
+    events.evictions += after.evictions - before.evictions;
+}
+
+} // namespace
+
 // ------------------------------------------------------------------ helpers
 
 bool
@@ -156,15 +173,6 @@ makeVariantReport(const std::string &name,
                   static_cast<double>(latencies_sec.size())
             : 1.0;
     return vr;
-}
-
-void
-recordPlanEvents(sim::PlanEvents &events, const PlanCache::Stats &before,
-                 const PlanCache::Stats &after)
-{
-    events.compiles += after.misses - before.misses;
-    events.recompiles += after.recompiles - before.recompiles;
-    events.evictions += after.evictions - before.evictions;
 }
 
 void
@@ -368,23 +376,172 @@ PlanCompiler::compile(const PlanKey &key, const Tensor &host_features,
     return out;
 }
 
-// ------------------------------------------------------------------- Engine
+// -------------------------------------------------------------- ServingCore
 
-Engine::Variant::Variant(const graph::HeteroGraph &g, std::string name_,
+ServedModel::ServedModel(const graph::HeteroGraph &g, std::string name_,
                          Tensor features, std::string source,
-                         ServingConfig cfg_, bool autotune)
+                         ServingConfig cfg_, std::string scope,
+                         bool autotune)
     : name(std::move(name_)), hostFeatures(std::move(features)),
-      modelSource(std::move(source)), cfg(cfg_), rng(cfg_.seed),
-      compiler(g, name, cfg_, autotune)
+      modelSource(std::move(source)), cfg(std::move(cfg_)),
+      key(makePlanKey(modelSource, cfg.din, cfg.dout, cfg.compile, g)),
+      rng(cfg.seed), compiler(g, name, cfg, autotune)
 {
-    // Weights first, then the request-sampling stream continues on the
-    // same generator — the seeding order every serving session shares.
+    key.scope = std::move(scope);
     weights = initVariantWeights(modelSource, cfg.din, cfg.dout, g, rng);
 }
 
+const Tensor *
+ServingCore::result(std::uint64_t id) const
+{
+    auto it = results_.find(id);
+    return it == results_.end() ? nullptr : &it->second;
+}
+
+std::shared_ptr<const core::CompiledModel>
+ServingCore::lookupPlan(ServedModel &m, const Site &site,
+                        const std::vector<const Request *> &stamped)
+{
+    // Publish the caller's clock so the cache (which has none) can
+    // timestamp its hit/miss/evict trace instants.
+    obs::setVirtualNow(site.planSec);
+    const PlanCache::Stats before = cache_.stats();
+    auto plan = cache_.get(m.key, [&]() {
+        return m.compiler.compile(m.key, m.hostFeatures, m.weights);
+    });
+    const PlanCache::Stats &after = cache_.stats();
+    recordPlanEvents(site.planRt.planEvents(), before, after);
+    if (flight_) {
+        const char *outcome = after.hits > before.hits ? "hit"
+                              : after.recompiles > before.recompiles
+                                  ? "recompile"
+                                  : "miss";
+        for (const Request *r : stamped)
+            flight_->event(r->id, "plan-lookup", obs::virtualNow(),
+                           site.planRt.deviceId(),
+                           "variant=" + m.name + " " + outcome);
+    }
+    return plan;
+}
+
+void
+ServingCore::enforcePlanBudget(sim::Runtime &rt)
+{
+    const PlanCache::Stats before = cache_.stats();
+    cache_.enforceBudget();
+    recordPlanEvents(rt.planEvents(), before, cache_.stats());
+}
+
+std::vector<Tensor>
+ServingCore::runBatch(const core::CompiledModel &plan, ServedModel &m,
+                      ServeQueue &q, sim::Runtime &rt,
+                      const std::vector<const Request *> &reqs)
+{
+    MicroBatch batch = coalesce(reqs, rt);
+    return executeBatch(plan, batch, m.weights, rt, q.ctx, q.grads,
+                        m.cfg.useArena);
+}
+
+void
+ServingCore::storeResults(const std::vector<const Request *> &reqs,
+                          const std::vector<Tensor> &outs)
+{
+    tensor::TrackerScope untracked(nullptr);
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        results_.insert_or_assign(reqs[i]->id, outs[i].clone());
+}
+
+std::vector<std::uint64_t>
+ServingCore::popOldest(ServeQueue &q, TransferClock &clock, std::size_t n)
+{
+    std::vector<Request> &queue = q.requests;
+    n = std::min(n, queue.size());
+    std::vector<std::uint64_t> ids;
+    if (n == 0)
+        return ids;
+    ids.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        ids.push_back(queue[i].id);
+    // submitSec stays absolute: the queue time other queues' requests
+    // accrued on this clock is untouched.
+    clock.chargedSec = std::max(clock.chargedSec, queue[n - 1].submitSec);
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(n));
+    return ids;
+}
+
+BatchCost
+ServingCore::serveOldestOf(ServedModel &m, ServeQueue &q,
+                           TransferClock &clock, const Site &site,
+                           std::size_t n, int stream)
+{
+    BatchCost cost;
+    n = std::min(n, q.requests.size());
+    if (n == 0)
+        return cost;
+    cost.requests = n;
+    std::vector<const Request *> reqs;
+    reqs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i)
+        reqs.push_back(&q.requests[i]);
+
+    auto plan = lookupPlan(m, site, reqs);
+    sim::Runtime &rt = site.rt;
+    const int device = rt.deviceId();
+    if (flight_)
+        for (const Request *r : reqs)
+            flight_->event(r->id, "batch-join", site.nowSec, device,
+                           "size=" + std::to_string(n) +
+                               " stream=" + std::to_string(stream));
+    std::vector<Tensor> outs;
+    const GuardedBatch g = guardBatch(
+        rt.faultInjector(), device, site.nowSec,
+        sampleDuplicate(m.cfg.duplicationFraction * dupScale_, m.dupAccum),
+        outs, [&](std::vector<Tensor> &dst) {
+            const StreamRunCost run = runOnStream(rt, stream, [&]() {
+                auto scope = rt.memoryScope();
+                dst = runBatch(*plan, m, q, rt, reqs);
+            });
+            cost.execSec += run.execSec;
+            cost.overheadSec += run.overheadSec;
+        });
+    if (g.detected && flight_)
+        for (const Request *r : reqs)
+            flight_->event(r->id, "replay", site.nowSec, device,
+                           "why=transient");
+    storeResults(reqs, outs);
+    cost.servedIds = popOldest(q, clock, n);
+
+    plan.reset();
+    enforcePlanBudget(site.planRt);
+    return cost;
+}
+
+BatchCost
+ServingCore::hedgeHead(ServedModel &m, const Request &head,
+                       ServeQueue &runner, const Site &site, int stream)
+{
+    BatchCost cost;
+    cost.requests = 1;
+    cost.servedIds.push_back(head.id);
+    auto plan = lookupPlan(m, site, {});
+    const std::vector<const Request *> reqs{&head};
+    const StreamRunCost run = runOnStream(site.rt, stream, [&]() {
+        auto scope = site.rt.memoryScope();
+        runBatch(*plan, m, runner, site.rt, reqs);
+    });
+    cost.execSec = run.execSec;
+    cost.overheadSec = run.overheadSec;
+    plan.reset();
+    enforcePlanBudget(site.planRt);
+    return cost;
+}
+
+// ------------------------------------------------------------------- Engine
+
 Engine::Engine(const graph::HeteroGraph &g, EngineConfig cfg,
                sim::Runtime &rt)
-    : g_(g), cfg_(cfg), rt_(rt), cache_(cfg.planBudgetBytes)
+    : ServingCore(cfg.planBudgetBytes), g_(g), cfg_(cfg), rt_(rt)
 {
     if (cfg_.numStreams <= 0)
         throw std::invalid_argument("Engine: numStreams must be > 0");
@@ -402,9 +559,11 @@ Engine::registerVariant(const std::string &name, Tensor host_features,
     if (host_features.ndim() != 2 || host_features.dim(1) != cfg.din)
         throw std::invalid_argument(
             "Engine::registerVariant: host feature dim != config din");
+    const bool autotune = cfg_.autotuneSchedules || cfg.autotuneSchedules;
     variants_.emplace_back(g_, name, std::move(host_features),
-                           std::move(model_source), cfg,
-                           cfg_.autotuneSchedules || cfg.autotuneSchedules);
+                           std::move(model_source), std::move(cfg), name,
+                           autotune);
+    queues_.emplace_back();
     return static_cast<int>(variants_.size()) - 1;
 }
 
@@ -417,20 +576,34 @@ Engine::variantIndex(const std::string &name) const
     return -1;
 }
 
-Engine::Variant &
-Engine::at(int v)
+const ServedModel &
+Engine::at(int v) const
 {
     if (v < 0 || static_cast<std::size_t>(v) >= variants_.size())
         throw std::runtime_error("Engine: variant id out of range");
     return variants_[static_cast<std::size_t>(v)];
 }
 
-const Engine::Variant &
-Engine::at(int v) const
+ServeQueue &
+Engine::queueOf(int v)
 {
-    if (v < 0 || static_cast<std::size_t>(v) >= variants_.size())
-        throw std::runtime_error("Engine: variant id out of range");
-    return variants_[static_cast<std::size_t>(v)];
+    at(v);
+    return queues_[static_cast<std::size_t>(v)];
+}
+
+ServingCore::Site
+Engine::site()
+{
+    return {rt_, rt_.nowSec(), rt_, std::max(clock_.hostSec, rt_.nowSec())};
+}
+
+std::vector<const Request *>
+Engine::queuedOf(int v) const
+{
+    std::vector<const Request *> reqs;
+    for (const Request &r : queues_[static_cast<std::size_t>(v)].requests)
+        reqs.push_back(&r);
+    return reqs;
 }
 
 const std::string &
@@ -448,7 +621,8 @@ Engine::variantConfig(int v) const
 models::WeightMap &
 Engine::weights(int v)
 {
-    return at(v).weights;
+    at(v);
+    return variants_[static_cast<std::size_t>(v)].weights;
 }
 
 const std::string &
@@ -461,36 +635,38 @@ std::size_t
 Engine::queued() const
 {
     std::size_t n = 0;
-    for (const Variant &v : variants_)
-        n += v.queue.size();
+    for (const ServeQueue &q : queues_)
+        n += q.requests.size();
     return n;
 }
 
 std::size_t
 Engine::queuedOn(int v) const
 {
-    return at(v).queue.size();
+    at(v);
+    return queues_[static_cast<std::size_t>(v)].requests.size();
 }
 
 std::uint64_t
 Engine::submit(int v)
 {
-    Variant &var = at(v);
+    ServeQueue &q = queueOf(v);
+    ServedModel &var = variants_[static_cast<std::size_t>(v)];
     const double host_before = rt_.hostTimeMs() * 1e-3;
     auto scope = rt_.memoryScope();
     graph::Minibatch mb =
         graph::sampleNeighbors(g_, var.cfg.sample, var.rng);
     Tensor feature = graph::transferFeatures(mb, var.hostFeatures, rt_);
     const std::uint64_t id = nextId_++;
-    var.queue.emplace_back(id, std::move(mb), std::move(feature),
-                           static_cast<std::uint32_t>(v));
-    hostClockSec_ += rt_.hostTimeMs() * 1e-3 - host_before;
-    var.queue.back().submitSec = hostClockSec_;
+    q.requests.emplace_back(id, std::move(mb), std::move(feature),
+                            static_cast<std::uint32_t>(v));
+    clock_.hostSec += rt_.hostTimeMs() * 1e-3 - host_before;
+    q.requests.back().submitSec = clock_.hostSec;
     if (flight_)
-        flight_->event(id, "enqueue", hostClockSec_, rt_.deviceId(),
+        flight_->event(id, "enqueue", clock_.hostSec, rt_.deviceId(),
                        "variant=" + var.name);
     if (obs::enabled())
-        obs::tracer().instant("submit", "serve", hostClockSec_,
+        obs::tracer().instant("submit", "serve", clock_.hostSec,
                               rt_.deviceId(), 0,
                               "\"variant\":\"" +
                                   obs::jsonEscape(var.name) + "\"");
@@ -500,65 +676,21 @@ Engine::submit(int v)
 std::uint64_t
 Engine::submit(int v, graph::Minibatch mb, Tensor feature)
 {
-    Variant &var = at(v);
+    ServeQueue &q = queueOf(v);
+    const ServedModel &var = variants_[static_cast<std::size_t>(v)];
     if (feature.ndim() != 2 ||
         feature.dim(0) != mb.subgraph.numNodes() ||
         feature.dim(1) != var.cfg.din)
         throw std::runtime_error(
             "Engine::submit: feature must be [subgraph nodes, din]");
     const std::uint64_t id = nextId_++;
-    var.queue.emplace_back(id, std::move(mb), std::move(feature),
-                           static_cast<std::uint32_t>(v));
-    var.queue.back().submitSec = hostClockSec_;
+    q.requests.emplace_back(id, std::move(mb), std::move(feature),
+                            static_cast<std::uint32_t>(v));
+    q.requests.back().submitSec = clock_.hostSec;
     if (flight_)
-        flight_->event(id, "enqueue", hostClockSec_, rt_.deviceId(),
+        flight_->event(id, "enqueue", clock_.hostSec, rt_.deviceId(),
                        "variant=" + var.name);
     return id;
-}
-
-PlanKey
-Engine::planKey(int v) const
-{
-    const Variant &var = at(v);
-    PlanKey key = makePlanKey(var.modelSource, var.cfg.din, var.cfg.dout,
-                              var.cfg.compile, g_);
-    key.scope = var.name;
-    return key;
-}
-
-void
-Engine::enforcePlanBudget()
-{
-    const PlanCache::Stats before = cache_.stats();
-    cache_.enforceBudget();
-    recordPlanEvents(rt_.planEvents(), before, cache_.stats());
-}
-
-std::shared_ptr<const core::CompiledModel>
-Engine::planFor(int v)
-{
-    Variant &var = at(v);
-    const PlanKey key = planKey(v);
-    // Publish the engine clock so the cache (which has none) can
-    // timestamp its hit/miss/evict trace instants.
-    obs::setVirtualNow(std::max(hostClockSec_, rt_.nowSec()));
-    const PlanCache::Stats before = cache_.stats();
-    auto plan = cache_.get(key, [&]() {
-        return var.compiler.compile(key, var.hostFeatures, var.weights);
-    });
-    const PlanCache::Stats &after = cache_.stats();
-    recordPlanEvents(rt_.planEvents(), before, after);
-    if (flight_) {
-        const char *outcome = after.hits > before.hits ? "hit"
-                              : after.recompiles > before.recompiles
-                                  ? "recompile"
-                                  : "miss";
-        for (const Request &r : var.queue)
-            flight_->event(r.id, "plan-lookup", obs::virtualNow(),
-                           rt_.deviceId(),
-                           "variant=" + var.name + " " + outcome);
-    }
-    return plan;
 }
 
 ServingReport
@@ -573,10 +705,10 @@ Engine::drain()
 
     ServingReport report;
 
-    // The cycle occupies [chargedHostSec_, hostClockSec_ + scheduler
+    // The cycle occupies [clock_.chargedSec, clock_.hostSec + scheduler
     // makespan] on the absolute host clock; remember the start before
-    // the bookkeeping below rebases it.
-    const double cycle_start_sec = chargedHostSec_;
+    // the cycle charges its transfers.
+    const double cycle_start_sec = clock_.chargedSec;
     obs::Span drain_span("engine.drain", "serve", cycle_start_sec,
                          rt_.deviceId(), 0);
 
@@ -592,8 +724,9 @@ Engine::drain()
     std::vector<std::shared_ptr<const core::CompiledModel>> plans(
         variants_.size());
     for (std::size_t i = 0; i < variants_.size(); ++i)
-        if (!variants_[i].queue.empty())
-            plans[i] = planFor(static_cast<int>(i));
+        if (!queues_[i].requests.empty())
+            plans[i] = lookupPlan(variants_[i], site(),
+                                  queuedOf(static_cast<int>(i)));
 
     StreamScheduler sched(rt_, cfg_.numStreams);
     auto scope = rt_.memoryScope();
@@ -611,11 +744,12 @@ Engine::drain()
     };
     std::vector<PlannedBatch> batches;
     for (std::size_t i = 0; i < variants_.size(); ++i) {
-        const Variant &v = variants_[i];
-        const std::size_t cap = std::max<std::size_t>(1, v.cfg.maxBatch);
-        for (std::size_t lo = 0; lo < v.queue.size(); lo += cap) {
-            const std::size_t hi = std::min(v.queue.size(), lo + cap);
-            batches.push_back({i, lo, hi, v.queue[lo].id});
+        const std::vector<Request> &q = queues_[i].requests;
+        const std::size_t cap =
+            std::max<std::size_t>(1, variants_[i].cfg.maxBatch);
+        for (std::size_t lo = 0; lo < q.size(); lo += cap) {
+            const std::size_t hi = std::min(q.size(), lo + cap);
+            batches.push_back({i, lo, hi, q[lo].id});
         }
     }
     std::sort(batches.begin(), batches.end(),
@@ -636,48 +770,41 @@ Engine::drain()
     std::size_t run_idx = 0;
     for (std::size_t b = 0; b < batches.size(); ++b) {
         const PlannedBatch &pb = batches[b];
-        Variant &v = variants_[pb.variant];
+        ServedModel &v = variants_[pb.variant];
+        ServeQueue &q = queues_[pb.variant];
         std::vector<const Request *> reqs;
         reqs.reserve(pb.hi - pb.lo);
         for (std::size_t i = pb.lo; i < pb.hi; ++i)
-            reqs.push_back(&v.queue[i]);
+            reqs.push_back(&q.requests[i]);
 
         std::vector<Tensor> outs;
         const GuardedBatch g = guardBatch(
-            fi, rt_.deviceId(), hostClockSec_,
+            fi, rt_.deviceId(), clock_.hostSec,
             sampleDuplicate(v.cfg.duplicationFraction * dupScale_,
                             v.dupAccum),
             outs, [&](std::vector<Tensor> &dst) {
                 sched.run([&]() {
-                    MicroBatch batch = coalesce(reqs, rt_);
-                    dst = executeBatch(*plans[pb.variant], batch,
-                                       v.weights, rt_, v.ctx, v.grads,
-                                       v.cfg.useArena);
+                    dst = runBatch(*plans[pb.variant], v, q, rt_, reqs);
                 });
             });
         runs[b] = {run_idx, g.runs};
         run_idx += g.runs;
         if (g.detected && obs::enabled())
-            obs::tracer().instant("fault.detect", "serve", hostClockSec_,
+            obs::tracer().instant("fault.detect", "serve", clock_.hostSec,
                                   rt_.deviceId(), 0,
                                   "\"batch\":" +
                                       std::to_string(g.ordinal));
-        // Detach results from the device memory scope so they
-        // outlive the drain cycle.
-        tensor::TrackerScope untracked(nullptr);
-        for (std::size_t i = 0; i < reqs.size(); ++i)
-            results_.insert_or_assign(reqs[i]->id, outs[i].clone());
+        storeResults(reqs, outs);
     }
 
     // Timeline: the queued transfers not yet charged to an earlier
     // cycle serialize before the drain's launches begin; per-batch
     // completions come from the scheduler. On the absolute host
-    // clock, batch b completes at hostClockSec_ + completions[b] and
+    // clock, batch b completes at clock_.hostSec + completions[b] and
     // request latency is simply completion minus its absolute
     // submission point.
     const std::vector<double> completions = sched.completionTimes();
-    const double pending_host_sec = hostClockSec_ - chargedHostSec_;
-    const double makespan_sec = pending_host_sec + sched.makespanSec();
+    const double makespan_sec = clock_.pendingSec() + sched.makespanSec();
 
     std::vector<double> latencies;
     std::vector<double> queue_delays;
@@ -688,13 +815,15 @@ Engine::drain()
     std::size_t met = 0;
     for (std::size_t b = 0; b < batches.size(); ++b) {
         const PlannedBatch &pb = batches[b];
-        const Variant &v = variants_[pb.variant];
+        const ServedModel &v = variants_[pb.variant];
+        const std::vector<Request> &q = queues_[pb.variant].requests;
         // A request completes when its batch's last run (primary, or
         // the redundant/replay runs that guarded it) completes.
         const std::size_t first = runs[b].first;
-        double completion = hostClockSec_ + completions[first];
+        double completion = clock_.hostSec + completions[first];
         for (std::size_t r = first + 1; r < first + runs[b].count; ++r)
-            completion = std::max(completion, hostClockSec_ + completions[r]);
+            completion =
+                std::max(completion, clock_.hostSec + completions[r]);
         const ScheduledBatch &sb = sched.batches()[first];
         const double service = sb.overheadSec + sb.execSec;
         if (v.cfg.deadlineMs > 0.0)
@@ -706,14 +835,14 @@ Engine::drain()
                 rt_.deviceId(), sb.stream,
                 "\"requests\":" + std::to_string(pb.hi - pb.lo));
         for (std::size_t i = pb.lo; i < pb.hi; ++i) {
-            const double lat = completion - v.queue[i].submitSec;
+            const double lat = completion - q[i].submitSec;
             latencies.push_back(lat);
             queue_delays.push_back(std::max(0.0, lat - service));
             by_variant[pb.variant].push_back(lat);
             if (metDeadline(lat, v.cfg.deadlineMs))
                 ++met;
             if (flight_) {
-                const std::uint64_t id = v.queue[i].id;
+                const std::uint64_t id = q[i].id;
                 flight_->event(id, "batch-join", exec_start,
                                rt_.deviceId(),
                                "batch=" + std::to_string(b) +
@@ -765,14 +894,14 @@ Engine::drain()
             variants_[i].cfg.deadlineMs));
     }
 
-    for (Variant &v : variants_)
-        v.queue.clear();
-    chargedHostSec_ = hostClockSec_;
+    for (ServeQueue &q : queues_)
+        q.requests.clear();
+    clock_.chargedSec = clock_.hostSec;
 
     // Release the cycle's plan pins, then re-enforce the byte budget
     // so residentBytes is bounded at every cycle boundary.
     plans.clear();
-    enforcePlanBudget();
+    enforcePlanBudget(rt_);
 
     fillCacheStats(report, cache_.stats());
     report.launches = rt_.counters().total().launches - launches_before;
@@ -791,124 +920,25 @@ Engine::drain()
 BatchCost
 Engine::serveOldest(int v, std::size_t n, int stream)
 {
-    Variant &var = at(v);
-    BatchCost cost;
-    n = std::min(n, var.queue.size());
-    if (n == 0)
-        return cost;
-    cost.requests = n;
-
-    auto plan = planFor(v);
-
-    std::vector<const Request *> reqs;
-    reqs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        reqs.push_back(&var.queue[i]);
-    // ASPIS guard, same semantics as drain(); the redundant and replay
-    // runs serialize on this stream, so their cost folds into the
-    // batch cost the online layer charges.
-    std::vector<Tensor> outs;
-    guardBatch(rt_.faultInjector(), rt_.deviceId(), rt_.nowSec(),
-               sampleDuplicate(var.cfg.duplicationFraction * dupScale_,
-                               var.dupAccum),
-               outs, [&](std::vector<Tensor> &dst) {
-                   const StreamRunCost run = runOnStream(rt_, stream, [&]() {
-                       auto scope = rt_.memoryScope();
-                       MicroBatch batch = coalesce(reqs, rt_);
-                       dst = executeBatch(*plan, batch, var.weights, rt_,
-                                          var.ctx, var.grads,
-                                          var.cfg.useArena);
-                   });
-                   cost.execSec += run.execSec;
-                   cost.overheadSec += run.overheadSec;
-               });
-    {
-        tensor::TrackerScope untracked(nullptr);
-        for (std::size_t i = 0; i < n; ++i)
-            results_.insert_or_assign(var.queue[i].id, outs[i].clone());
-    }
-    cost.servedIds.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        cost.servedIds.push_back(var.queue[i].id);
-    if (flight_)
-        for (std::size_t i = 0; i < n; ++i)
-            flight_->event(var.queue[i].id, "batch-join", rt_.nowSec(),
-                           rt_.deviceId(),
-                           "size=" + std::to_string(n) +
-                               " stream=" + std::to_string(stream));
-
-    // The served requests' transfer time (the host clock through the
-    // last of them) is now charged, so a later drain() only charges
-    // the transfers of the requests it actually serves. submitSec
-    // stays absolute — other variants' older requests keep their full
-    // accrued queue time.
-    chargedHostSec_ =
-        std::max(chargedHostSec_, var.queue[n - 1].submitSec);
-    var.queue.erase(var.queue.begin(),
-                    var.queue.begin() + static_cast<std::ptrdiff_t>(n));
-
-    plan.reset();
-    enforcePlanBudget();
-    return cost;
+    ServeQueue &q = queueOf(v);
+    return serveOldestOf(variants_[static_cast<std::size_t>(v)], q, clock_,
+                         site(), n, stream);
 }
 
 std::vector<std::uint64_t>
 Engine::dropOldest(int v, std::size_t n)
 {
-    Variant &var = at(v);
-    n = std::min(n, var.queue.size());
-    std::vector<std::uint64_t> ids;
-    if (n == 0)
-        return ids;
-    ids.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        ids.push_back(var.queue[i].id);
-    // Same transfer-clock rebase as serveOldest: the dropped requests'
-    // host transfers were charged at submit and leave the epoch with
-    // them, so a later drain() only charges surviving requests.
-    chargedHostSec_ =
-        std::max(chargedHostSec_, var.queue[n - 1].submitSec);
-    var.queue.erase(var.queue.begin(),
-                    var.queue.begin() + static_cast<std::ptrdiff_t>(n));
-    return ids;
+    return popOldest(queueOf(v), clock_, n);
 }
 
 BatchCost
 Engine::hedgeOldest(int v, int stream)
 {
-    Variant &var = at(v);
-    BatchCost cost;
-    if (var.queue.empty())
-        return cost;
-    cost.requests = 1;
-    cost.servedIds.push_back(var.queue.front().id);
-
-    auto plan = planFor(v);
-    std::vector<const Request *> reqs{&var.queue.front()};
-    std::vector<Tensor> outs;
-    const StreamRunCost run = runOnStream(rt_, stream, [&]() {
-        auto scope = rt_.memoryScope();
-        MicroBatch batch = coalesce(reqs, rt_);
-        outs = executeBatch(*plan, batch, var.weights, rt_, var.ctx,
-                            var.grads, var.cfg.useArena);
-    });
-    cost.execSec = run.execSec;
-    cost.overheadSec = run.overheadSec;
-    // The hedge run's output is bit-identical to the primary's (batch
-    // invariance), so nothing is stored: the primary serveOldest()
-    // remains the one result producer and dedup is purely first-wins
-    // on the modeled timeline. No fault injection / ASPIS sandwich —
-    // the hedge is itself the backup path.
-    plan.reset();
-    enforcePlanBudget();
-    return cost;
-}
-
-const Tensor *
-Engine::result(std::uint64_t id) const
-{
-    auto it = results_.find(id);
-    return it == results_.end() ? nullptr : &it->second;
+    ServeQueue &q = queueOf(v);
+    if (q.requests.empty())
+        return {};
+    return hedgeHead(variants_[static_cast<std::size_t>(v)],
+                     q.requests.front(), q, site(), stream);
 }
 
 void

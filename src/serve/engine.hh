@@ -31,9 +31,11 @@
  *    executor's blocked GEMM consumes the schedule's k-block, which
  *    never changes output bits (see tensor::blocked::kBlockFor).
  *
- * ServingSession and ShardedSession are façades over this machinery:
- * the session wraps an Engine with one registered variant, the sharded
- * session shares the weight-construction helper and the PlanCompiler.
+ * ServingSession is a façade over this machinery: it wraps an Engine
+ * with one registered variant. The Engine and the ShardedSession are
+ * both built on ServingCore, which holds their one copy of the plan
+ * lookup, the ASPIS-guarded incremental serve, the hedge run, the pop
+ * and the host-transfer clock rule (TransferClock).
  */
 
 #ifndef HECTOR_SERVE_ENGINE_HH
@@ -376,13 +378,6 @@ VariantReport makeVariantReport(const std::string &name,
                                 std::vector<double> &latencies_sec,
                                 double deadline_ms);
 
-/** Accumulate the (after - before) plan-cache stat deltas into the
- *  device's plan-lifecycle counters — the one delta-bookkeeping path
- *  for every cache lookup and budget re-enforcement site. */
-void recordPlanEvents(sim::PlanEvents &events,
-                      const PlanCache::Stats &before,
-                      const PlanCache::Stats &after);
-
 /** Modeled cost of one micro-batch served by serveOldest(). */
 struct BatchCost
 {
@@ -424,8 +419,8 @@ struct GuardedBatch
 
 /**
  * The ASPIS guard on one served batch — the one copy of it that both
- * drain paths and both incremental serve paths of the Engine and the
- * ShardedSession use. Arms @p device's next primary-batch ordinal on
+ * drains and the shared incremental serve (ServingCore::serveOldestOf)
+ * use. Arms @p device's next primary-batch ordinal on
  * @p fi (nullable), runs the primary into @p outs, and corrupts it when
  * a scheduled transient targets this batch. With @p duplicate it runs
  * the batch again, compares output checksums, and on a mismatch replays
@@ -485,6 +480,199 @@ class PlanCompiler
     std::string scheduleKey_;
 };
 
+/**
+ * One served model: what its plans compile from and what every run of
+ * them reads. The Engine keeps one per registered variant; a
+ * ShardedSession keeps one, replicated on every device of its group.
+ */
+struct ServedModel
+{
+    std::string name;
+    tensor::Tensor hostFeatures;
+    std::string modelSource;
+    ServingConfig cfg;
+    /** The plan-cache key every lookup of this model uses. */
+    PlanKey key;
+    /** Seeded by cfg.seed: the weights are drawn first, then every
+     *  request is sampled from the same stream — the seeding order
+     *  every serving session shares. */
+    std::mt19937_64 rng;
+    models::WeightMap weights;
+    PlanCompiler compiler;
+    /** Error-diffusion accumulator of the ASPIS dual-issue sampler
+     *  (cfg.duplicationFraction); one per model, so one tenant's
+     *  sampling never perturbs another's. */
+    double dupAccum = 0.0;
+
+    /** @param scope PlanKey::scope of this model's plans */
+    ServedModel(const graph::HeteroGraph &g, std::string name_,
+                tensor::Tensor features, std::string source,
+                ServingConfig cfg_, std::string scope, bool autotune);
+};
+
+/** One FIFO of queued requests and the pooled state its batches run
+ *  in: arena buffers survive across batches, so steady-state serving
+ *  never allocates. */
+struct ServeQueue
+{
+    std::vector<Request> requests;
+    core::ExecutionContext ctx;
+    models::WeightMap grads;
+};
+
+/**
+ * The host-transfer clock of one device — the one rule both session
+ * kinds follow. Queued requests' host transfers serialize on the
+ * device's host path: hostSec is their cumulative time, never rebased,
+ * and every queued request's submitSec is an absolute point on it.
+ * chargedSec is the prefix already charged — to served or dropped
+ * requests, or to an earlier drain — so a drain pays only pendingSec()
+ * before its launches, and popping one queue never erases the queue
+ * time another queue's requests have accrued on the same clock.
+ */
+struct TransferClock
+{
+    double hostSec = 0.0;
+    double chargedSec = 0.0;
+
+    double pendingSec() const { return hostSec - chargedSec; }
+};
+
+/**
+ * What the Engine and the ShardedSession share: the plan cache, the
+ * retained results, request ids, the flight recorder, the brownout
+ * duplication scale, and the per-device primitives their incremental
+ * serve, drop and hedge calls and their drains are built from. The
+ * Engine runs one queue per variant on one device; the ShardedSession
+ * runs one queue per device of its group.
+ */
+class ServingCore
+{
+  public:
+    ServingCore(const ServingCore &) = delete;
+    ServingCore &operator=(const ServingCore &) = delete;
+
+    PlanCache &planCache() { return cache_; }
+
+    /** Output of a served request, [its subgraph nodes, dout]; nullptr
+     *  until served. A drain retains results for one cycle only. */
+    const tensor::Tensor *result(std::uint64_t id) const;
+
+    /** Drop all retained request results (bounded-memory serving). */
+    void clearResults() { results_.clear(); }
+
+    /**
+     * Consume one request id WITHOUT enqueuing anything. Shed arrivals
+     * draw their id here so their flight-recorder lifecycle ("arrival"
+     * -> "shed") never aliases a served request; ids stay unique and
+     * sequential across admitted and shed requests alike.
+     */
+    std::uint64_t reserveId() { return nextId_++; }
+
+    /**
+     * Scale every model's duplicationFraction by @p scale in [0, 1]
+     * (brownout degradation: redundancy is shed before requests are).
+     * 1 restores the configured fractions; the error-diffusion
+     * accumulators are preserved, so scale 1 -> identical sampling.
+     */
+    void setDuplicationScale(double scale) { dupScale_ = scale; }
+    double duplicationScale() const { return dupScale_; }
+
+    /**
+     * Attach a per-request flight recorder (nullptr detaches). While
+     * attached — independent of the obs::enabled() tracer switch —
+     * every request accrues its lifecycle events (enqueue, plan
+     * lookup, batch-join, exec, completion) at modeled timestamps.
+     * The recorder must outlive the session or be detached first.
+     */
+    void setFlightRecorder(obs::FlightRecorder *fr) { flight_ = fr; }
+    obs::FlightRecorder *flightRecorder() const { return flight_; }
+
+  protected:
+    explicit ServingCore(std::size_t plan_budget_bytes)
+        : cache_(plan_budget_bytes)
+    {}
+    ~ServingCore() = default;
+
+    /** The runtimes and clocks one primitive reads. */
+    struct Site
+    {
+        /** Runtime the batch runs on. */
+        sim::Runtime &rt;
+        /** Clock of the batch's ASPIS guard and flight events. */
+        double nowSec;
+        /** Runtime whose PlanEvents record the plan lookup; its device
+         *  labels the lookup's flight events. */
+        sim::Runtime &planRt;
+        /** Clock of the plan cache's trace instants. */
+        double planSec;
+    };
+
+    /**
+     * The one plan lookup: @p m's plan from the cache (compiling
+     * through its PlanCompiler on a miss), its plan-lifecycle events
+     * recorded on site.planRt, and one "plan-lookup" flight event per
+     * request in @p stamped: a served batch stamps the requests it
+     * serves, a hedge none.
+     */
+    std::shared_ptr<const core::CompiledModel>
+    lookupPlan(ServedModel &m, const Site &site,
+               const std::vector<const Request *> &stamped);
+
+    /** Re-enforce the plan cache's byte budget once the caller has
+     *  dropped its plan pins, recording the evictions on @p rt. */
+    void enforcePlanBudget(sim::Runtime &rt);
+
+    /**
+     * Serve the min(n, queue length) oldest requests of @p q as ONE
+     * ASPIS-guarded micro-batch on @p stream of site.rt, retain their
+     * results and pop them (popOldest). The duplicate and the replay
+     * serialize on the same stream, so their cost folds into the
+     * returned batch cost. No timeline is imposed: the caller owns the
+     * clock. Zeroed on an empty queue.
+     */
+    BatchCost serveOldestOf(ServedModel &m, ServeQueue &q,
+                            TransferClock &clock, const Site &site,
+                            std::size_t n, int stream);
+
+    /**
+     * Run @p head once more as a batch-of-1 on @p stream of site.rt,
+     * in @p runner's pooled state, storing no result — the hedge
+     * backup. By batch invariance its output equals the primary's, so
+     * "first completion wins" moves only the modeled timeline. No
+     * ASPIS guard: the hedge is itself the backup path.
+     */
+    BatchCost hedgeHead(ServedModel &m, const Request &head,
+                        ServeQueue &runner, const Site &site, int stream);
+
+    /**
+     * Pop the min(n, queue length) oldest requests of @p q and charge
+     * @p clock through the last of them: their transfers happened at
+     * submit and leave with them, so a later drain charges only the
+     * transfers of the requests it serves. Returns the popped ids in
+     * queue order.
+     */
+    static std::vector<std::uint64_t>
+    popOldest(ServeQueue &q, TransferClock &clock, std::size_t n);
+
+    /** Execute @p reqs as one micro-batch of @p plan on @p rt, in
+     *  @p q's pooled state. */
+    static std::vector<tensor::Tensor>
+    runBatch(const core::CompiledModel &plan, ServedModel &m, ServeQueue &q,
+             sim::Runtime &rt, const std::vector<const Request *> &reqs);
+
+    /** Retain @p outs as the results of @p reqs, detached from device
+     *  memory scopes so they outlive the batch. */
+    void storeResults(const std::vector<const Request *> &reqs,
+                      const std::vector<tensor::Tensor> &outs);
+
+    PlanCache cache_;
+    std::map<std::uint64_t, tensor::Tensor> results_;
+    double dupScale_ = 1.0;
+    std::uint64_t nextId_ = 1;
+    obs::FlightRecorder *flight_ = nullptr;
+};
+
 /** Engine-wide knobs (the per-variant knobs live in ServingConfig). */
 struct EngineConfig
 {
@@ -502,7 +690,7 @@ struct EngineConfig
  * PlanCache. See the file comment for the design; ServingSession is
  * the single-variant façade.
  */
-class Engine
+class Engine : public ServingCore
 {
   public:
     /** @param g host-resident full graph (outlives the engine). */
@@ -538,15 +726,6 @@ class Engine
                          tensor::Tensor feature);
 
     /**
-     * Consume one engine-wide request id WITHOUT enqueuing anything.
-     * Admission-rejected (shed) arrivals draw their id here so their
-     * flight-recorder lifecycle ("arrival" -> "shed") never aliases a
-     * served request; ids stay unique and sequential across admitted
-     * and shed requests alike.
-     */
-    std::uint64_t reserveId() { return nextId_++; }
-
-    /**
      * Serve every queued request of every variant: per-variant FIFO
      * micro-batches (never mixing variants), interleaved over the
      * shared streams in global submission order. Returns the cycle's
@@ -565,45 +744,24 @@ class Engine
     /**
      * Drop the min(n, queuedOn(v)) oldest queued requests of variant
      * @p v WITHOUT serving them (deadline fail-fast cancellation by
-     * the resilience layer). Transfer bookkeeping is rebased exactly
-     * like serveOldest, so a later drain charges only surviving
-     * requests' transfers. Returns the dropped request ids in queue
-     * order.
+     * the resilience layer). Their transfers are charged exactly as if
+     * they were served (TransferClock), so a later drain charges only
+     * surviving requests' transfers. Returns the dropped request ids
+     * in queue order.
      */
     std::vector<std::uint64_t> dropOldest(int v, std::size_t n);
 
     /**
      * Execute variant @p v's OLDEST queued request as a duplicate
      * batch-of-1 on @p stream without popping it or storing results —
-     * the hedged-request backup run. By batch invariance its output is
-     * bit-identical to the primary's, so "first completion wins" can
-     * only change the modeled timeline, never a served bit. No fault
-     * injection or ASPIS sandwich applies (the hedge IS the backup
-     * path). Returns the run's modeled cost; zeroed when the queue is
-     * empty.
+     * the hedged-request backup run (ServingCore::hedgeHead). Returns
+     * the run's modeled cost; zeroed when the queue is empty.
      */
     BatchCost hedgeOldest(int v, int stream = 0);
 
-    /**
-     * Scale every variant's duplicationFraction by @p scale in [0, 1]
-     * (brownout degradation: redundancy is shed before requests are).
-     * 1 restores the configured fractions; the error-diffusion
-     * accumulators are preserved, so scale 1 -> identical sampling.
-     */
-    void setDuplicationScale(double scale) { dupScale_ = scale; }
-    double duplicationScale() const { return dupScale_; }
-
-    /** Drop all retained request results (bounded-memory serving). */
-    void clearResults() { results_.clear(); }
-
-    /** Output of a served request; nullptr until served. Results are
-     *  retained until the next drain cycle starts. */
-    const tensor::Tensor *result(std::uint64_t id) const;
-
-    PlanCache &planCache() { return cache_; }
     /** The cache key variant @p v compiles under (scoped by variant
      *  name — same-model tenants never alias). */
-    PlanKey planKey(int v) const;
+    PlanKey planKey(int v) const { return at(v).key; }
     models::WeightMap &weights(int v);
     std::size_t queued() const;
     std::size_t queuedOn(int v) const;
@@ -619,74 +777,24 @@ class Engine
     const EngineConfig &config() const { return cfg_; }
     sim::Runtime &runtime() { return rt_; }
 
-    /**
-     * Attach a per-request flight recorder (nullptr detaches). While
-     * attached — independent of the obs::enabled() tracer switch —
-     * every request accrues its lifecycle events (enqueue, plan
-     * lookup, batch-join, exec, completion) at modeled timestamps.
-     * The recorder must outlive the engine or be detached first.
-     */
-    void setFlightRecorder(obs::FlightRecorder *fr) { flight_ = fr; }
-    obs::FlightRecorder *flightRecorder() const { return flight_; }
-
   private:
-    /** Everything one registered variant owns. */
-    struct Variant
-    {
-        std::string name;
-        tensor::Tensor hostFeatures;
-        std::string modelSource;
-        ServingConfig cfg;
-        models::WeightMap weights;
-        std::mt19937_64 rng;
-        /** Pooled execution context: arena buffers survive
-         *  across cycles, so steady-state serving never allocates. */
-        core::ExecutionContext ctx;
-        models::WeightMap grads;
-        std::vector<Request> queue;
-        PlanCompiler compiler;
-        /** Error-diffusion accumulator of the ASPIS dual-issue
-         *  sampler (cfg.duplicationFraction); per variant so one
-         *  tenant's sampling never perturbs another's. */
-        double dupAccum = 0.0;
-
-        Variant(const graph::HeteroGraph &g, std::string name_,
-                tensor::Tensor features, std::string source,
-                ServingConfig cfg_, bool autotune);
-    };
-
-    Variant &at(int v);
-    const Variant &at(int v) const;
-
-    /** One plan-cache lookup for variant @p v (compiling through its
-     *  PlanCompiler on a miss) with sim::PlanEvents recorded. */
-    std::shared_ptr<const core::CompiledModel> planFor(int v);
-    /** Re-enforce the plan cache's byte budget, recording the
-     *  evictions; called once the caller has dropped its plan pins. */
-    void enforcePlanBudget();
+    const ServedModel &at(int v) const;
+    ServeQueue &queueOf(int v);
+    /** The engine's one device, as every primitive reads it. */
+    Site site();
+    /** Variant @p v's queued requests (the plan lookup stamps them). */
+    std::vector<const Request *> queuedOf(int v) const;
 
     const graph::HeteroGraph &g_;
     EngineConfig cfg_;
     sim::Runtime &rt_;
-    PlanCache cache_;
 
-    std::vector<Variant> variants_;
-    std::map<std::uint64_t, tensor::Tensor> results_;
+    /** Registered variants and their queues, by variant id. */
+    std::vector<ServedModel> variants_;
+    std::vector<ServeQueue> queues_;
     std::vector<double> lastLatenciesMs_;
-    /**
-     * Cumulative host-serialized transfer clock (all variants share
-     * the one host thread; never rebased) and the prefix of it already
-     * charged to previous cycles. A drain charges only the
-     * un-charged remainder, and every request's submitSec is an
-     * absolute point on this clock — so serving one variant's oldest
-     * requests never erases another variant's accrued queue time.
-     */
-    double hostClockSec_ = 0.0;
-    double chargedHostSec_ = 0.0;
-    /** Brownout scale on every variant's duplicationFraction. */
-    double dupScale_ = 1.0;
-    std::uint64_t nextId_ = 1;
-    obs::FlightRecorder *flight_ = nullptr;
+    /** One clock for every variant: they share the one host thread. */
+    TransferClock clock_;
 };
 
 /**

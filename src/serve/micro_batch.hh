@@ -46,7 +46,8 @@ struct Request
     graph::Minibatch mb;
     /** Device features of the subgraph's nodes, [nodes, din]. */
     tensor::Tensor feature;
-    /** Modeled arrival time within the current drain cycle. */
+    /** Absolute point on its device's host-transfer clock at which
+     *  the request was submitted (TransferClock); never rewritten. */
     double submitSec = 0.0;
     /**
      * Model variant this request targets (serve::Engine registry

@@ -19,39 +19,30 @@ ShardedSession::ShardedSession(const graph::HeteroGraph &g,
                                Tensor host_features,
                                std::string model_source, ShardedConfig cfg,
                                sim::DeviceGroup &group)
-    : g_(g), hostFeatures_(std::move(host_features)),
-      modelSource_(std::move(model_source)), cfg_(cfg), group_(group),
-      partition_([&] {
+    : ServingCore(cfg.serving.planBudgetBytes), g_(g), cfg_(cfg),
+      group_(group), partition_([&] {
           validateServingConfig(cfg.serving, "ShardedSession");
           graph::PartitionSpec ps = cfg.partition;
           ps.numShards = group.size();
           return graph::partitionGraph(g, ps);
       }()),
-      cache_(cfg.serving.planBudgetBytes),
-      compiler_(g, "default", cfg.serving,
-                cfg.serving.autotuneSchedules),
-      rng_(cfg.serving.seed),
-      execCtxs_(static_cast<std::size_t>(group.size())),
-      execGrads_(static_cast<std::size_t>(group.size())),
+      // Same seeding as ServingSession / the engine registry, so the
+      // single-device and sharded sessions consume identical RNG
+      // streams with identical weights.
+      model_(g, "default", std::move(host_features), std::move(model_source),
+             cfg.serving, "", cfg.serving.autotuneSchedules),
       queues_(static_cast<std::size_t>(group.size())),
-      pendingHostSec_(static_cast<std::size_t>(group.size()), 0.0),
+      clocks_(static_cast<std::size_t>(group.size())),
       dead_(static_cast<std::size_t>(group.size()), 0)
 {
-    if (hostFeatures_.dim(1) != cfg_.serving.din)
+    if (model_.hostFeatures.dim(1) != cfg_.serving.din)
         throw std::runtime_error(
             "ShardedSession: host feature dim != config din");
-    // Same seeding order as ServingSession / the engine registry:
-    // weights are drawn from the pristine program *before* any
-    // sampling, so the single-device and sharded sessions consume
-    // identical RNG streams (initVariantWeights is the one
-    // construction path for per-variant weights).
-    weights_ = initVariantWeights(modelSource_, cfg_.serving.din,
-                                  cfg_.serving.dout, g_, rng_);
 
     // Replicate the weights: one broadcast from the all-gather root to
     // every other device over the interconnect, paid once per session.
     double weight_bytes = 0.0;
-    for (const auto &[name, w] : weights_)
+    for (const auto &[name, w] : model_.weights)
         weight_bytes += static_cast<double>(w.bytes());
     for (int d = 1; d < group_.size(); ++d)
         group_.interconnect().transfer(0, d, weight_bytes,
@@ -72,25 +63,20 @@ ShardedSession::ShardedSession(const graph::HeteroGraph &g,
     }
 }
 
-std::shared_ptr<const core::CompiledModel>
-ShardedSession::compiledPlan()
+ServingCore::Site
+ShardedSession::site(int d)
 {
-    // One lookup per cycle/batch through the shared PlanCompiler
-    // (autotuned schedule, modeled plan cost); plan-lifecycle events
-    // are recorded against the all-gather root's runtime.
-    const PlanKey key =
-        makePlanKey(modelSource_, cfg_.serving.din, cfg_.serving.dout,
-                    cfg_.serving.compile, g_);
-    // Timestamp the cache's trace instants with the group clock (the
-    // cache itself holds no runtime reference).
-    obs::setVirtualNow(group_.nowSec());
-    const PlanCache::Stats before = cache_.stats();
-    auto plan = cache_.get(key, [&]() {
-        return compiler_.compile(key, hostFeatures_, weights_);
-    });
-    recordPlanEvents(group_.device(0).planEvents(), before,
-                     cache_.stats());
-    return plan;
+    // The group clock stamps everything; plan-lifecycle events are
+    // recorded against device 0's runtime.
+    return {group_.device(d), group_.nowSec(), group_.device(0),
+            group_.nowSec()};
+}
+
+void
+ShardedSession::checkDevice(int device) const
+{
+    if (device < 0 || device >= group_.size())
+        throw std::runtime_error("ShardedSession: device out of range");
 }
 
 int
@@ -110,13 +96,15 @@ ShardedSession::homeShard(const graph::Minibatch &mb) const
             if (!dead_[static_cast<std::size_t>(s)] &&
                 !routeAvoid_[static_cast<std::size_t>(s)])
                 use_avoid = true;
-    return pickShard(mb, queues_, (total + alive - 1) / alive + 1,
-                     use_avoid);
+    std::vector<std::size_t> loads;
+    for (const ServeQueue &q : queues_)
+        loads.push_back(q.requests.size());
+    return pickShard(mb, loads, (total + alive - 1) / alive + 1, use_avoid);
 }
 
 int
 ShardedSession::pickShard(const graph::Minibatch &mb,
-                          const std::vector<std::vector<Request>> &loads,
+                          const std::vector<std::size_t> &loads,
                           std::int64_t cap, bool use_avoid) const
 {
     // Affinity x headroom routing. Placement cannot change any output
@@ -147,7 +135,7 @@ ShardedSession::pickShard(const graph::Minibatch &mb,
             continue;
         const std::int64_t headroom =
             cap - static_cast<std::int64_t>(
-                      loads[static_cast<std::size_t>(s)].size());
+                      loads[static_cast<std::size_t>(s)]);
         if (headroom <= 0)
             continue;
         const std::int64_t score =
@@ -182,8 +170,7 @@ ShardedSession::setRouteAvoid(std::vector<char> avoid)
 bool
 ShardedSession::isDead(int device) const
 {
-    if (device < 0 || device >= group_.size())
-        throw std::runtime_error("ShardedSession: device out of range");
+    checkDevice(device);
     return dead_[static_cast<std::size_t>(device)] != 0;
 }
 
@@ -216,23 +203,22 @@ ShardedSession::sendStructure(const graph::Minibatch &mb, int device)
     return t;
 }
 
-std::vector<Tensor>
-ShardedSession::runBatch(const core::CompiledModel &plan,
-                         const std::vector<const Request *> &reqs, int d)
+void
+ShardedSession::reroute(Request r, int from, int to, double t_sec,
+                        std::vector<Request> &dst)
 {
-    sim::Runtime &rt = group_.device(d);
-    MicroBatch batch = coalesce(reqs, rt);
-    return executeBatch(plan, batch, weights_, rt,
-                        execCtxs_[static_cast<std::size_t>(d)],
-                        execGrads_[static_cast<std::size_t>(d)],
-                        cfg_.serving.useArena);
+    if (sim::FaultInjector *fi = group_.faultInjector())
+        fi->noteReroute(r.id, from, to, t_sec);
+    if (flight_)
+        flight_->event(r.id, "reroute", t_sec, to,
+                       "from=" + std::to_string(from));
+    dst.push_back(std::move(r));
 }
 
 std::vector<ShardedSession::Rerouted>
 ShardedSession::quarantine(int device, double t_sec)
 {
-    if (device < 0 || device >= group_.size())
-        throw std::runtime_error("ShardedSession: device out of range");
+    checkDevice(device);
     std::vector<Rerouted> moved;
     if (dead_[static_cast<std::size_t>(device)])
         return moved;
@@ -241,7 +227,7 @@ ShardedSession::quarantine(int device, double t_sec)
     if (fi && !fi->isFailed(device))
         fi->markFailed(device, t_sec);
 
-    auto &q = queues_[static_cast<std::size_t>(device)];
+    auto &q = queues_[static_cast<std::size_t>(device)].requests;
     if (!q.empty() && aliveCount() == 0)
         throw std::runtime_error(
             "ShardedSession::quarantine: requests queued but no "
@@ -254,23 +240,14 @@ ShardedSession::quarantine(int device, double t_sec)
         // dead shard's rows via the host-fallback halo path).
         const int to = homeShard(r.mb);
         const double transfer = sendStructure(r.mb, to);
-        pendingHostSec_[static_cast<std::size_t>(to)] += transfer;
-        Rerouted rr;
-        rr.id = r.id;
-        rr.from = device;
-        rr.to = to;
-        rr.transferSec = transfer;
-        moved.push_back(rr);
-        if (fi)
-            fi->noteReroute(r.id, device, to, t_sec);
-        if (flight_)
-            flight_->event(r.id, "reroute", t_sec, to,
-                           "from=" + std::to_string(device));
-        r.submitSec = pendingHostSec_[static_cast<std::size_t>(to)];
-        queues_[static_cast<std::size_t>(to)].push_back(std::move(r));
+        TransferClock &clock = clocks_[static_cast<std::size_t>(to)];
+        clock.hostSec += transfer;
+        r.submitSec = clock.hostSec;
+        moved.push_back({r.id, device, to, transfer});
+        reroute(std::move(r), device, to, t_sec,
+                queues_[static_cast<std::size_t>(to)].requests);
     }
     q.clear();
-    pendingHostSec_[static_cast<std::size_t>(device)] = 0.0;
     if (obs::enabled())
         obs::tracer().instant(
             "device.quarantine", "serve", t_sec, device, 0,
@@ -279,15 +256,14 @@ ShardedSession::quarantine(int device, double t_sec)
 }
 
 ShardedSession::SubmitInfo
-ShardedSession::enqueue(int home, graph::Minibatch mb, Tensor feature,
-                        double submit_sec)
+ShardedSession::enqueue(int home, graph::Minibatch mb, Tensor feature)
 {
     SubmitInfo info;
     info.id = nextId_++;
     info.device = home;
-    auto &q = queues_[static_cast<std::size_t>(home)];
+    auto &q = queues_[static_cast<std::size_t>(home)].requests;
     q.emplace_back(info.id, std::move(mb), std::move(feature));
-    q.back().submitSec = submit_sec;
+    q.back().submitSec = clocks_[static_cast<std::size_t>(home)].hostSec;
     if (flight_)
         flight_->event(info.id, "enqueue", group_.nowSec(), home,
                        "home=" + std::to_string(home));
@@ -308,19 +284,17 @@ ShardedSession::submitRouted()
     // place through its input row table (coalesce()), so it is
     // neither a host transfer nor a copy kernel.
     graph::Minibatch mb =
-        graph::sampleNeighbors(g_, cfg_.serving.sample, rng_);
+        graph::sampleNeighbors(g_, cfg_.serving.sample, model_.rng);
     const int home = homeShard(mb);
     sim::Runtime &rt = group_.device(home);
     Tensor feature;
     {
         auto scope = rt.memoryScope();
-        feature = graph::gatherFeatures(mb, hostFeatures_);
+        feature = graph::gatherFeatures(mb, model_.hostFeatures);
     }
     const double transfer = sendStructure(mb, home);
-    pendingHostSec_[static_cast<std::size_t>(home)] += transfer;
-    SubmitInfo info = enqueue(
-        home, std::move(mb), std::move(feature),
-        pendingHostSec_[static_cast<std::size_t>(home)]);
+    clocks_[static_cast<std::size_t>(home)].hostSec += transfer;
+    SubmitInfo info = enqueue(home, std::move(mb), std::move(feature));
     info.transferSec = transfer;
     return info;
 }
@@ -335,26 +309,23 @@ ShardedSession::submitRouted(graph::Minibatch mb, Tensor feature)
             "ShardedSession::submitRouted: feature must be [subgraph "
             "nodes, din]");
     const int home = homeShard(mb);
-    return enqueue(
-        home, std::move(mb), std::move(feature),
-        pendingHostSec_[static_cast<std::size_t>(home)]);
+    return enqueue(home, std::move(mb), std::move(feature));
 }
 
 std::size_t
 ShardedSession::queued() const
 {
     std::size_t n = 0;
-    for (const auto &q : queues_)
-        n += q.size();
+    for (const ServeQueue &q : queues_)
+        n += q.requests.size();
     return n;
 }
 
 std::size_t
 ShardedSession::queuedOn(int device) const
 {
-    if (device < 0 || device >= group_.size())
-        throw std::runtime_error("ShardedSession: device out of range");
-    return queues_[static_cast<std::size_t>(device)].size();
+    checkDevice(device);
+    return queues_[static_cast<std::size_t>(device)].requests.size();
 }
 
 std::vector<std::pair<int, double>>
@@ -393,6 +364,17 @@ ShardedSession::batchHaloBytes(const std::vector<const Request *> &reqs,
     return halo;
 }
 
+double
+ShardedSession::outputBytes(const std::vector<const Request *> &reqs) const
+{
+    const double dout_bytes =
+        static_cast<double>(cfg_.serving.dout) * sizeof(float);
+    double bytes = 0.0;
+    for (const Request *r : reqs)
+        bytes += static_cast<double>(r->mb.subgraph.numNodes()) * dout_bytes;
+    return bytes;
+}
+
 ShardedReport
 ShardedSession::drain()
 {
@@ -427,16 +409,17 @@ ShardedSession::drain()
     const std::uint64_t launches_before = group_.totalLaunches();
     const double ic_busy_before = group_.interconnect().totalBusySec();
 
-    const auto plan = compiledPlan();
+    const auto plan = lookupPlan(model_, site(0), {});
 
-    // Cycle timeline: each device's queued structure transfers
+    // Cycle timeline: each device's pending structure transfers
     // serialize on its own PCIe lanes (devices overlap), then the
     // device pulls its halo over the interconnect and computes, and
     // every batch's outputs gather onto the all-gather root (root()).
     // Times below are on the cycle's own clock, in seconds since `base`
     // on the group clock, so a cycle reports the same timeline wherever
     // on the group clock it starts; traces, failures and the group
-    // clock add `base` back.
+    // clock add `base` back. Device d's transfer clock reads
+    // clocks_[d].chargedSec at the cycle's start.
     const double base = group_.nowSec();
     obs::Span drain_span("sharded.drain", "serve", base, 0, 0);
 
@@ -462,8 +445,6 @@ ShardedSession::drain()
 
     const std::size_t cap =
         std::max<std::size_t>(1, cfg_.serving.maxBatch);
-    const double dout_bytes =
-        static_cast<double>(cfg_.serving.dout) * sizeof(float);
 
     std::vector<double> latencies;
     std::vector<double> queue_delays;
@@ -476,8 +457,9 @@ ShardedSession::drain()
     double redundant_exec_sec = 0.0;
 
     // A batch whose modeled compute finishes after its device's
-    // failure instant is lost with the device; copies of its requests
-    // replay on survivors in the next wave.
+    // failure instant is lost with the device; copies of its requests,
+    // their submitSec moved onto the cycle clock, replay on survivors
+    // in the next wave.
     struct Lost
     {
         Request req;
@@ -490,10 +472,11 @@ ShardedSession::drain()
 
     // One wave: every alive device serves its queue in @p queues from
     // its start time in @p start (cycle clock). A replay wave serves
-    // work an earlier wave lost and differs from the first in three
+    // work an earlier wave lost and differs from the first in four
     // ways only: no ASPIS guard and no dual-issue sampling, a
-    // device-failure replay noted per batch, and its execution time
-    // booked as redundant.
+    // device-failure replay noted per batch, its execution time booked
+    // as redundant, and its requests' submitSec already on the cycle
+    // clock.
     const auto serve_wave = [&](std::vector<std::vector<Request>> &queues,
                                 const std::vector<double> &start,
                                 bool replay) {
@@ -503,10 +486,13 @@ ShardedSession::drain()
             if (dead_[static_cast<std::size_t>(d)] || q.empty())
                 continue;
             sim::Runtime &rt = group_.device(d);
+            ServeQueue &pool = queues_[static_cast<std::size_t>(d)];
             StreamScheduler sched(rt, cfg_.serving.numStreams);
             auto scope = rt.memoryScope();
 
             const double host_end = start[static_cast<std::size_t>(d)];
+            const double origin =
+                replay ? 0.0 : clocks_[static_cast<std::size_t>(d)].chargedSec;
             cycle_end = std::max(cycle_end, host_end);
             const double t_fail =
                 fi ? fi->failureTimeSec(d)
@@ -558,8 +544,9 @@ ShardedSession::drain()
             std::vector<std::vector<Tensor>> outs(batches.size());
             for (std::size_t b = 0; b < batches.size(); ++b) {
                 const auto run = [&](std::vector<Tensor> &dst) {
-                    sched.run(
-                        [&]() { dst = runBatch(*plan, batches[b], d); });
+                    sched.run([&]() {
+                        dst = runBatch(*plan, model_, pool, rt, batches[b]);
+                    });
                 };
                 std::size_t count = 1;
                 if (replay) {
@@ -575,7 +562,7 @@ ShardedSession::drain()
                 } else {
                     const bool dup = sampleDuplicate(
                         cfg_.serving.duplicationFraction * dupScale_,
-                        dupAccum_);
+                        model_.dupAccum);
                     const GuardedBatch g = guardBatch(
                         fi, d, base + host_end, dup, outs[b], run);
                     count = g.runs;
@@ -618,24 +605,16 @@ ShardedSession::drain()
                     cycle_end = std::max(cycle_end, t_fail - base);
                     for (const Request *r : batches[b]) {
                         lost.push_back({*r, d, t_fail});
+                        lost.back().req.submitSec -= origin;
                         if (flight_)
                             flight_->event(r->id, "lost", t_fail, d,
                                            "batch=" + std::to_string(b));
                     }
                     continue;
                 }
-                {
-                    tensor::TrackerScope untracked(nullptr);
-                    for (std::size_t i = 0; i < batches[b].size(); ++i)
-                        results_.insert_or_assign(batches[b][i]->id,
-                                                  outs[b][i].clone());
-                }
+                storeResults(batches[b], outs[b]);
                 // All-gather this batch's outputs onto the root.
-                double out_bytes = 0.0;
-                for (const Request *r : batches[b])
-                    out_bytes += static_cast<double>(
-                                     r->mb.subgraph.numNodes()) *
-                                 dout_bytes;
+                const double out_bytes = outputBytes(batches[b]);
                 double final_done = compute_done;
                 if (d != gather_root) {
                     final_done =
@@ -661,7 +640,7 @@ ShardedSession::drain()
                             "\"bytes\":" + obs::jsonNum(out_bytes));
                 }
                 for (const Request *r : batches[b]) {
-                    const double lat = final_done - r->submitSec;
+                    const double lat = final_done - (r->submitSec - origin);
                     latencies.push_back(lat);
                     queue_delays.push_back(std::max(0.0, lat - service));
                     if (!flight_)
@@ -699,7 +678,14 @@ ShardedSession::drain()
     // device is quarantined for the waves and cycles to come; phase 0
     // above handles failures already due at entry), and the batches the
     // wave lost replay on the survivors in another wave.
-    serve_wave(queues_, pendingHostSec_, false);
+    std::vector<std::vector<Request>> primary(
+        static_cast<std::size_t>(group_.size()));
+    std::vector<double> pending(static_cast<std::size_t>(group_.size()));
+    for (std::size_t d = 0; d < primary.size(); ++d) {
+        primary[d].swap(queues_[d].requests);
+        pending[d] = clocks_[d].pendingSec();
+    }
+    serve_wave(primary, pending, false);
     double t_fail_max = base;
     for (;;) {
         for (int d = 0; fi && d < group_.size(); ++d) {
@@ -724,20 +710,17 @@ ShardedSession::drain()
         wave_lost.swap(lost);
         std::vector<std::vector<Request>> replay_q(
             static_cast<std::size_t>(group_.size()));
+        std::vector<std::size_t> replay_load(replay_q.size(), 0);
         const std::int64_t alive = aliveCount();
         const auto n_lost = static_cast<std::int64_t>(wave_lost.size());
         const std::int64_t rcap = (n_lost + alive - 1) / alive + 1;
         for (Lost &l : wave_lost) {
-            const int best = pickShard(l.req.mb, replay_q, rcap, false);
-            if (fi)
-                fi->noteReroute(l.req.id, l.from, best, l.tFail);
-            ++report.requestsRerouted;
-            if (flight_)
-                flight_->event(l.req.id, "reroute", l.tFail, best,
-                               "from=" + std::to_string(l.from));
-            replay_q[static_cast<std::size_t>(best)].push_back(
-                std::move(l.req));
+            const int best = pickShard(l.req.mb, replay_load, rcap, false);
+            ++replay_load[static_cast<std::size_t>(best)];
+            reroute(std::move(l.req), l.from, best, l.tFail,
+                    replay_q[static_cast<std::size_t>(best)]);
         }
+        report.requestsRerouted += wave_lost.size();
         report.requestsReplayed += wave_lost.size();
 
         // A survivor starts once the last failure has happened and its
@@ -792,190 +775,88 @@ ShardedSession::drain()
     if (fi && obs::enabled())
         absorbFaultStats(obs::metrics(), fi->stats(), "fault");
 
-    for (auto &q : queues_)
-        q.clear();
-    std::fill(pendingHostSec_.begin(), pendingHostSec_.end(), 0.0);
+    for (TransferClock &clock : clocks_)
+        clock.chargedSec = clock.hostSec;
     return report;
 }
 
 ShardBatch
 ShardedSession::serveOldestOn(int device, std::size_t n, int stream)
 {
-    if (device < 0 || device >= group_.size())
-        throw std::runtime_error("ShardedSession: device out of range");
+    checkDevice(device);
     if (dead_[static_cast<std::size_t>(device)])
         throw std::runtime_error(
             "ShardedSession::serveOldestOn: device is quarantined");
+    ServeQueue &q = queues_[static_cast<std::size_t>(device)];
+    std::vector<const Request *> reqs;
+    for (std::size_t i = 0; i < std::min(n, q.requests.size()); ++i)
+        reqs.push_back(&q.requests[i]);
     ShardBatch out;
     out.device = device;
-    auto &q = queues_[static_cast<std::size_t>(device)];
-    n = std::min(n, q.size());
-    if (n == 0)
-        return out;
-    out.cost.requests = n;
-    out.cost.servedIds.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out.cost.servedIds.push_back(q[i].id);
-    if (flight_)
-        for (std::size_t i = 0; i < n; ++i)
-            flight_->event(q[i].id, "batch-join", group_.nowSec(),
-                           device,
-                           "size=" + std::to_string(n) +
-                               " stream=" + std::to_string(stream));
-
-    const auto plan = compiledPlan();
-
-    std::vector<const Request *> reqs;
-    reqs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        reqs.push_back(&q[i]);
     out.haloBytesByOwner =
         batchHaloBytes(reqs, device, &out.hostFallbackBytes);
-    const double dout_bytes =
-        static_cast<double>(cfg_.serving.dout) * sizeof(float);
     if (device != root())
-        for (const Request *r : reqs)
-            out.gatherBytes += static_cast<double>(
-                                   r->mb.subgraph.numNodes()) *
-                               dout_bytes;
-
-    // ASPIS guard, same semantics as drain(). All runs serialize on
-    // this stream, so their cost folds into the batch's cost the
-    // online layer charges.
-    sim::Runtime &rt = group_.device(device);
-    std::vector<Tensor> outs;
-    const GuardedBatch g = guardBatch(
-        group_.faultInjector(), device, group_.nowSec(),
-        sampleDuplicate(cfg_.serving.duplicationFraction * dupScale_,
-                        dupAccum_),
-        outs, [&](std::vector<Tensor> &dst) {
-            const StreamRunCost run = runOnStream(rt, stream, [&]() {
-                auto scope = rt.memoryScope();
-                dst = runBatch(*plan, reqs, device);
-            });
-            out.cost.execSec += run.execSec;
-            out.cost.overheadSec += run.overheadSec;
-        });
-    if (g.detected && flight_)
-        for (const Request *r : reqs)
-            flight_->event(r->id, "replay", group_.nowSec(), device,
-                           "why=transient");
-    {
-        tensor::TrackerScope untracked(nullptr);
-        for (std::size_t i = 0; i < n; ++i)
-            results_.insert_or_assign(q[i].id, outs[i].clone());
-    }
-    popOldest(device, n);
+        out.gatherBytes = outputBytes(reqs);
+    out.cost = serveOldestOf(model_, q, clocks_[static_cast<std::size_t>(device)],
+                             site(device), n, stream);
     return out;
-}
-
-void
-ShardedSession::popOldest(int device, std::size_t n)
-{
-    // Rebase this device's transfer bookkeeping exactly like
-    // ServingSession::serveOldest: the popped requests' cumulative
-    // transfer time leaves this submit epoch with them, so a later
-    // drain() only charges the transfers of the requests it actually
-    // serves. submitSec is non-decreasing along the queue, so the
-    // remaining entries stay non-negative.
-    auto &q = queues_[static_cast<std::size_t>(device)];
-    const double served_host_sec = q[n - 1].submitSec;
-    q.erase(q.begin(), q.begin() + static_cast<std::ptrdiff_t>(n));
-    double &pending = pendingHostSec_[static_cast<std::size_t>(device)];
-    pending = std::max(0.0, pending - served_host_sec);
-    for (Request &r : q)
-        r.submitSec = std::max(0.0, r.submitSec - served_host_sec);
 }
 
 std::vector<std::uint64_t>
 ShardedSession::dropOldestOn(int device, std::size_t n)
 {
-    if (device < 0 || device >= group_.size())
-        throw std::runtime_error("ShardedSession: device out of range");
-    auto &q = queues_[static_cast<std::size_t>(device)];
-    n = std::min(n, q.size());
-    std::vector<std::uint64_t> ids;
-    if (n == 0)
-        return ids;
-    ids.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        ids.push_back(q[i].id);
-    // The cancelled requests' submit transfers already happened and
-    // leave with them.
-    popOldest(device, n);
-    return ids;
+    checkDevice(device);
+    return popOldest(queues_[static_cast<std::size_t>(device)],
+                     clocks_[static_cast<std::size_t>(device)], n);
 }
 
 bool
 ShardedSession::dropQueued(std::uint64_t id)
 {
-    for (auto &q : queues_)
+    for (ServeQueue &sq : queues_) {
+        auto &q = sq.requests;
         for (auto it = q.begin(); it != q.end(); ++it)
             if (it->id == id) {
                 q.erase(it);
                 return true;
             }
+    }
     return false;
 }
 
 ShardBatch
 ShardedSession::hedgeOldestOn(int from, int to, int stream)
 {
-    if (from < 0 || from >= group_.size() || to < 0 ||
-        to >= group_.size())
-        throw std::runtime_error("ShardedSession: device out of range");
+    checkDevice(from);
+    checkDevice(to);
     if (dead_[static_cast<std::size_t>(to)])
         throw std::runtime_error(
             "ShardedSession::hedgeOldestOn: backup device is "
             "quarantined");
     ShardBatch out;
     out.device = to;
-    auto &q = queues_[static_cast<std::size_t>(from)];
+    const auto &q = queues_[static_cast<std::size_t>(from)].requests;
     if (q.empty())
         return out;
-    Request &head = q.front();
-    out.cost.requests = 1;
-    out.cost.servedIds.push_back(head.id);
+    const Request &head = q.front();
     if (flight_)
         flight_->event(head.id, "hedge-exec", group_.nowSec(), to,
                        "from=" + std::to_string(from) +
                            " stream=" + std::to_string(stream));
 
-    const auto plan = compiledPlan();
-    std::vector<const Request *> reqs{&head};
-
     // The backup copy's subgraph structure re-sends over the backup
     // device's PCIe lanes (the primary's resident copy is elsewhere),
     // like a quarantine re-route; charged as batch overhead, not as a
     // queued submit — the hedge never joins a queue.
-    sim::Runtime &rt = group_.device(to);
     const double transfer = sendStructure(head.mb, to);
-
-    out.haloBytesByOwner =
-        batchHaloBytes(reqs, to, &out.hostFallbackBytes);
+    const std::vector<const Request *> reqs{&head};
+    out.haloBytesByOwner = batchHaloBytes(reqs, to, &out.hostFallbackBytes);
     if (to != root())
-        out.gatherBytes += static_cast<double>(
-                               head.mb.subgraph.numNodes()) *
-                           static_cast<double>(cfg_.serving.dout) *
-                           sizeof(float);
-
-    std::vector<Tensor> outs;
-    const StreamRunCost run = runOnStream(rt, stream, [&]() {
-        auto scope = rt.memoryScope();
-        outs = runBatch(*plan, reqs, to);
-    });
-    out.cost.execSec = run.execSec;
-    out.cost.overheadSec = run.overheadSec + transfer;
-    // No ASPIS sandwich and no result store: the hedge IS the backup
-    // path, and the primary copy stays authoritative for outputs.
+        out.gatherBytes = outputBytes(reqs);
+    out.cost = hedgeHead(model_, head, queues_[static_cast<std::size_t>(to)],
+                         site(to), stream);
+    out.cost.overheadSec += transfer;
     return out;
-}
-
-const Tensor *
-ShardedSession::result(std::uint64_t id) const
-{
-    auto it = results_.find(id);
-    return it == results_.end() ? nullptr : &it->second;
 }
 
 } // namespace hector::serve

@@ -24,12 +24,13 @@
  * each device bulk-loads its shard's feature rows over its own PCIe
  * lanes (charged once), so a request's PCIe cost is only its subgraph
  * structure — the batch's kernels read home-owned rows in place from
- * device memory, remote rows are the halo above. In drain()
- * each device's queued structure transfers serialize on its own DMA
- * path while devices overlap (pendingHostSec_); the online loop
- * instead admits every arrival on the host's single admission thread,
- * so there structure transfers serialize globally (see OnlineServer's
- * GroupDevices in online.cc).
+ * device memory, remote rows are the halo above. Each device keeps its
+ * own host-transfer clock (serve::TransferClock, the Engine's rule): in
+ * drain() each device's queued structure transfers serialize on its own
+ * DMA path while devices overlap; the online loop instead admits every
+ * arrival on the host's single admission thread, so there structure
+ * transfers serialize globally (see OnlineServer's GroupDevices in
+ * online.cc).
  *
  * Compute parallelizes the same way: each device runs its own
  * StreamScheduler (own driver thread, own streams) on the shared
@@ -45,8 +46,6 @@
 #define HECTOR_SERVE_SHARDED_HH
 
 #include <cstdint>
-#include <map>
-#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -121,7 +120,7 @@ struct ShardBatch
     double hostFallbackBytes = 0.0;
 };
 
-class ShardedSession
+class ShardedSession : public ServingCore
 {
   public:
     /**
@@ -161,10 +160,6 @@ class ShardedSession
     /** submitRouted() discarding the routing info. */
     std::uint64_t submit() { return submitRouted().id; }
 
-    /** Consume one request id without sampling, routing, or enqueuing
-     *  (shed arrivals keep a unique flight-recorder identity). */
-    std::uint64_t reserveId() { return nextId_++; }
-
     /** Enqueue an externally prepared request; routes like submit(). */
     SubmitInfo submitRouted(graph::Minibatch mb, tensor::Tensor feature);
 
@@ -173,29 +168,29 @@ class ShardedSession
 
     /**
      * Serve the min(n, queuedOn(device)) oldest requests of @p device
-     * as ONE micro-batch on @p stream, retaining results. Like
-     * ServingSession::serveOldest, no timeline is imposed: the online
-     * layer owns the clock and charges the returned halo/gather bytes
-     * on the group interconnect itself. Also like serveOldest, the
-     * device's transfer bookkeeping is rebased after the pop, so a
-     * later drain() charges only the remaining requests' transfers.
+     * as ONE micro-batch on @p stream, retaining results (the shared
+     * ServingCore::serveOldestOf, like Engine::serveOldest). No
+     * timeline is imposed: the online layer owns the clock and charges
+     * the returned halo/gather bytes on the group interconnect itself.
+     * The served requests' transfers are charged on the device's
+     * TransferClock, so a later drain() charges only the transfers of
+     * the requests it serves.
      */
     ShardBatch serveOldestOn(int device, std::size_t n, int stream = 0);
 
     /**
      * Fail-fast cancel the min(n, queuedOn(device)) oldest requests of
      * @p device without serving them (timeout cancellation); returns
-     * the dropped ids in queue order. The device's transfer
-     * bookkeeping is rebased exactly as if the requests were served,
-     * so later batches charge only their own submit transfers.
+     * the dropped ids in queue order. Their transfers are charged on
+     * the device's TransferClock exactly as if they were served.
      */
     std::vector<std::uint64_t> dropOldestOn(int device, std::size_t n);
 
     /**
      * Remove one queued request by id (retry-budget exhaustion after a
-     * re-route); true when found. Mid-queue removal is safe: submitSec
-     * stays non-decreasing along the queue and the request's submit
-     * transfer already happened, so no rebase is needed.
+     * re-route); true when found. Nothing is charged: the request's
+     * submit transfer happened and stays on its device's clock, and
+     * every other request keeps its absolute submitSec.
      */
     bool dropQueued(std::uint64_t id);
 
@@ -213,13 +208,6 @@ class ShardedSession
      * has nothing queued.
      */
     ShardBatch hedgeOldestOn(int from, int to, int stream = 0);
-
-    /** Drop all retained request results (bounded-memory serving). */
-    void clearResults() { results_.clear(); }
-
-    /** Output of a served request; nullptr until served (drain()
-     *  retains results for one cycle, like the single-device path). */
-    const tensor::Tensor *result(std::uint64_t id) const;
 
     /// @name Fault tolerance.
     ///
@@ -266,15 +254,6 @@ class ShardedSession
     /// @}
 
     /**
-     * Attach a per-request flight recorder: enqueue events are
-     * recorded at submit, batch-join/exec/halo/gather/completion
-     * events during drain()/serveOldestOn(). nullptr detaches. The
-     * recorder must outlive the session or be detached.
-     */
-    void setFlightRecorder(obs::FlightRecorder *fr) { flight_ = fr; }
-    obs::FlightRecorder *flightRecorder() const { return flight_; }
-
-    /**
      * Devices the resilience layer's circuit breakers want routing to
      * avoid (index -> avoid). Softer than quarantine: homeShard skips
      * avoided devices while at least one alive device is not avoided,
@@ -283,14 +262,8 @@ class ShardedSession
      */
     void setRouteAvoid(std::vector<char> avoid);
 
-    /** Scale applied to cfg.serving.duplicationFraction by the
-     *  brownout path (0 disables ASPIS dual-issue, 1 is nominal). */
-    void setDuplicationScale(double scale) { dupScale_ = scale; }
-    double duplicationScale() const { return dupScale_; }
-
     const graph::Partition &partition() const { return partition_; }
-    PlanCache &planCache() { return cache_; }
-    models::WeightMap &weights() { return weights_; }
+    models::WeightMap &weights() { return model_.weights; }
     const ShardedConfig &config() const { return cfg_; }
     sim::DeviceGroup &group() { return group_; }
 
@@ -298,17 +271,23 @@ class ShardedSession
     std::size_t queuedOn(int device) const;
 
   private:
-    /** One cached-plan lookup through the shared PlanCompiler. */
-    std::shared_ptr<const core::CompiledModel> compiledPlan();
     int homeShard(const graph::Minibatch &mb) const;
     /** Affinity x headroom pick for @p mb among alive devices (with
      *  @p use_avoid, those the breaker mask leaves open), scoring
      *  (owned vertices + 1) x (@p cap - queue length in @p loads). */
     int pickShard(const graph::Minibatch &mb,
-                  const std::vector<std::vector<Request>> &loads,
-                  std::int64_t cap, bool use_avoid) const;
+                  const std::vector<std::size_t> &loads, std::int64_t cap,
+                  bool use_avoid) const;
+    /** Enqueue on @p home at the current point of its transfer clock. */
     SubmitInfo enqueue(int home, graph::Minibatch mb,
-                       tensor::Tensor feature, double submit_sec);
+                       tensor::Tensor feature);
+    /**
+     * Note @p r's move from @p from to @p to at @p t_sec on the fault
+     * injector and the flight recorder, and append it to @p dst — the
+     * one re-route routine of quarantine() and the drain's replays.
+     */
+    void reroute(Request r, int from, int to, double t_sec,
+                 std::vector<Request> &dst);
     /**
      * Per-owner halo bytes of a batch served on @p home. Rows owned by
      * failed shards are excluded from the pairs and accumulated into
@@ -317,55 +296,32 @@ class ShardedSession
     std::vector<std::pair<int, double>>
     batchHaloBytes(const std::vector<const Request *> &reqs, int home,
                    double *host_fallback_bytes) const;
-    /** Pop the @p n (>= 1) oldest requests of @p device's queue and
-     *  rebase its transfer bookkeeping onto what remains. */
-    void popOldest(int device, std::size_t n);
+    /** Output bytes of @p reqs: what a batch all-gathers onto root(). */
+    double outputBytes(const std::vector<const Request *> &reqs) const;
     /** Charge @p mb's subgraph structure over @p device's PCIe lanes;
      *  returns the transfer seconds. */
     double sendStructure(const graph::Minibatch &mb, int device);
-    /** Execute @p reqs as one micro-batch on device @p d. */
-    std::vector<tensor::Tensor>
-    runBatch(const core::CompiledModel &plan,
-             const std::vector<const Request *> &reqs, int d);
+    /** Throw unless @p device is in range. */
+    void checkDevice(int device) const;
+    /** Device @p d as the primitives read it: the group clock, plan
+     *  events on device 0. */
+    Site site(int d);
 
     const graph::HeteroGraph &g_;
-    tensor::Tensor hostFeatures_;
-    std::string modelSource_;
     ShardedConfig cfg_;
     sim::DeviceGroup &group_;
-
     graph::Partition partition_;
-    /** Bounded like the engine's: cfg.serving.planBudgetBytes. */
-    PlanCache cache_;
-    /** Parse + autotune + price closure shared with serve::Engine, so
-     *  the sharded path compiles plans exactly one way. */
-    PlanCompiler compiler_;
-    models::WeightMap weights_;
-    std::mt19937_64 rng_;
-
-    /** Pooled per-device execution contexts: each device's arena
-     *  buffers survive across cycles (zero steady-state allocation),
-     *  and its tracked memory stays on its own runtime. */
-    std::vector<core::ExecutionContext> execCtxs_;
-    std::vector<models::WeightMap> execGrads_;
-
-    /** FIFO queue per device. */
-    std::vector<std::vector<Request>> queues_;
-    std::map<std::uint64_t, tensor::Tensor> results_;
-    /** Per-device host-transfer time accrued by queued submits:
-     *  transfers to one device serialize, devices overlap. */
-    std::vector<double> pendingHostSec_;
+    /** The one model, replicated on every device. */
+    ServedModel model_;
+    /** FIFO queue, pooled execution state and transfer clock per
+     *  device. */
+    std::vector<ServeQueue> queues_;
+    std::vector<TransferClock> clocks_;
     /** Quarantined devices (failed; never routed to again). */
     std::vector<char> dead_;
     /** Breaker-avoided devices (soft: ignored when all alive devices
      *  are avoided); empty = no mask. */
     std::vector<char> routeAvoid_;
-    /** Error-diffusion accumulator of the dual-issue sampler. */
-    double dupAccum_ = 0.0;
-    /** Brownout scale on duplicationFraction (1 = nominal). */
-    double dupScale_ = 1.0;
-    std::uint64_t nextId_ = 1;
-    obs::FlightRecorder *flight_ = nullptr;
 };
 
 } // namespace hector::serve

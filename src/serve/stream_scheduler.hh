@@ -50,9 +50,9 @@ struct StreamRunCost
  * the cost it accrued there (the stream's launch-overhead and
  * kernel-exec deltas plus the host-serialized time delta), leaving the
  * runtime back on the default stream. The one place the per-batch cost
- * measurement convention lives: StreamScheduler::run,
- * ServingSession::serveOldest and ShardedSession::serveOldestOn all
- * price batches through it.
+ * measurement convention lives: StreamScheduler::run and the shared
+ * incremental serve and hedge (ServingCore::serveOldestOf, hedgeHead)
+ * all price batches through it.
  */
 StreamRunCost runOnStream(sim::Runtime &rt, int stream,
                           const std::function<void()> &work);

@@ -752,4 +752,178 @@ TEST_F(EngineDeterminism, TunedScheduleSurvivesEviction)
     EXPECT_EQ(engine.planCache().stats().misses, 1u);
 }
 
+// ------------------------------------------- incremental primitives
+
+/** A two-variant engine on @p rt: kRgat32 is variant 0, kRgcn64 1. */
+struct TwoTenants
+{
+    serve::Engine engine;
+    int a = 0;
+    int b = 0;
+
+    TwoTenants(const graph::HeteroGraph &g, sim::Runtime &rt)
+        : engine(g, serve::EngineConfig{}, rt)
+    {
+        a = engine.registerVariant(
+            kRgat32.name, hostFeatures(g, kRgat32.din, kRgat32.featureSeed),
+            kRgat32.source, configFor(kRgat32));
+        b = engine.registerVariant(
+            kRgcn64.name, hostFeatures(g, kRgcn64.din, kRgcn64.featureSeed),
+            kRgcn64.source, configFor(kRgcn64));
+    }
+};
+
+/** A drain's report and per-request latencies. */
+struct DrainTimeline
+{
+    serve::ServingReport report;
+    std::vector<double> latenciesMs;
+};
+
+void
+expectSameTimeline(const DrainTimeline &want, const DrainTimeline &got)
+{
+    EXPECT_DOUBLE_EQ(want.report.makespanMs, got.report.makespanMs);
+    EXPECT_DOUBLE_EQ(want.report.meanLatencyMs, got.report.meanLatencyMs);
+    EXPECT_DOUBLE_EQ(want.report.meanQueueDelayMs,
+                     got.report.meanQueueDelayMs);
+    EXPECT_DOUBLE_EQ(want.report.p95LatencyMs, got.report.p95LatencyMs);
+    ASSERT_EQ(want.latenciesMs.size(), got.latenciesMs.size());
+    for (std::size_t i = 0; i < want.latenciesMs.size(); ++i)
+        EXPECT_DOUBLE_EQ(want.latenciesMs[i], got.latenciesMs[i])
+            << "request " << i;
+}
+
+/** How many of @p id's flight events are named @p what. */
+std::size_t
+countEvents(const obs::FlightRecorder &fr, std::uint64_t id,
+            const char *what)
+{
+    std::size_t n = 0;
+    if (const auto *tl = fr.timeline(id))
+        for (const obs::FlightEvent &e : *tl)
+            n += e.what == what ? 1 : 0;
+    return n;
+}
+
+TEST(EnginePrimitives, DropThenDrainMatchesServeThenDrain)
+{
+    const graph::HeteroGraph g = servingGraph();
+    // Serving and dropping the two oldest of five queued requests both
+    // charge those requests' transfers, so the drain of the other
+    // three reports the same timeline either way.
+    const auto run = [&](bool drop) {
+        sim::Runtime rt;
+        TwoTenants t(g, rt);
+        for (int i = 0; i < 5; ++i)
+            t.engine.submit(t.a);
+        if (drop)
+            EXPECT_EQ(t.engine.dropOldest(t.a, 2).size(), 2u);
+        else
+            EXPECT_EQ(t.engine.serveOldest(t.a, 2).requests, 2u);
+        EXPECT_EQ(t.engine.queuedOn(t.a), 3u);
+        DrainTimeline out{t.engine.drain(), {}};
+        out.latenciesMs = t.engine.lastLatenciesMs();
+        return out;
+    };
+    const DrainTimeline served = run(false);
+    const DrainTimeline dropped = run(true);
+    ASSERT_EQ(served.report.requests, 3u);
+    expectSameTimeline(served, dropped);
+}
+
+TEST(EnginePrimitives, HedgeLeavesQueueAndResultsUnchanged)
+{
+    const graph::HeteroGraph g = servingGraph();
+    sim::Runtime rt;
+    TwoTenants t(g, rt);
+    EXPECT_EQ(t.engine.hedgeOldest(t.a).requests, 0u)
+        << "empty queue: zeroed";
+
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 3; ++i)
+        ids.push_back(t.engine.submit(t.a));
+    t.engine.serveOldest(t.a, 1);
+    const Tensor *served = t.engine.result(ids[0]);
+    ASSERT_NE(served, nullptr);
+    const Tensor before = served->clone();
+
+    const serve::BatchCost hedge = t.engine.hedgeOldest(t.a);
+    EXPECT_EQ(hedge.requests, 1u);
+    EXPECT_EQ(hedge.servedIds, std::vector<std::uint64_t>{ids[1]});
+    EXPECT_GT(hedge.execSec, 0.0);
+    EXPECT_GT(hedge.overheadSec, 0.0);
+    EXPECT_EQ(t.engine.queuedOn(t.a), 2u);
+    EXPECT_EQ(t.engine.result(ids[1]), nullptr)
+        << "a hedge stores no result";
+    ASSERT_EQ(t.engine.result(ids[0]), served);
+    EXPECT_EQ(tensor::maxAbsDiff(*served, before), 0.0f);
+}
+
+TEST(EnginePrimitives, DroppingOneVariantsHeadKeepsAnothersLatencies)
+{
+    const graph::HeteroGraph g = servingGraph();
+    // Variant B's one request is prepared outside the engine, so it
+    // charges no transfer and both runs read the same host clock.
+    // Dropping it charges every transfer before it, which shortens the
+    // drain's makespan, but each of A's requests still waited on the
+    // host clock from its own submission.
+    const auto run = [&](bool with_b) {
+        sim::Runtime rt;
+        TwoTenants t(g, rt);
+        for (int i = 0; i < 3; ++i)
+            t.engine.submit(t.a);
+        if (with_b) {
+            const serve::ServingConfig bcfg = configFor(kRgcn64);
+            std::mt19937_64 rng(bcfg.seed);
+            graph::Minibatch mb = graph::sampleNeighbors(g, bcfg.sample, rng);
+            Tensor feature = graph::gatherFeatures(
+                mb, hostFeatures(g, kRgcn64.din, kRgcn64.featureSeed));
+            t.engine.submit(t.b, std::move(mb), std::move(feature));
+            EXPECT_EQ(t.engine.dropOldest(t.b, 1).size(), 1u);
+        }
+        for (int i = 0; i < 2; ++i)
+            t.engine.submit(t.a);
+        DrainTimeline out{t.engine.drain(), {}};
+        out.latenciesMs = t.engine.lastLatenciesMs();
+        return out;
+    };
+    const DrainTimeline alone = run(false);
+    const DrainTimeline dropped = run(true);
+    ASSERT_EQ(dropped.report.requests, 5u);
+    ASSERT_EQ(alone.latenciesMs.size(), dropped.latenciesMs.size());
+    for (std::size_t i = 0; i < alone.latenciesMs.size(); ++i)
+        EXPECT_DOUBLE_EQ(alone.latenciesMs[i], dropped.latenciesMs[i])
+            << "request " << i;
+    EXPECT_LT(dropped.report.makespanMs, alone.report.makespanMs);
+}
+
+TEST(EnginePrimitives, PlanLookupEventsOnlyOnServedRequests)
+{
+    const graph::HeteroGraph g = servingGraph();
+    sim::Runtime rt;
+    serve::Engine engine(g, serve::EngineConfig{}, rt);
+    const int v = engine.registerVariant(
+        kRgat32.name, hostFeatures(g, kRgat32.din, kRgat32.featureSeed),
+        kRgat32.source, configFor(kRgat32));
+    obs::FlightRecorder fr;
+    engine.setFlightRecorder(&fr);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 4; ++i)
+        ids.push_back(engine.submit(v));
+
+    // A hedge runs the head as a backup and records no lookup; each
+    // served batch records one per request it serves.
+    engine.hedgeOldest(v);
+    EXPECT_EQ(countEvents(fr, ids[0], "plan-lookup"), 0u);
+    for (int i = 0; i < 4; ++i)
+        engine.serveOldest(v, 1);
+    for (std::uint64_t id : ids) {
+        EXPECT_EQ(countEvents(fr, id, "plan-lookup"), 1u)
+            << fr.timelineText(id);
+        EXPECT_EQ(countEvents(fr, id, "batch-join"), 1u)
+            << fr.timelineText(id);
+    }
+}
+
 } // namespace

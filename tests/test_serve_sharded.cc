@@ -355,6 +355,127 @@ TEST(ShardedSession, ServeOldestOnRebasesDrainTransferAccounting)
     EXPECT_DOUBLE_EQ(rep1.p95LatencyMs, rep2.p95LatencyMs);
 }
 
+/** How many of @p id's flight events are named @p what. */
+std::size_t
+countEvents(const obs::FlightRecorder &fr, std::uint64_t id,
+            const char *what)
+{
+    std::size_t n = 0;
+    if (const auto *tl = fr.timeline(id))
+        for (const obs::FlightEvent &e : *tl)
+            n += e.what == what ? 1 : 0;
+    return n;
+}
+
+TEST(ShardedSession, DropOldestOnThenDrainMatchesServeOldestOn)
+{
+    const graph::HeteroGraph g = servingGraph();
+    const std::int64_t dim = 8;
+    const Tensor feats = hostFeatures(g, dim);
+    serve::ShardedConfig scfg;
+    scfg.serving = servingConfig(dim);
+    sim::InterconnectSpec free_ic;
+    free_ic.linkLatency = 0.0;
+    free_ic.linkBandwidth = 1e18;
+
+    // Serving and dropping each device's oldest request both charge its
+    // transfer, so the drain of the rest, and of the requests
+    // submitted after, reports the same timeline either way.
+    const auto run = [&](bool drop) {
+        sim::DeviceGroup group(4, sim::DeviceSpec{}, free_ic);
+        serve::ShardedSession s(g, feats, models::kRgcnSource, scfg, group);
+        for (int i = 0; i < 12; ++i)
+            s.submit();
+        for (int d = 0; d < group.size(); ++d) {
+            if (s.queuedOn(d) == 0)
+                continue;
+            if (drop)
+                EXPECT_EQ(s.dropOldestOn(d, 1).size(), 1u);
+            else
+                EXPECT_EQ(s.serveOldestOn(d, 1).cost.requests, 1u);
+        }
+        for (int i = 0; i < 4; ++i)
+            s.submit();
+        return s.drain();
+    };
+    const serve::ShardedReport served = run(false);
+    const serve::ShardedReport dropped = run(true);
+    ASSERT_GE(served.requests, 12u);
+    ASSERT_EQ(served.requests, dropped.requests);
+    EXPECT_DOUBLE_EQ(served.makespanMs, dropped.makespanMs);
+    EXPECT_DOUBLE_EQ(served.meanLatencyMs, dropped.meanLatencyMs);
+    EXPECT_DOUBLE_EQ(served.meanQueueDelayMs, dropped.meanQueueDelayMs);
+    EXPECT_DOUBLE_EQ(served.p95LatencyMs, dropped.p95LatencyMs);
+    EXPECT_DOUBLE_EQ(served.maxLatencyMs, dropped.maxLatencyMs);
+}
+
+TEST(ShardedSession, HedgeOldestOnLeavesQueuesAndResultsUnchanged)
+{
+    const graph::HeteroGraph g = servingGraph();
+    const std::int64_t dim = 8;
+    const Tensor feats = hostFeatures(g, dim);
+    serve::ShardedConfig scfg;
+    scfg.serving = servingConfig(dim);
+    sim::DeviceGroup group(2);
+    serve::ShardedSession s(g, feats, models::kRgcnSource, scfg, group);
+    for (int i = 0; i < 8; ++i)
+        s.submit();
+    const int from = s.queuedOn(0) >= 2 ? 0 : 1;
+    const int to = 1 - from;
+    ASSERT_GE(s.queuedOn(from), 2u);
+    const serve::ShardBatch first = s.serveOldestOn(from, 1);
+    const std::uint64_t served_id = first.cost.servedIds.at(0);
+    const Tensor *served = s.result(served_id);
+    ASSERT_NE(served, nullptr);
+    const Tensor before = served->clone();
+    const std::size_t q_from = s.queuedOn(from);
+    const std::size_t q_to = s.queuedOn(to);
+
+    const serve::ShardBatch hedge = s.hedgeOldestOn(from, to);
+    EXPECT_EQ(hedge.device, to);
+    ASSERT_EQ(hedge.cost.requests, 1u);
+    const std::uint64_t head = hedge.cost.servedIds.at(0);
+    EXPECT_GT(hedge.cost.execSec, 0.0);
+    EXPECT_GT(hedge.cost.overheadSec, 0.0);
+    EXPECT_EQ(s.queuedOn(from), q_from);
+    EXPECT_EQ(s.queuedOn(to), q_to);
+    EXPECT_EQ(s.result(head), nullptr) << "a hedge stores no result";
+    ASSERT_EQ(s.result(served_id), served);
+    expectBitIdentical(*served, before);
+}
+
+TEST(ShardedSession, PlanLookupEventsOnlyOnServedRequests)
+{
+    const graph::HeteroGraph g = servingGraph();
+    const std::int64_t dim = 8;
+    const Tensor feats = hostFeatures(g, dim);
+    serve::ShardedConfig scfg;
+    scfg.serving = servingConfig(dim);
+    sim::DeviceGroup group(2);
+    serve::ShardedSession s(g, feats, models::kRgcnSource, scfg, group);
+    obs::FlightRecorder fr;
+    s.setFlightRecorder(&fr);
+    std::vector<std::uint64_t> ids;
+    for (int i = 0; i < 6; ++i)
+        ids.push_back(s.submit());
+
+    // Same rule as the single-device engine: a hedge records no
+    // lookup, a served batch one per request it serves.
+    const int from = s.queuedOn(0) > 0 ? 0 : 1;
+    const serve::ShardBatch hedge = s.hedgeOldestOn(from, 1 - from);
+    EXPECT_EQ(countEvents(fr, hedge.cost.servedIds.at(0), "plan-lookup"),
+              0u);
+    for (int d = 0; d < group.size(); ++d)
+        while (s.queuedOn(d) > 0)
+            s.serveOldestOn(d, 1);
+    for (std::uint64_t id : ids) {
+        EXPECT_EQ(countEvents(fr, id, "plan-lookup"), 1u)
+            << fr.timelineText(id);
+        EXPECT_EQ(countEvents(fr, id, "batch-join"), 1u)
+            << fr.timelineText(id);
+    }
+}
+
 // ----------------------------------------------------------- online sharded
 
 TEST(OnlineSharded, ServesAllArrivalsAndReportsInterconnect)
