@@ -378,6 +378,12 @@ emitGemmKernel(const Program &p, const GemmInstance &gi)
     os << "// schedule: {tile_sz: " << ts
        << ", coarsening: " << gi.sched.coarsening << ", launch_bounds: "
        << (gi.sched.launchBounds ? "true" : "false") << "}\n";
+    for (const RowWeightVec &t : gi.epilogue)
+        os << "// epilogue: " << t.var << "[r] = dot(Y row r, " << t.weight
+           << "[type]) per finished row; a block owns whole rows\n";
+    for (const RowWeightVec &t : gi.prologue)
+        os << "// prologue: " << gi.y2Var << " row r read as " << gi.y2Var
+           << "[r] + " << t.var << "[r] * " << t.weight << "[type]\n";
     if (gi.sched.launchBounds)
         os << "__launch_bounds__(" << gi.sched.tileSz * gi.sched.tileSz
            << ", 4)\n";
@@ -389,23 +395,48 @@ emitGemmKernel(const Program &p, const GemmInstance &gi)
        << "    const int64_t *__restrict__ col_idx,\n"
        << "    const int64_t *__restrict__ unique_row_idx,\n"
        << "    const int64_t *__restrict__ edge_to_unique,\n"
-       << "    const float *__restrict__ per_row_scalar,\n"
-       << "    int num_types, int din, int dout)\n"
+       << "    const float *__restrict__ per_row_scalar,\n";
+    if (!gi.prologue.empty())
+        os << "    const float *__restrict__ " << gi.y2Var << ",\n";
+    for (const RowWeightVec &t : gi.prologue)
+        os << "    const float *__restrict__ " << t.var
+           << ", const float *__restrict__ " << t.weight << ",\n";
+    for (const RowWeightVec &t : gi.epilogue)
+        os << "    float *__restrict__ " << t.var
+           << ", const float *__restrict__ " << t.weight << ",\n";
+    os << "    int num_types, int din, int dout)\n"
        << "{\n"
        << "    __shared__ float x_shmem[" << ts << "][" << ts << "];\n"
-       << "    __shared__ float w_shmem[" << ts << "][" << ts << "];\n"
-       << "    // GetRange<" << gi.kid << ">: tile assignment over the\n"
+       << "    __shared__ float w_shmem[" << ts << "][" << ts << "];\n";
+    const std::string lanes = std::to_string(gi.sched.tileSz *
+                                             gi.sched.coarsening);
+    if (!gi.prologue.empty())
+        os << "    __shared__ float y2_shmem[" << ts << "][" << ts << "];\n";
+    if (!gi.epilogue.empty())
+        os << "    // Partial dots of one column tile, per row.\n"
+           << "    __shared__ float dot_shmem[" << ts << "][" << lanes
+           << "];\n";
+    os << "    // GetRange<" << gi.kid << ">: tile assignment over the\n"
        << "    // per-type segments of " << segPtrName(gi.rows, gi.typeBy)
        << ".\n"
        << "    GemmRange range = get_range_" << gi.kid
        << "(blockIdx, num_types);\n"
        << "    for (int tile_row = range.row_begin; tile_row < "
           "range.row_end;\n"
-       << "         tile_row += gridDim.x) {\n"
-       << "        for (int tile_col = range.col_begin; tile_col < "
-          "range.col_end;\n"
-       << "             tile_col += gridDim.y) {\n"
-       << "            float y_reg[" << gi.sched.coarsening
+       << "         tile_row += gridDim.x) {\n";
+    if (gi.epilogue.empty()) {
+        os << "        for (int tile_col = range.col_begin; tile_col < "
+              "range.col_end;\n"
+           << "             tile_col += gridDim.y) {\n";
+    } else {
+        // grid.y == 1: the block walks every column tile of its rows,
+        // so it finishes each dot without atomics.
+        for (const RowWeightVec &t : gi.epilogue)
+            os << "        float " << t.var << "_acc = 0.f;\n";
+        os << "        for (int tile_col = 0; tile_col * " << ts
+           << " < dout; ++tile_col) {\n";
+    }
+    os << "            float y_reg[" << gi.sched.coarsening
        << "] = {0.f};\n"
        << "            for (int kk = 0; kk < din; kk += " << ts << ") {\n"
        << "                // LoadXToShmemIfInRange<" << gi.kid << ">\n"
@@ -423,8 +454,24 @@ emitGemmKernel(const Program &p, const GemmInstance &gi)
        << "                       threadIdx." << (gi.transW ? "x" : "y")
        << ") * dout + tile_col * " << ts << " + threadIdx."
        << (gi.transW ? "y" : "x") << "];\n"
-       << "                __syncthreads();\n"
-       << "                #pragma unroll\n"
+       << "                __syncthreads();\n";
+    if (!gi.prologue.empty()) {
+        os << "                // Prologue<" << gi.kid << ">: the y2 row formed "
+              "on load, never stored\n"
+           << "                {\n"
+           << "                    int r = tile_row * " << ts
+           << " + threadIdx.y;\n"
+           << "                    int j = tile_col * " << ts
+           << " + threadIdx.x;\n"
+           << "                    float y2 = " << gi.y2Var
+           << "[r * dout + j];\n";
+        for (const RowWeightVec &t : gi.prologue)
+            os << "                    y2 += " << t.var << "[r] * "
+               << t.weight << "[type_of(tile_row) * dout + j];\n";
+        os << "                    y2_shmem[threadIdx.y][threadIdx.x] = y2;\n"
+           << "                }\n";
+    }
+    os << "                #pragma unroll\n"
        << "                for (int k2 = 0; k2 < " << ts << "; ++k2)\n"
        << "                    for (int c = 0; c < "
        << gi.sched.coarsening << "; ++c)\n"
@@ -465,9 +512,35 @@ emitGemmKernel(const Program &p, const GemmInstance &gi)
            << " + threadIdx.x + c] " << (gi.yAccumulate ? "+= " : "= ")
            << "y_reg[c];\n";
     }
-    os << "            }\n"
-       << "        }\n"
-       << "    }\n"
+    os << "            }\n";
+    for (const RowWeightVec &t : gi.epilogue)
+        os << "            // Epilogue<" << gi.kid << ">: " << t.var
+           << "'s partial dot of this tile, summed\n"
+           << "            // by one thread per row in column order.\n"
+           << "            for (int c = 0; c < " << gi.sched.coarsening
+           << "; ++c)\n"
+           << "                dot_shmem[threadIdx.y][threadIdx.x * "
+           << gi.sched.coarsening << " + c] =\n"
+           << "                    y_reg[c] * " << t.weight
+           << "[type_of(tile_row) * dout + tile_col * " << ts
+           << " + threadIdx.x + c];\n"
+           << "            __syncthreads();\n"
+           << "            if (threadIdx.x == 0)\n"
+           << "                for (int k2 = 0; k2 < " << lanes
+           << "; ++k2)\n"
+           << "                    " << t.var
+           << "_acc += dot_shmem[threadIdx.y][k2];\n"
+           << "            __syncthreads();\n";
+    os << "        }\n";
+    if (!gi.epilogue.empty()) {
+        os << "        // StoreEpilogue<" << gi.kid << ">: one store per row\n"
+           << "        if (threadIdx.x == 0) {\n"
+           << "            int r = tile_row * " << ts << " + threadIdx.y;\n";
+        for (const RowWeightVec &t : gi.epilogue)
+            os << "            " << t.var << "[r] = " << t.var << "_acc;\n";
+        os << "        }\n";
+    }
+    os << "    }\n"
        << "}\n\n";
     return os.str();
 }
@@ -717,27 +790,57 @@ emitTraversalKernel(const Program &p, const TraversalInstance &ti)
 namespace
 {
 
+/**
+ * The host wrapper of @p kernel. A folded GEMM takes its term tensors
+ * (@p terms, in kernel-parameter order) after its own, and one with an
+ * epilogue launches one column of blocks (@p whole_rows: grid.y = 1),
+ * each owning whole rows.
+ */
 std::string
-emitHostWrapper(const std::string &kernel, const char *kind)
+emitHostWrapper(const std::string &kernel, const char *kind,
+                const std::vector<std::string> &terms = {},
+                bool whole_rows = false)
 {
     std::ostringstream os;
     os << "void " << kernel << "_wrap(torch::Tensor x, torch::Tensor w,\n"
-       << "                          torch::Tensor y, HectorGraphArgs g)\n"
+       << "                          torch::Tensor y, HectorGraphArgs g";
+    for (const auto &t : terms)
+        os << ",\n                          torch::Tensor " << t;
+    os << ")\n"
        << "{\n"
        << "    // " << kind << " host wrapper: configure grid/block,\n"
        << "    // extract raw pointers from at::Tensor, launch.\n"
        << "    auto stream = at::cuda::getCurrentCUDAStream();\n"
        << "    dim3 block(16, 16);\n"
        << "    dim3 grid(ceil_div(g.num_rows, 16),\n"
-       << "              ceil_div(y.size(1), 16));\n"
+       << (whole_rows ? "              1);  // a block owns whole rows\n"
+                      : "              ceil_div(y.size(1), 16));\n")
        << "    " << kernel << "<<<grid, block, 0, stream>>>(\n"
        << "        x.data_ptr<float>(), w.data_ptr<float>(),\n"
        << "        y.data_ptr<float>(), g.etype_ptr, g.row_idx,\n"
        << "        g.col_idx, g.unique_row_idx, g.edge_to_unique,\n"
-       << "        g.per_row_scalar, g.num_types, x.size(1), y.size(1));\n"
+       << "        g.per_row_scalar, ";
+    for (const auto &t : terms)
+        os << t << ".data_ptr<float>(), ";
+    os << "g.num_types, x.size(1), y.size(1));\n"
        << "    C10_CUDA_KERNEL_LAUNCH_CHECK();\n"
        << "}\n\n";
     return os.str();
+}
+
+/** The term tensors of folded GEMM @p gi, in kernel-parameter order. */
+std::vector<std::string>
+termTensors(const GemmInstance &gi)
+{
+    std::vector<std::string> out;
+    if (!gi.prologue.empty())
+        out.push_back(gi.y2Var);
+    for (const auto *terms : {&gi.prologue, &gi.epilogue})
+        for (const RowWeightVec &t : *terms) {
+            out.push_back(t.var);
+            out.push_back(t.weight);
+        }
+    return out;
 }
 
 } // namespace
@@ -793,7 +896,8 @@ generateCode(const Program &fwd, const LoweredFunction &ffn,
         cuda << "// ======== " << tag << " ========\n";
         for (const auto &gi : fn.gemms) {
             cuda << emitGemmKernel(p, gi);
-            host << emitHostWrapper(gi.name, "GEMM");
+            host << emitHostWrapper(gi.name, "GEMM", termTensors(gi),
+                                    !gi.epilogue.empty());
         }
         for (const auto &ti : fn.traversals) {
             cuda << emitTraversalKernel(p, ti);

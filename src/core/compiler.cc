@@ -79,6 +79,15 @@ compile(Program program, const CompileOptions &options)
             options.training ? &m.backwardProgram : nullptr,
             options.training ? &m.backwardFn : nullptr);
 
+    // A flat weight-vector kernel beside a GEMM rides in that GEMM:
+    // a dot of each output row, or a term of each gradient row.
+    for (auto [prog, fn] :
+         {std::pair{&program, &m.forwardFn},
+          std::pair{&m.backwardProgram, &m.backwardFn}}) {
+        foldGemmEpilogues(*prog, *fn);
+        foldGemmPrologues(*prog, *fn);
+    }
+
     m.forwardProgram = std::move(program);
     m.memoryPlan = planMemory(
         m.forwardProgram, m.forwardFn,

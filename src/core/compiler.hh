@@ -7,8 +7,10 @@
  * fold, graph-semantic-aware loop fusion), emits the backward program
  * when training, lowers both directions onto the GEMM / traversal
  * templates, keeps every edge temporary that only its own instance
- * references in registers (virtualizeTemporaries), and generates the
- * CUDA-style source text. The result is
+ * references in registers (virtualizeTemporaries), folds flat
+ * weight-vector kernels into the GEMMs beside them (foldGemmEpilogues,
+ * foldGemmPrologues), and generates the CUDA-style source text. The
+ * result is
  * graph-independent: one CompiledModel can execute on any graph via
  * an ExecutionContext (mirroring the paper's precompiled .so loaded
  * as autograd.Function subclasses).

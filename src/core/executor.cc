@@ -469,6 +469,38 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
     if (!gi.perRowScalarVar.empty())
         scalar = tensorOf(gi.perRowScalarVar, gi.scalarSlot).data();
 
+    // Folded weight-vector terms: a scalar row each, and the weight
+    // vector's row at segment type t.
+    struct Term
+    {
+        OperandRows var;
+        const float *w;
+    };
+    auto termsOf = [&](const std::vector<RowWeightVec> &list) {
+        std::vector<Term> out;
+        for (const RowWeightVec &t : list)
+            out.push_back({operand(t.var, t.slot),
+                           ctx.weights->at(t.weight).data()});
+        return out;
+    };
+    const std::vector<Term> epilogue = termsOf(gi.epilogue);
+    const std::vector<Term> prologue = termsOf(gi.prologue);
+    /** The epilogue of finished rows [r0, r1) of segment t: each dot
+     *  sums in ascending i from 0.0f, as the DotProduct it replaces. */
+    auto storeDots = [&](const OperandRows &y, std::int64_t t,
+                         std::int64_t r0, std::int64_t r1) {
+        for (const Term &d : epilogue) {
+            const float *wrow = d.w + t * dout;
+            for (std::int64_t r = r0; r < r1; ++r) {
+                const float *yrow = y.row(r);
+                float acc = 0.0f;
+                for (std::int64_t i = 0; i < dout; ++i)
+                    acc += yrow[i] * wrow[i];
+                d.var.row(r)[0] = acc;
+            }
+        }
+    };
+
     /** Rows [r0, r1) of segment t in the seed's exact loop order;
      *  handles every access scheme including colliding scatters. */
     auto seedRows = [&](const OperandRows &y, std::int64_t t,
@@ -496,6 +528,7 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
                 }
             }
         }
+        storeDots(y, t, r0, r1);
     };
 
     /**
@@ -538,6 +571,7 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
                                            dout);
             }
         }
+        storeDots(y, t, r0, r1);
     };
 
     auto body = [&]() {
@@ -545,6 +579,10 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
             const OperandRows y2 = operand(gi.y2Var, gi.y2Slot);
             Tensor &grad =
                 untrackedParam(*ctx.weightGrads, gi.yVar, w.shape());
+            // The prologue's y2 row: g[r][j] + s[r] * w[t][j], term
+            // by term, as the traversal it replaces stored it.
+            std::vector<float> formed(
+                prologue.empty() ? 0 : static_cast<std::size_t>(dout));
             // Every row of a segment accumulates into the same grad
             // slice: sequential keeps the deterministic order.
             for (std::int64_t t = 0; t < seg.types; ++t) {
@@ -555,6 +593,17 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
                         x.row(resolveIndex(ctx, gi.xAccess, gi.rows, r));
                     const float *yrow =
                         y2.row(resolveIndex(ctx, gi.y2Access, gi.rows, r));
+                    if (!prologue.empty()) {
+                        std::copy(yrow, yrow + dout, formed.begin());
+                        for (const Term &a : prologue) {
+                            const float sv = a.var.row(r)[0];
+                            const float *wrow = a.w + t * dout;
+                            for (std::int64_t j = 0; j < dout; ++j)
+                                formed[static_cast<std::size_t>(j)] +=
+                                    sv * wrow[j];
+                        }
+                        yrow = formed.data();
+                    }
                     for (std::int64_t i = 0; i < din; ++i) {
                         const float xv = xrow[i];
                         if (xv == 0.0f)
@@ -645,6 +694,18 @@ execGemm(const Program &p, const GemmInstance &gi, ExecutionContext &ctx)
                           tableBytes(gi.yVar);
         desc.bytesWritten = out_rows_bytes;
     }
+    // A folded term reads its weight vector like any GEMM weight, and
+    // per row 2 * dout flops and its one column: the epilogue writes
+    // it, the prologue reads it.
+    for (const auto *terms : {&gi.epilogue, &gi.prologue})
+        for (const RowWeightVec &t : *terms) {
+            desc.flops += 2.0 * rows_d * static_cast<double>(dout);
+            desc.bytesRead += static_cast<double>(
+                                  ctx.weights->at(t.weight).numel()) *
+                              4.0 * ctx.rt->spec().datasetScale;
+            (terms == &gi.epilogue ? desc.bytesWritten : desc.bytesRead) +=
+                rows_d * 4.0;
+        }
     if (isAtomicScatter(gi.yAccess)) {
         // Per-thread register accumulation over coarsened rows plus
         // warp-level aggregation cut the atomics reaching DRAM.

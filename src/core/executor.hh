@@ -195,7 +195,12 @@ struct ExecutionContext
 void execute(const Program &p, const LoweredFunction &fn,
              ExecutionContext &ctx);
 
-/** Execute a single GEMM-template instance. */
+/**
+ * Execute a single GEMM-template instance, with its folded terms
+ * (GemmInstance::epilogue / prologue). Each term prices 2 * dout flops
+ * and its 4-byte row per row, plus its weight vector like the GEMM's
+ * own weight.
+ */
 void execGemm(const Program &p, const GemmInstance &gi,
               ExecutionContext &ctx);
 

@@ -56,8 +56,12 @@ LoweredFunction::refs(std::size_t i) const
         add(gi.xVar, false);
         add(gi.perRowScalarVar, false);
         add(gi.y2Var, false);
+        for (const RowWeightVec &t : gi.prologue)
+            add(t.var, false);
         if (gi.kind == GemmKind::Linear)
             add(gi.yVar, true);
+        for (const RowWeightVec &t : gi.epilogue)
+            add(t.var, true);
         break;
       }
       case Step::Kind::Traversal:

@@ -77,6 +77,22 @@ enum class GemmKind
 };
 
 /**
+ * A typed weight-vector term folded into a GEMM instance: one scalar
+ * column `var` in the instance's row domain and the row of weight
+ * vector `weight` at the row's etype (the GEMM's segment type t). See
+ * foldGemmEpilogues() and foldGemmPrologues() in core/lowering.hh.
+ */
+struct RowWeightVec
+{
+    /** The epilogue's dot output, or the prologue's scale. */
+    std::string var;
+    /** The weight vector, [T, dout]. */
+    std::string weight;
+    /** Arena slot of var, stamped by the memory planner. */
+    std::int32_t slot = -1;
+};
+
+/**
  * One instance derived from the GEMM template.
  *
  * Semantics (Linear): for each row r in the domain (segmented by
@@ -111,6 +127,20 @@ struct GemmInstance
 
     std::int64_t din = 0;
     std::int64_t dout = 0;
+
+    /**
+     * Linear only: dots of each finished output row, stored after its
+     * last k-panel: var[r] = sum_i y[r][i] * weight[t][i], summed in
+     * ascending i from 0.0f (a folded traversal's DotProduct).
+     */
+    std::vector<RowWeightVec> epilogue;
+    /**
+     * Outer only: terms added, in order, to each y2 row before its
+     * rank-1 update: y2[r][j] + var[r] * weight[t][j] (a folded
+     * traversal's AccumulateScaled). The y2 rows in memory are not
+     * written.
+     */
+    std::vector<RowWeightVec> prologue;
 
     GemmSchedule sched;
 

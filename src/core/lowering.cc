@@ -830,6 +830,151 @@ lower(const Program &p, const LowerOptions &opts, sim::Phase phase,
 namespace
 {
 
+/** Removes step @p i of @p fn, a traversal, and its instance. */
+void
+eraseTraversalStep(LoweredFunction &fn, std::size_t i)
+{
+    const std::size_t t = fn.order[i].index;
+    fn.order.erase(fn.order.begin() + static_cast<std::ptrdiff_t>(i));
+    fn.traversals.erase(fn.traversals.begin() + static_cast<std::ptrdiff_t>(t));
+    for (auto &step : fn.order)
+        if (step.kind == LoweredFunction::Step::Kind::Traversal &&
+            step.index > t)
+            --step.index;
+}
+
+/**
+ * True when flat @p ti iterates @p gi's rows: the same domain of edges
+ * or compact pairs, where the GEMM's segment type is the row's etype.
+ */
+bool
+sameRows(const GemmInstance &gi, const TraversalInstance &ti)
+{
+    return !ti.grouped() && ti.domain == gi.rows &&
+           gi.rows != RowDomain::Nodes && gi.typeBy == TypeBy::Etype;
+}
+
+/** True when @p w is a weight vector typed by etype, @p cols long. */
+bool
+etypeVector(const Program &p, const std::string &w, std::int64_t cols)
+{
+    if (!p.weights.count(w))
+        return false;
+    const WeightInfo &wi = p.weightInfo(w);
+    return wi.isVector && wi.typeBy == TypeBy::Etype && wi.cols == cols;
+}
+
+/** True when @p var is a materialized one-column variable. */
+bool
+scalarRow(const Program &p, const std::string &var)
+{
+    return p.vars.count(var) && !isVirtual(p, var) &&
+           p.varInfo(var).cols == 1;
+}
+
+bool
+stepReferences(const LoweredFunction &fn, std::size_t i,
+               const std::string &var, bool writes_only)
+{
+    for (const StepRef &r : fn.refs(i))
+        if (r.name == var && (r.write || !writes_only))
+            return true;
+    return false;
+}
+
+} // namespace
+
+void
+foldGemmEpilogues(const Program &p, LoweredFunction &fn)
+{
+    using Kind = LoweredFunction::Step::Kind;
+    for (std::size_t i = 1; i < fn.order.size(); ++i) {
+        if (fn.order[i - 1].kind != Kind::Gemm ||
+            fn.order[i].kind != Kind::Traversal)
+            continue;
+        GemmInstance &gi = fn.gemms[fn.order[i - 1].index];
+        const TraversalInstance &ti = fn.traversals[fn.order[i].index];
+        if (gi.kind != GemmKind::Linear ||
+            gi.yAccess != AccessScheme::Identity ||
+            !gi.perRowScalarVar.empty() || !sameRows(gi, ti))
+            continue;
+        // out = dot(y, w[etype]) of the GEMM's own output row.
+        auto dotOfRow = [&](const ScheduledStmt &ss) {
+            const Stmt &s = ss.stmt;
+            return s.kind == OpKind::DotProduct && !s.accumulateOut &&
+                   s.ins.size() == 1 && s.ins[0].name == gi.yVar &&
+                   ownsRow(p, ti, s.ins[0]) &&
+                   etypeVector(p, s.weight, gi.dout) &&
+                   s.out.name != gi.yVar && s.out.name != gi.xVar &&
+                   scalarRow(p, s.out.name) &&
+                   ownsRow(p, ti, s.out);
+        };
+        if (!std::all_of(ti.stmts.begin(), ti.stmts.end(), dotOfRow))
+            continue;
+        for (const auto &ss : ti.stmts)
+            gi.epilogue.push_back({ss.stmt.out.name, ss.stmt.weight});
+        eraseTraversalStep(fn, i);
+    }
+}
+
+void
+foldGemmPrologues(const Program &p, LoweredFunction &fn)
+{
+    using Kind = LoweredFunction::Step::Kind;
+    // Step i is checked again after a fold removes it.
+    for (std::size_t i = 0; i < fn.order.size(); ++i) {
+        if (fn.order[i].kind != Kind::Traversal)
+            continue;
+        const TraversalInstance &ti = fn.traversals[fn.order[i].index];
+        if (ti.stmts.empty())
+            continue;
+        const std::string g = ti.stmts[0].stmt.out.name;
+        if (g == p.inputVar || g == p.outputVar || !p.vars.count(g) ||
+            isVirtual(p, g))
+            continue;
+        // The first later step referencing g.
+        std::size_t j = i + 1;
+        while (j < fn.order.size() && !stepReferences(fn, j, g, false))
+            ++j;
+        if (j == fn.order.size() || fn.order[j].kind != Kind::Gemm)
+            continue;
+        GemmInstance &gi = fn.gemms[fn.order[j].index];
+        if (gi.kind != GemmKind::Outer || gi.y2Var != g ||
+            gi.y2Access != AccessScheme::Identity || gi.xVar == g ||
+            !sameRows(gi, ti))
+            continue;
+        // g += s * w[etype] into the row the iteration owns, where no
+        // step between writes s.
+        auto addsToRow = [&](const ScheduledStmt &ss) {
+            const Stmt &s = ss.stmt;
+            if (s.kind != OpKind::AccumulateScaled || ss.hoistLevel != 0 ||
+                s.out.name != g || !ownsRow(p, ti, s.out) ||
+                s.ins.size() != 1 || s.ins[0].name == g ||
+                !ownsRow(p, ti, s.ins[0]) || !scalarRow(p, s.ins[0].name) ||
+                !etypeVector(p, s.weight, gi.dout))
+                return false;
+            for (std::size_t k = i + 1; k < j; ++k)
+                if (stepReferences(fn, k, s.ins[0].name, true))
+                    return false;
+            return true;
+        };
+        if (!std::all_of(ti.stmts.begin(), ti.stmts.end(), addsToRow))
+            continue;
+        // The GEMM is g's only reader after the statement.
+        bool later = false;
+        for (std::size_t k = j + 1; k < fn.order.size(); ++k)
+            later |= stepReferences(fn, k, g, false);
+        if (later)
+            continue;
+        for (const auto &ss : ti.stmts)
+            gi.prologue.push_back({ss.stmt.ins[0].name, ss.stmt.weight});
+        eraseTraversalStep(fn, i--);
+    }
+}
+
+namespace
+{
+
 /**
  * True when @p ti writes @p var at hoist level 0 before any statement
  * reads it, and reads it only per edge (never at hoist level 1).

@@ -128,6 +128,36 @@ LoweredFunction lower(const Program &p, const LowerOptions &opts,
                       sim::Phase phase, int first_kid = 1);
 
 /**
+ * GEMM epilogue fold, run by compile() once both directions are
+ * lowered. A flat traversal step folds into the Linear GEMM step just
+ * before it when they share a row domain (edges or compact pairs,
+ * the GEMM segmented by etype), every statement is a weight-vector
+ * DotProduct of the GEMM's own output row into a materialized scalar
+ * of that row (`out = dot(y, w[etype])`), and the GEMM writes by
+ * Identity with no per-row scalar (no fused scatter). The GEMM then
+ * carries the dots as GemmInstance::epilogue and the traversal is
+ * removed; kernel names are kept. Each dot sums in ascending i from
+ * 0.0f, the DotProduct's order, so the bits do not change.
+ */
+void foldGemmEpilogues(const Program &p, LoweredFunction &fn);
+
+/**
+ * GEMM prologue fold, run by compile() after foldGemmEpilogues(). A
+ * flat traversal step whose statements each add a scaled weight-vector
+ * row into one row it owns (`g += s * w[etype]`, s a one-column row
+ * of the same iteration) folds into the Outer GEMM that reads g as its
+ * y2 when they share a row domain, that GEMM is the first later step
+ * referencing g and g's only reader after the traversal, no step
+ * between writes s, and g is not a program input or output. The GEMM
+ * then forms each y2 row as g[r][j] + s[r] * w[t][j] (its
+ * GemmInstance::prologue), which is the expression the traversal
+ * stored, and the traversal is removed; g's rows in memory keep their
+ * earlier contents. Where another step (a dX GEMM) also reads g, the
+ * traversal stays.
+ */
+void foldGemmPrologues(const Program &p, LoweredFunction &fn);
+
+/**
  * Virtual materialization (Sec. 3.2.2), decided once both directions
  * are lowered. A vanilla edge variable becomes Virtual when every
  * reference to it, in @p fwd_fn and (training) @p bwd_fn, sits in the

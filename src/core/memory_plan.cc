@@ -194,6 +194,9 @@ stampFunction(const Program &p, LoweredFunction &fn, const MemoryPlan &plan)
         gi.scalarSlot = slotFor(gi.perRowScalarVar);
         gi.y2Slot = slotFor(gi.y2Var);
         gi.ySlot = gi.kind == GemmKind::Outer ? -1 : slotFor(gi.yVar);
+        for (auto *terms : {&gi.epilogue, &gi.prologue})
+            for (RowWeightVec &t : *terms)
+                t.slot = slotFor(t.var);
     }
     for (auto &ti : fn.traversals) {
         for (auto &ss : ti.stmts) {

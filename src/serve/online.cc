@@ -354,7 +354,7 @@ validatePolicyName(const OnlineConfig &cfg)
 class OnlineServer::Devices
 {
   public:
-    Devices() = default;
+    explicit Devices(ServingCore &core) : core(core) {}
     Devices(const Devices &) = delete;
     Devices &operator=(const Devices &) = delete;
     virtual ~Devices() = default;
@@ -376,8 +376,6 @@ class OnlineServer::Devices
     virtual double transfer(int, int, double, double at) { return at; }
     virtual double linkBusySec() const { return 0.0; }
 
-    /** An id for a shed arrival, which is never sampled or queued. */
-    virtual std::uint64_t reserveId() = 0;
     /** Sample, transfer and enqueue one arrival of @p p. */
     virtual Admitted submit(const Arrivals &p,
                             const std::vector<Lane> &lanes) = 0;
@@ -392,10 +390,6 @@ class OnlineServer::Devices
     /** Run @p lane's head once more on @p b, storing no result. */
     virtual ShardBatch hedge(const Lane &lane, const Backup &b) = 0;
     virtual void advanceTo(double t) = 0;
-    virtual void clearResults() = 0;
-    virtual void setDuplicationScale(double scale) = 0;
-    virtual PlanCache &planCache() = 0;
-    virtual void setFlightRecorder(obs::FlightRecorder *fr) = 0;
 
     /** Group-only step before each tick's scheduling decision. */
     virtual void beforeTick(TickState &) {}
@@ -403,6 +397,10 @@ class OnlineServer::Devices
     virtual void traceHedge(const BatchTimes &, const ShardBatch &,
                             const Backup &)
     {}
+
+    /** The session's ids, results, brownout scale, plan cache and
+     *  flight recorder, shared by both session kinds. */
+    ServingCore &core;
 };
 
 namespace
@@ -413,7 +411,7 @@ namespace
 class EngineDevice : public OnlineServer::Devices
 {
   public:
-    explicit EngineDevice(Engine &engine) : e_(engine) {}
+    explicit EngineDevice(Engine &engine) : Devices(engine), e_(engine) {}
 
     RunSetup
     setup(const OnlineConfig &cfg, AdaptiveBatcher &) override
@@ -431,7 +429,6 @@ class EngineDevice : public OnlineServer::Devices
     int numStreams() const override { return e_.config().numStreams; }
     sim::Runtime &runtime(int) override { return e_.runtime(); }
 
-    std::uint64_t reserveId() override { return e_.reserveId(); }
     Admitted
     submit(const Arrivals &p, const std::vector<Lane> &lanes) override
     {
@@ -459,14 +456,6 @@ class EngineDevice : public OnlineServer::Devices
         return {e_.hedgeOldest(l.variant, b.stream)};
     }
     void advanceTo(double t) override { e_.runtime().advanceTo(t); }
-    void clearResults() override { e_.clearResults(); }
-    void setDuplicationScale(double x) override { e_.setDuplicationScale(x); }
-    PlanCache &planCache() override { return e_.planCache(); }
-    void
-    setFlightRecorder(obs::FlightRecorder *fr) override
-    {
-        e_.setFlightRecorder(fr);
-    }
 
   protected:
     /** Variant @p v's lane, owned by the arrival process @p gen. */
@@ -520,7 +509,9 @@ class SessionDevice : public EngineDevice
 class GroupDevices : public OnlineServer::Devices
 {
   public:
-    explicit GroupDevices(ShardedSession &s) : s_(s), g_(s.group()) {}
+    explicit GroupDevices(ShardedSession &s)
+        : Devices(s), s_(s), g_(s.group())
+    {}
 
     RunSetup
     setup(const OnlineConfig &cfg, AdaptiveBatcher &batcher) override
@@ -559,7 +550,6 @@ class GroupDevices : public OnlineServer::Devices
         return g_.interconnect().totalBusySec();
     }
 
-    std::uint64_t reserveId() override { return s_.reserveId(); }
     Admitted
     submit(const Arrivals &, const std::vector<Lane> &) override
     {
@@ -594,14 +584,6 @@ class GroupDevices : public OnlineServer::Devices
         return s_.hedgeOldestOn(l.device, b.device, b.stream);
     }
     void advanceTo(double t) override { g_.advanceTo(t); }
-    void clearResults() override { s_.clearResults(); }
-    void setDuplicationScale(double x) override { s_.setDuplicationScale(x); }
-    PlanCache &planCache() override { return s_.planCache(); }
-    void
-    setFlightRecorder(obs::FlightRecorder *fr) override
-    {
-        s_.setFlightRecorder(fr);
-    }
 
     void
     beforeTick(TickState &st) override
@@ -783,7 +765,7 @@ void
 OnlineServer::setFlightRecorder(obs::FlightRecorder *fr)
 {
     flight_ = fr;
-    devices_->setFlightRecorder(fr);
+    devices_->core.setFlightRecorder(fr);
 }
 
 OnlineReport
@@ -886,7 +868,7 @@ OnlineServer::run()
             const AdmitDecision dec = policy->admit(li, view, arr, now);
             if (!dec.admit) {
                 ++shed_total;
-                const std::uint64_t id = dev.reserveId();
+                const std::uint64_t id = dev.core.reserveId();
                 const int d = own ? device_id(own->device) : -1;
                 if (flight_) {
                     flight_->event(id, "arrival", arr, d,
@@ -1078,14 +1060,14 @@ OnlineServer::run()
                     bound = p.bound;
                 }
             resil->tickBrownout(pressure, bound, now);
-            dev.setDuplicationScale(resil->duplicationScale());
+            dev.core.setDuplicationScale(resil->duplicationScale());
         }
 
         std::size_t batch = policy->pickBatch(lane_idx, views[lane_idx]);
         batch = std::max<std::size_t>(1, std::min(batch, depth));
 
         if (!cfg_.retainResults)
-            dev.clearResults();
+            dev.core.clearResults();
 
         // Hedge: the head request has waited past the EWMA-derived
         // delay, so a backup copy runs on a second stream or device;
@@ -1232,7 +1214,7 @@ OnlineServer::run()
         rep.perVariant.push_back(std::move(vr));
     }
     rep.interconnectMs = (dev.linkBusySec() - link_busy_before) * 1e3;
-    fillCacheStats(rep, dev.planCache().stats());
+    fillCacheStats(rep, dev.core.planCache().stats());
     rep.launches = launches() - launches_before;
     return rep;
 }

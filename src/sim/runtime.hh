@@ -14,6 +14,7 @@
 #define HECTOR_SIM_RUNTIME_HH
 
 #include <algorithm>
+#include <chrono>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -40,6 +41,12 @@ struct LaunchRecord
     double bytesRead = 0.0;
     double bytesWritten = 0.0;
     double atomics = 0.0;
+    /**
+     * Host wall-clock seconds the kernel body ran on the CPU (the
+     * interpreter's real cost, beside the modeled timeSec); 0 for a
+     * launch without a body.
+     */
+    double wallSec = 0.0;
 };
 
 /** Per-stream launch accounting (serving/multi-stream execution). */
@@ -117,13 +124,22 @@ class Runtime
 
     /**
      * Launch a kernel: run @p body on the CPU and charge the modeled
-     * cost of @p desc. Returns the modeled time in seconds.
+     * cost of @p desc. Returns the modeled time in seconds. While
+     * launches are recorded, the body is also timed on the host clock
+     * (LaunchRecord::wallSec).
      */
     double
     launch(const KernelDesc &desc, const std::function<void()> &body)
     {
-        if (body)
+        double wall = 0.0;
+        if (body) {
+            const auto start = std::chrono::steady_clock::now();
             body();
+            if (recordLaunches_)
+                wall = std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+        }
         const double overhead = model_.launchOverheadSec();
         const double exec = model_.kernelExecTime(desc);
         const double t = overhead + exec;
@@ -144,7 +160,7 @@ class Runtime
         if (recordLaunches_)
             records_.push_back({desc.name, desc.category, desc.phase, t,
                                 desc.flops, desc.bytesRead,
-                                desc.bytesWritten, desc.atomics});
+                                desc.bytesWritten, desc.atomics, wall});
         return t;
     }
 

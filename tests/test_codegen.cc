@@ -352,10 +352,18 @@ TEST(Codegen, NoKernelReadsARowItWroteEarlier)
 
 TEST(Codegen, TraversalKernelUsesAdjacencySpecialization)
 {
-    // Base RGAT training: the forward's node-centric walks use the CSR
-    // in_ptr loop; the backward's flat edge kernel (hs_grad from
-    // atts_grad) uses COO index retrieval.
-    const auto m = compileModel(models::ModelKind::Rgat, false, false, true);
+    // Base RGAT training with feature gradients: the forward's
+    // node-centric walks use the CSR in_ptr loop; the backward's flat
+    // edge kernel (hs_grad from atts_grad, which the dX GEMM also
+    // reads, so no Outer GEMM prologue takes it) uses COO index
+    // retrieval.
+    CompileOptions opts;
+    opts.training = true;
+    opts.featureGrad = true;
+    const auto m = compile(
+        models::buildModel(models::ModelKind::Rgat,
+                           graph::toyCitationGraph(), 8, 8),
+        opts);
     const std::string &cuda = m.code.cudaSource;
     EXPECT_NE(cuda.find("args.in_ptr[n]"), std::string::npos);
     EXPECT_NE(cuda.find("GetEType<"), std::string::npos);
@@ -533,6 +541,9 @@ trainLaunches(const CompiledModel &m, const graph::HeteroGraph &g)
 TEST(Codegen, EmittedAtomicsAreThePricedAtomics)
 {
     const graph::HeteroGraph g = graph::toyCitationGraph();
+    // GEMMs carrying a folded weight-vector kernel: RGAT's backward
+    // add (base and C+R) and its C+R forward dot.
+    int folded = 0;
     for (models::ModelKind mk :
          {models::ModelKind::Rgcn, models::ModelKind::Rgat,
           models::ModelKind::Hgt})
@@ -591,16 +602,36 @@ TEST(Codegen, EmittedAtomicsAreThePricedAtomics)
                 for (const auto &gi : fn.gemms) {
                     const auto it = launches.find(gi.name);
                     ASSERT_NE(it, launches.end()) << plan << " " << gi.name;
-                    EXPECT_EQ(occurrences(kernelText(m.code.cudaSource,
-                                                     gi.name),
-                                          "atomicAdd("),
+                    const std::string kernel =
+                        kernelText(m.code.cudaSource, gi.name);
+                    EXPECT_EQ(occurrences(kernel, "atomicAdd("),
                               it->second.atomics > 0.0 ? 1 : 0)
                         << plan << " " << gi.name;
+                    if (gi.epilogue.empty() && gi.prologue.empty())
+                        continue;
+                    // A folded GEMM prices no atomics and emits none: a
+                    // block owns whole rows and reduces each dot in
+                    // shared memory.
+                    ++folded;
+                    EXPECT_EQ(it->second.atomics, 0.0) << plan << " " << gi.name;
+                    EXPECT_EQ(occurrences(kernel, "atomicAdd"), 0)
+                        << plan << " " << gi.name << "\n" << kernel;
+                    for (const auto &t : gi.epilogue)
+                        EXPECT_NE(kernel.find(t.var + "[r] = " + t.var +
+                                              "_acc;"),
+                                  std::string::npos)
+                            << kernel;
+                    for (const auto &t : gi.prologue)
+                        EXPECT_NE(kernel.find("y2 += " + t.var + "[r] * " +
+                                              t.weight + "["),
+                                  std::string::npos)
+                            << kernel;
                 }
             };
             check(m.forwardProgram, m.forwardFn);
             check(m.backwardProgram, m.backwardFn);
         }
+    EXPECT_EQ(folded, 3);
 }
 
 TEST(Codegen, WeightVectorRowLoadedOncePerEtypeRun)

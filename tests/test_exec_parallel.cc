@@ -32,6 +32,7 @@
 #include "models/models.hh"
 #include "models/model_sources.hh"
 #include "serve/session.hh"
+#include "unfolded_plan.hh"
 #include "util/thread_pool.hh"
 
 namespace
@@ -919,12 +920,13 @@ TEST_F(ExecDeterminism, WeightRunLoadsMatchSeed)
 {
     const auto graphs = groupedWalkGraphs();
     // Lowering is graph-independent: what each plan loads how often.
+    // RGAT's flat w_s kernels ride in GEMMs (an epilogue forward, a
+    // prologue backward), so no traversal loads w_s per edge.
     const std::map<std::string, std::set<std::string>> expected = {
         {"RGCN/base", {}},
         {"RGCN/C+R", {}},
-        {"RGAT/base",
-         {"fwd:w_s@run", "fwd:w_t@run", "bwd:w_t@run", "bwd:w_s@edge"}},
-        {"RGAT/C+R", {"fwd:w_s@edge", "fwd:w_t__W@run", "bwd:w_s@edge"}},
+        {"RGAT/base", {"fwd:w_s@run", "fwd:w_t@run", "bwd:w_t@run"}},
+        {"RGAT/C+R", {"fwd:w_t__W@run"}},
         {"HGT/base", {}},
         {"HGT/C+R", {}},
     };
@@ -1089,5 +1091,67 @@ output h_out
 }
 
 /// @}
+
+/**
+ * GEMM epilogue and prologue folds: every plan runs bit-identically to
+ * the same plan lowered without them (test::withoutGemmFolds), in
+ * the seed and fast kernels, at 1, 2 and 4 threads, with named tensors
+ * and on the arena. Only RGAT's plans fold, and by exactly its flat
+ * w_s kernels: the dot forward, the gradient add backward.
+ */
+TEST_F(ExecDeterminism, GemmFoldsMatchUnfoldedPlans)
+{
+    // Enough rows per relation that the blocked GEMM rows and a
+    // row-parallel split both run.
+    const graph::HeteroGraph g =
+        graph::generate(graph::datasetSpec("am"), 1.0 / 1024.0);
+    for (models::ModelKind mk :
+         {models::ModelKind::Rgcn, models::ModelKind::Rgat,
+          models::ModelKind::Hgt})
+        for (bool optimized : {false, true})
+            for (bool training : {false, true}) {
+                core::CompileOptions opts;
+                opts.compactMaterialization = optimized;
+                opts.linearReorder = optimized;
+                opts.training = training;
+                const core::CompiledModel m =
+                    core::compile(models::buildModel(mk, g, 8, 8), opts);
+                const core::CompiledModel plain = test::withoutGemmFolds(m);
+                const std::string plan =
+                    std::string(models::toString(mk)) +
+                    (optimized ? "/C+R" : "/base") +
+                    (training ? "/train" : "/infer");
+                // Forward: C+R RGAT's atts dot. Backward: RGAT's
+                // hs_grad add, in both plans.
+                const std::size_t fwd_folds =
+                    mk == models::ModelKind::Rgat && optimized ? 1 : 0;
+                const std::size_t bwd_folds =
+                    mk == models::ModelKind::Rgat && training ? 1 : 0;
+                EXPECT_EQ(plain.forwardFn.kernelCount(),
+                          m.forwardFn.kernelCount() + fwd_folds)
+                    << plan;
+                EXPECT_EQ(plain.backwardFn.kernelCount(),
+                          m.backwardFn.kernelCount() + bwd_folds)
+                    << plan;
+
+                util::setSeedKernelMode(true);
+                util::setGlobalThreads(1);
+                const RunOutput ref = runCompiled(plain, g);
+                for (bool seed : {true, false}) {
+                    util::setSeedKernelMode(seed);
+                    for (int threads : {1, 2, 4}) {
+                        util::setGlobalThreads(threads);
+                        for (bool arena : {false, true}) {
+                            const std::string what =
+                                plan + (seed ? "/seed" : "/fast") + "/t" +
+                                std::to_string(threads) +
+                                (arena ? "/arena" : "/named");
+                            expectSame(ref, runCompiled(m, g, arena),
+                                       what.c_str());
+                        }
+                    }
+                }
+            }
+}
 
 } // namespace

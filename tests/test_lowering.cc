@@ -113,21 +113,25 @@ TEST(Lowering, RgatUnoptimizedInstanceInventory)
 TEST(Lowering, RgatCompactSplitsTraversalDomains)
 {
     const auto m = compileModel(models::ModelKind::Rgat, true, false);
-    // atts (compact) must be computed in a UniquePairs traversal,
-    // attt (vanilla) in an Edges traversal.
-    bool unique_domain_seen = false;
-    for (const auto &ti : m.forwardFn.traversals) {
-        if (ti.domain == RowDomain::UniquePairs) {
-            unique_domain_seen = true;
-            for (const auto &ss : ti.stmts)
-                EXPECT_EQ(ss.stmt.out.name, "atts");
-        }
-    }
-    EXPECT_TRUE(unique_domain_seen);
-    // The hs GEMM iterates unique pairs.
+    // atts (compact) is computed over unique pairs, by the epilogue of
+    // the hs GEMM that iterates them; attt (vanilla) in an Edges
+    // traversal. No UniquePairs traversal is left.
     const GemmInstance &hs = m.forwardFn.gemms[0];
     EXPECT_EQ(hs.yVar, "hs");
     EXPECT_EQ(hs.rows, RowDomain::UniquePairs);
+    ASSERT_EQ(hs.epilogue.size(), 1u);
+    EXPECT_EQ(hs.epilogue[0].var, "atts");
+    EXPECT_EQ(hs.epilogue[0].weight, "w_s");
+    bool attt_seen = false;
+    for (const auto &ti : m.forwardFn.traversals) {
+        EXPECT_NE(ti.domain, RowDomain::UniquePairs) << ti.name;
+        for (const auto &ss : ti.stmts)
+            if (ss.stmt.out.name == "attt") {
+                attt_seen = true;
+                EXPECT_EQ(ti.domain, RowDomain::Edges);
+            }
+    }
+    EXPECT_TRUE(attt_seen);
 }
 
 TEST(Lowering, ReorderAddsFallbackCompose)
@@ -547,6 +551,79 @@ TEST(Lowering, ScalarLosersAreNotSplit)
         EXPECT_EQ(levelOf(*ti, vec), 2);
         EXPECT_EQ(levelOf(*ti, "att_sum_grad"), 0);
     }
+}
+
+TEST(Lowering, RgatWeightVectorKernelsFoldIntoGemms)
+{
+    graph::HeteroGraph g = graph::toyCitationGraph();
+    // The GEMM of @p fn carrying a folded term, or nullptr.
+    auto folded = [](const LoweredFunction &fn) -> const GemmInstance * {
+        for (const auto &gi : fn.gemms)
+            if (!gi.epilogue.empty() || !gi.prologue.empty())
+                return &gi;
+        return nullptr;
+    };
+    // The flat traversal of @p fn writing @p var, or nullptr.
+    auto flatWriter = [](const LoweredFunction &fn,
+                         const std::string &var) -> const TraversalInstance * {
+        for (const auto &ti : fn.traversals)
+            for (const auto &ss : ti.stmts)
+                if (!ti.grouped() && ss.stmt.out.name == var)
+                    return &ti;
+        return nullptr;
+    };
+    for (bool optimized : {false, true})
+        for (bool feature_grad : {false, true}) {
+            CompileOptions opts;
+            opts.compactMaterialization = optimized;
+            opts.linearReorder = optimized;
+            opts.training = true;
+            opts.featureGrad = feature_grad;
+            const auto m =
+                compile(models::buildModel(models::ModelKind::Rgat, g, 8, 8),
+                        opts);
+            const std::string plan = std::string(optimized ? "C+R" : "base") +
+                                     (feature_grad ? "/dX" : "");
+            // Forward: C+R computes atts in a flat pair kernel right after
+            // the hs GEMM, which now stores it; base computes it inside
+            // the grouped edge-softmax walk, which stays.
+            const GemmInstance *fwd = folded(m.forwardFn);
+            EXPECT_EQ(flatWriter(m.forwardFn, "atts"), nullptr) << plan;
+            if (optimized) {
+                ASSERT_NE(fwd, nullptr) << plan;
+                EXPECT_EQ(fwd->yVar, "hs");
+                ASSERT_EQ(fwd->epilogue.size(), 1u);
+                EXPECT_EQ(fwd->epilogue[0].var, "atts");
+                EXPECT_EQ(fwd->epilogue[0].weight, "w_s");
+                EXPECT_TRUE(fwd->prologue.empty());
+            } else {
+                EXPECT_EQ(fwd, nullptr) << plan;
+            }
+            // Backward: hs_grad += atts_grad * w_s[etype] rides in the W
+            // gradient's Outer GEMM, unless the dX GEMM also reads
+            // hs_grad: then the flat kernel stays and nothing folds.
+            const GemmInstance *bwd = folded(m.backwardFn);
+            const TraversalInstance *add = flatWriter(m.backwardFn, "hs_grad");
+            if (feature_grad) {
+                EXPECT_EQ(bwd, nullptr) << plan;
+                ASSERT_NE(add, nullptr) << plan;
+                ASSERT_EQ(add->stmts.size(), 1u);
+                EXPECT_EQ(add->stmts[0].stmt.kind, OpKind::AccumulateScaled);
+                EXPECT_EQ(add->stmts[0].stmt.weight, "w_s");
+                if (optimized)
+                    EXPECT_EQ(add->name, "traversal_9");
+            } else {
+                EXPECT_EQ(add, nullptr) << plan;
+                ASSERT_NE(bwd, nullptr) << plan;
+                EXPECT_EQ(bwd->kind, GemmKind::Outer);
+                EXPECT_EQ(bwd->y2Var, "hs_grad");
+                EXPECT_EQ(bwd->wVar, "W");
+                ASSERT_EQ(bwd->prologue.size(), 1u);
+                EXPECT_EQ(bwd->prologue[0].var, "atts_grad");
+                EXPECT_EQ(bwd->prologue[0].weight, "w_s");
+                EXPECT_TRUE(bwd->epilogue.empty());
+            }
+        }
 }
 
 } // namespace

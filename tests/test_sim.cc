@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <random>
 #include <set>
 
@@ -29,6 +30,7 @@
 #include "sim/device.hh"
 #include "sim/runtime.hh"
 #include "tensor/tensor.hh"
+#include "unfolded_plan.hh"
 
 namespace
 {
@@ -789,11 +791,19 @@ TEST(GemmPricing, OuterGemmReadsY2RowsAndWritesTheGradientOnce)
                     const double y2_idx =
                         gi.y2Access == core::AccessScheme::Identity ? 0.0
                                                                     : 8.0;
+                    // A prologue term reads its scalar row and its
+                    // weight vector (GemmFusion below checks them).
+                    double terms = 0.0;
+                    for (const auto &t : gi.prologue)
+                        terms += rows * 4.0 +
+                                 4.0 * scale *
+                                     static_cast<double>(
+                                         weights.at(t.weight).numel());
                     // x and y2 rows (and the index arrays gathering
                     // them) are read; the gradient is written once.
                     EXPECT_EQ(rec->bytesRead,
                               rows * (4.0 * din + x_idx) +
-                                  rows * (4.0 * dout + y2_idx))
+                                  rows * (4.0 * dout + y2_idx) + terms)
                         << what;
                     EXPECT_EQ(rec->bytesWritten, grad) << what;
                     EXPECT_EQ(rec->atomics, 0.0) << what;
@@ -803,7 +813,7 @@ TEST(GemmPricing, OuterGemmReadsY2RowsAndWritesTheGradientOnce)
                     if (y2_idx == 0.0) {
                         EXPECT_EQ(rec->bytesRead + rec->bytesWritten,
                                   rows * 4.0 * din + grad + rows * x_idx +
-                                      rows * 4.0 * dout)
+                                      rows * 4.0 * dout + terms)
                             << what;
                     }
                     weight_vectors += gi.din == 1;
@@ -1132,6 +1142,110 @@ TEST(TablePricing, RowTablesCostEightBytesPerResolvedRow)
                               16 * sizeof(float)),
                           0)
                     << what << ": request " << i << " node " << v;
+    }
+}
+
+/**
+ * A GEMM that folds a flat weight-vector kernel costs exactly the
+ * unfolded GEMM plus, per folded term and row, 2 * dout flops and its
+ * one-column row (written by an epilogue, read by a prologue), plus
+ * the weight vector charged like any GEMM weight. Every other launch
+ * of the step is unchanged, and the folded traversal is gone.
+ */
+TEST(GemmFusion, EpilogueAndPrologueCostExactlyTheirRowBytes)
+{
+    namespace core = hector::core;
+    namespace graph = hector::graph;
+    const double scale = 1.0 / 256.0;
+    std::vector<std::pair<std::string, graph::HeteroGraph>> graphs;
+    graphs.emplace_back("am block", sampledAmBlock(128));
+    graphs.emplace_back("mag/256",
+                        graph::generate(graph::datasetSpec("mag"), scale));
+    for (const auto &[gname, g] : graphs) {
+        const graph::CompactionMap cmap(g);
+        for (bool optimized : {false, true}) {
+            core::CompileOptions opts;
+            opts.compactMaterialization = optimized;
+            opts.linearReorder = optimized;
+            opts.training = true;
+            const core::CompiledModel m = core::compile(
+                hector::models::buildModel(hector::models::ModelKind::Rgat,
+                                           g, 16, 16),
+                opts);
+            const core::CompiledModel plain =
+                hector::test::withoutGemmFolds(m);
+            std::map<std::string, hector::tensor::Tensor> weights;
+            const auto fused = trainRecords(m, g, cmap, weights);
+            const auto unfused = trainRecords(plain, g, cmap, weights);
+            const std::string plan =
+                gname + (optimized ? " C+R" : " base");
+
+            std::map<std::string, const LaunchRecord *> before;
+            for (const auto &r : unfused)
+                before[r.name] = &r;
+            int folded_gemms = 0;
+            std::set<std::string> seen;
+            for (const auto *fn : {&m.forwardFn, &m.backwardFn})
+                for (const auto &gi : fn->gemms) {
+                    const std::size_t terms =
+                        gi.epilogue.size() + gi.prologue.size();
+                    if (terms == 0)
+                        continue;
+                    ++folded_gemms;
+                    seen.insert(gi.name);
+                    const LaunchRecord *after = nullptr;
+                    for (const auto &r : fused)
+                        if (r.name == gi.name)
+                            after = &r;
+                    ASSERT_NE(after, nullptr) << plan << " " << gi.name;
+                    ASSERT_TRUE(before.count(gi.name)) << plan;
+                    const LaunchRecord &b = *before.at(gi.name);
+                    const double rows = static_cast<double>(
+                        gi.rows == core::RowDomain::Edges ? g.numEdges()
+                                                          : cmap.numUnique());
+                    double read = 0.0;
+                    double written = 0.0;
+                    for (const auto *list : {&gi.epilogue, &gi.prologue})
+                        for (const auto &t : *list) {
+                            read += 4.0 * scale *
+                                    static_cast<double>(
+                                        weights.at(t.weight).numel());
+                            (list == &gi.epilogue ? written : read) +=
+                                4.0 * rows;
+                        }
+                    const std::string what = plan + " " + gi.name;
+                    EXPECT_EQ(after->flops,
+                              b.flops + 2.0 * static_cast<double>(gi.dout) *
+                                            rows *
+                                            static_cast<double>(terms))
+                        << what;
+                    EXPECT_EQ(after->bytesRead, b.bytesRead + read) << what;
+                    EXPECT_EQ(after->bytesWritten, b.bytesWritten + written)
+                        << what;
+                    EXPECT_EQ(after->atomics, 0.0) << what;
+                    EXPECT_EQ(b.atomics, 0.0) << what;
+                }
+            // C+R folds the forward dot and the backward add; base only
+            // the add (its dot sits in the grouped edge-softmax walk).
+            EXPECT_EQ(folded_gemms, optimized ? 2 : 1) << plan;
+            // Every other launch costs what it did; the unfolded plan
+            // launches exactly one traversal more per folded GEMM.
+            ASSERT_EQ(unfused.size(), fused.size() + seen.size()) << plan;
+            std::size_t matched = 0;
+            for (const auto &r : fused) {
+                if (seen.count(r.name))
+                    continue;
+                ASSERT_TRUE(before.count(r.name)) << plan << " " << r.name;
+                const LaunchRecord &b = *before.at(r.name);
+                EXPECT_EQ(r.flops, b.flops) << plan << " " << r.name;
+                EXPECT_EQ(r.bytesRead, b.bytesRead) << plan << " " << r.name;
+                EXPECT_EQ(r.bytesWritten, b.bytesWritten)
+                    << plan << " " << r.name;
+                EXPECT_EQ(r.atomics, b.atomics) << plan << " " << r.name;
+                ++matched;
+            }
+            EXPECT_EQ(matched + seen.size(), fused.size()) << plan;
+        }
     }
 }
 

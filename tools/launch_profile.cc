@@ -37,10 +37,20 @@
  * modeled host-to-device time of the batch's eight feature transfers)
  * and one "total" row (transfers and launches).
  *
+ * On standard output, after each model's rows, it prints a
+ * per-launch host table: each launch's modeled `model_ms` beside the
+ * host wall-clock milliseconds its CPU body took
+ * (sim::LaunchRecord::wallSec), the median over kHostRuns further
+ * runs of the same step or batch. Host times depend on the host and
+ * on HECTOR_THREADS; they go to standard output only, never into the
+ * committed files.
+ *
  * Usage: launch_profile   (from the repository root)
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -53,6 +63,7 @@
 #include "serve/micro_batch.hh"
 #include "sim/runtime.hh"
 #include "util/json_log.hh"
+#include "util/thread_pool.hh"
 
 namespace
 {
@@ -61,6 +72,8 @@ using namespace hector;
 
 constexpr double kScale = 1.0 / 256.0;
 constexpr std::int64_t kDim = 64;
+/** Timed repeats behind each host-table median. */
+constexpr int kHostRuns = 5;
 
 /** One JSON row: @p r's counts, labelled @p phase and @p category. */
 std::string
@@ -114,6 +127,43 @@ recordLaunches(util::JsonLog &log, const char *model,
     log.record(row(model, total_phase, "all", total));
 }
 
+/**
+ * Prints @p rt's launches with their modeled time beside the median
+ * host milliseconds of each launch over kHostRuns runs of @p run, each
+ * on a fresh recording runtime (the launch sequence repeats exactly).
+ */
+void
+printHostTable(const char *model, const char *what, const sim::Runtime &rt,
+               const std::function<void(sim::Runtime &)> &run)
+{
+    const auto &recs = rt.records();
+    std::vector<std::vector<double>> walls(recs.size());
+    for (int k = 0; k < kHostRuns; ++k) {
+        sim::Runtime timed(rt.spec());
+        timed.setRecordLaunches(true);
+        run(timed);
+        const auto &t = timed.records();
+        for (std::size_t i = 0; i < recs.size() && i < t.size(); ++i)
+            walls[i].push_back(t[i].wallSec);
+    }
+    std::printf("host-ms %s %s: median of %d runs, 1/256 graph, "
+                "threads=%d\n",
+                model, what, kHostRuns, util::globalPool().threads());
+    std::printf("  %-9s %-28s %12s %10s\n", "phase", "kernel", "model_ms",
+                "host_ms");
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+        std::vector<double> &w = walls[i];
+        double median = 0.0;
+        if (!w.empty()) {
+            std::nth_element(w.begin(), w.begin() + w.size() / 2, w.end());
+            median = w[w.size() / 2];
+        }
+        std::printf("  %-9s %-28s %12.6f %10.4f\n",
+                    sim::toString(recs[i].phase), recs[i].name.c_str(),
+                    recs[i].timeSec * 1e3 / kScale, median * 1e3);
+    }
+}
+
 /** One 8-request micro-batch per model on am: BENCH_serve_launches. */
 bool
 serveProfile()
@@ -159,6 +209,10 @@ serveProfile()
         const char *model = models::toString(mk);
         log.record(row(model, "host", "Host", transfer));
         recordLaunches(log, model, rt, "batch");
+        printHostTable(model, "serve batch", rt, [&](sim::Runtime &t) {
+            auto s = t.memoryScope();
+            serve::executeBatch(m, batch, weights, t);
+        });
     }
     return log.write();
 }
@@ -200,6 +254,14 @@ main()
         const char *model = models::toString(mk);
         recordLaunches(log, model, rt, "step");
         log.record(memoryRow(model, ctx.layout(), rt.tracker().peakBytes()));
+        printHostTable(model, "train step", rt, [&](sim::Runtime &t) {
+            auto s = t.memoryScope();
+            models::WeightMap g2;
+            core::ExecutionContext c;
+            c.reset(&g, &cmap, &t, &weights, &g2);
+            c.adoptPlan(&m.memoryPlan);
+            core::trainStep(m, c, feature);
+        });
     }
     const bool train_ok = log.write();
     return train_ok && serveProfile() ? 0 : 1;
